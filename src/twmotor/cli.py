@@ -1,14 +1,15 @@
 """Command-line front end.
 
 Subcommands: eigen | run | sweep | roughness | validate.  Exit codes:
-0 success, 2 config error, 3 numerical divergence, 4 run did not settle,
-5 I/O error.
+0 success, 2 config error, 3 numerical divergence (for a sweep: every row
+failed), 4 run did not settle, 5 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -56,7 +57,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", choices=("preload_N", "preload_g", "cof",
                                        "voltage", "frequency"))
     p.add_argument("--values", help="grid as start:stop:step (inclusive)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes; each lockstep batch of rows is split "
+                        "into up to this many parts")
     p.add_argument("--plot", action="store_true", help="emit an SVG line plot")
     p.add_argument("--duration", type=float, help="simulated time per run in s")
 
@@ -69,6 +72,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="validate a configuration and materials")
     p.add_argument("--config")
     return parser
+
+
+def _strict_json(data) -> str:
+    """JSON text of a flat summary, with non-finite numbers written as null."""
+    clean = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+             for k, v in data.items()}
+    return json.dumps(clean, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _load(args) -> RunConfig:
@@ -122,9 +132,9 @@ def _cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     series.to_csv(out_dir / "timeseries.csv")
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2,
-                                                     sort_keys=True) + "\n")
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    text = _strict_json(summary)
+    (out_dir / "summary.json").write_text(text)
+    print(text, end="")
     return EXIT_OK if summary["settled"] else EXIT_NOT_SETTLED
 
 
@@ -157,7 +167,8 @@ def _cmd_sweep(args) -> int:
     curve = sweep.run_sweep(spec, jobs=args.jobs)
     curve.to_csv(out_dir / "sweep.csv")
     if all(not r.ok for r in curve.rows):
-        print("error: every sweep row diverged", file=sys.stderr)
+        print(f"error: every sweep row failed; first: {curve.rows[0].error}",
+              file=sys.stderr)
         return EXIT_DIVERGED
     try:
         peak = sweep.find_peak(curve)
@@ -166,9 +177,9 @@ def _cmd_sweep(args) -> int:
                         "boundary_maximum": peak.boundary_maximum}
     except ValueError as exc:
         peak_summary = {"error": str(exc)}
-    (out_dir / "peak.json").write_text(json.dumps(peak_summary, indent=2,
-                                                  sort_keys=True) + "\n")
-    print(json.dumps(peak_summary, indent=2, sort_keys=True))
+    text = _strict_json(peak_summary)
+    (out_dir / "peak.json").write_text(text)
+    print(text, end="")
     if args.plot:
         unit = {"preload_N": "N", "preload_g": "g", "cof": "-", "voltage": "V",
                 "frequency": "Hz"}[spec.parameter]

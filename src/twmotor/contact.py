@@ -5,6 +5,12 @@ Normal forces follow a one-sided penalty law on the gap between the rigid
 rotor plane and the wavy stator surface; tangential forces follow a
 tanh-regularized Coulomb law of the local slip velocity, so the friction
 cone |f| < mu*N holds strictly and friction always opposes slip.
+
+This module is the one implementation of the law: the transient step loop
+calls ``evaluate_contact`` and ``modal_reaction`` at every step.  Both take
+any leading batch axes in front of the contact-point axis, so B
+interfaces advance together; a ``ContactBatch`` carries one parameter row
+per interface.
 """
 
 from __future__ import annotations
@@ -17,9 +23,11 @@ from .stator import StatorGeometry
 
 __all__ = [
     "ContactConfig",
+    "ContactBatch",
     "ContactState",
     "contact_angles",
     "evaluate_contact",
+    "reaction_operator",
     "modal_reaction",
     "power_balance",
 ]
@@ -53,6 +61,36 @@ class ContactConfig:
             )
 
 
+@dataclass(frozen=True)
+class ContactBatch:
+    """The parameters of B interfaces, one row each, for batched evaluation.
+
+    The constitutive parameters are (B, 1, 1) columns, so they broadcast
+    against per-point arrays of shape (B, 1, M); ``point_count`` is shared.
+    """
+
+    point_count: int
+    penalty_stiffness: np.ndarray = field(repr=False)
+    regularization_velocity: np.ndarray = field(repr=False)
+    cof: np.ndarray = field(repr=False)
+
+    @classmethod
+    def stack(cls, configs) -> "ContactBatch":
+        configs = list(configs)
+        counts = {c.point_count for c in configs}
+        if len(counts) != 1:
+            raise ValueError("batched interfaces must share one point_count")
+
+        def column(name):
+            return np.array([getattr(c, name) for c in configs],
+                            dtype=float).reshape(-1, 1, 1)
+
+        return cls(point_count=counts.pop(),
+                   penalty_stiffness=column("penalty_stiffness"),
+                   regularization_velocity=column("regularization_velocity"),
+                   cof=column("cof"))
+
+
 def contact_angles(cfg: ContactConfig) -> np.ndarray:
     """Uniform sampling angles of the contact points."""
     return 2.0 * np.pi * np.arange(cfg.point_count) / cfg.point_count
@@ -60,68 +98,109 @@ def contact_angles(cfg: ContactConfig) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ContactState:
-    """Per-point contact forces and their resultants on the rotor."""
+    """Per-point contact forces and their resultants on the rotor.
 
-    gap: np.ndarray = field(repr=False)             # m
-    normal_force: np.ndarray = field(repr=False)    # N, >= 0
-    friction_force: np.ndarray = field(repr=False)  # N, tangential on rotor
-    slip_velocity: np.ndarray = field(repr=False)   # m/s, rotor rim minus surface
-    axial_force: float                              # N, sum of normal forces
-    torque: float                                   # N*m about the spin axis
+    Per-point arrays end in the contact-point axis (M); ``forces`` stacks
+    the normal and friction forces along it as [N | f] (2M).  Resultants
+    drop that axis, so a single interface gives scalars.
+    """
+
+    gap: np.ndarray = field(repr=False)            # m
+    forces: np.ndarray = field(repr=False)         # N: normal (>= 0), then friction
+    slip_velocity: np.ndarray = field(repr=False)  # m/s, rotor rim minus surface
+    radius: float                                  # m, lever arm of the friction
 
     @property
-    def friction_power(self) -> float:
-        """Sum f_i * s_i; non-positive (friction dissipates)."""
-        return float(self.friction_force @ self.slip_velocity)
+    def normal_force(self) -> np.ndarray:
+        """Normal force on the rotor, >= 0."""
+        return self.forces[..., :self.gap.shape[-1]]
+
+    @property
+    def friction_force(self) -> np.ndarray:
+        """Tangential force on the rotor."""
+        return self.forces[..., self.gap.shape[-1]:]
+
+    @property
+    def axial_force(self):
+        """Sum of the normal forces, N."""
+        return np.sum(self.normal_force, axis=-1)
+
+    @property
+    def torque(self):
+        """Friction torque about the spin axis, N*m."""
+        return self.radius * np.sum(self.friction_force, axis=-1)
+
+    @property
+    def friction_power(self):
+        """Sum f_i * s_i; non-positive (friction dissipates).
+
+        ``np.add.reduce`` is ``np.sum`` without its Python wrapper; the
+        step loop reads this every step.
+        """
+        return np.add.reduce(self.friction_force * self.slip_velocity, axis=-1)
 
 
-def evaluate_contact(surface_w, surface_vt, rotor_z: float, rotor_speed: float,
-                     geom: StatorGeometry, cfg: ContactConfig) -> ContactState:
+def evaluate_contact(surface_w, surface_vt, rotor_z, rotor_speed, geom: StatorGeometry,
+                     cfg: ContactConfig | ContactBatch) -> ContactState:
     """Evaluate the interface law at every contact point.
 
     ``surface_w`` and ``surface_vt`` are the stator deflection and
-    tangential surface velocity sampled at ``contact_angles(cfg)``.
+    tangential surface velocity sampled at ``contact_angles(cfg)``, with any
+    leading batch axes; ``rotor_z`` and ``rotor_speed`` broadcast against
+    them.  ``cfg`` is a ``ContactConfig``, or a ``ContactBatch`` for
+    arrays of shape (B, 1, M).  The inputs are not validated here, because
+    the step loop calls this every step: arrays without one entry per
+    contact point fail to broadcast into the force buffer.
     """
-    w = np.asarray(surface_w, dtype=float)
-    vt = np.asarray(surface_vt, dtype=float)
-    if w.shape != (cfg.point_count,) or vt.shape != (cfg.point_count,):
-        raise ValueError("surface arrays must have one entry per contact point")
-    R = geom.mean_radius
-    gap = rotor_z - w
-    normal = cfg.penalty_stiffness * np.maximum(0.0, -gap)
-    slip = R * rotor_speed - vt
-    friction = -cfg.cof * normal * np.tanh(slip / cfg.regularization_velocity)
-    return ContactState(
-        gap=gap,
-        normal_force=normal,
-        friction_force=friction,
-        slip_velocity=slip,
-        axial_force=float(np.sum(normal)),
-        torque=float(R * np.sum(friction)),
-    )
+    m = cfg.point_count
+    gap = np.subtract(rotor_z, surface_w)
+    slip = np.subtract(geom.mean_radius * rotor_speed, surface_vt)
+    forces = np.empty(gap.shape[:-1] + (2 * m,))
+    normal = forces[..., :m]
+    np.multiply(cfg.penalty_stiffness, np.maximum(0.0, -gap), out=normal)
+    np.multiply(-cfg.cof * normal, np.tanh(slip / cfg.regularization_velocity),
+                out=forces[..., m:])
+    return ContactState(gap=gap, forces=forces, slip_velocity=slip,
+                        radius=geom.mean_radius)
 
 
-def modal_reaction(state: ContactState, shape_w, shape_dtheta,
-                   geom: StatorGeometry) -> np.ndarray:
-    """Generalized contact forces on stator shapes (virtual-work projection).
+def reaction_operator(shape_w, shape_dtheta, geom: StatorGeometry) -> np.ndarray:
+    """The virtual-work projection of the interface forces, as one matrix.
 
-    ``shape_w`` and ``shape_dtheta`` give each shape's deflection and its
-    theta-derivative at the contact angles, one row per shape.  The normal
-    traction loads the deflection; the tangential traction loads the slope
-    through the tooth-tip offset:
+    ``shape_w`` and ``shape_dtheta`` give each of J stator shapes'
+    deflection and theta-derivative at the contact angles, one row per
+    shape.  The result G has shape (2M, J + 2) and maps the stacked forces
+    [N | f] to the generalized forces on the shapes, then the rotor's
+    axial force and torque.  The normal traction loads the deflection; the
+    tangential traction loads the slope through the tooth-tip offset:
 
         Q_j = sum_i [ -N_i phi_j(theta_i) + f_i z_c phi_j'(theta_i) / R ]
+        F_z = sum_i N_i,    T = R sum_i f_i
     """
     shape_w = np.atleast_2d(np.asarray(shape_w, dtype=float))
     shape_dtheta = np.atleast_2d(np.asarray(shape_dtheta, dtype=float))
-    zc_over_R = geom.contact_offset / geom.mean_radius
-    return (-shape_w @ state.normal_force
-            + zc_over_R * (shape_dtheta @ state.friction_force))
+    j, m = shape_w.shape
+    operator = np.zeros((2 * m, j + 2))
+    operator[:m, :j] = -shape_w.T
+    operator[m:, :j] = (geom.contact_offset / geom.mean_radius) * shape_dtheta.T
+    operator[:m, j] = 1.0
+    operator[m:, j + 1] = geom.mean_radius
+    return operator
+
+
+def modal_reaction(state: ContactState, operator: np.ndarray) -> np.ndarray:
+    """Generalized contact forces: ``state.forces @ operator``.
+
+    With ``operator`` from ``reaction_operator``, the result holds the
+    generalized forces on its J shapes, then the axial force and torque.
+    For forces of shape (B, 1, 2M) the product is one small matrix product
+    per row, so a row's result does not depend on the batch size.
+    """
+    return state.forces @ operator
 
 
 def power_balance(state: ContactState, surface_wdot, surface_vt,
-                  rotor_zdot: float, rotor_speed: float,
-                  geom: StatorGeometry) -> dict[str, float]:
+                  rotor_zdot, rotor_speed) -> dict:
     """Bookkeeping of contact power flow.
 
     The work rate on the rotor plus the work rate of the reactions on the
@@ -131,12 +210,11 @@ def power_balance(state: ContactState, surface_wdot, surface_vt,
     """
     wdot = np.asarray(surface_wdot, dtype=float)
     vt = np.asarray(surface_vt, dtype=float)
-    R = geom.mean_radius
+    normal, friction = state.normal_force, state.friction_force
     p_rotor = state.axial_force * rotor_zdot + state.torque * rotor_speed
-    p_stator = float(-state.normal_force @ wdot - state.friction_force @ vt)
-    gap_rate = rotor_zdot - wdot
-    p_penalty = float(state.normal_force @ gap_rate)
-    p_friction = float(state.friction_force @ (R * rotor_speed - vt))
+    p_stator = -np.sum(normal * wdot + friction * vt, axis=-1)
+    p_penalty = np.sum(normal * (rotor_zdot - wdot), axis=-1)
+    p_friction = state.friction_power
     return {
         "rotor": p_rotor,
         "stator": p_stator,

@@ -2,12 +2,22 @@
 
 The stator is reduced to its retained mode pairs (modal oscillators with
 mass-normalized coordinates); the rigid rotor carries an axial
-translation and a spin DOF.  Per fixed step, contact forces are evaluated
-at the step start (explicit) while the linear modal and axial dynamics are
-advanced with their exact matrix exponentials, the electrode drive being
-sampled at the step midpoint.  This keeps the integration robust against
-the stiff penalty forces; accuracy is monitored by an energy-bookkeeping
-residual accumulated alongside the states.
+translation and a spin DOF.  Per fixed step, the contact law of
+``contact.py`` (``evaluate_contact``, ``modal_reaction`` and the friction
+power) is evaluated at the step start (explicit), while the linear modal
+and rotor dynamics are advanced with their exact propagators, the
+electrode drive being sampled at the step midpoint.  This keeps the
+integration robust against the stiff penalty forces; accuracy is
+monitored by an energy-bookkeeping residual accumulated alongside the
+states.
+
+``simulate_batch`` runs B transients that share the stator and the step
+grid in one step loop.  Each run is one row of (B, 1, K) arrays; its state
+is [q_cos, q_sin, z, phi | q_cos', q_sin', z', omega], so the surface
+kinematics, the contact reactions and the propagator are each one small
+matrix product per row and step.  Every operation acts on each row alone,
+so a row's results are bitwise the same whatever batch it runs in.
+``simulate`` is the batch of one.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .contact import ContactConfig, contact_angles
+from . import contact
 from .stator import StatorModel
 from .wave import DriveConfig
 
@@ -28,7 +38,9 @@ __all__ = [
     "EnergyReport",
     "SteadyState",
     "SimulationDiverged",
+    "step_grid",
     "simulate",
+    "simulate_batch",
     "detect_steady_state",
     "envelope_average",
     "mean_speed",
@@ -141,21 +153,16 @@ def _phase_matrices(omega, zeta, dt):
     return E, P
 
 
-def simulate(stator: StatorModel, drive: DriveConfig, contact_cfg: ContactConfig,
-             rotor_cfg: RotorConfig, duration: float = 5e-3,
-             output_interval: float = 1e-5, dt: float | None = None) -> MotorTimeSeries:
-    """Fixed-step transient of the coupled motor, sampled at the output interval.
+def step_grid(stator: StatorModel, drive: DriveConfig, duration: float = 5e-3,
+              output_interval: float = 1e-5,
+              dt: float | None = None) -> tuple[float, int, int]:
+    """The step rule of ``simulate``: (step, steps per sample, sample count).
 
     The step defaults to 1/(400 f_drive) and is snapped to an integer
     divider of the output interval; steps above 1/(200 f_drive) are
-    rejected as unstable.  Deterministic for fixed inputs.  Divergence
-    truncates the series and sets its flag instead of raising.
+    rejected as unstable.
     """
-    geom = stator.geometry
-    pairs = stator.pairs
-    contact_cfg.check_resolution(pairs[0].nodal_diameters)
-    f_drive = drive.resolve_frequency(pairs[0])
-    omega_d = 2.0 * math.pi * f_drive
+    f_drive = drive.resolve_frequency(stator.pair)
     dt_nominal = dt if dt is not None else 1.0 / (400.0 * f_drive)
     if dt_nominal > 1.0 / (200.0 * f_drive):
         raise ValueError(
@@ -163,181 +170,239 @@ def simulate(stator: StatorModel, drive: DriveConfig, contact_cfg: ContactConfig
             "(1/(200 f_drive))"
         )
     steps_per_sample = max(1, math.ceil(output_interval / dt_nominal))
-    h = output_interval / steps_per_sample
-    n_samples = int(round(duration / output_interval)) + 1
+    return (output_interval / steps_per_sample, steps_per_sample,
+            int(round(duration / output_interval)) + 1)
+
+
+def simulate(stator: StatorModel, drive: DriveConfig,
+             contact_cfg: contact.ContactConfig, rotor_cfg: RotorConfig,
+             duration: float = 5e-3, output_interval: float = 1e-5,
+             dt: float | None = None) -> MotorTimeSeries:
+    """Fixed-step transient of the coupled motor, sampled at the output interval.
+
+    The step follows ``step_grid``.  Deterministic for fixed inputs.
+    Divergence truncates the series and sets its flag instead of raising.
+    This is ``simulate_batch`` with one row.
+    """
+    return simulate_batch(stator, [(drive, contact_cfg, rotor_cfg)], duration=duration,
+                          output_interval=output_interval, dt=dt)[0]
+
+
+def _propagator(stator: StatorModel, rotor_cfg: RotorConfig, h: float) -> np.ndarray:
+    """Exact one-step map [state | forcing] -> next state of one row.
+
+    The state is [q_cos, q_sin, z, phi | q_cos', q_sin', z', omega] and the
+    forcing, held constant over the step, is [modal forces on the cos and
+    sin shapes, axial force minus preload, torque minus load torque].
+    """
+    P = len(stator.pairs)
+    m = 2 * P + 2
+    n = 2 * m
+    prop = np.zeros((n + m, n))
+    for p, pair in enumerate(stator.pairs):
+        E, Pm = _phase_matrices(pair.omega, stator.damping_ratio, h)
+        for c in (p, P + p):
+            pos, vel, force = c, m + c, n + c
+            prop[pos, pos], prop[vel, pos], prop[force, pos] = E[0, 0], E[0, 1], Pm[0, 1]
+            prop[pos, vel], prop[vel, vel], prop[force, vel] = E[1, 0], E[1, 1], Pm[1, 1]
+
+    z, phi, zd, om = 2 * P, 2 * P + 1, m + 2 * P, m + 2 * P + 1
+    fz, tz = n + 2 * P, n + 2 * P + 1
+    mass, c_z, J = rotor_cfg.mass, rotor_cfg.axial_damping, rotor_cfg.inertia
+    prop[z, z] = prop[phi, phi] = prop[om, om] = 1.0
+    if c_z > 0:
+        gamma = c_z / mass
+        x = gamma * h
+        k_g = -math.expm1(-x) / gamma
+        prop[zd, z] = k_g
+        prop[fz, z] = (x + math.expm1(-x)) / (gamma * gamma * mass)
+        prop[zd, zd] = math.exp(-x)
+        prop[fz, zd] = k_g / mass
+    else:
+        prop[zd, z] = h
+        prop[fz, z] = 0.5 * h * h / mass
+        prop[zd, zd] = 1.0
+        prop[fz, zd] = h / mass
+    prop[om, phi] = h
+    prop[tz, phi] = 0.5 * h * h / J
+    prop[tz, om] = h / J
+    return prop
+
+
+def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
+                   output_interval: float = 1e-5,
+                   dt: float | None = None) -> list[MotorTimeSeries]:
+    """Advance several transients on one stator together, one row each.
+
+    ``rows`` holds (DriveConfig, ContactConfig, RotorConfig) triples.  The
+    rows must share the step grid (``step_grid``) and the contact point
+    count.  Every array operation acts on each row alone, so a row's series
+    is bitwise the same whatever else runs in its batch.  A row that goes
+    non-finite is truncated at its last valid sample and flagged; the
+    other rows carry on.
+    """
+    drives, contacts, rotors = zip(*rows)
+    contacts[0].check_resolution(stator.pair.nodal_diameters)
+    law = contact.ContactBatch.stack(contacts)
+    grids = {step_grid(stator, d, duration, output_interval, dt) for d in drives}
+    if len(grids) != 1:
+        raise ValueError("batched rows must share one step grid")
+    h, steps_per_sample, n_samples = grids.pop()
     n_steps = (n_samples - 1) * steps_per_sample
 
-    P = len(pairs)
-    omega_n = np.array([p.omega for p in pairs])
-    amp = np.array([p.amp for p in pairs])
-    ndia = np.array([p.nodal_diameters for p in pairs])
-    zeta = stator.damping_ratio
-    theta = contact_angles(contact_cfg)
-    cosM = np.cos(ndia[:, None] * theta[None, :])   # (P, M)
-    sinM = np.sin(ndia[:, None] * theta[None, :])
-    zc = geom.contact_offset
+    geom = stator.geometry
     R = geom.mean_radius
-    mu = contact_cfg.cof
-    kn = contact_cfg.penalty_stiffness
-    vreg = contact_cfg.regularization_velocity
+    B = len(drives)
+    P = len(stator.pairs)
+    m = 2 * P + 2     # [cos shapes, sin shapes, axial, spin]
+    n = 2 * m         # positions, then velocities, each laid out as above
+    M = law.point_count
 
-    # drive forces: only the leading pair is wired to the electrodes
-    F_cos = np.zeros(P)
-    F_sin = np.zeros(P)
-    F_cos[0] = stator.forcing_per_volt.f_cos * drive.voltage
-    F_sin[0] = stator.forcing_per_volt.f_sin * drive.voltage
-    psi = drive.phase_offset
+    # mode shapes at the contact angles: their reaction operator maps the
+    # stacked forces [N | f] to [Q_cos, Q_sin, F_z, T]; the surface
+    # kinematics w = q . phi, v_t = -(z_c / R) q' . phi' are its adjoint
+    theta = contact.contact_angles(contacts[0])
+    amp = np.array([p.amp for p in stator.pairs])[:, None]
+    ndia = np.array([p.nodal_diameters for p in stator.pairs])[:, None]
+    cos_n, sin_n = np.cos(ndia * theta), np.sin(ndia * theta)
+    reaction = contact.reaction_operator(
+        np.vstack([amp * cos_n, amp * sin_n]),
+        np.vstack([-amp * ndia * sin_n, amp * ndia * cos_n]), geom)
+    surface = np.zeros((n, 2 * M))
+    surface[:2 * P, :M] = -reaction[:M, :2 * P].T
+    surface[m:m + 2 * P, M:] = -reaction[M:, :2 * P].T
+    prop = np.stack([_propagator(stator, r, h) for r in rotors])
 
-    e00 = np.empty(P); e01 = np.empty(P); e10 = np.empty(P); e11 = np.empty(P)
-    p01 = np.empty(P); p11 = np.empty(P)
-    for i, w in enumerate(omega_n):
-        E, Pm = _phase_matrices(w, zeta, h)
-        e00[i], e01[i], e10[i], e11[i] = E[0, 0], E[0, 1], E[1, 0], E[1, 1]
-        p01[i], p11[i] = Pm[0, 1], Pm[1, 1]
+    def per_row(values):
+        return np.array(values, dtype=float)
 
-    m_r = rotor_cfg.mass
-    c_z = rotor_cfg.axial_damping
-    J = rotor_cfg.inertia
-    T_load = rotor_cfg.load_torque
-    gamma = c_z / m_r
-    if c_z > 0:
-        e_g = math.exp(-gamma * h)
-        k_g = (1.0 - e_g) / gamma
+    # drive: only the leading pair is wired to the electrodes
+    f_drive = per_row([d.resolve_frequency(stator.pair) for d in drives])
+    omega_d = (2.0 * math.pi * f_drive).reshape(B, 1, 1, 1)
+    voltage = per_row([d.voltage for d in drives])
+    drive_force = np.zeros((B, 1, 1, m))
+    drive_force[:, 0, 0, 0] = stator.forcing_per_volt.f_cos * voltage
+    drive_force[:, 0, 0, P] = stator.forcing_per_volt.f_sin * voltage
+    drive_phase = np.zeros((B, 1, 1, m))
+    drive_phase[:, 0, 0, P] = per_row([d.phase_offset for d in drives])
+    step_times = np.array([[0.0], [0.5 * h]])   # step start and midpoint
+    preload = per_row([r.preload for r in rotors])
+    ramp = per_row([r.preload_ramp for r in rotors])
+    ramp_end = float(ramp.max())
+    loads = np.zeros((B, 1, 1, m))              # -preload, -load torque
+    loads[:, 0, 0, 2 * P + 1] = -per_row([r.load_torque for r in rotors])
 
-    def preload_at(t):
-        if rotor_cfg.preload_ramp > 0 and t < rotor_cfg.preload_ramp:
-            return rotor_cfg.preload * t / rotor_cfg.preload_ramp
-        return rotor_cfg.preload
+    omega_n = np.tile([p.omega for p in stator.pairs], 2)
+    damping = np.zeros((B, 1, m))               # dissipated power per squared rate
+    damping[:, 0, :2 * P] = 2.0 * stator.damping_ratio * omega_n
+    damping[:, 0, 2 * P] = per_row([r.axial_damping for r in rotors])
+    stiffness = np.zeros((B, 1, n))             # twice the energy per squared state
+    stiffness[:, 0, :2 * P] = omega_n ** 2
+    stiffness[:, 0, m:m + 2 * P] = 1.0
+    stiffness[:, 0, m + 2 * P] = per_row([r.mass for r in rotors])
+    stiffness[:, 0, n - 1] = per_row([r.inertia for r in rotors])
 
-    qc = np.zeros(P); qs = np.zeros(P)       # modal coordinates
-    qcd = np.zeros(P); qsd = np.zeros(P)     # modal rates
-    z_r = 0.0; zd_r = 0.0                    # rotor axial
-    phi_r = 0.0; om_r = 0.0                  # rotor spin
+    def mech_energy(y, state):
+        pen = np.maximum(0.0, -state.gap)
+        return 0.5 * (np.sum(stiffness * y * y, axis=-1)
+                      + np.sum(law.penalty_stiffness * pen * pen, axis=-1))
 
-    out = np.zeros((n_samples, 7))
+    evaluate, project = contact.evaluate_contact, contact.modal_reaction
+    cur = np.zeros((B, 1, n + m))               # [state | forcing over the step]
+    nxt = np.zeros((B, 1, n + m))
+    out = np.zeros((B, n_samples, 7))
+    alive = np.ones(B, dtype=bool)
+    n_valid = np.zeros(B, dtype=int)
     sample = 0
-    diverged = False
-    last_valid = 0.0
+    acc_in = np.zeros((B, 1, m))                # input powers: drive, preload, load
+    acc_out = np.zeros((B, 1, m))               # modal and axial damper dissipation
+    acc_fric = np.zeros((B, 1))                 # friction power sum f s (<= 0)
+    first = r_prev = None
+    ramping = True
 
-    work_drive = work_preload = work_loadT = 0.0
-    diss_modal = diss_fric = diss_axial = 0.0
-    prev_powers = None
-    prev_contact = None
-    zc_over_R = zc / R
+    with np.errstate(over="ignore", invalid="ignore"):   # caught at the next sample
+        for k in range(n_steps + 1):
+            t = k * h
+            y = cur[..., :n]
+            surf = y @ surface
+            state = evaluate(surf[..., :M], surf[..., M:], y[..., 2 * P:2 * P + 1],
+                             y[..., n - 1:], geom, law)
+            r = project(state, reaction)
 
-    def mech_energy(pen_energy):
-        e_modal = 0.5 * float(np.sum(qcd**2 + qsd**2
-                                     + omega_n**2 * (qc**2 + qs**2)))
-        return (e_modal + 0.5 * m_r * zd_r**2 + 0.5 * J * om_r**2 + pen_energy)
+            if ramping:
+                loads[:, 0, 0, 2 * P] = -np.where(
+                    t < ramp, preload * t / np.where(ramp > 0, ramp, 1.0), preload)
+                ramping = t < ramp_end
+            drive = np.cos(omega_d * (t + step_times) + drive_phase) * drive_force + loads
+            vel = y[..., m:]
+            powers = (drive[..., 0, :] * vel, damping * vel * vel, state.friction_power)
+            acc_in += powers[0]
+            acc_out += powers[1]
+            acc_fric += powers[2]
 
-    energy_initial = None
-
-    for k in range(n_steps + 1):
-        t = k * h
-        # surface state and contact at the step start
-        aqc = amp * qc
-        aqs = amp * qs
-        w_i = aqc @ cosM + aqs @ sinM
-        vt_i = -zc_over_R * ((amp * ndia * qsd) @ cosM - (amp * ndia * qcd) @ sinM)
-        gap = z_r - w_i
-        pen = np.maximum(0.0, -gap)
-        N_i = kn * pen
-        s_i = R * om_r - vt_i
-        f_i = -mu * N_i * np.tanh(s_i / vreg)
-        F_z = float(np.sum(N_i))
-        T = float(R * np.sum(f_i))
-        Q_cos = -amp * (cosM @ N_i) - zc_over_R * amp * ndia * (sinM @ f_i)
-        Q_sin = -amp * (sinM @ N_i) + zc_over_R * amp * ndia * (cosM @ f_i)
-
-        Fp = preload_at(t)
-        drv_cos = F_cos * math.cos(omega_d * t)
-        drv_sin = F_sin * math.cos(omega_d * t + psi)
-        powers = (
-            float(drv_cos @ qcd + drv_sin @ qsd),                 # drive in
-            -Fp * zd_r,                                           # preload in
-            -T_load * om_r,                                       # load torque in
-            2.0 * zeta * float(omega_n @ (qcd**2 + qsd**2)),      # modal out
-            -float(f_i @ s_i),                                    # friction out
-            c_z * zd_r * zd_r,                                    # axial damper out
-        )
-        if prev_powers is not None:
-            half = 0.5 * h
-            work_drive += half * (prev_powers[0] + powers[0])
-            work_preload += half * (prev_powers[1] + powers[1])
-            work_loadT += half * (prev_powers[2] + powers[2])
-            diss_modal += half * (prev_powers[3] + powers[3])
-            diss_fric += half * (prev_powers[4] + powers[4])
-            diss_axial += half * (prev_powers[5] + powers[5])
-        prev_powers = powers
-
-        if k % steps_per_sample == 0:
-            state_fin = (np.isfinite(w_i).all() and math.isfinite(z_r)
-                         and math.isfinite(om_r) and math.isfinite(F_z))
-            if not state_fin:
-                diverged = True
+            if k % steps_per_sample == 0:
+                alive &= (np.isfinite(y).all(axis=-1)
+                          & np.isfinite(r).all(axis=-1))[:, 0]
+                if not alive.any():
+                    break
+                row = out[:, sample]
+                row[:, 0] = t
+                row[:, 1] = R * y[:, 0, n - 1]
+                row[:, 2] = R * y[:, 0, 2 * P + 1]
+                row[:, 3] = state.forces[:, 0, M]
+                row[:, 4] = r[:, 0, 2 * P + 1]
+                row[:, 5] = r[:, 0, 2 * P]
+                row[:, 6] = stator.pair.amp * np.hypot(y[:, 0, 0], y[:, 0, P])
+                sample += 1
+                n_valid[alive] = sample
+            if k == 0:
+                first = powers
+                energy_initial = mech_energy(y, state)
+            if k == n_steps:
+                energy_final = mech_energy(y, state)
                 break
-            wave_amp = stator.pair.amp * math.hypot(qc[0], qs[0])
-            out[sample] = (t, R * om_r, R * phi_r, f_i[0], T, F_z, wave_amp)
-            sample += 1
-            last_valid = t
-        if energy_initial is None:
-            energy_initial = mech_energy(0.5 * kn * float(np.sum(pen**2)))
-        if k == n_steps:
-            energy_final = mech_energy(0.5 * kn * float(np.sum(pen**2)))
-            break
 
-        # advance: exact linear propagation, piecewise-constant forcing held
-        # at the step midpoint; contact resultants are extrapolated there
-        # from the last two evaluations (keeps the coupling second order)
-        if prev_contact is None:
-            Qc_mid, Qs_mid, Fz_mid, T_mid = Q_cos, Q_sin, F_z, T
-        else:
-            Qc_mid = 1.5 * Q_cos - 0.5 * prev_contact[0]
-            Qs_mid = 1.5 * Q_sin - 0.5 * prev_contact[1]
-            Fz_mid = 1.5 * F_z - 0.5 * prev_contact[2]
-            T_mid = 1.5 * T - 0.5 * prev_contact[3]
-        prev_contact = (Q_cos, Q_sin, F_z, T)
-        t_mid = t + 0.5 * h
-        p_cos = F_cos * math.cos(omega_d * t_mid) + Qc_mid
-        p_sin = F_sin * math.cos(omega_d * t_mid + psi) + Qs_mid
-        qc_new = e00 * qc + e01 * qcd + p01 * p_cos
-        qcd_new = e10 * qc + e11 * qcd + p11 * p_cos
-        qs_new = e00 * qs + e01 * qsd + p01 * p_sin
-        qsd_new = e10 * qs + e11 * qsd + p11 * p_sin
-        qc, qcd, qs, qsd = qc_new, qcd_new, qs_new, qsd_new
+            # advance: exact linear propagation, piecewise-constant forcing held
+            # at the step midpoint; contact resultants are extrapolated there
+            # from the last two evaluations (keeps the coupling second order)
+            r_mid = r if r_prev is None else 1.5 * r - 0.5 * r_prev
+            r_prev = r
+            np.add(drive[..., 1, :], r_mid, out=cur[..., n:])
+            np.matmul(cur, prop, out=nxt[..., :n])
+            cur, nxt = nxt, cur
 
-        a0 = (Fz_mid - Fp) / m_r
-        if c_z > 0:
-            z_r = z_r + (zd_r - a0 / gamma) * k_g + (a0 / gamma) * h
-            zd_r = zd_r * e_g + (a0 / gamma) * (1.0 - e_g)
-        else:
-            z_r = z_r + zd_r * h + 0.5 * a0 * h * h
-            zd_r = zd_r + a0 * h
-        om_new = om_r + h * (T_mid - T_load) / J
-        phi_r = phi_r + 0.5 * h * (om_r + om_new)
-        om_r = om_new
-
-    if diverged:
-        out = out[:sample]
-        energy = None
-    else:
-        denom = max(abs(work_drive), 1e-300)
+    if k == n_steps:   # trapezoidal work integrals of the ledger
+        w_in, w_out, w_fric = (h * (acc - 0.5 * (p0 + pn)) for acc, p0, pn
+                               in zip((acc_in, acc_out, acc_fric), first, powers))
         energy_change = energy_final - energy_initial
-        residual = ((work_drive + work_preload + work_loadT)
-                    - (energy_change + diss_modal + diss_fric + diss_axial))
-        energy = EnergyReport(
-            drive_work=work_drive, preload_work=work_preload,
-            load_torque_work=work_loadT, modal_dissipation=diss_modal,
-            friction_dissipation=diss_fric, axial_dissipation=diss_axial,
-            energy_change=energy_change, residual=residual,
-            residual_fraction=abs(residual) / denom,
-        )
-    return MotorTimeSeries(
-        time=out[:, 0].copy(), surface_speed=out[:, 1].copy(),
-        surface_displacement=out[:, 2].copy(), friction_probe=out[:, 3].copy(),
-        torque=out[:, 4].copy(), axial_force=out[:, 5].copy(),
-        wave_amplitude=out[:, 6].copy(), radius=R,
-        diverged=diverged, last_valid_time=last_valid, energy=energy,
+    series = []
+    for b in range(B):
+        energy = None
+        if alive[b]:
+            energy = _energy_report(
+                drive=float(np.sum(w_in[b, 0, :2 * P])), preload=float(w_in[b, 0, 2 * P]),
+                load=float(w_in[b, 0, 2 * P + 1]), modal=float(np.sum(w_out[b, 0, :2 * P])),
+                friction=-float(w_fric[b, 0]), axial=float(w_out[b, 0, 2 * P]),
+                energy_change=float(energy_change[b, 0]))
+        cols = out[b, :n_valid[b]].T.copy()
+        series.append(MotorTimeSeries(
+            time=cols[0], surface_speed=cols[1], surface_displacement=cols[2],
+            friction_probe=cols[3], torque=cols[4], axial_force=cols[5],
+            wave_amplitude=cols[6], radius=R, diverged=not alive[b],
+            last_valid_time=float(cols[0, -1]) if n_valid[b] else 0.0,
+            energy=energy,
+        ))
+    return series
+
+
+def _energy_report(drive, preload, load, modal, friction, axial,
+                   energy_change) -> EnergyReport:
+    residual = (drive + preload + load) - (energy_change + modal + friction + axial)
+    return EnergyReport(
+        drive_work=drive, preload_work=preload, load_torque_work=load,
+        modal_dissipation=modal, friction_dissipation=friction,
+        axial_dissipation=axial, energy_change=energy_change, residual=residual,
+        residual_fraction=abs(residual) / max(abs(drive), 1e-300),
     )
 
 

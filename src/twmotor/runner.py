@@ -74,6 +74,15 @@ def run_motor(config: RunConfig, model: stator.StatorModel | None = None
         model, config.drive, config.contact, config.rotor,
         duration=sim.duration, output_interval=sim.output_interval, dt=sim.dt,
     )
+    return series, summarize(config, model, series)
+
+
+def summarize(config: RunConfig, model: stator.StatorModel,
+              series: MotorTimeSeries) -> dict:
+    """Settling, envelope torque and mean speed of one transient.
+
+    Raises SimulationDiverged if the series diverged.
+    """
     if series.diverged:
         raise SimulationDiverged(series.last_valid_time)
     steady = dynamics.detect_steady_state(series)
@@ -84,7 +93,7 @@ def run_motor(config: RunConfig, model: stator.StatorModel | None = None
         torque = math.nan
     speed = dynamics.mean_speed(series, steady.t)
     omega_ideal = ideal_speed(config, model)
-    summary = {
+    return {
         "t_ss": steady.t,
         "settled": steady.settled,
         "reported_torque": torque,
@@ -94,4 +103,3 @@ def run_motor(config: RunConfig, model: stator.StatorModel | None = None
         "drive_frequency": f_drive,
         "wave_amplitude_final": float(series.wave_amplitude[-1]),
     }
-    return series, summary

@@ -1,23 +1,28 @@
 """Parametric sweeps over preload, COF, voltage and frequency.
 
-A sweep runs the full transient pipeline once per parameter value; rows
-are independent, so they may execute on a worker pool, and results are
-aggregated in input order for determinism.  Named presets reproduce the
-study grids used for the USR30/USR60 preload curves, the gram-denominated
-plastic-stator sweep, and the COF scan.
+A sweep runs the full transient pipeline once per parameter value.  No
+sweep parameter changes the stator, so it is built once.  Rows that share
+a step grid advance together as one lockstep batch
+(``dynamics.simulate_batch``); a frequency sweep may split into several
+batches, because the step follows the drive frequency.  With ``jobs > 1``
+the batches are split into parts that run on a worker pool.  A row's
+results do not depend on its batch, and rows come back in input order, so
+a sweep is deterministic whatever the job count.  Named presets reproduce
+the study grids used for the USR30/USR60 preload curves, the
+gram-denominated plastic-stator sweep, and the COF scan.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import runner
+from . import dynamics, runner
 from .config import ConfigError, RunConfig
-from .dynamics import SimulationDiverged
 
 __all__ = [
     "SweepSpec",
@@ -35,7 +40,7 @@ __all__ = [
 STANDARD_GRAVITY = 9.80665  # m/s^2
 
 _PARAMETERS = ("preload_N", "preload_g", "cof", "voltage", "frequency")
-SWEEP_CSV_HEADER = "param,torque,speed,t_ss,settled"
+SWEEP_CSV_HEADER = "param,torque,speed,t_ss,settled,ok,error"
 
 
 def grams_to_newtons(grams: float) -> float:
@@ -109,40 +114,78 @@ class SweepCurve:
         return np.array([getattr(r, name) for r in self.rows])
 
     def to_csv(self, path):
-        lines = [SWEEP_CSV_HEADER]
-        for r in self.rows:
-            lines.append(
-                f"{r.param:.17g},{r.torque:.17g},{r.speed:.17g},"
-                f"{r.t_ss:.17g},{int(r.settled)}"
-            )
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(SWEEP_CSV_HEADER.split(","))
+            for r in self.rows:
+                writer.writerow([f"{r.param:.17g}", f"{r.torque:.17g}", f"{r.speed:.17g}",
+                                 f"{r.t_ss:.17g}", int(r.settled), int(r.ok), r.error])
 
 
-def _run_value(args) -> SweepRow:
-    spec, value = args
+def _failed_row(value: float, exc: Exception) -> SweepRow:
+    return SweepRow(param=value, torque=math.nan, speed=math.nan, t_ss=math.nan,
+                    settled=False, ok=False, error=str(exc))
+
+
+def _run_batch(task) -> list[SweepRow]:
+    """Run one batch of rows in lockstep, then post-process each row."""
+    model, values, configs = task
+    sim = configs[0].simulation
     try:
-        config = spec.config_for(value)
-        _, summary = runner.run_motor(config)
-        return SweepRow(param=value, torque=summary["reported_torque"],
-                        speed=summary["mean_speed"], t_ss=summary["t_ss"],
-                        settled=summary["settled"])
-    except SimulationDiverged as exc:
-        return SweepRow(param=value, torque=math.nan, speed=math.nan,
-                        t_ss=math.nan, settled=False, ok=False, error=str(exc))
+        series = dynamics.simulate_batch(
+            model, [(c.drive, c.contact, c.rotor) for c in configs],
+            duration=sim.duration, output_interval=sim.output_interval, dt=sim.dt)
+    except Exception as exc:
+        return [_failed_row(v, exc) for v in values]
+    rows = []
+    for value, config, run in zip(values, configs, series):
+        try:
+            summary = runner.summarize(config, model, run)
+        except Exception as exc:
+            rows.append(_failed_row(value, exc))
+            continue
+        rows.append(SweepRow(param=value, torque=summary["reported_torque"],
+                             speed=summary["mean_speed"], t_ss=summary["t_ss"],
+                             settled=summary["settled"]))
+    return rows
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepCurve:
     """Run the pipeline over every grid value; rows keep the input order.
 
-    Diverging rows are flagged (ok=False) and the sweep continues.
+    Any error in a row's configuration, run or post-processing makes that
+    row failed (ok=False, with the message) and the sweep continues.
     """
-    tasks = [(spec, v) for v in spec.values]
-    if jobs <= 1:
-        rows = [_run_value(t) for t in tasks]
+    model = runner.build_stator(spec.base)
+    rows: list[SweepRow | None] = [None] * len(spec.values)
+    configs: dict[int, RunConfig] = {}
+    batches: dict[tuple, list[int]] = {}
+    for i, value in enumerate(spec.values):
+        try:
+            configs[i] = config = spec.config_for(value)
+            sim = config.simulation
+            grid = dynamics.step_grid(model, config.drive, sim.duration,
+                                      sim.output_interval, sim.dt)
+        except Exception as exc:
+            rows[i] = _failed_row(value, exc)
+            continue
+        batches.setdefault((grid, config.contact.point_count), []).append(i)
+
+    parts = []   # each batch split into up to ``jobs`` contiguous parts
+    for members in batches.values():
+        k = min(max(jobs, 1), len(members))
+        parts.extend(members[j * len(members) // k:(j + 1) * len(members) // k]
+                     for j in range(k))
+    tasks = [(model, [spec.values[i] for i in part], [configs[i] for i in part])
+             for part in parts]
+    if jobs <= 1 or len(tasks) <= 1:
+        results = [_run_batch(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_run_value, tasks))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            results = list(pool.map(_run_batch, tasks))
+    for part, part_rows in zip(parts, results):
+        for i, row in zip(part, part_rows):
+            rows[i] = row
     return SweepCurve(parameter=spec.parameter, rows=tuple(rows))
 
 

@@ -4,12 +4,19 @@ import json
 
 import pytest
 
-from twmotor import cli
+from twmotor import cli, sweep
 from twmotor.config import ConfigError, phase_degrees_to_radians
 
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def strict_json(path):
+    """Parse an artifact, rejecting the non-standard NaN and Infinity."""
+    def reject(token):
+        raise ValueError(f"non-finite number {token}")
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 class TestPhaseParsing:
@@ -64,6 +71,12 @@ class TestRun:
         assert summary["reported_torque"] > 0
         assert summary["mean_speed"] > 0
 
+    def test_summary_is_strict_json(self, tmp_path, capsys):
+        """Too short for an envelope torque, which is written as null."""
+        run_cli("run", "--out-dir", str(tmp_path), "--duration", "6e-4")
+        summary = strict_json(tmp_path / "summary.json")
+        assert summary["reported_torque"] is None
+
     def test_phase_reversal_flips_rotation(self, tmp_path):
         fwd = tmp_path / "fwd"
         rev = tmp_path / "rev"
@@ -98,11 +111,30 @@ class TestSweep:
                        "--jobs", "3", "--duration", "2e-3", "--plot")
         assert code == cli.EXIT_OK
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
-        assert lines[0] == "param,torque,speed,t_ss,settled"
+        assert lines[0] == "param,torque,speed,t_ss,settled,ok,error"
         assert len(lines) == 4
         peak = json.loads((tmp_path / "peak.json").read_text())
         assert "torque" in peak
         assert (tmp_path / "sweep.svg").read_text().startswith("<svg")
+
+    def test_peak_is_strict_json(self, tmp_path, capsys, monkeypatch):
+        nan_peak = sweep.PeakReport(param=0.4, torque=float("nan"),
+                                    unimodal=True, boundary_maximum=False)
+        monkeypatch.setattr(sweep, "find_peak", lambda curve: nan_peak)
+        run_cli("sweep", "--out-dir", str(tmp_path), "--param", "cof",
+                "--values", "0.3:0.5:0.1", "--duration", "6e-4")
+        assert strict_json(tmp_path / "peak.json")["torque"] is None
+
+    def test_failed_rows_still_written(self, tmp_path, capsys):
+        """Rows too short to post-process fail; the sweep does not abort."""
+        code = run_cli("sweep", "--out-dir", str(tmp_path), "--param", "cof",
+                       "--values", "0.3:0.5:0.1", "--duration", "4e-4")
+        assert code == cli.EXIT_DIVERGED
+        assert "every sweep row failed" in capsys.readouterr().err
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert len(lines) == 4
+        assert all(line.endswith(",0,0,series shorter than two windows")
+                   for line in lines[1:])
 
     def test_missing_grid_args(self, tmp_path, capsys):
         code = run_cli("sweep", "--out-dir", str(tmp_path))

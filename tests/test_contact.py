@@ -18,6 +18,7 @@ from twmotor.contact import (
     evaluate_contact,
     modal_reaction,
     power_balance,
+    reaction_operator,
 )
 from twmotor.stator import StatorGeometry
 
@@ -136,13 +137,16 @@ class TestModalReaction:
         state = evaluate_contact(w, vt, z, speed, GEOM, cfg)
         shape_w = np.vstack([np.cos(4 * theta), np.sin(4 * theta)])
         shape_d = np.vstack([-4 * np.sin(4 * theta), 4 * np.cos(4 * theta)])
-        q = modal_reaction(state, shape_w, shape_d, GEOM)
+        q = modal_reaction(state, reaction_operator(shape_w, shape_d, GEOM))
         zc_R = GEOM.contact_offset / GEOM.mean_radius
         for j in range(2):
             brute = sum(-state.normal_force[i] * shape_w[j, i]
                         + zc_R * state.friction_force[i] * shape_d[j, i]
                         for i in range(cfg.point_count))
             assert q[j] == pytest.approx(brute, rel=1e-12, abs=1e-12)
+        # the two trailing entries are the rotor resultants
+        assert q[2] == pytest.approx(state.axial_force, rel=1e-12, abs=1e-12)
+        assert q[3] == pytest.approx(state.torque, rel=1e-12, abs=1e-15)
 
     def test_uniform_pressure_decouples_from_flexural_shapes(self):
         """A uniform normal-force ring does no virtual work on cos/sin(4t)."""
@@ -153,8 +157,8 @@ class TestModalReaction:
                                  GEOM, cfg)
         shape_w = np.vstack([np.cos(4 * theta), np.sin(4 * theta)])
         shape_d = np.vstack([-4 * np.sin(4 * theta), 4 * np.cos(4 * theta)])
-        q = modal_reaction(state, shape_w, shape_d, GEOM)
-        np.testing.assert_allclose(q, 0.0, atol=1e-9)
+        q = modal_reaction(state, reaction_operator(shape_w, shape_d, GEOM))
+        np.testing.assert_allclose(q[:2], 0.0, atol=1e-9)
 
 
 class TestPowerBalance:
@@ -168,7 +172,7 @@ class TestPowerBalance:
         wdot = rng.normal(0, 1.0, cfg.point_count)
         zdot = rng.normal(0, 0.01)
         state = evaluate_contact(w, vt, z, speed, GEOM, cfg)
-        book = power_balance(state, wdot, vt, zdot, speed, GEOM)
+        book = power_balance(state, wdot, vt, zdot, speed)
         scale = max(abs(book["rotor"]), abs(book["stator"]),
                     abs(book["penalty"]), abs(book["friction"]), 1e-12)
         assert abs(book["residual"]) < 1e-9 * scale
@@ -180,6 +184,5 @@ class TestPowerBalance:
         cfg = ContactConfig()
         w, vt, z, speed = random_state(rng, cfg)
         state = evaluate_contact(w, vt, z, speed, GEOM, cfg)
-        book = power_balance(state, np.zeros(cfg.point_count), vt,
-                             0.0, speed, GEOM)
+        book = power_balance(state, np.zeros(cfg.point_count), vt, 0.0, speed)
         assert book["friction"] <= 1e-15

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from twmotor import contact
 from twmotor.config import RunConfig
 from twmotor.dynamics import (
     MotorTimeSeries,
@@ -13,6 +14,8 @@ from twmotor.dynamics import (
     envelope_average,
     mean_speed,
     simulate,
+    simulate_batch,
+    step_grid,
 )
 
 
@@ -81,6 +84,23 @@ class TestSimulate:
         series = run_short(stator_model, short_cfg())
         assert series.surface_displacement[-1] > 0.0
 
+    def test_matches_reference_values(self, stator_model):
+        """The last sample of a 1 ms default run, as the inline step loop of
+        the initial release computed it.  The batched kernel sums in another
+        order, so the values agree to rounding, not bitwise."""
+        series = run_short(stator_model, short_cfg())
+        reference = {
+            "surface_speed": 0.007401928392582319,
+            "surface_displacement": 3.4406339472547915e-06,
+            "torque": 0.12601768939943822,
+            "axial_force": 50.40707575977529,
+            "wave_amplitude": 7.1350601385908425e-06,
+        }
+        for name, value in reference.items():
+            assert getattr(series, name)[-1] == pytest.approx(value, rel=1e-10), name
+        assert series.energy.residual_fraction \
+            == pytest.approx(1.8906681643080083e-05, rel=1e-6)
+
     def test_deterministic(self, stator_model):
         a = run_short(stator_model, short_cfg())
         b = run_short(stator_model, short_cfg())
@@ -107,6 +127,87 @@ class TestSimulate:
         # early in the ramp the contact force is still far below the target
         early = series.time < 5e-5
         assert np.max(series.axial_force[early]) < 60.0
+
+
+SERIES_FIELDS = ("time", "surface_speed", "surface_displacement", "friction_probe",
+                 "torque", "axial_force", "wave_amplitude")
+
+
+def assert_same_run(a, b):
+    """Bitwise equality of two runs: every probe, the flags and the ledger."""
+    for name in SERIES_FIELDS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert (a.diverged, a.last_valid_time, a.energy) \
+        == (b.diverged, b.last_valid_time, b.energy)
+
+
+class TestSimulateBatch:
+    """B runs advance in one step loop; a row's bits do not depend on B."""
+
+    DURATION = 3e-4
+
+    @staticmethod
+    def rows(configs):
+        return [(c.drive, c.contact, c.rotor) for c in configs]
+
+    def solo(self, model, cfg):
+        return simulate(model, cfg.drive, cfg.contact, cfg.rotor,
+                        duration=self.DURATION)
+
+    def test_row_of_batch_equals_solo_run(self, stator_model):
+        # every per-row parameter differs somewhere; all share one step grid
+        configs = [
+            RunConfig().override(contact={"cof": 0.1}, rotor={"preload": 40.0}),
+            RunConfig().override(contact={"cof": 0.4, "penalty_stiffness": 3e5},
+                                 drive={"voltage": 200.0, "frequency": 41100.0},
+                                 rotor={"preload": 200.0, "load_torque": 0.01}),
+            RunConfig().override(drive={"phase_offset": -math.pi / 2},
+                                 rotor={"preload_ramp": 1e-4, "mass": 0.02,
+                                        "inertia": 1e-4, "axial_damping": 0.0}),
+        ]
+        batch = simulate_batch(stator_model, self.rows(configs),
+                               duration=self.DURATION)
+        assert len(batch) == 3
+        for cfg, row in zip(configs, batch):
+            assert not row.diverged
+            assert_same_run(row, self.solo(stator_model, cfg))
+
+    def test_diverging_row_is_flagged_and_isolated(self, stator_model):
+        configs = [
+            RunConfig().override(contact={"cof": 0.3}),
+            RunConfig().override(contact={"penalty_stiffness": 1e13}),
+            RunConfig().override(contact={"cof": 0.5}),
+        ]
+        batch = simulate_batch(stator_model, self.rows(configs),
+                               duration=self.DURATION)
+        bad = batch[1]
+        assert bad.diverged
+        assert bad.energy is None
+        assert len(bad) < len(batch[0])
+        assert np.all(np.isfinite(bad.torque))
+        for i in (0, 2):
+            assert_same_run(batch[i], self.solo(stator_model, configs[i]))
+
+    def test_rows_must_share_the_step_grid(self, stator_model):
+        configs = [RunConfig(), RunConfig().override(drive={"frequency": 30000.0})]
+        with pytest.raises(ValueError, match="step grid"):
+            simulate_batch(stator_model, self.rows(configs), duration=self.DURATION)
+
+    def test_simulate_runs_the_contact_module_law(self, stator_model, monkeypatch):
+        """The hypothesis tests of contact.py cover the law the loop runs."""
+        calls = []
+        law = contact.evaluate_contact
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return law(*args, **kwargs)
+
+        monkeypatch.setattr(contact, "evaluate_contact", counting)
+        cfg = RunConfig()
+        self.solo(stator_model, cfg)
+        _, steps_per_sample, n_samples = step_grid(stator_model, cfg.drive,
+                                                   duration=self.DURATION)
+        assert len(calls) == (n_samples - 1) * steps_per_sample + 1
 
 
 class TestTimeSeriesCsv:

@@ -4,6 +4,8 @@ Real simulations only appear in the short end-to-end sweep; everything
 else is exercised with synthetic curves.
 """
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -219,5 +221,29 @@ class TestRunSweep:
         path = tmp_path / "sweep.csv"
         curve.to_csv(path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "param,torque,speed,t_ss,settled"
+        assert lines[0] == "param,torque,speed,t_ss,settled,ok,error"
         assert len(lines) == 4
+
+    def test_csv_quotes_error_text(self, tmp_path):
+        rows = (SweepRow(param=1.0, torque=np.nan, speed=np.nan, t_ss=np.nan,
+                         settled=False, ok=False, error="bad, worse"),)
+        path = tmp_path / "sweep.csv"
+        SweepCurve(parameter="cof", rows=rows).to_csv(path)
+        with open(path, newline="") as fh:
+            header, row = list(csv.reader(fh))
+        assert dict(zip(header, row))["ok"] == "0"
+        assert dict(zip(header, row))["error"] == "bad, worse"
+
+    def test_row_errors_are_isolated(self):
+        """A row whose step is too coarse fails alone; the rest still run."""
+        base = RunConfig().override(simulation={"duration": 6e-4, "dt": 1e-7})
+        curve = run_sweep(SweepSpec("frequency", (40e3, 41e3, 80e3), base=base))
+        assert [r.ok for r in curve.rows] == [True, True, False]
+        assert "too coarse" in curve.rows[2].error
+        assert np.isfinite(curve.rows[0].speed)
+
+    def test_post_processing_errors_fail_rows(self):
+        base = RunConfig().override(simulation={"duration": 4e-4})
+        curve = run_sweep(SweepSpec("cof", (0.3, 0.4, 0.5), base=base))
+        assert not any(r.ok for r in curve.rows)
+        assert all("shorter than two windows" in r.error for r in curve.rows)

@@ -75,10 +75,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _strict_json(data) -> str:
-    """JSON text of a flat summary, with non-finite numbers written as null."""
-    clean = {k: None if isinstance(v, float) and not math.isfinite(v) else v
-             for k, v in data.items()}
-    return json.dumps(clean, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """JSON text of a summary, with non-finite numbers written as null.
+
+    Values are numbers, strings, booleans, None, or lists of such flat
+    records (the ``samples`` of a roughness report).
+    """
+    def clean(record):
+        return {k: None if isinstance(v, float) and not math.isfinite(v) else v
+                for k, v in record.items()}
+
+    clean_data = {k: [clean(r) for r in v] if isinstance(v, list) else v
+                  for k, v in clean(data).items()}
+    return json.dumps(clean_data, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _load(args) -> RunConfig:
@@ -207,7 +215,7 @@ def _cmd_roughness(args) -> int:
         return EXIT_IO
     leveled = [metrology.level_mean_plane(m) for m in maps]
     report = metrology.roughness_report(leveled, labels=labels)
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = _strict_json(report)
     if args.out:
         Path(args.out).write_text(text)
     print(text, end="")

@@ -4,13 +4,16 @@ The interface is sampled at M uniform angles on the mean contact radius.
 Normal forces follow a one-sided penalty law on the gap between the rigid
 rotor plane and the wavy stator surface; tangential forces follow a
 tanh-regularized Coulomb law of the local slip velocity, so the friction
-cone |f| < mu*N holds strictly and friction always opposes slip.
+cone |f| < mu*N holds strictly and friction always opposes slip.  The law
+is defined on those two per-point quantities, gap and slip: the caller
+forms them from the stator and rotor motion (the transient does so with
+one kinematics product per step).
 
 This module is the one implementation of the law: the transient step loop
-calls ``evaluate_contact`` and ``modal_reaction`` at every step.  Both take
-any leading batch axes in front of the contact-point axis, so B
-interfaces advance together; a ``ContactBatch`` carries one parameter row
-per interface.
+calls ``evaluate_contact`` and ``modal_reaction`` once per step, both
+writing into the loop's buffers through ``out``.  Both take any leading
+batch axes in front of the contact-point axis, so B interfaces advance
+together; a ``ContactBatch`` carries one parameter row per interface.
 """
 
 from __future__ import annotations
@@ -65,8 +68,10 @@ class ContactConfig:
 class ContactBatch:
     """The parameters of B interfaces, one row each, for batched evaluation.
 
-    The constitutive parameters are (B, 1, 1) columns, so they broadcast
-    against per-point arrays of shape (B, 1, M); ``point_count`` is shared.
+    The constitutive parameters are (B, 1, M) arrays, each row's value
+    repeated at every point, so they match per-point arrays of shape
+    (B, 1, M) without broadcasting (which costs more than the arithmetic
+    at this size); ``point_count`` is shared.
     """
 
     point_count: int
@@ -80,12 +85,13 @@ class ContactBatch:
         counts = {c.point_count for c in configs}
         if len(counts) != 1:
             raise ValueError("batched interfaces must share one point_count")
+        point_count = counts.pop()
 
         def column(name):
-            return np.array([getattr(c, name) for c in configs],
-                            dtype=float).reshape(-1, 1, 1)
+            values = np.array([getattr(c, name) for c in configs], dtype=float)
+            return np.repeat(values.reshape(-1, 1, 1), point_count, axis=-1)
 
-        return cls(point_count=counts.pop(),
+        return cls(point_count=point_count,
                    penalty_stiffness=column("penalty_stiffness"),
                    regularization_velocity=column("regularization_velocity"),
                    cof=column("cof"))
@@ -132,35 +138,39 @@ class ContactState:
 
     @property
     def friction_power(self):
-        """Sum f_i * s_i; non-positive (friction dissipates).
-
-        ``np.add.reduce`` is ``np.sum`` without its Python wrapper; the
-        step loop reads this every step.
-        """
-        return np.add.reduce(self.friction_force * self.slip_velocity, axis=-1)
+        """Sum f_i * s_i; non-positive (friction dissipates)."""
+        return np.sum(self.friction_force * self.slip_velocity, axis=-1)
 
 
-def evaluate_contact(surface_w, surface_vt, rotor_z, rotor_speed, geom: StatorGeometry,
-                     cfg: ContactConfig | ContactBatch) -> ContactState:
+def evaluate_contact(gap, slip_velocity, geom: StatorGeometry,
+                     cfg: ContactConfig | ContactBatch, out=None) -> ContactState:
     """Evaluate the interface law at every contact point.
 
-    ``surface_w`` and ``surface_vt`` are the stator deflection and
-    tangential surface velocity sampled at ``contact_angles(cfg)``, with any
-    leading batch axes; ``rotor_z`` and ``rotor_speed`` broadcast against
-    them.  ``cfg`` is a ``ContactConfig``, or a ``ContactBatch`` for
-    arrays of shape (B, 1, M).  The inputs are not validated here, because
-    the step loop calls this every step: arrays without one entry per
-    contact point fail to broadcast into the force buffer.
+    ``gap`` is the rotor plane's height above the stator surface, negative
+    where they overlap, and ``slip_velocity`` is the rotor rim velocity
+    minus the tangential surface velocity.  Both are sampled at
+    ``contact_angles(cfg)``, with any leading batch axes.  For a rotor at
+    height z spinning at omega over a surface with deflection w and
+    tangential velocity v_t, they are z - w and R*omega - v_t.  ``cfg`` is
+    a ``ContactConfig``, or a ``ContactBatch`` for arrays of shape
+    (B, 1, M).
+
+    The stacked forces [N | f] are written into ``out`` when it is given
+    (shape: the leading axes, then 2M), else into a new array.  The inputs
+    are not validated here, because the step loop calls this every step:
+    arrays without one entry per contact point fail to broadcast into the
+    force buffer.
     """
     m = cfg.point_count
-    gap = np.subtract(rotor_z, surface_w)
-    slip = np.subtract(geom.mean_radius * rotor_speed, surface_vt)
-    forces = np.empty(gap.shape[:-1] + (2 * m,))
-    normal = forces[..., :m]
-    np.multiply(cfg.penalty_stiffness, np.maximum(0.0, -gap), out=normal)
-    np.multiply(-cfg.cof * normal, np.tanh(slip / cfg.regularization_velocity),
-                out=forces[..., m:])
-    return ContactState(gap=gap, forces=forces, slip_velocity=slip,
+    forces = np.empty(np.shape(gap)[:-1] + (2 * m,)) if out is None else out
+    normal, friction = forces[..., :m], forces[..., m:]
+    np.negative(gap, out=normal)
+    np.maximum(0.0, normal, out=normal)
+    np.multiply(cfg.penalty_stiffness, normal, out=normal)
+    np.divide(slip_velocity, cfg.regularization_velocity, out=friction)
+    np.tanh(friction, out=friction)
+    np.multiply(-cfg.cof * normal, friction, out=friction)
+    return ContactState(gap=gap, forces=forces, slip_velocity=slip_velocity,
                         radius=geom.mean_radius)
 
 
@@ -188,15 +198,16 @@ def reaction_operator(shape_w, shape_dtheta, geom: StatorGeometry) -> np.ndarray
     return operator
 
 
-def modal_reaction(state: ContactState, operator: np.ndarray) -> np.ndarray:
+def modal_reaction(state: ContactState, operator: np.ndarray, out=None) -> np.ndarray:
     """Generalized contact forces: ``state.forces @ operator``.
 
     With ``operator`` from ``reaction_operator``, the result holds the
     generalized forces on its J shapes, then the axial force and torque.
     For forces of shape (B, 1, 2M) the product is one small matrix product
-    per row, so a row's result does not depend on the batch size.
+    per row, so a row's result does not depend on the batch size.  The
+    result is written into ``out`` when it is given.
     """
-    return state.forces @ operator
+    return np.matmul(state.forces, operator, out=out)
 
 
 def power_balance(state: ContactState, surface_wdot, surface_vt,

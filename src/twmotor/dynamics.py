@@ -3,21 +3,27 @@
 The stator is reduced to its retained mode pairs (modal oscillators with
 mass-normalized coordinates); the rigid rotor carries an axial
 translation and a spin DOF.  Per fixed step, the contact law of
-``contact.py`` (``evaluate_contact``, ``modal_reaction`` and the friction
-power) is evaluated at the step start (explicit), while the linear modal
-and rotor dynamics are advanced with their exact propagators, the
-electrode drive being sampled at the step midpoint.  This keeps the
-integration robust against the stiff penalty forces; accuracy is
-monitored by an energy-bookkeeping residual accumulated alongside the
-states.
+``contact.py`` (``evaluate_contact`` on the gap and slip at every contact
+point, then ``modal_reaction``) is evaluated at the step start
+(explicit), while the linear modal and rotor dynamics are advanced with
+their exact propagators: the electrode drive is sampled at the step
+midpoint, and the contact reactions are extrapolated there from the last
+two evaluations.  This keeps the integration robust against the stiff
+penalty forces; accuracy is monitored by an energy-bookkeeping residual
+accumulated alongside the states.
 
 ``simulate_batch`` runs B transients that share the stator and the step
 grid in one step loop.  Each run is one row of (B, 1, K) arrays; its state
-is [q_cos, q_sin, z, phi | q_cos', q_sin', z', omega], so the surface
-kinematics, the contact reactions and the propagator are each one small
-matrix product per row and step.  Every operation acts on each row alone,
-so a row's results are bitwise the same whatever batch it runs in.
-``simulate`` is the batch of one.
+is [q_cos, q_sin, z, phi | q_cos', q_sin', z', omega].  A step is three
+small matrix products per row around the law: the kinematics map from
+the state to [gap | slip], the reactions, and a propagator that also
+folds in the midpoint drive and the reaction extrapolation.  The loop
+runs in chunks of up to one sample interval (and at most
+``_CHUNK_STEPS`` steps): a chunk evaluates the drive and the preload
+ramp at all its steps at once, and reduces the energy ledger's powers
+from its history of states, gaps, slips and forces.  Every operation
+acts on each row alone, so a row's results are bitwise the same
+whatever batch it runs in.  ``simulate`` is the batch of one.
 """
 
 from __future__ import annotations
@@ -47,6 +53,8 @@ __all__ = [
 ]
 
 CSV_HEADER = "t,s_speed,surf_disp,fric_probe,torque,fz,wave_amp"
+
+_CHUNK_STEPS = 1024   # most steps one chunk of the step loop holds
 
 
 class SimulationDiverged(RuntimeError):
@@ -189,11 +197,15 @@ def simulate(stator: StatorModel, drive: DriveConfig,
 
 
 def _propagator(stator: StatorModel, rotor_cfg: RotorConfig, h: float) -> np.ndarray:
-    """Exact one-step map [state | forcing] -> next state of one row.
+    """Exact one-step map [state | d | r | r_prev] -> next state of one row.
 
-    The state is [q_cos, q_sin, z, phi | q_cos', q_sin', z', omega] and the
-    forcing, held constant over the step, is [modal forces on the cos and
-    sin shapes, axial force minus preload, torque minus load torque].
+    The state is [q_cos, q_sin, z, phi | q_cos', q_sin', z', omega].  The
+    forcing, held constant over the step, is d + 1.5 r - 0.5 r_prev, each
+    laid out as [modal forces on the cos and sin shapes, axial force,
+    torque]: d is the drive at the step midpoint plus the external loads
+    (minus the preload, minus the load torque), and the contact reactions
+    r are extrapolated to the midpoint from this step's and the previous
+    step's evaluations, which keeps the coupling second order.
     """
     P = len(stator.pairs)
     m = 2 * P + 2
@@ -226,7 +238,8 @@ def _propagator(stator: StatorModel, rotor_cfg: RotorConfig, h: float) -> np.nda
     prop[om, phi] = h
     prop[tz, phi] = 0.5 * h * h / J
     prop[tz, om] = h / J
-    return prop
+    forcing = prop[n:]
+    return np.vstack([prop, 1.5 * forcing, -0.5 * forcing])
 
 
 def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
@@ -259,8 +272,9 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
     M = law.point_count
 
     # mode shapes at the contact angles: their reaction operator maps the
-    # stacked forces [N | f] to [Q_cos, Q_sin, F_z, T]; the surface
-    # kinematics w = q . phi, v_t = -(z_c / R) q' . phi' are its adjoint
+    # stacked forces [N | f] to [Q_cos, Q_sin, F_z, T]; its adjoint, with
+    # the rotor's z and R omega added, maps the state to the law's inputs
+    # [gap | slip] = [z - q . phi | R omega + (z_c / R) q' . phi']
     theta = contact.contact_angles(contacts[0])
     amp = np.array([p.amp for p in stator.pairs])[:, None]
     ndia = np.array([p.nodal_diameters for p in stator.pairs])[:, None]
@@ -268,9 +282,11 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
     reaction = contact.reaction_operator(
         np.vstack([amp * cos_n, amp * sin_n]),
         np.vstack([-amp * ndia * sin_n, amp * ndia * cos_n]), geom)
-    surface = np.zeros((n, 2 * M))
-    surface[:2 * P, :M] = -reaction[:M, :2 * P].T
-    surface[m:m + 2 * P, M:] = -reaction[M:, :2 * P].T
+    kin = np.zeros((n, 2 * M))
+    kin[:2 * P, :M] = reaction[:M, :2 * P].T
+    kin[2 * P, :M] = 1.0
+    kin[m:m + 2 * P, M:] = reaction[M:, :2 * P].T
+    kin[n - 1, M:] = R
     prop = np.stack([_propagator(stator, r, h) for r in rotors])
 
     def per_row(values):
@@ -278,111 +294,125 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
 
     # drive: only the leading pair is wired to the electrodes
     f_drive = per_row([d.resolve_frequency(stator.pair) for d in drives])
-    omega_d = (2.0 * math.pi * f_drive).reshape(B, 1, 1, 1)
-    voltage = per_row([d.voltage for d in drives])
-    drive_force = np.zeros((B, 1, 1, m))
-    drive_force[:, 0, 0, 0] = stator.forcing_per_volt.f_cos * voltage
-    drive_force[:, 0, 0, P] = stator.forcing_per_volt.f_sin * voltage
-    drive_phase = np.zeros((B, 1, 1, m))
-    drive_phase[:, 0, 0, P] = per_row([d.phase_offset for d in drives])
-    step_times = np.array([[0.0], [0.5 * h]])   # step start and midpoint
-    preload = per_row([r.preload for r in rotors])
-    ramp = per_row([r.preload_ramp for r in rotors])
-    ramp_end = float(ramp.max())
-    loads = np.zeros((B, 1, 1, m))              # -preload, -load torque
-    loads[:, 0, 0, 2 * P + 1] = -per_row([r.load_torque for r in rotors])
+    omega_d = (2.0 * math.pi * f_drive)[:, None, None]
+    voltage = per_row([d.voltage for d in drives])[:, None, None]
+    force_cos = stator.forcing_per_volt.f_cos * voltage
+    force_sin = stator.forcing_per_volt.f_sin * voltage
+    phase = per_row([d.phase_offset for d in drives])[:, None, None]
+    preload = per_row([r.preload for r in rotors])[:, None]
+    ramp = per_row([r.preload_ramp for r in rotors])[:, None]
+    ramp_divisor = np.where(ramp > 0, ramp, 1.0)
+    load_torque = per_row([r.load_torque for r in rotors])[:, None, None]
+    offsets = np.array([[0.0], [0.5 * h]])      # step start and midpoint
 
     omega_n = np.tile([p.omega for p in stator.pairs], 2)
-    damping = np.zeros((B, 1, m))               # dissipated power per squared rate
-    damping[:, 0, :2 * P] = 2.0 * stator.damping_ratio * omega_n
-    damping[:, 0, 2 * P] = per_row([r.axial_damping for r in rotors])
+    damping = np.zeros((B, m, 1))               # dissipated power per squared rate
+    damping[:, :2 * P, 0] = 2.0 * stator.damping_ratio * omega_n
+    damping[:, 2 * P, 0] = per_row([r.axial_damping for r in rotors])
     stiffness = np.zeros((B, 1, n))             # twice the energy per squared state
     stiffness[:, 0, :2 * P] = omega_n ** 2
     stiffness[:, 0, m:m + 2 * P] = 1.0
     stiffness[:, 0, m + 2 * P] = per_row([r.mass for r in rotors])
     stiffness[:, 0, n - 1] = per_row([r.inertia for r in rotors])
 
-    def mech_energy(y, state):
-        pen = np.maximum(0.0, -state.gap)
+    def mech_energy(y, gap):
+        pen = np.maximum(0.0, -gap)
         return 0.5 * (np.sum(stiffness * y * y, axis=-1)
                       + np.sum(law.penalty_stiffness * pen * pen, axis=-1))
 
-    evaluate, project = contact.evaluate_contact, contact.modal_reaction
-    cur = np.zeros((B, 1, n + m))               # [state | forcing over the step]
-    nxt = np.zeros((B, 1, n + m))
+    # A chunk holds the steps up to the next sample, at most _CHUNK_STEPS,
+    # so its histories stay small whatever the output interval.  Row j of X
+    # is step j's propagator input [state | d | r | r_prev]; G and F hold
+    # the step's [gap | slip] and forces [N | f] for the energy ledger.
+    # The views each step writes through are made once, not per step.
+    chunk = min(steps_per_sample, _CHUNK_STEPS)
+    X = np.zeros((B, chunk + 1, 1, n + 3 * m))
+    G = np.empty((B, chunk, 1, 2 * M))
+    F = np.empty((B, chunk, 1, 2 * M))
+    step_views = [(X[:, j], X[:, j, :, :n], X[:, j, :, n + m:n + 2 * m],
+                   G[:, j], G[:, j, :, :M], G[:, j, :, M:], F[:, j],
+                   X[:, j + 1, :, :n], X[:, j + 1, :, n + 2 * m:])
+                  for j in range(chunk)]
     out = np.zeros((B, n_samples, 7))
     alive = np.ones(B, dtype=bool)
     n_valid = np.zeros(B, dtype=int)
     sample = 0
-    acc_in = np.zeros((B, 1, m))                # input powers: drive, preload, load
-    acc_out = np.zeros((B, 1, m))               # modal and axial damper dissipation
-    acc_fric = np.zeros((B, 1))                 # friction power sum f s (<= 0)
-    first = r_prev = None
-    ramping = True
+    acc = [0.0, 0.0, 0.0]      # sums of the powers: input, damper, friction
+    k = 0                      # index of the chunk's first step
 
     with np.errstate(over="ignore", invalid="ignore"):   # caught at the next sample
-        for k in range(n_steps + 1):
-            t = k * h
-            y = cur[..., :n]
-            surf = y @ surface
-            state = evaluate(surf[..., :M], surf[..., M:], y[..., 2 * P:2 * P + 1],
-                             y[..., n - 1:], geom, law)
-            r = project(state, reaction)
+        while True:
+            # T steps advance; the last chunk (T = 0) only evaluates the final state
+            T = min(chunk, n_steps - k, steps_per_sample - k % steps_per_sample)
+            count = max(T, 1)
+            t = (k + np.arange(count)) * h
+            wt = omega_d * (t + offsets)
+            drive = np.zeros((B, m, 2, count))  # [start, midpoint] of each step
+            drive[:, 0] = np.cos(wt) * force_cos
+            drive[:, P] = np.cos(wt + phase) * force_sin
+            drive[:, 2 * P] = -np.where(t < ramp, preload * t / ramp_divisor,
+                                        preload)[:, None]
+            drive[:, 2 * P + 1] = -load_torque
+            X[:, :count, 0, n:n + m] = drive[:, :, 1].transpose(0, 2, 1)
+            at_sample = k % steps_per_sample == 0
 
-            if ramping:
-                loads[:, 0, 0, 2 * P] = -np.where(
-                    t < ramp, preload * t / np.where(ramp > 0, ramp, 1.0), preload)
-                ramping = t < ramp_end
-            drive = np.cos(omega_d * (t + step_times) + drive_phase) * drive_force + loads
-            vel = y[..., m:]
-            powers = (drive[..., 0, :] * vel, damping * vel * vel, state.friction_power)
-            acc_in += powers[0]
-            acc_out += powers[1]
-            acc_fric += powers[2]
-
-            if k % steps_per_sample == 0:
-                alive &= (np.isfinite(y).all(axis=-1)
-                          & np.isfinite(r).all(axis=-1))[:, 0]
-                if not alive.any():
+            for j in range(count):
+                x, y, r, g, gap, slip, f, y_next, r_next = step_views[j]
+                np.matmul(y, kin, out=g)
+                state = contact.evaluate_contact(gap, slip, geom, law, out=f)
+                contact.modal_reaction(state, reaction, out=r)
+                if j == 0 and at_sample:
+                    now = y[:, 0]
+                    alive &= np.isfinite(now).all(axis=-1) & np.isfinite(r[:, 0]).all(axis=-1)
+                    if not alive.any():
+                        break
+                    row = out[:, sample]
+                    row[:, 0] = k * h
+                    row[:, 1] = R * now[:, n - 1]
+                    row[:, 2] = R * now[:, 2 * P + 1]
+                    row[:, 3] = f[:, 0, M]
+                    row[:, 4] = r[:, 0, 2 * P + 1]
+                    row[:, 5] = r[:, 0, 2 * P]
+                    row[:, 6] = stator.pair.amp * np.hypot(now[:, 0], now[:, P])
+                    sample += 1
+                    n_valid[alive] = sample
+                if j == T:
                     break
-                row = out[:, sample]
-                row[:, 0] = t
-                row[:, 1] = R * y[:, 0, n - 1]
-                row[:, 2] = R * y[:, 0, 2 * P + 1]
-                row[:, 3] = state.forces[:, 0, M]
-                row[:, 4] = r[:, 0, 2 * P + 1]
-                row[:, 5] = r[:, 0, 2 * P]
-                row[:, 6] = stator.pair.amp * np.hypot(y[:, 0, 0], y[:, 0, P])
-                sample += 1
-                n_valid[alive] = sample
-            if k == 0:
-                first = powers
-                energy_initial = mech_energy(y, state)
-            if k == n_steps:
-                energy_final = mech_energy(y, state)
+                r_next[...] = r
+                np.matmul(x, prop, out=y_next)
+            if not alive.any():
                 break
 
-            # advance: exact linear propagation, piecewise-constant forcing held
-            # at the step midpoint; contact resultants are extrapolated there
-            # from the last two evaluations (keeps the coupling second order)
-            r_mid = r if r_prev is None else 1.5 * r - 0.5 * r_prev
-            r_prev = r
-            np.add(drive[..., 1, :], r_mid, out=cur[..., n:])
-            np.matmul(cur, prop, out=nxt[..., :n])
-            cur, nxt = nxt, cur
+            # the ledger's powers at each evaluation, time along the last axis
+            vel = X[:, :count, 0, m:n].transpose(0, 2, 1)
+            p_in = np.multiply(drive[:, :, 0], vel, out=np.empty((B, m, count)))
+            p_damp = np.multiply(damping, vel, out=np.empty((B, m, count)))
+            p_damp *= vel
+            p_fric = np.add.reduce(F[:, :count, 0, M:] * G[:, :count, 0, M:],
+                                   axis=-1)[:, None]
+            powers = (p_in, p_damp, p_fric)
+            acc = [a + np.add.reduce(p, axis=-1) for a, p in zip(acc, powers)]
+            if k == 0:
+                first = [p[..., 0] for p in powers]
+                energy_initial = mech_energy(X[:, 0, :, :n], G[:, 0, :, :M])
+            if T == 0:
+                energy_final = mech_energy(X[:, 0, :, :n], G[:, 0, :, :M])
+                break
+            X[:, 0] = X[:, T]
+            k += T
 
-    if k == n_steps:   # trapezoidal work integrals of the ledger
-        w_in, w_out, w_fric = (h * (acc - 0.5 * (p0 + pn)) for acc, p0, pn
-                               in zip((acc_in, acc_out, acc_fric), first, powers))
+    if alive.any():   # the loop ran to the end: trapezoidal work integrals
+        w_in, w_out, w_fric = (h * (a - 0.5 * (p0 + p[..., -1]))
+                               for a, p0, p in zip(acc, first, powers))
         energy_change = energy_final - energy_initial
     series = []
     for b in range(B):
         energy = None
         if alive[b]:
             energy = _energy_report(
-                drive=float(np.sum(w_in[b, 0, :2 * P])), preload=float(w_in[b, 0, 2 * P]),
-                load=float(w_in[b, 0, 2 * P + 1]), modal=float(np.sum(w_out[b, 0, :2 * P])),
-                friction=-float(w_fric[b, 0]), axial=float(w_out[b, 0, 2 * P]),
+                drive=float(np.sum(w_in[b, :2 * P])), preload=float(w_in[b, 2 * P]),
+                load=float(w_in[b, 2 * P + 1]), modal=float(np.sum(w_out[b, :2 * P])),
+                friction=-float(w_fric[b, 0]), axial=float(w_out[b, 2 * P]),
                 energy_change=float(energy_change[b, 0]))
         cols = out[b, :n_valid[b]].T.copy()
         series.append(MotorTimeSeries(

@@ -12,6 +12,7 @@ Sz is implemented as Sp + Sv, i.e. max peak height plus max pit depth
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,16 +82,28 @@ def load_height_map(path, dx: float, dy: float) -> HeightMap:
 
 
 def level_mean_plane(hmap: HeightMap) -> HeightMap:
-    """Subtract the least-squares mean plane; removes offset and tilt."""
+    """Subtract the least-squares mean plane; removes offset and tilt.
+
+    A residual within the rounding error of the fit is set to exactly
+    zero, so a flat or planar map levels to a flat zero map (whose Ssk and
+    Sku are undefined) instead of to rounding noise.  That error bound is
+    8 eps cond(G) sqrt(N) max|z| for the N x 3 design matrix G; planar maps
+    of random size, pitch, offset and tilt stay below an eighth of it.
+    """
     z = hmap.heights
     ny, nx = z.shape
     x = np.arange(nx) * hmap.dx
     y = np.arange(ny) * hmap.dy
     X, Y = np.meshgrid(x, y)
     G = np.column_stack([np.ones(z.size), X.ravel(), Y.ravel()])
-    coeff, *_ = np.linalg.lstsq(G, z.ravel(), rcond=None)
+    coeff, _, _, singular = np.linalg.lstsq(G, z.ravel(), rcond=None)
     plane = (G @ coeff).reshape(z.shape)
-    return HeightMap(heights=z - plane, dx=hmap.dx, dy=hmap.dy, leveled=True)
+    residual = z - plane
+    rounding = (8.0 * np.finfo(float).eps * singular[0] / singular[-1]
+                * math.sqrt(z.size) * max(z.max(), -z.min()))
+    if max(residual.max(), -residual.min()) <= rounding:
+        residual.fill(0.0)
+    return HeightMap(heights=residual, dx=hmap.dx, dy=hmap.dy, leveled=True)
 
 
 @dataclass(frozen=True)

@@ -73,7 +73,7 @@ def test_3_friction_cone_invariants(default_config):
             vt = rng.uniform(0.1, 3.0) * rng.standard_normal(cfg.point_count)
             z = rng.uniform(-2 * amp, 2 * amp)
             speed = rng.uniform(-200.0, 200.0)
-            state = evaluate_contact(w, vt, z, speed, geom, cfg)
+            state = evaluate_contact(z - w, geom.mean_radius * speed - vt, geom, cfg)
             assert np.all(state.normal_force >= 0.0)
             # tanh saturates to exactly 1.0 in double precision, so the
             # strict cone inequality is asserted away from saturation

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from twmotor import cli, sweep
@@ -163,6 +164,24 @@ class TestRoughness:
         report = json.loads(out.read_text())
         assert report["samples"][0]["label"] == "scan.csv"
         assert report["mean_Sa"] > 0
+
+    def test_report_is_strict_json(self, tmp_path, capsys):
+        """A flat map's undefined moments, and numbers that overflow to
+        infinity, are written as null."""
+        flat = tmp_path / "flat.csv"
+        flat.write_text("1,1,1\n1,1,1\n1,1,1\n")
+        huge = tmp_path / "huge.csv"
+        huge.write_text("1e200,-3e200,2e200\n-1e200,4e200,0\n2e200,0,-1e200\n")
+        out = tmp_path / "report.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli("roughness", str(flat), str(huge), "--dx", "1", "--dy", "1",
+                           "--out", str(out))
+        assert code == cli.EXIT_OK
+        flat_entry, huge_entry = strict_json(out)["samples"]
+        assert flat_entry["Sq"] == 0.0
+        assert flat_entry["Ssk"] is None and flat_entry["Sku"] is None
+        assert huge_entry["Sa"] > 0
+        assert huge_entry["Sq"] is None
 
     def test_missing_file(self, tmp_path, capsys):
         code = run_cli("roughness", str(tmp_path / "nope.csv"),

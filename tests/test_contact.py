@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twmotor.contact import (
+    ContactBatch,
     ContactConfig,
     contact_angles,
     evaluate_contact,
@@ -25,6 +26,7 @@ from twmotor.stator import StatorGeometry
 GEOM = StatorGeometry(mean_radius=0.0125, section_width=0.005,
                       section_thickness=0.0025, tooth_height=0.001,
                       drive_nodal_diameters=4)
+R = GEOM.mean_radius
 
 
 def random_state(rng, cfg):
@@ -73,7 +75,7 @@ class TestPointwiseInvariants:
         rng = np.random.default_rng(seed)
         cfg = ContactConfig()
         w, vt, z, speed = random_state(rng, cfg)
-        state = evaluate_contact(w, vt, z, speed, GEOM, cfg)
+        state = evaluate_contact(z - w, R * speed - vt, GEOM, cfg)
         assert np.all(state.normal_force >= 0.0)
         open_points = state.gap > 0
         assert np.all(state.normal_force[open_points] == 0.0)
@@ -95,7 +97,7 @@ class TestPointwiseInvariants:
         rng = np.random.default_rng(seed)
         cfg = ContactConfig()
         w, vt, z, speed = random_state(rng, cfg)
-        state = evaluate_contact(w, vt, z, speed, GEOM, cfg)
+        state = evaluate_contact(z - w, R * speed - vt, GEOM, cfg)
         assert state.axial_force == pytest.approx(float(np.sum(state.normal_force)))
         assert state.torque == pytest.approx(
             GEOM.mean_radius * float(np.sum(state.friction_force)))
@@ -103,7 +105,7 @@ class TestPointwiseInvariants:
     def test_separated_rotor_is_force_free(self):
         cfg = ContactConfig()
         m = cfg.point_count
-        state = evaluate_contact(np.zeros(m), np.zeros(m), 1e-3, 5.0, GEOM, cfg)
+        state = evaluate_contact(1e-3 - np.zeros(m), R * 5.0 - np.zeros(m), GEOM, cfg)
         assert state.axial_force == 0.0
         assert state.torque == 0.0
         assert np.all(state.normal_force == 0.0)
@@ -112,7 +114,7 @@ class TestPointwiseInvariants:
         cfg = ContactConfig()
         m = cfg.point_count
         depth = 2e-6
-        state = evaluate_contact(np.zeros(m), np.zeros(m), -depth, 0.0,
+        state = evaluate_contact(-depth - np.zeros(m), R * 0.0 - np.zeros(m),
                                  GEOM, cfg)
         np.testing.assert_allclose(state.normal_force,
                                    cfg.penalty_stiffness * depth)
@@ -120,7 +122,7 @@ class TestPointwiseInvariants:
     def test_frictionless_has_zero_torque(self):
         cfg = ContactConfig(cof=0.0)
         m = cfg.point_count
-        state = evaluate_contact(np.zeros(m), np.full(m, 0.3), -1e-6, 10.0,
+        state = evaluate_contact(-1e-6 - np.zeros(m), R * 10.0 - np.full(m, 0.3),
                                  GEOM, cfg)
         assert state.torque == 0.0
         assert state.axial_force > 0.0
@@ -134,7 +136,7 @@ class TestModalReaction:
         cfg = ContactConfig()
         theta = contact_angles(cfg)
         w, vt, z, speed = random_state(rng, cfg)
-        state = evaluate_contact(w, vt, z, speed, GEOM, cfg)
+        state = evaluate_contact(z - w, R * speed - vt, GEOM, cfg)
         shape_w = np.vstack([np.cos(4 * theta), np.sin(4 * theta)])
         shape_d = np.vstack([-4 * np.sin(4 * theta), 4 * np.cos(4 * theta)])
         q = modal_reaction(state, reaction_operator(shape_w, shape_d, GEOM))
@@ -153,12 +155,46 @@ class TestModalReaction:
         cfg = ContactConfig()
         theta = contact_angles(cfg)
         m = cfg.point_count
-        state = evaluate_contact(np.zeros(m), np.zeros(m), -1e-6, 0.0,
+        state = evaluate_contact(-1e-6 - np.zeros(m), R * 0.0 - np.zeros(m),
                                  GEOM, cfg)
         shape_w = np.vstack([np.cos(4 * theta), np.sin(4 * theta)])
         shape_d = np.vstack([-4 * np.sin(4 * theta), 4 * np.cos(4 * theta)])
         q = modal_reaction(state, reaction_operator(shape_w, shape_d, GEOM))
         np.testing.assert_allclose(q[:2], 0.0, atol=1e-9)
+
+
+class TestStepLoopForm:
+    """The step loop calls the law on batched rows and into its own buffers."""
+
+    def test_out_buffers_receive_the_same_forces(self):
+        rng = np.random.default_rng(7)
+        cfg = ContactConfig()
+        w, vt, z, speed = random_state(rng, cfg)
+        theta = contact_angles(cfg)
+        operator = reaction_operator(np.cos(4 * theta), -4 * np.sin(4 * theta), GEOM)
+        fresh = evaluate_contact(z - w, R * speed - vt, GEOM, cfg)
+        forces = np.full(2 * cfg.point_count, np.nan)
+        state = evaluate_contact(z - w, R * speed - vt, GEOM, cfg, out=forces)
+        assert state.forces is forces
+        assert np.array_equal(forces, fresh.forces)
+        reaction = np.full(3, np.nan)
+        assert modal_reaction(state, operator, out=reaction) is reaction
+        assert np.array_equal(reaction, modal_reaction(fresh, operator))
+
+    def test_batch_rows_match_single_interfaces(self):
+        rng = np.random.default_rng(11)
+        configs = [ContactConfig(cof=0.1),
+                   ContactConfig(cof=0.45, penalty_stiffness=3e5,
+                                 regularization_velocity=2e-3)]
+        law = ContactBatch.stack(configs)
+        states = [random_state(rng, c) for c in configs]
+        gap = np.stack([z - w for w, _, z, _ in states])[:, None]
+        slip = np.stack([R * speed - vt for _, vt, _, speed in states])[:, None]
+        batch = evaluate_contact(gap, slip, GEOM, law)
+        assert batch.forces.shape == (2, 1, 2 * law.point_count)
+        for b, cfg in enumerate(configs):
+            single = evaluate_contact(gap[b, 0], slip[b, 0], GEOM, cfg)
+            assert np.array_equal(batch.forces[b, 0], single.forces)
 
 
 class TestPowerBalance:
@@ -171,7 +207,7 @@ class TestPowerBalance:
         w, vt, z, speed = random_state(rng, cfg)
         wdot = rng.normal(0, 1.0, cfg.point_count)
         zdot = rng.normal(0, 0.01)
-        state = evaluate_contact(w, vt, z, speed, GEOM, cfg)
+        state = evaluate_contact(z - w, R * speed - vt, GEOM, cfg)
         book = power_balance(state, wdot, vt, zdot, speed)
         scale = max(abs(book["rotor"]), abs(book["stator"]),
                     abs(book["penalty"]), abs(book["friction"]), 1e-12)
@@ -183,6 +219,6 @@ class TestPowerBalance:
         rng = np.random.default_rng(seed)
         cfg = ContactConfig()
         w, vt, z, speed = random_state(rng, cfg)
-        state = evaluate_contact(w, vt, z, speed, GEOM, cfg)
+        state = evaluate_contact(z - w, R * speed - vt, GEOM, cfg)
         book = power_balance(state, np.zeros(cfg.point_count), vt, 0.0, speed)
         assert book["friction"] <= 1e-15

@@ -8,6 +8,7 @@ import pytest
 from twmotor import contact
 from twmotor.config import RunConfig
 from twmotor.dynamics import (
+    _CHUNK_STEPS,
     MotorTimeSeries,
     RotorConfig,
     detect_steady_state,
@@ -164,10 +165,12 @@ class TestSimulateBatch:
             RunConfig().override(drive={"phase_offset": -math.pi / 2},
                                  rotor={"preload_ramp": 1e-4, "mass": 0.02,
                                         "inertia": 1e-4, "axial_damping": 0.0}),
+            # the ramp ends inside a chunk, not on a sample step
+            RunConfig().override(rotor={"preload_ramp": 1.234e-4, "preload": 120.0}),
         ]
         batch = simulate_batch(stator_model, self.rows(configs),
                                duration=self.DURATION)
-        assert len(batch) == 3
+        assert len(batch) == 4
         for cfg, row in zip(configs, batch):
             assert not row.diverged
             assert_same_run(row, self.solo(stator_model, cfg))
@@ -208,6 +211,50 @@ class TestSimulateBatch:
         _, steps_per_sample, n_samples = step_grid(stator_model, cfg.drive,
                                                    duration=self.DURATION)
         assert len(calls) == (n_samples - 1) * steps_per_sample + 1
+
+
+class TestChunkEdges:
+    """The step loop runs in chunks of at most one sample interval and at
+    most ``_CHUNK_STEPS`` steps; the edge cases keep the values of the
+    unchunked loop (the last sample of each run below, rel 1e-10) and
+    bitwise batch independence."""
+
+    CASES = {
+        "one step per sample": (2e-5, 5e-8, {
+            "surface_speed": 1.142574147396914e-05,
+            "surface_displacement": 6.480037881568096e-11,
+            "torque": 0.02223501635806511,
+            "axial_force": 15.524152255320484,
+            "wave_amplitude": 5.796833556581792e-07,
+        }),
+        "sample interval longer than a chunk": (3e-4, 1e-4, {
+            "surface_speed": 0.001780180482638526,
+            "surface_displacement": 2.113675405451309e-07,
+            "torque": 0.1300656263648401,
+            "axial_force": 53.70969168781357,
+            "wave_amplitude": 4.903190956161858e-06,
+        }),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_reference_values(self, stator_model, case):
+        duration, interval, reference = self.CASES[case]
+        cfg = RunConfig()
+        _, steps_per_sample, _ = step_grid(stator_model, cfg.drive, duration, interval)
+        assert steps_per_sample == 1 or steps_per_sample > _CHUNK_STEPS
+        series = simulate(stator_model, cfg.drive, cfg.contact, cfg.rotor,
+                          duration=duration, output_interval=interval)
+        assert len(series) == round(duration / interval) + 1
+        for name, value in reference.items():
+            assert getattr(series, name)[-1] == pytest.approx(value, rel=1e-10), name
+        assert series.energy.residual_fraction < 0.01
+
+        other = RunConfig().override(contact={"cof": 0.35},
+                                     rotor={"preload_ramp": 0.7 * duration})
+        rows = [(c.drive, c.contact, c.rotor) for c in (other, cfg)]
+        batch = simulate_batch(stator_model, rows, duration=duration,
+                               output_interval=interval)
+        assert_same_run(batch[1], series)
 
 
 class TestTimeSeriesCsv:

@@ -121,6 +121,22 @@ class TestInvariants:
         assert p.sa == 0.0 and p.sq == 0.0
         assert p.ssk is None and p.sku is None
 
+    @pytest.mark.parametrize("z", [
+        np.ones((3, 3)),
+        2.5 - 0.4 * np.arange(5) + 1.3 * np.arange(4)[:, None],
+    ], ids=["constant", "tilted plane"])
+    def test_planar_map_levels_to_zero(self, z):
+        """The fit's rounding residue is not reported as texture."""
+        p = areal_params(leveled(z))
+        assert (p.sa, p.sq, p.sp, p.sv, p.sz) == (0.0, 0.0, 0.0, 0.0, 0.0)
+        assert p.ssk is None and p.sku is None
+
+    def test_texture_far_below_the_offset_is_kept(self):
+        rng = np.random.default_rng(5)
+        noise = rng.normal(size=(6, 7))
+        p = areal_params(leveled(1e3 + 1e-9 * noise))
+        assert p.sq == pytest.approx(1e-9 * areal_params(leveled(noise)).sq, rel=1e-3)
+
     def test_leveling_removes_added_plane(self):
         rng = np.random.default_rng(3)
         z = rng.normal(size=(10, 12))

@@ -14,7 +14,7 @@ from .metrology import areal_params, level_mean_plane, load_height_map
 from .stator import (StatorGeometry, StatorModel, assemble_system,
                      build_ring_mesh, piezo_modal_force, select_mode_pair,
                      solve_eigen)
-from .sweep import SweepSpec, compare_trends, find_peak, grams_to_newtons, run_sweep
+from .sweep import SweepSpec, find_peak, grams_to_newtons, run_sweep
 from .wave import DriveConfig, ideal_no_slip_speed, steady_wave_response, surface_state
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import metrology, runner, sweep
 from .config import ConfigError, RunConfig, load_config, phase_degrees_to_radians
 from .dynamics import SimulationDiverged
-from .materials import builtin_library, validate_piezo
+from .materials import validate_piezo
 from .plotting import svg_line_chart
 
 EXIT_OK = 0
@@ -224,14 +224,12 @@ def _cmd_roughness(args) -> int:
 
 def _cmd_validate(args) -> int:
     config = load_config(args.config) if args.config else RunConfig()
-    lib = builtin_library()
     problems = []
-    for name in (config.stator_material, config.piezo_material):
-        if isinstance(name, str) and name not in lib:
-            problems.append(f"unknown material {name!r}")
-    piezo = lib.get(config.piezo_material) if isinstance(config.piezo_material, str) \
-        else None
-    if piezo is not None and hasattr(piezo, "coupling"):
+    try:
+        _, piezo = runner.resolve_materials(config)
+    except ConfigError as exc:
+        problems.append(str(exc))
+    else:
         problems.extend(validate_piezo(piezo))
     if config.mesh.n_elements < 8 * config.geometry.drive_nodal_diameters:
         problems.append("mesh too coarse for the drive nodal diameters")

@@ -36,7 +36,6 @@ class SimulationSettings:
     duration: float = 5e-3
     output_interval: float = 1e-5
     dt: float | None = None          # None = 1/(400 f_drive)
-    neighbor_pairs: bool = False     # retain the n+-1 pairs as well
 
     def __post_init__(self):
         if self.duration <= 0 or self.output_interval <= 0:
@@ -51,7 +50,7 @@ class RunConfig:
 
     geometry: StatorGeometry = field(default_factory=lambda: StatorGeometry(
         mean_radius=0.0125, section_width=0.005, section_thickness=0.0025,
-        tooth_height=0.001, tooth_count=0, drive_nodal_diameters=4))
+        tooth_height=0.001, drive_nodal_diameters=4))
     mesh: MeshSettings = field(default_factory=MeshSettings)
     drive: DriveConfig = field(default_factory=DriveConfig)
     contact: ContactConfig = field(default_factory=ContactConfig)

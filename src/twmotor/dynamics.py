@@ -1,6 +1,6 @@
 """Coupled stator-rotor transient simulation and probe post-processing.
 
-The stator is reduced to its retained mode pairs (modal oscillators with
+The stator is reduced to its drive mode pair (two modal oscillators with
 mass-normalized coordinates); the rigid rotor carries an axial
 translation and a spin DOF.  Per fixed step, the contact law of
 ``contact.py`` (``evaluate_contact`` on the gap and slip at every contact
@@ -207,19 +207,16 @@ def _propagator(stator: StatorModel, rotor_cfg: RotorConfig, h: float) -> np.nda
     r are extrapolated to the midpoint from this step's and the previous
     step's evaluations, which keeps the coupling second order.
     """
-    P = len(stator.pairs)
-    m = 2 * P + 2
-    n = 2 * m
+    m, n = 4, 8       # positions [q_cos, q_sin, z, phi]; the state
     prop = np.zeros((n + m, n))
-    for p, pair in enumerate(stator.pairs):
-        E, Pm = _phase_matrices(pair.omega, stator.damping_ratio, h)
-        for c in (p, P + p):
-            pos, vel, force = c, m + c, n + c
-            prop[pos, pos], prop[vel, pos], prop[force, pos] = E[0, 0], E[0, 1], Pm[0, 1]
-            prop[pos, vel], prop[vel, vel], prop[force, vel] = E[1, 0], E[1, 1], Pm[1, 1]
+    E, Pm = _phase_matrices(stator.pair.omega, stator.damping_ratio, h)
+    for pos in (0, 1):                  # both shapes share the pair's oscillator
+        vel, force = m + pos, n + pos
+        prop[pos, pos], prop[vel, pos], prop[force, pos] = E[0, 0], E[0, 1], Pm[0, 1]
+        prop[pos, vel], prop[vel, vel], prop[force, vel] = E[1, 0], E[1, 1], Pm[1, 1]
 
-    z, phi, zd, om = 2 * P, 2 * P + 1, m + 2 * P, m + 2 * P + 1
-    fz, tz = n + 2 * P, n + 2 * P + 1
+    z, phi, zd, om = 2, 3, 6, 7
+    fz, tz = 10, 11
     mass, c_z, J = rotor_cfg.mass, rotor_cfg.axial_damping, rotor_cfg.inertia
     prop[z, z] = prop[phi, phi] = prop[om, om] = 1.0
     if c_z > 0:
@@ -266,8 +263,7 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
     geom = stator.geometry
     R = geom.mean_radius
     B = len(drives)
-    P = len(stator.pairs)
-    m = 2 * P + 2     # [cos shapes, sin shapes, axial, spin]
+    m = 4             # [q_cos, q_sin, z, phi]
     n = 2 * m         # positions, then velocities, each laid out as above
     M = law.point_count
 
@@ -276,23 +272,21 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
     # the rotor's z and R omega added, maps the state to the law's inputs
     # [gap | slip] = [z - q . phi | R omega + (z_c / R) q' . phi']
     theta = contact.contact_angles(contacts[0])
-    amp = np.array([p.amp for p in stator.pairs])[:, None]
-    ndia = np.array([p.nodal_diameters for p in stator.pairs])[:, None]
+    amp, ndia = stator.pair.amp, stator.pair.nodal_diameters
     cos_n, sin_n = np.cos(ndia * theta), np.sin(ndia * theta)
     reaction = contact.reaction_operator(
         np.vstack([amp * cos_n, amp * sin_n]),
         np.vstack([-amp * ndia * sin_n, amp * ndia * cos_n]), geom)
     kin = np.zeros((n, 2 * M))
-    kin[:2 * P, :M] = reaction[:M, :2 * P].T
-    kin[2 * P, :M] = 1.0
-    kin[m:m + 2 * P, M:] = reaction[M:, :2 * P].T
+    kin[:2, :M] = reaction[:M, :2].T
+    kin[2, :M] = 1.0
+    kin[m:m + 2, M:] = reaction[M:, :2].T
     kin[n - 1, M:] = R
     prop = np.stack([_propagator(stator, r, h) for r in rotors])
 
     def per_row(values):
         return np.array(values, dtype=float)
 
-    # drive: only the leading pair is wired to the electrodes
     f_drive = per_row([d.resolve_frequency(stator.pair) for d in drives])
     omega_d = (2.0 * math.pi * f_drive)[:, None, None]
     voltage = per_row([d.voltage for d in drives])[:, None, None]
@@ -305,14 +299,14 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
     load_torque = per_row([r.load_torque for r in rotors])[:, None, None]
     offsets = np.array([[0.0], [0.5 * h]])      # step start and midpoint
 
-    omega_n = np.tile([p.omega for p in stator.pairs], 2)
+    omega_n = stator.pair.omega
     damping = np.zeros((B, m, 1))               # dissipated power per squared rate
-    damping[:, :2 * P, 0] = 2.0 * stator.damping_ratio * omega_n
-    damping[:, 2 * P, 0] = per_row([r.axial_damping for r in rotors])
+    damping[:, :2, 0] = 2.0 * stator.damping_ratio * omega_n
+    damping[:, 2, 0] = per_row([r.axial_damping for r in rotors])
     stiffness = np.zeros((B, 1, n))             # twice the energy per squared state
-    stiffness[:, 0, :2 * P] = omega_n ** 2
-    stiffness[:, 0, m:m + 2 * P] = 1.0
-    stiffness[:, 0, m + 2 * P] = per_row([r.mass for r in rotors])
+    stiffness[:, 0, :2] = omega_n ** 2
+    stiffness[:, 0, m:m + 2] = 1.0
+    stiffness[:, 0, m + 2] = per_row([r.mass for r in rotors])
     stiffness[:, 0, n - 1] = per_row([r.inertia for r in rotors])
 
     def mech_energy(y, gap):
@@ -349,10 +343,10 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
             wt = omega_d * (t + offsets)
             drive = np.zeros((B, m, 2, count))  # [start, midpoint] of each step
             drive[:, 0] = np.cos(wt) * force_cos
-            drive[:, P] = np.cos(wt + phase) * force_sin
-            drive[:, 2 * P] = -np.where(t < ramp, preload * t / ramp_divisor,
-                                        preload)[:, None]
-            drive[:, 2 * P + 1] = -load_torque
+            drive[:, 1] = np.cos(wt + phase) * force_sin
+            drive[:, 2] = -np.where(t < ramp, preload * t / ramp_divisor,
+                                    preload)[:, None]
+            drive[:, 3] = -load_torque
             X[:, :count, 0, n:n + m] = drive[:, :, 1].transpose(0, 2, 1)
             at_sample = k % steps_per_sample == 0
 
@@ -369,11 +363,11 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
                     row = out[:, sample]
                     row[:, 0] = k * h
                     row[:, 1] = R * now[:, n - 1]
-                    row[:, 2] = R * now[:, 2 * P + 1]
+                    row[:, 2] = R * now[:, 3]
                     row[:, 3] = f[:, 0, M]
-                    row[:, 4] = r[:, 0, 2 * P + 1]
-                    row[:, 5] = r[:, 0, 2 * P]
-                    row[:, 6] = stator.pair.amp * np.hypot(now[:, 0], now[:, P])
+                    row[:, 4] = r[:, 0, 3]
+                    row[:, 5] = r[:, 0, 2]
+                    row[:, 6] = amp * np.hypot(now[:, 0], now[:, 1])
                     sample += 1
                     n_valid[alive] = sample
                 if j == T:
@@ -410,9 +404,9 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
         energy = None
         if alive[b]:
             energy = _energy_report(
-                drive=float(np.sum(w_in[b, :2 * P])), preload=float(w_in[b, 2 * P]),
-                load=float(w_in[b, 2 * P + 1]), modal=float(np.sum(w_out[b, :2 * P])),
-                friction=-float(w_fric[b, 0]), axial=float(w_out[b, 2 * P]),
+                drive=float(np.sum(w_in[b, :2])), preload=float(w_in[b, 2]),
+                load=float(w_in[b, 3]), modal=float(np.sum(w_out[b, :2])),
+                friction=-float(w_fric[b, 0]), axial=float(w_out[b, 2]),
                 energy_change=float(energy_change[b, 0]))
         cols = out[b, :n_valid[b]].T.copy()
         series.append(MotorTimeSeries(

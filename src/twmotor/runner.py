@@ -9,21 +9,35 @@ from .config import ConfigError, RunConfig
 from .dynamics import MotorTimeSeries, SimulationDiverged
 
 
-def build_stator(config: RunConfig) -> stator.StatorModel:
-    """Assemble the ring model and select the drive mode pair."""
-    lib = materials.builtin_library()
-    try:
-        ring_mat = lib[config.stator_material] if isinstance(config.stator_material, str) \
-            else materials.load_material(config.stator_material)
-        piezo = lib[config.piezo_material] if isinstance(config.piezo_material, str) \
-            else materials.load_material(config.piezo_material)
-    except KeyError as exc:
-        raise ConfigError(f"unknown material: {exc.args[0]}") from exc
+def resolve_materials(config: RunConfig
+                      ) -> tuple[materials.IsotropicMaterial, materials.PiezoMaterial]:
+    """The stator and piezo materials of a config: catalog names or inline data.
+
+    Raises ConfigError for an unknown name or a material of the wrong kind.
+    """
+    def resolve(source):
+        if isinstance(source, str):
+            try:
+                return materials.lookup(source)
+            except KeyError as exc:
+                raise ConfigError(exc.args[0]) from None
+        try:
+            return materials.load_material(source)
+        except KeyError as exc:
+            raise ConfigError(f"material entry lacks {exc.args[0]!r}") from None
+
+    ring_mat = resolve(config.stator_material)
+    piezo = resolve(config.piezo_material)
     if not isinstance(ring_mat, materials.IsotropicMaterial):
         raise ConfigError("stator material must be isotropic")
     if not isinstance(piezo, materials.PiezoMaterial):
         raise ConfigError("piezo material must carry full matrix data")
+    return ring_mat, piezo
 
+
+def build_stator(config: RunConfig) -> stator.StatorModel:
+    """Assemble the ring model and select the drive mode pair."""
+    ring_mat, piezo = resolve_materials(config)
     geom = config.geometry
     try:
         mesh = stator.build_ring_mesh(geom, config.mesh.n_elements)
@@ -31,21 +45,12 @@ def build_stator(config: RunConfig) -> stator.StatorModel:
         raise ConfigError(str(exc)) from exc
     system = stator.assemble_system(mesh, ring_mat, geom)
     modes = stator.solve_eigen(system, config.mesh.modes, mesh)
-    n = geom.drive_nodal_diameters
-    pair = stator.select_mode_pair(modes, n, system)
-    neighbors = []
-    if config.simulation.neighbor_pairs:
-        for m in (n - 1, n + 1):
-            if m >= 1:
-                neighbors.append(stator.select_mode_pair(modes, m, system))
-    forcing = stator.piezo_modal_force(
-        pair, geom, piezo, stator.alternating_electrodes(n),
-        voltage=1.0, piezo_offset=config.piezo_offset,
-    )
+    pair = stator.select_mode_pair(modes, geom.drive_nodal_diameters, system)
+    forcing = stator.piezo_modal_force(pair, geom, piezo, voltage=1.0,
+                                       piezo_offset=config.piezo_offset)
     return stator.StatorModel(
         geometry=geom, mesh=mesh, system=system, modes=modes, pair=pair,
-        neighbor_pairs=tuple(neighbors), forcing_per_volt=forcing,
-        damping_ratio=config.damping_ratio,
+        forcing_per_volt=forcing, damping_ratio=config.damping_ratio,
     )
 
 

@@ -34,7 +34,6 @@ __all__ = [
     "make_preset",
     "run_sweep",
     "find_peak",
-    "compare_trends",
 ]
 
 STANDARD_GRAVITY = 9.80665  # m/s^2
@@ -225,18 +224,6 @@ class PeakReport:
     boundary_maximum: bool
 
 
-def _smooth(values: np.ndarray, window: int) -> np.ndarray:
-    if window <= 1:
-        return values
-    half = window // 2
-    out = np.empty_like(values)
-    for i in range(len(values)):
-        lo = max(0, i - half)
-        hi = min(len(values), i + half + 1)
-        out[i] = np.mean(values[lo:hi])
-    return out
-
-
 def _unimodal(values: np.ndarray) -> bool:
     d = np.diff(values)
     signs = [s for s in np.sign(d) if s != 0]
@@ -248,52 +235,19 @@ def _unimodal(values: np.ndarray) -> bool:
     return True  # monotone
 
 
-def find_peak(curve: SweepCurve, window: int = 1) -> PeakReport:
+def find_peak(curve: SweepCurve) -> PeakReport:
     """Locate the torque maximum and report the curve's modality.
 
-    Optional moving-average smoothing (window 1 = off).  Only settled rows
-    participate; fewer than 3 settled rows is an error.
+    Only settled rows participate; fewer than 3 settled rows is an error.
     """
     rows = [r for r in curve.rows if r.settled and r.ok]
     if len(rows) < 3:
         raise ValueError(f"need at least 3 settled rows, have {len(rows)}")
     params = np.array([r.param for r in rows])
-    torque = _smooth(np.array([r.torque for r in rows]), window)
+    torque = np.array([r.torque for r in rows])
     i = int(np.argmax(torque))
     return PeakReport(
         param=float(params[i]), torque=float(torque[i]),
         unimodal=bool(_unimodal(torque)),
         boundary_maximum=(i == 0 or i == len(rows) - 1),
     )
-
-
-def compare_trends(sim: SweepCurve, experiment) -> dict:
-    """Trend comparison of a simulated curve against experimental points.
-
-    ``experiment`` is a sequence of (parameter, torque) pairs.  Reports the
-    peak-location ratio, the peak-magnitude overshoot percentage, the
-    both-unimodal flag and both curves normalized to [0, 1]; no pass/fail
-    judgment is made.
-    """
-    sim_rows = [r for r in sim.rows if r.ok and np.isfinite(r.torque)]
-    exp = np.asarray(list(experiment), dtype=float)
-    if len(sim_rows) < 3 or len(exp) < 3:
-        raise ValueError("both curves need at least 3 points")
-    sp = np.array([r.param for r in sim_rows])
-    st = np.array([r.torque for r in sim_rows])
-    ep, et = exp[:, 0], exp[:, 1]
-    if np.ptp(st) == 0 or np.ptp(et) == 0:
-        raise ValueError("degenerate (all-equal) torque curve")
-
-    def normalize(x):
-        span = np.ptp(x)
-        return (x - np.min(x)) / span if span > 0 else np.zeros_like(x)
-
-    i_s, i_e = int(np.argmax(st)), int(np.argmax(et))
-    return {
-        "peak_location_ratio": float(sp[i_s] / ep[i_e]) if ep[i_e] != 0 else math.inf,
-        "peak_overshoot_pct": float((st[i_s] - et[i_e]) / et[i_e] * 100.0),
-        "both_unimodal": bool(_unimodal(st) and _unimodal(et)),
-        "sim_normalized": np.column_stack([normalize(sp), normalize(st)]),
-        "exp_normalized": np.column_stack([normalize(ep), normalize(et)]),
-    }

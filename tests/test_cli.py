@@ -199,4 +199,20 @@ class TestValidate:
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"stator_material": "Unobtainium"}')
         assert run_cli("validate", "--config", str(cfg)) == cli.EXIT_CONFIG
-        assert "unknown material" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "unknown material 'Unobtainium'" in out
+        assert "catalog has: " in out
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"stator_material": "PZT-5H"}, "stator material must be isotropic"),
+        ({"piezo_material": "Copper"}, "piezo material must carry full matrix data"),
+    ], ids=["stator", "piezo"])
+    def test_wrong_kind_of_material(self, tmp_path, capsys, entry, message):
+        """Rejected as every other subcommand rejects it."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry))
+        assert run_cli("validate", "--config", str(cfg)) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().out
+        assert run_cli("eigen", "--config", str(cfg),
+                       "--out-dir", str(tmp_path)) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err

@@ -1,5 +1,5 @@
-"""Ring FEM: assembly invariants, eigenfrequencies, mode-pair alignment,
-electrode patterns and piezo modal forcing."""
+"""Ring FEM: assembly invariants, eigenfrequencies, mode-pair alignment
+and piezo modal forcing."""
 
 import math
 
@@ -9,7 +9,6 @@ import pytest
 from twmotor.materials import lookup
 from twmotor.stator import (
     StatorGeometry,
-    alternating_electrodes,
     assemble_system,
     build_ring_mesh,
     piezo_modal_force,
@@ -144,29 +143,34 @@ class TestModePair:
             select_mode_pair(modes64, 11, system)
 
 
-class TestElectrodes:
-    def test_sector_count_and_coverage(self):
-        sectors = alternating_electrodes(4)
-        assert len(sectors) == 8
-        total = sum(end - start for start, end, _ in sectors)
-        assert total == pytest.approx(2 * math.pi)
-
-    def test_alternating_signs(self):
-        signs = [s for _, _, s in alternating_electrodes(4)]
-        assert signs == [1, -1] * 4
-
-    def test_overlap_rejected(self, modes64, system64):
-        _, system = system64
-        pair = select_mode_pair(modes64, 4, system)
-        bad = [(0.0, 1.0, 1), (0.5, 1.5, -1)]
-        with pytest.raises(ValueError, match="overlap"):
-            piezo_modal_force(pair, GEOM, lookup("PZT-5H"), bad, 1.0)
-
-
 @pytest.fixture(scope="module")
 def forcing(pair):
-    return pair, piezo_modal_force(pair, GEOM, lookup("PZT-5H"),
-                                   alternating_electrodes(4), 1.0)
+    return pair, piezo_modal_force(pair, GEOM, lookup("PZT-5H"), 1.0)
+
+
+def quadrature_force(pair, channel, shape):
+    """Modal force per volt of one electrode channel on one shape, by quadrature.
+
+    The modal force is the virtual work of the layer bending moment
+    against the shape curvature: integral of m_p * b * w'' over the
+    energized arcs, with w = amp*shape(n theta) and x = R*theta.
+    Channel "A" is 2n alternating sectors of width pi/n centred on
+    j*pi/n; channel "B" is the same pattern turned by pi/(2n).  The
+    midpoint rule keeps every node off the sector edges.
+    """
+    n, R, b = 4, GEOM.mean_radius, GEOM.section_width
+    m_p = -lookup("PZT-5H").e31 * 1.0 * GEOM.section_thickness / 2.0
+    cells = 200_000
+    step = 2 * math.pi / cells
+    theta = (np.arange(cells) + 0.5) * step
+    shift = {"A": 0.0, "B": math.pi / (2 * n)}[channel]
+    signs = np.zeros_like(theta)
+    for j in range(2 * n):
+        start = (j - 0.5) * math.pi / n + shift
+        inside = ((theta - start) % (2 * math.pi)) < math.pi / n
+        signs[inside] = 1 if j % 2 == 0 else -1
+    curvature = -pair.amp * (n / R) ** 2 * shape(n * theta)
+    return np.sum(m_p * b * signs * curvature * R) * step
 
 
 class TestPiezoForcing:
@@ -176,37 +180,20 @@ class TestPiezoForcing:
         assert f.f_cos == pytest.approx(f.f_sin, rel=1e-9)
 
     def test_cross_coupling_negligible(self, forcing):
-        _, f = forcing
-        assert abs(f.cross_a) < 1e-9
-        assert abs(f.cross_b) < 1e-9
+        """Each channel does no work on the other channel's shape."""
+        pair, f = forcing
+        assert abs(quadrature_force(pair, "A", np.sin)) < 1e-12 * abs(f.f_cos)
+        assert abs(quadrature_force(pair, "B", np.cos)) < 1e-12 * abs(f.f_sin)
 
     def test_forcing_scales_linearly_with_voltage(self, modes64, system64):
         _, system = system64
         pair = select_mode_pair(modes64, 4, system)
-        f1 = piezo_modal_force(pair, GEOM, lookup("PZT-5H"),
-                               alternating_electrodes(4), 1.0)
-        f7 = piezo_modal_force(pair, GEOM, lookup("PZT-5H"),
-                               alternating_electrodes(4), 7.0)
+        f1 = piezo_modal_force(pair, GEOM, lookup("PZT-5H"), 1.0)
+        f7 = piezo_modal_force(pair, GEOM, lookup("PZT-5H"), 7.0)
         assert f7.f_cos == pytest.approx(7.0 * f1.f_cos, rel=1e-12)
 
     def test_matches_quadrature_oracle(self, forcing):
-        """Closed-form sector integrals vs dense numeric quadrature.
-
-        The modal force is the virtual work of the layer bending moment
-        against the shape curvature: integral of m_p * b * w'' over the
-        energized arcs, with w = amp*cos(n theta) and x = R*theta.
-        """
+        """Closed-form forcing vs numeric quadrature, on both channels."""
         pair, f = forcing
-        pzt = lookup("PZT-5H")
-        n, R, b = 4, GEOM.mean_radius, GEOM.section_width
-        zbar = GEOM.section_thickness / 2.0
-        m_p = -pzt.e31 * 1.0 * zbar
-        theta = np.linspace(0.0, 2 * math.pi, 2_000_001)
-        curvature = -pair.amp * (n / R) ** 2 * np.cos(n * theta)
-        pattern = np.zeros_like(theta)
-        for start, end, sign in alternating_electrodes(4):
-            inside = ((theta - start) % (2 * math.pi)) < (end - start)
-            pattern[inside] = sign
-        integrand = m_p * b * pattern * curvature * R
-        oracle = np.trapezoid(integrand, theta)
-        assert f.f_cos == pytest.approx(oracle, rel=1e-5)
+        assert f.f_cos == pytest.approx(quadrature_force(pair, "A", np.cos), rel=1e-8)
+        assert f.f_sin == pytest.approx(quadrature_force(pair, "B", np.sin), rel=1e-8)

@@ -1,4 +1,4 @@
-"""Sweep harness: grids, presets, peak detection, trend comparison.
+"""Sweep harness: grids, presets, peak detection.
 
 Real simulations only appear in the short end-to-end sweep; everything
 else is exercised with synthetic curves.
@@ -15,7 +15,6 @@ from twmotor.sweep import (
     SweepCurve,
     SweepRow,
     SweepSpec,
-    compare_trends,
     find_peak,
     grams_to_newtons,
     make_preset,
@@ -134,13 +133,6 @@ class TestFindPeak:
         assert a.param == b.param
         assert a.unimodal == b.unimodal
 
-    def test_smoothing_merges_wiggle(self):
-        torques = [0.10, 0.20, 0.19, 0.21, 0.12]
-        raw = find_peak(curve_from([1, 2, 3, 4, 5], torques))
-        smooth = find_peak(curve_from([1, 2, 3, 4, 5], torques), window=3)
-        assert not raw.unimodal
-        assert smooth.unimodal
-
     def test_unsettled_rows_excluded(self):
         pk = find_peak(curve_from([1, 2, 3, 4], [0.1, 9.9, 0.3, 0.2],
                                   settled=[True, False, True, True]))
@@ -150,31 +142,6 @@ class TestFindPeak:
         with pytest.raises(ValueError, match="settled"):
             find_peak(curve_from([1, 2, 3], [0.1, 0.2, 0.3],
                                  settled=[False, False, False]))
-
-
-class TestCompareTrends:
-    def test_matching_curves(self):
-        sim = curve_from([1, 2, 3, 4], [0.0, 1.0, 0.5, 0.2])
-        exp = [(1.0, 0.0), (2.0, 2.0), (3.0, 1.0), (4.0, 0.4)]
-        report = compare_trends(sim, exp)
-        assert report["both_unimodal"]
-        assert report["peak_location_ratio"] == pytest.approx(1.0)
-
-    def test_overshoot_reported(self):
-        sim = curve_from([1, 2, 3], [0.0, 1.4, 0.2])
-        exp = [(1.0, 0.0), (2.0, 1.0), (3.0, 0.2)]
-        report = compare_trends(sim, exp)
-        assert report["peak_overshoot_pct"] == pytest.approx(40.0)
-
-    def test_degenerate_curve_rejected(self):
-        sim = curve_from([1, 2, 3], [0.2, 0.2, 0.2])
-        with pytest.raises(ValueError):
-            compare_trends(sim, [(1.0, 0.1), (2.0, 0.5), (3.0, 0.2)])
-
-    def test_too_few_points_rejected(self):
-        sim = curve_from([1, 2, 3], [0.1, 0.5, 0.2])
-        with pytest.raises(ValueError):
-            compare_trends(sim, [(1.0, 0.1), (2.0, 0.5)])
 
 
 @pytest.fixture(scope="module")

@@ -201,20 +201,23 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_roughness(args) -> int:
-    maps = []
-    labels = []
-    failed = False
-    for path in args.paths:
-        try:
-            maps.append(metrology.load_height_map(path, dx=args.dx, dy=args.dy))
-            labels.append(Path(path).name)
-        except (OSError, ValueError) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            failed = True
-    if failed or not maps:
-        return EXIT_IO
-    leveled = [metrology.level_mean_plane(m) for m in maps]
-    report = metrology.roughness_report(leveled, labels=labels)
+    def loaded_maps():
+        """Each map in turn; after a failure, the rest are only checked."""
+        failed = 0
+        for path in args.paths:
+            try:
+                hmap = metrology.load_height_map(path, dx=args.dx, dy=args.dy)
+            except (OSError, ValueError) as exc:
+                print(f"error: {path}: {exc}", file=sys.stderr)
+                failed += 1
+            else:
+                if not failed:
+                    yield hmap
+        if failed:
+            raise OSError(f"{failed} of {len(args.paths)} height maps not read")
+
+    report = metrology.roughness_report(
+        loaded_maps(), labels=[Path(path).name for path in args.paths])
     text = _strict_json(report)
     if args.out:
         Path(args.out).write_text(text)
@@ -233,6 +236,11 @@ def _cmd_validate(args) -> int:
         problems.extend(validate_piezo(piezo))
     if config.mesh.n_elements < 8 * config.geometry.drive_nodal_diameters:
         problems.append("mesh too coarse for the drive nodal diameters")
+    if not problems:
+        try:
+            runner.build_stator(config)
+        except (ConfigError, ValueError) as exc:
+            problems.append(str(exc))
     if problems:
         for p in problems:
             print(f"invalid: {p}")

@@ -189,6 +189,23 @@ class TestRoughness:
         assert code == cli.EXIT_IO
         assert "error" in capsys.readouterr().err
 
+    def test_every_bad_map_named_and_no_report(self, tmp_path, capsys):
+        """Maps are read one at a time; a failure still names every bad map
+        and writes no report."""
+        good = tmp_path / "good.csv"
+        good.write_text("0,1,0\n1,0,1\n")
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text("0,1,0\n1,0\n")
+        missing = tmp_path / "nope.csv"
+        out = tmp_path / "report.json"
+        code = run_cli("roughness", str(good), str(missing), str(ragged), str(good),
+                       "--dx", "1", "--dy", "1", "--out", str(out))
+        assert code == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert f"error: {missing}:" in err
+        assert f"error: {ragged}: {ragged}: ragged grid; row 2 has 2 cells" in err
+        assert not out.exists()
+
 
 class TestValidate:
     def test_default_config_valid(self, capsys):
@@ -211,6 +228,17 @@ class TestValidate:
         """Rejected as every other subcommand rejects it."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(entry))
+        assert run_cli("validate", "--config", str(cfg)) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().out
+        assert run_cli("eigen", "--config", str(cfg),
+                       "--out-dir", str(tmp_path)) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    def test_unresolved_mode_pair(self, tmp_path, capsys):
+        """Too few modes for the drive pair: rejected as ``eigen`` rejects it."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mesh": {"modes": 5}}))
+        message = "mode pair n=4 not resolved"
         assert run_cli("validate", "--config", str(cfg)) == cli.EXIT_CONFIG
         assert message in capsys.readouterr().out
         assert run_cli("eigen", "--config", str(cfg),

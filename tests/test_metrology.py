@@ -1,6 +1,8 @@
 """Areal roughness parameters: brute-force oracles, analytic surfaces,
 invariants, and CSV loading."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,6 +158,61 @@ class TestInvariants:
         assert hmap.area == 4 * 5 * 2.0 * 3.0
 
 
+def random_plane(rng, ny, nx):
+    """Grid axes and a plane of random pitch, offset and tilt on them.
+
+    The pitches stay within a factor 25 of each other: lstsq's own residual
+    error grows with cond(G), and at a factor 300 it reaches 4e-12 max|z|.
+    """
+    dx, dy = rng.uniform(0.2, 5.0, size=2)
+    x, y = np.arange(nx) * dx, np.arange(ny) * dy
+    tilt_x, tilt_y = rng.uniform(-5.0, 5.0, size=2)
+    plane = rng.uniform(-1e3, 1e3) + tilt_x * x + tilt_y * y[:, None]
+    return x, y, plane
+
+
+def design_matrix(x, y):
+    X, Y = np.meshgrid(x, y)
+    return np.column_stack([np.ones(X.size), X.ravel(), Y.ravel()])
+
+
+grids = dict(seed=st.integers(0, 2**32 - 1), ny=st.integers(2, 40), nx=st.integers(2, 40))
+
+
+class TestLevelingOracle:
+    """The closed-form mean plane against a least-squares solve."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(**grids)
+    def test_residual_matches_lstsq(self, seed, ny, nx):
+        rng = np.random.default_rng(seed)
+        x, y, plane = random_plane(rng, ny, nx)
+        z = plane + rng.uniform(0.01, 10.0) * rng.normal(size=(ny, nx))
+        G = design_matrix(x, y)
+        coeff, *_ = np.linalg.lstsq(G, z.ravel(), rcond=None)
+        want = z - (G @ coeff).reshape(z.shape)
+        got = leveled(z, x[1], y[1]).heights
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(z).max())
+
+    @settings(max_examples=60, deadline=None)
+    @given(**grids)
+    def test_plane_levels_to_zero(self, seed, ny, nx):
+        x, y, plane = random_plane(np.random.default_rng(seed), ny, nx)
+        assert not leveled(plane, x[1], y[1]).heights.any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(**grids)
+    def test_rounding_bound_uses_cond_of_design(self, seed, ny, nx):
+        """cond(G) in 8 eps cond(G) sqrt(N) max|z| is G's SVD condition number."""
+        x, y, plane = random_plane(np.random.default_rng(seed), ny, nx)
+        seen, cond = [], np.linalg.cond
+        with mock.patch.object(np.linalg, "cond",
+                               lambda a: seen.append(cond(a)) or seen[-1]):
+            leveled(plane, x[1], y[1])
+        s = np.linalg.svd(design_matrix(x, y), compute_uv=False)
+        assert seen == [pytest.approx(s[0] / s[-1], rel=1e-9)]
+
+
 class TestHeightMapValidation:
     def test_too_small(self):
         with pytest.raises(ValueError, match="2x2"):
@@ -203,6 +260,42 @@ class TestLoadHeightMap:
         path.write_text("")
         with pytest.raises(ValueError, match="empty"):
             load_height_map(path, 1.0, 1.0)
+
+    @pytest.mark.parametrize("text", [
+        "1,2\n\n3,-4\n\n",
+        "1,2\r\n3,-4\r\n",
+        "1,2\r3,-4\r",
+        '"1", 2 \n 3 ,"-4"\n',
+    ], ids=["blank lines", "crlf", "cr", "quotes and spaces"])
+    def test_accepted_forms(self, tmp_path, text):
+        path = tmp_path / "scan.csv"
+        path.write_bytes(text.encode())
+        np.testing.assert_array_equal(
+            load_height_map(path, 1.0, 1.0).heights, [[1.0, 2.0], [3.0, -4.0]])
+
+    @pytest.mark.parametrize("text, message", [
+        ("1,2\n# note\n3,4\n", "non-numeric cell at row 2, column 1: '# note'"),
+        ("1,2,\n3,4,\n", "non-numeric cell at row 1, column 3: ''"),
+        ("1,2,3\n\n4,5\n", "ragged grid; row 3 has 2 cells, expected 3"),
+        ("1,2\n3,4\n\n5,6\n7\n", "ragged grid; row 5 has 1 cells, expected 2"),
+    ], ids=["comment line", "trailing comma", "ragged after blank",
+            "short last row"])
+    def test_rejected_grid_located(self, tmp_path, text, message):
+        """Rows are the file's 1-based lines, blank ones included."""
+        path = tmp_path / "scan.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_height_map(path, 1.0, 1.0)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_scan_agrees_with_the_loader(self, tmp_path):
+        """``1_0`` is a number to float() but not to the loader, and the scan
+        locates it rather than passing on the loader's 0-based row."""
+        path = tmp_path / "scan.csv"
+        path.write_text("1,2\n\n3,1_0\n")
+        with pytest.raises(ValueError) as info:
+            load_height_map(path, 1.0, 1.0)
+        assert str(info.value) == f"{path}: non-numeric cell at row 3, column 2: '1_0'"
 
 
 class TestRoughnessReport:

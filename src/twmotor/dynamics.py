@@ -290,8 +290,7 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
     f_drive = per_row([d.resolve_frequency(stator.pair) for d in drives])
     omega_d = (2.0 * math.pi * f_drive)[:, None, None]
     voltage = per_row([d.voltage for d in drives])[:, None, None]
-    force_cos = stator.forcing_per_volt.f_cos * voltage
-    force_sin = stator.forcing_per_volt.f_sin * voltage
+    force = stator.forcing_per_volt * voltage
     phase = per_row([d.phase_offset for d in drives])[:, None, None]
     preload = per_row([r.preload for r in rotors])[:, None]
     ramp = per_row([r.preload_ramp for r in rotors])[:, None]
@@ -342,8 +341,8 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
             t = (k + np.arange(count)) * h
             wt = omega_d * (t + offsets)
             drive = np.zeros((B, m, 2, count))  # [start, midpoint] of each step
-            drive[:, 0] = np.cos(wt) * force_cos
-            drive[:, 1] = np.cos(wt + phase) * force_sin
+            drive[:, 0] = np.cos(wt) * force
+            drive[:, 1] = np.cos(wt + phase) * force
             drive[:, 2] = -np.where(t < ramp, preload * t / ramp_divisor,
                                     preload)[:, None]
             drive[:, 3] = -load_torque

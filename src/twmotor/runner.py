@@ -56,13 +56,9 @@ def build_stator(config: RunConfig) -> stator.StatorModel:
 
 def ideal_speed(config: RunConfig, model: stator.StatorModel) -> float | None:
     """No-slip speed bound of the steady drive wave; None if not a pure wave."""
-    forcing = model.forcing_per_volt
-    sol = wave.steady_wave_response(
-        model.pair,
-        forcing.f_cos * config.drive.voltage,
-        forcing.f_sin * config.drive.voltage,
-        config.drive, config.damping_ratio,
-    )
+    force = model.forcing_per_volt * config.drive.voltage
+    sol = wave.steady_wave_response(model.pair, force, force, config.drive,
+                                    config.damping_ratio)
     try:
         return wave.ideal_no_slip_speed(sol, model.geometry)
     except ValueError:

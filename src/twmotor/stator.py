@@ -28,7 +28,6 @@ __all__ = [
     "SystemMatrices",
     "ModeSet",
     "ModePair",
-    "ModalForcing",
     "StatorModel",
     "build_ring_mesh",
     "assemble_system",
@@ -267,16 +266,8 @@ def select_mode_pair(modes: ModeSet, n: int, system: SystemMatrices) -> ModePair
                     shape_cos=phi_cos, shape_sin=phi_sin)
 
 
-@dataclass(frozen=True)
-class ModalForcing:
-    """Generalized drive forces per volt on the cosine/sine mode pair."""
-
-    f_cos: float            # channel A onto the cosine shape, N per volt
-    f_sin: float            # channel B onto the sine shape, N per volt
-
-
 def piezo_modal_force(pair: ModePair, geom: StatorGeometry, piezo: PiezoMaterial,
-                      voltage: float, piezo_offset: float | None = None) -> ModalForcing:
+                      voltage: float, piezo_offset: float | None = None) -> float:
     """Project the electrode-induced bending moments onto the mode pair.
 
     Channel A is the standard 2n-sector alternating-polarity pattern
@@ -287,6 +278,8 @@ def piezo_modal_force(pair: ModePair, geom: StatorGeometry, piezo: PiezoMaterial
     curvature gives the modal force.  Each of the 2n sectors adds 2/n to
     the integral over its own channel's shape, 4 in all, and the pattern
     is orthogonal to the other shape, so each channel drives only its own.
+    So both channels carry one generalized force, which is returned (N):
+    channel A's on the cosine shape, equal to channel B's on the sine shape.
     """
     if piezo_offset is None:
         piezo_offset = geom.section_thickness / 2.0
@@ -294,8 +287,7 @@ def piezo_modal_force(pair: ModePair, geom: StatorGeometry, piezo: PiezoMaterial
     R = geom.mean_radius
     m_p = -piezo.e31 * voltage * piezo_offset
     # F_j = int s(theta) * m_p * b * phi_j''(x) * R dtheta, phi'' in x = R*theta
-    force = 4.0 * (-m_p * geom.section_width * pair.amp * (n / R) ** 2 * R)
-    return ModalForcing(f_cos=force, f_sin=force)
+    return 4.0 * (-m_p * geom.section_width * pair.amp * (n / R) ** 2 * R)
 
 
 @dataclass(frozen=True)
@@ -311,7 +303,7 @@ class StatorModel:
     system: SystemMatrices = field(repr=False)
     modes: ModeSet = field(repr=False)
     pair: ModePair
-    forcing_per_volt: ModalForcing
+    forcing_per_volt: float     # N per volt on each shape of the pair
     damping_ratio: float
 
     @property

@@ -49,13 +49,13 @@ def test_2_traveling_wave_purity(stator_model):
     with scoreboard(2, "wave-purity"):
         f = stator_model.forcing_per_volt
         drive = DriveConfig(voltage=100.0)
-        fwd = steady_wave_response(stator_model.pair, f.f_cos * drive.voltage,
-                                   f.f_sin * drive.voltage, drive,
+        fwd = steady_wave_response(stator_model.pair, f * drive.voltage,
+                                   f * drive.voltage, drive,
                                    stator_model.damping_ratio)
         assert fwd.w_backward < 1e-9 * fwd.w_forward
         rev_drive = DriveConfig(voltage=100.0, phase_offset=-math.pi / 2)
-        rev = steady_wave_response(stator_model.pair, f.f_cos * drive.voltage,
-                                   f.f_sin * drive.voltage, rev_drive,
+        rev = steady_wave_response(stator_model.pair, f * drive.voltage,
+                                   f * drive.voltage, rev_drive,
                                    stator_model.damping_ratio)
         assert rev.w_forward == pytest.approx(fwd.w_backward, abs=1e-18)
         assert rev.w_backward == pytest.approx(fwd.w_forward, rel=1e-12)

@@ -176,24 +176,26 @@ def quadrature_force(pair, channel, shape):
 class TestPiezoForcing:
 
     def test_channels_balanced(self, forcing):
-        _, f = forcing
-        assert f.f_cos == pytest.approx(f.f_sin, rel=1e-9)
+        """Each channel drives its own shape equally, so one scalar serves both."""
+        pair, _ = forcing
+        assert quadrature_force(pair, "A", np.cos) \
+            == pytest.approx(quadrature_force(pair, "B", np.sin), rel=1e-9)
 
     def test_cross_coupling_negligible(self, forcing):
         """Each channel does no work on the other channel's shape."""
         pair, f = forcing
-        assert abs(quadrature_force(pair, "A", np.sin)) < 1e-12 * abs(f.f_cos)
-        assert abs(quadrature_force(pair, "B", np.cos)) < 1e-12 * abs(f.f_sin)
+        assert abs(quadrature_force(pair, "A", np.sin)) < 1e-12 * abs(f)
+        assert abs(quadrature_force(pair, "B", np.cos)) < 1e-12 * abs(f)
 
     def test_forcing_scales_linearly_with_voltage(self, modes64, system64):
         _, system = system64
         pair = select_mode_pair(modes64, 4, system)
         f1 = piezo_modal_force(pair, GEOM, lookup("PZT-5H"), 1.0)
         f7 = piezo_modal_force(pair, GEOM, lookup("PZT-5H"), 7.0)
-        assert f7.f_cos == pytest.approx(7.0 * f1.f_cos, rel=1e-12)
+        assert f7 == pytest.approx(7.0 * f1, rel=1e-12)
 
     def test_matches_quadrature_oracle(self, forcing):
         """Closed-form forcing vs numeric quadrature, on both channels."""
         pair, f = forcing
-        assert f.f_cos == pytest.approx(quadrature_force(pair, "A", np.cos), rel=1e-8)
-        assert f.f_sin == pytest.approx(quadrature_force(pair, "B", np.sin), rel=1e-8)
+        assert f == pytest.approx(quadrature_force(pair, "A", np.cos), rel=1e-8)
+        assert f == pytest.approx(quadrature_force(pair, "B", np.sin), rel=1e-8)

@@ -28,8 +28,8 @@ def pair(stator_model):
 def balanced(stator_model):
     f = stator_model.forcing_per_volt
     drive = DriveConfig(voltage=100.0)
-    return steady_wave_response(stator_model.pair, f.f_cos * drive.voltage,
-                                f.f_sin * drive.voltage, drive,
+    return steady_wave_response(stator_model.pair, f * drive.voltage,
+                                f * drive.voltage, drive,
                                 stator_model.damping_ratio)
 
 
@@ -40,10 +40,10 @@ class TestSteadyResponse:
 
     def test_phase_reversal_swaps_components(self, stator_model):
         f = stator_model.forcing_per_volt
-        fwd = steady_wave_response(stator_model.pair, f.f_cos * 100, f.f_sin * 100,
+        fwd = steady_wave_response(stator_model.pair, f * 100, f * 100,
                                    DriveConfig(voltage=100, phase_offset=math.pi / 2),
                                    stator_model.damping_ratio)
-        rev = steady_wave_response(stator_model.pair, f.f_cos * 100, f.f_sin * 100,
+        rev = steady_wave_response(stator_model.pair, f * 100, f * 100,
                                    DriveConfig(voltage=100, phase_offset=-math.pi / 2),
                                    stator_model.damping_ratio)
         assert rev.w_backward == pytest.approx(fwd.w_forward, rel=1e-12)
@@ -51,15 +51,15 @@ class TestSteadyResponse:
 
     def test_zero_phase_is_standing(self, stator_model):
         f = stator_model.forcing_per_volt
-        standing = steady_wave_response(stator_model.pair, f.f_cos * 100,
-                                        f.f_sin * 100,
+        standing = steady_wave_response(stator_model.pair, f * 100,
+                                        f * 100,
                                         DriveConfig(voltage=100, phase_offset=0.0),
                                         stator_model.damping_ratio)
         assert standing.w_forward == pytest.approx(standing.w_backward, rel=1e-12)
 
     def test_resonant_amplitude_closed_form(self, stator_model, balanced):
         """|q| = F / (2 zeta omega_n^2) at resonance, per channel."""
-        f = abs(stator_model.forcing_per_volt.f_cos) * 100.0
+        f = abs(stator_model.forcing_per_volt) * 100.0
         wn = stator_model.pair.omega
         expected = f / (2.0 * stator_model.damping_ratio * wn * wn)
         assert abs(balanced.q_cos) == pytest.approx(expected, rel=1e-12)
@@ -125,15 +125,15 @@ class TestIdealSpeed:
 
     def test_reversed_drive_flips_sign(self, stator_model):
         f = stator_model.forcing_per_volt
-        rev = steady_wave_response(stator_model.pair, f.f_cos * 100, f.f_sin * 100,
+        rev = steady_wave_response(stator_model.pair, f * 100, f * 100,
                                    DriveConfig(voltage=100, phase_offset=-math.pi / 2),
                                    stator_model.damping_ratio)
         assert ideal_no_slip_speed(rev, GEOM) < 0
 
     def test_standing_wave_rejected(self, stator_model):
         f = stator_model.forcing_per_volt
-        standing = steady_wave_response(stator_model.pair, f.f_cos * 100,
-                                        f.f_sin * 100,
+        standing = steady_wave_response(stator_model.pair, f * 100,
+                                        f * 100,
                                         DriveConfig(voltage=100, phase_offset=0.0),
                                         stator_model.damping_ratio)
         with pytest.raises(ValueError, match="standing"):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -25,15 +25,22 @@ _CSV = dict(delimiter=",", comments=None, quotechar='"', ndmin=2)
 
 @dataclass(frozen=True)
 class HeightMap:
-    """Gridded surface heights (um) on a uniform pixel pitch (um)."""
+    """Gridded surface heights (um) on a uniform pixel pitch (um).
+
+    The map holds a read-only copy of the heights it is given, so the
+    caller's array stays its own.  This module's loader and leveler hand
+    over arrays they have just made and never touch again (``_fresh``), and
+    the map takes those as they are.
+    """
 
     heights: np.ndarray = field(repr=False)
     dx: float
     dy: float
     leveled: bool = False
+    _fresh: InitVar[bool] = False
 
-    def __post_init__(self):
-        z = np.array(self.heights, dtype=float)
+    def __post_init__(self, _fresh):
+        z = self.heights if _fresh else np.array(self.heights, dtype=float)
         if z.ndim != 2 or z.shape[0] < 2 or z.shape[1] < 2:
             raise ValueError("height map must be a grid of at least 2x2 points")
         if self.dx <= 0 or self.dy <= 0:
@@ -63,7 +70,7 @@ def load_height_map(path, dx: float, dy: float) -> HeightMap:
         raise ValueError(f"{path}: {_first_bad_line(path) or exc}") from None
     if z.size == 0:
         raise ValueError(f"{path}: empty height map")
-    return HeightMap(heights=z, dx=dx, dy=dy)
+    return HeightMap(heights=z, dx=dx, dy=dy, _fresh=True)
 
 
 def _first_bad_line(path) -> str | None:
@@ -111,7 +118,8 @@ def level_mean_plane(hmap: HeightMap) -> HeightMap:
                 * max(z.max(), -z.min()))
     if max(residual.max(), -residual.min()) <= rounding:
         residual.fill(0.0)
-    return HeightMap(heights=residual, dx=hmap.dx, dy=hmap.dy, leveled=True)
+    return HeightMap(heights=residual, dx=hmap.dx, dy=hmap.dy, leveled=True,
+                     _fresh=True)
 
 
 @dataclass(frozen=True)

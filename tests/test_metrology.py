@@ -233,6 +233,12 @@ class TestHeightMapValidation:
         with pytest.raises(ValueError):
             hmap.heights[0, 0] = 1.0
 
+    def test_caller_array_stays_its_own(self):
+        z = np.zeros((3, 3))
+        hmap = HeightMap(z, 1.0, 1.0)
+        assert z.flags.writeable
+        assert not np.shares_memory(hmap.heights, z)
+
 
 class TestLoadHeightMap:
     def test_round_trip(self, tmp_path):

@@ -14,6 +14,11 @@ calls ``evaluate_contact`` and ``modal_reaction`` once per step, both
 writing into the loop's buffers through ``out``.  Both take any leading
 batch axes in front of the contact-point axis, so B interfaces advance
 together; a ``ContactBatch`` carries one parameter row per interface.
+The forces are stacked on a new leading axis, [N, f], and so are their
+generalized forces [Q_N, Q_f].  So at any batch size the normal forces of
+all interfaces form one contiguous block, and the friction forces another,
+and each of the law's six elementwise passes runs over one block of
+memory.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ __all__ = [
     "evaluate_contact",
     "reaction_operator",
     "modal_reaction",
-    "power_balance",
 ]
 
 
@@ -71,13 +75,16 @@ class ContactBatch:
     The constitutive parameters are (B, 1, M) arrays, each row's value
     repeated at every point, so they match per-point arrays of shape
     (B, 1, M) without broadcasting (which costs more than the arithmetic
-    at this size); ``point_count`` is shared.
+    at this size); ``point_count`` is shared.  The stiffness and the
+    friction coefficient are kept negated, the signs the law multiplies
+    by, and ``scratch`` is the law's working block of that shape.
     """
 
     point_count: int
-    penalty_stiffness: np.ndarray = field(repr=False)
+    neg_stiffness: np.ndarray = field(repr=False)
     regularization_velocity: np.ndarray = field(repr=False)
-    cof: np.ndarray = field(repr=False)
+    neg_cof: np.ndarray = field(repr=False)
+    scratch: np.ndarray = field(repr=False)
 
     @classmethod
     def stack(cls, configs) -> "ContactBatch":
@@ -87,14 +94,16 @@ class ContactBatch:
             raise ValueError("batched interfaces must share one point_count")
         point_count = counts.pop()
 
-        def column(name):
-            values = np.array([getattr(c, name) for c in configs], dtype=float)
+        def column(values):
+            values = np.array(values, dtype=float)
             return np.repeat(values.reshape(-1, 1, 1), point_count, axis=-1)
 
         return cls(point_count=point_count,
-                   penalty_stiffness=column("penalty_stiffness"),
-                   regularization_velocity=column("regularization_velocity"),
-                   cof=column("cof"))
+                   neg_stiffness=column([-c.penalty_stiffness for c in configs]),
+                   regularization_velocity=column(
+                       [c.regularization_velocity for c in configs]),
+                   neg_cof=column([-c.cof for c in configs]),
+                   scratch=np.empty((len(configs), 1, point_count)))
 
 
 def contact_angles(cfg: ContactConfig) -> np.ndarray:
@@ -102,29 +111,30 @@ def contact_angles(cfg: ContactConfig) -> np.ndarray:
     return 2.0 * np.pi * np.arange(cfg.point_count) / cfg.point_count
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ContactState:
     """Per-point contact forces and their resultants on the rotor.
 
     Per-point arrays end in the contact-point axis (M); ``forces`` stacks
-    the normal and friction forces along it as [N | f] (2M).  Resultants
-    drop that axis, so a single interface gives scalars.
+    the normal and friction forces on a new leading axis as [N, f], shape
+    (2, ..., M).  Resultants drop the point axis, so a single interface
+    gives scalars.
     """
 
-    gap: np.ndarray = field(repr=False)            # m
-    forces: np.ndarray = field(repr=False)         # N: normal (>= 0), then friction
-    slip_velocity: np.ndarray = field(repr=False)  # m/s, rotor rim minus surface
-    radius: float                                  # m, lever arm of the friction
+    gap: np.ndarray            # m
+    forces: np.ndarray         # N: normal (>= 0), then friction
+    slip_velocity: np.ndarray  # m/s, rotor rim minus surface
+    radius: float              # m, lever arm of the friction
 
     @property
     def normal_force(self) -> np.ndarray:
         """Normal force on the rotor, >= 0."""
-        return self.forces[..., :self.gap.shape[-1]]
+        return self.forces[0]
 
     @property
     def friction_force(self) -> np.ndarray:
         """Tangential force on the rotor."""
-        return self.forces[..., self.gap.shape[-1]:]
+        return self.forces[1]
 
     @property
     def axial_force(self):
@@ -155,34 +165,40 @@ def evaluate_contact(gap, slip_velocity, geom: StatorGeometry,
     a ``ContactConfig``, or a ``ContactBatch`` for arrays of shape
     (B, 1, M).
 
-    The stacked forces [N | f] are written into ``out`` when it is given
-    (shape: the leading axes, then 2M), else into a new array.  The inputs
-    are not validated here, because the step loop calls this every step:
-    arrays without one entry per contact point fail to broadcast into the
-    force buffer.
+    The forces [N, f] are written into ``out`` when it is given (shape: 2,
+    then the shape of ``gap``), else into a new array.  The law is six
+    elementwise passes with no temporary: N = max(0, (-k) gap), which is
+    k max(0, -gap) exactly for k > 0, and f = (-mu N) tanh(s / v).  The
+    inputs are not validated here, because the step loop calls this every
+    step: arrays without one entry per contact point fail to broadcast into
+    the force buffer.
     """
-    m = cfg.point_count
-    forces = np.empty(np.shape(gap)[:-1] + (2 * m,)) if out is None else out
-    normal, friction = forces[..., :m], forces[..., m:]
-    np.negative(gap, out=normal)
+    if isinstance(cfg, ContactConfig):   # one interface: scalars, a block of its shape
+        cfg = ContactBatch(cfg.point_count, -cfg.penalty_stiffness,
+                           cfg.regularization_velocity, -cfg.cof,
+                           np.empty(np.shape(gap)))
+    forces = np.empty((2,) + np.shape(gap)) if out is None else out
+    normal, friction, scratch = forces[0], forces[1], cfg.scratch
+    np.multiply(cfg.neg_stiffness, gap, out=normal)
     np.maximum(0.0, normal, out=normal)
-    np.multiply(cfg.penalty_stiffness, normal, out=normal)
+    np.multiply(cfg.neg_cof, normal, out=scratch)
     np.divide(slip_velocity, cfg.regularization_velocity, out=friction)
     np.tanh(friction, out=friction)
-    np.multiply(-cfg.cof * normal, friction, out=friction)
+    np.multiply(scratch, friction, out=friction)
     return ContactState(gap=gap, forces=forces, slip_velocity=slip_velocity,
                         radius=geom.mean_radius)
 
 
 def reaction_operator(shape_w, shape_dtheta, geom: StatorGeometry) -> np.ndarray:
-    """The virtual-work projection of the interface forces, as one matrix.
+    """The virtual-work projection of the interface forces, one block per half.
 
     ``shape_w`` and ``shape_dtheta`` give each of J stator shapes'
     deflection and theta-derivative at the contact angles, one row per
-    shape.  The result G has shape (2M, J + 2) and maps the stacked forces
-    [N | f] to the generalized forces on the shapes, then the rotor's
-    axial force and torque.  The normal traction loads the deflection; the
-    tangential traction loads the slope through the tooth-tip offset:
+    shape.  The result [G_N, G_f] has shape (2, M, J + 2): G_N maps the
+    normal forces, and G_f the friction forces, to the generalized forces
+    on the shapes, then the rotor's axial force and torque.  The normal
+    traction loads the deflection; the tangential traction loads the slope
+    through the tooth-tip offset:
 
         Q_j = sum_i [ -N_i phi_j(theta_i) + f_i z_c phi_j'(theta_i) / R ]
         F_z = sum_i N_i,    T = R sum_i f_i
@@ -190,46 +206,37 @@ def reaction_operator(shape_w, shape_dtheta, geom: StatorGeometry) -> np.ndarray
     shape_w = np.atleast_2d(np.asarray(shape_w, dtype=float))
     shape_dtheta = np.atleast_2d(np.asarray(shape_dtheta, dtype=float))
     j, m = shape_w.shape
-    operator = np.zeros((2 * m, j + 2))
-    operator[:m, :j] = -shape_w.T
-    operator[m:, :j] = (geom.contact_offset / geom.mean_radius) * shape_dtheta.T
-    operator[:m, j] = 1.0
-    operator[m:, j + 1] = geom.mean_radius
+    operator = np.zeros((2, m, j + 2))
+    operator[0, :, :j] = -shape_w.T
+    operator[1, :, :j] = (geom.contact_offset / geom.mean_radius) * shape_dtheta.T
+    operator[0, :, j] = 1.0
+    operator[1, :, j + 1] = geom.mean_radius
     return operator
 
 
 def modal_reaction(state: ContactState, operator: np.ndarray, out=None) -> np.ndarray:
-    """Generalized contact forces: ``state.forces @ operator``.
+    """Generalized forces of the normal and of the friction forces, [Q_N, Q_f].
 
-    With ``operator`` from ``reaction_operator``, the result holds the
-    generalized forces on its J shapes, then the axial force and torque.
-    For forces of shape (B, 1, 2M) the product is one small matrix product
-    per row, so a row's result does not depend on the batch size.  The
-    result is written into ``out`` when it is given.
+    With ``operator`` = [G_N, G_f] from ``reaction_operator``, each half of
+    the forces is multiplied by its own block: the result, shape
+    (2, ..., J + 2), holds the generalized forces on the J shapes, then the
+    axial force and torque, of the normal forces and of the friction
+    forces.  Their sum over the first axis is the generalized contact
+    force; the transient forms it inside its propagator product.
+
+    For forces with batch axes, such as (2, B, 1, M), ``operator`` takes a
+    unit axis per batch axis after its first, (2, 1, M, J + 2), so that
+    each half of each row is one (1, M) @ (M, J + 2) product and a row's
+    result does not depend on the batch size.  The result is written into
+    ``out`` when it is given.
     """
-    return np.matmul(state.forces, operator, out=out)
-
-
-def power_balance(state: ContactState, surface_wdot, surface_vt,
-                  rotor_zdot, rotor_speed) -> dict:
-    """Bookkeeping of contact power flow.
-
-    The work rate on the rotor plus the work rate of the reactions on the
-    stator surface equals the penalty-spring storage rate plus the
-    friction dissipation Sum f_i s_i (<= 0); ``residual`` is the defect of
-    that identity.
-    """
-    wdot = np.asarray(surface_wdot, dtype=float)
-    vt = np.asarray(surface_vt, dtype=float)
-    normal, friction = state.normal_force, state.friction_force
-    p_rotor = state.axial_force * rotor_zdot + state.torque * rotor_speed
-    p_stator = -np.sum(normal * wdot + friction * vt, axis=-1)
-    p_penalty = np.sum(normal * (rotor_zdot - wdot), axis=-1)
-    p_friction = state.friction_power
-    return {
-        "rotor": p_rotor,
-        "stator": p_stator,
-        "penalty": p_penalty,
-        "friction": p_friction,
-        "residual": p_rotor + p_stator - p_penalty - p_friction,
-    }
+    forces = state.forces
+    if forces.ndim == 2:                 # one interface: each half is one row
+        halves = np.matmul(forces[:, None], operator)[:, 0]
+        if out is None:
+            return halves
+        out[...] = halves
+        return out
+    if operator.ndim != forces.ndim:
+        raise ValueError("operator needs a unit axis per batch axis of the forces")
+    return np.matmul(forces, operator, out=out)

@@ -14,16 +14,20 @@ accumulated alongside the states.
 
 ``simulate_batch`` runs B transients that share the stator and the step
 grid in one step loop.  Each run is one row of (B, 1, K) arrays; its state
-is [q_cos, q_sin, z, phi | q_cos', q_sin', z', omega].  A step is three
-small matrix products per row around the law: the kinematics map from
-the state to [gap | slip], the reactions, and a propagator that also
-folds in the midpoint drive and the reaction extrapolation.  The loop
-runs in chunks of up to one sample interval (and at most
-``_CHUNK_STEPS`` steps): a chunk evaluates the drive and the preload
-ramp at all its steps at once, and reduces the energy ledger's powers
-from its history of states, gaps, slips and forces.  Every operation
-acts on each row alone, so a row's results are bitwise the same
-whatever batch it runs in.  ``simulate`` is the batch of one.
+is [q_cos, q_sin, z, phi | q_cos', q_sin', z', omega].  A step is small
+matrix products per row around the law: the kinematics map from the state
+to the gap and the slip, the reactions of the normal and of the friction
+forces, and a propagator that adds those two and also folds in the
+midpoint drive and the reaction extrapolation.  The law's operands are
+laid out (2, B, 1, M), gap over slip and normal over friction force, so
+each of its elementwise passes runs over one contiguous block whatever B
+is.  The loop runs in chunks of up to one sample interval (and at most
+``_CHUNK_STEPS`` steps), step first in every buffer: a chunk evaluates
+the drive and the preload ramp at all its steps at once, and reduces the
+energy ledger's powers from its history of states, gaps, slips and
+forces.  Every operation acts on each row alone, so a row's results are
+bitwise the same whatever batch it runs in.  ``simulate`` is the batch of
+one.
 """
 
 from __future__ import annotations
@@ -143,15 +147,6 @@ class MotorTimeSeries:
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
-    @classmethod
-    def from_csv(cls, path, radius: float = 1.0) -> "MotorTimeSeries":
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        return cls(time=data[:, 0], surface_speed=data[:, 1],
-                   surface_displacement=data[:, 2], friction_probe=data[:, 3],
-                   torque=data[:, 4], axial_force=data[:, 5],
-                   wave_amplitude=data[:, 6], radius=radius,
-                   last_valid_time=float(data[-1, 0]))
-
 
 def _phase_matrices(omega, zeta, dt):
     """Exact one-step propagator of q'' + 2 zeta w q' + w^2 q = const."""
@@ -205,7 +200,9 @@ def _propagator(stator: StatorModel, rotor_cfg: RotorConfig, h: float) -> np.nda
     torque]: d is the drive at the step midpoint plus the external loads
     (minus the preload, minus the load torque), and the contact reactions
     r are extrapolated to the midpoint from this step's and the previous
-    step's evaluations, which keeps the coupling second order.
+    step's evaluations, which keeps the coupling second order.  r and
+    r_prev each come as the reactions of the normal and of the friction
+    forces, [r_N | r_f], which the map adds.
     """
     m, n = 4, 8       # positions [q_cos, q_sin, z, phi]; the state
     prop = np.zeros((n + m, n))
@@ -236,7 +233,7 @@ def _propagator(stator: StatorModel, rotor_cfg: RotorConfig, h: float) -> np.nda
     prop[tz, phi] = 0.5 * h * h / J
     prop[tz, om] = h / J
     forcing = prop[n:]
-    return np.vstack([prop, 1.5 * forcing, -0.5 * forcing])
+    return np.vstack([prop] + [1.5 * forcing] * 2 + [-0.5 * forcing] * 2)
 
 
 def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
@@ -267,21 +264,23 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
     n = 2 * m         # positions, then velocities, each laid out as above
     M = law.point_count
 
-    # mode shapes at the contact angles: their reaction operator maps the
-    # stacked forces [N | f] to [Q_cos, Q_sin, F_z, T]; its adjoint, with
-    # the rotor's z and R omega added, maps the state to the law's inputs
-    # [gap | slip] = [z - q . phi | R omega + (z_c / R) q' . phi']
+    # mode shapes at the contact angles: their reaction operator [G_N, G_f]
+    # maps the forces N and f each to [Q_cos, Q_sin, F_z, T]; its adjoint,
+    # with the rotor's z and R omega added, maps the state to the law's
+    # inputs [gap, slip] = [z - q . phi, R omega + (z_c / R) q' . phi'].
+    # Both carry a unit axis after the half axis, which broadcasts over the
+    # B rows, so every product is one small matrix product per half and row.
     theta = contact.contact_angles(contacts[0])
     amp, ndia = stator.pair.amp, stator.pair.nodal_diameters
     cos_n, sin_n = np.cos(ndia * theta), np.sin(ndia * theta)
     reaction = contact.reaction_operator(
         np.vstack([amp * cos_n, amp * sin_n]),
-        np.vstack([-amp * ndia * sin_n, amp * ndia * cos_n]), geom)
-    kin = np.zeros((n, 2 * M))
-    kin[:2, :M] = reaction[:M, :2].T
-    kin[2, :M] = 1.0
-    kin[m:m + 2, M:] = reaction[M:, :2].T
-    kin[n - 1, M:] = R
+        np.vstack([-amp * ndia * sin_n, amp * ndia * cos_n]), geom)[:, None]
+    kin = np.zeros((2, 1, n, M))
+    kin[0, 0, :2] = reaction[0, 0, :, :2].T
+    kin[0, 0, 2] = 1.0
+    kin[1, 0, m:m + 2] = reaction[1, 0, :, :2].T
+    kin[1, 0, n - 1] = R
     prop = np.stack([_propagator(stator, r, h) for r in rotors])
 
     def per_row(values):
@@ -311,20 +310,22 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
     def mech_energy(y, gap):
         pen = np.maximum(0.0, -gap)
         return 0.5 * (np.sum(stiffness * y * y, axis=-1)
-                      + np.sum(law.penalty_stiffness * pen * pen, axis=-1))
+                      + np.sum(-law.neg_stiffness * pen * pen, axis=-1))
 
     # A chunk holds the steps up to the next sample, at most _CHUNK_STEPS,
-    # so its histories stay small whatever the output interval.  Row j of X
-    # is step j's propagator input [state | d | r | r_prev]; G and F hold
-    # the step's [gap | slip] and forces [N | f] for the energy ledger.
-    # The views each step writes through are made once, not per step.
+    # so its histories stay small whatever the output interval.  X[j] is
+    # step j's propagator input [state | d | r | r_prev] for every row, r
+    # being [r_N | r_f], which modal_reaction writes through a (2, B, 1, m)
+    # view; G[j] and F[j] hold the step's [gap, slip] and forces [N, f],
+    # kept for the energy ledger.  The views each step uses are made once.
     chunk = min(steps_per_sample, _CHUNK_STEPS)
-    X = np.zeros((B, chunk + 1, 1, n + 3 * m))
-    G = np.empty((B, chunk, 1, 2 * M))
-    F = np.empty((B, chunk, 1, 2 * M))
-    step_views = [(X[:, j], X[:, j, :, :n], X[:, j, :, n + m:n + 2 * m],
-                   G[:, j], G[:, j, :, :M], G[:, j, :, M:], F[:, j],
-                   X[:, j + 1, :, :n], X[:, j + 1, :, n + 2 * m:])
+    X = np.zeros((chunk + 1, B, 1, n + 5 * m))
+    G = np.empty((chunk, 2, B, 1, M))
+    F = np.empty((chunk, 2, B, 1, M))
+    step_views = [(X[j], X[j, ..., :n], X[j, ..., n + m:n + 3 * m],
+                   X[j, ..., n + m:n + 3 * m].reshape(B, 1, 2, m).transpose(2, 0, 1, 3),
+                   G[j], G[j, 0], G[j, 1], F[j],
+                   X[j + 1, ..., :n], X[j + 1, ..., n + 3 * m:])
                   for j in range(chunk)]
     out = np.zeros((B, n_samples, 7))
     alive = np.ones(B, dtype=bool)
@@ -346,26 +347,27 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
             drive[:, 2] = -np.where(t < ramp, preload * t / ramp_divisor,
                                     preload)[:, None]
             drive[:, 3] = -load_torque
-            X[:, :count, 0, n:n + m] = drive[:, :, 1].transpose(0, 2, 1)
+            X[:count, :, 0, n:n + m] = drive[:, :, 1].transpose(2, 0, 1)
             at_sample = k % steps_per_sample == 0
 
             for j in range(count):
-                x, y, r, g, gap, slip, f, y_next, r_next = step_views[j]
+                x, y, r, halves, g, gap, slip, f, y_next, r_next = step_views[j]
                 np.matmul(y, kin, out=g)
                 state = contact.evaluate_contact(gap, slip, geom, law, out=f)
-                contact.modal_reaction(state, reaction, out=r)
+                contact.modal_reaction(state, reaction, out=halves)
                 if j == 0 and at_sample:
                     now = y[:, 0]
                     alive &= np.isfinite(now).all(axis=-1) & np.isfinite(r[:, 0]).all(axis=-1)
                     if not alive.any():
                         break
+                    total = halves[0, :, 0] + halves[1, :, 0]
                     row = out[:, sample]
                     row[:, 0] = k * h
                     row[:, 1] = R * now[:, n - 1]
                     row[:, 2] = R * now[:, 3]
-                    row[:, 3] = f[:, 0, M]
-                    row[:, 4] = r[:, 0, 3]
-                    row[:, 5] = r[:, 0, 2]
+                    row[:, 3] = f[1, :, 0, 0]
+                    row[:, 4] = total[:, 3]
+                    row[:, 5] = total[:, 2]
                     row[:, 6] = amp * np.hypot(now[:, 0], now[:, 1])
                     sample += 1
                     n_valid[alive] = sample
@@ -377,21 +379,23 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
                 break
 
             # the ledger's powers at each evaluation, time along the last axis
-            vel = X[:, :count, 0, m:n].transpose(0, 2, 1)
+            vel = X[:count, :, 0, m:n].transpose(1, 2, 0)
             p_in = np.multiply(drive[:, :, 0], vel, out=np.empty((B, m, count)))
             p_damp = np.multiply(damping, vel, out=np.empty((B, m, count)))
             p_damp *= vel
-            p_fric = np.add.reduce(F[:, :count, 0, M:] * G[:, :count, 0, M:],
-                                   axis=-1)[:, None]
+            fs = np.multiply(F[:count, 1, :, 0].transpose(1, 0, 2),
+                             G[:count, 1, :, 0].transpose(1, 0, 2),
+                             out=np.empty((B, count, M)))
+            p_fric = np.add.reduce(fs, axis=-1)[:, None]
             powers = (p_in, p_damp, p_fric)
             acc = [a + np.add.reduce(p, axis=-1) for a, p in zip(acc, powers)]
             if k == 0:
                 first = [p[..., 0] for p in powers]
-                energy_initial = mech_energy(X[:, 0, :, :n], G[:, 0, :, :M])
+                energy_initial = mech_energy(X[0, ..., :n], G[0, 0])
             if T == 0:
-                energy_final = mech_energy(X[:, 0, :, :n], G[:, 0, :, :M])
+                energy_final = mech_energy(X[0, ..., :n], G[0, 0])
                 break
-            X[:, 0] = X[:, T]
+            X[0] = X[T]
             k += T
 
     if alive.any():   # the loop ran to the end: trapezoidal work integrals

@@ -2,7 +2,8 @@
 
 The friction-cone and sign properties are exercised with randomized
 surface states via hypothesis; the resultants and modal projections are
-checked against brute-force summation.
+checked against brute-force summation, and the law against the eight-pass
+sequence it replaced.
 """
 
 import math
@@ -18,7 +19,6 @@ from twmotor.contact import (
     contact_angles,
     evaluate_contact,
     modal_reaction,
-    power_balance,
     reaction_operator,
 )
 from twmotor.stator import StatorGeometry
@@ -27,6 +27,30 @@ GEOM = StatorGeometry(mean_radius=0.0125, section_width=0.005,
                       section_thickness=0.0025, tooth_height=0.001,
                       drive_nodal_diameters=4)
 R = GEOM.mean_radius
+
+
+def power_balance(state, surface_wdot, surface_vt, rotor_zdot, rotor_speed) -> dict:
+    """Bookkeeping of contact power flow.
+
+    The work rate on the rotor plus the work rate of the reactions on the
+    stator surface equals the penalty-spring storage rate plus the
+    friction dissipation Sum f_i s_i (<= 0); ``residual`` is the defect of
+    that identity.
+    """
+    wdot = np.asarray(surface_wdot, dtype=float)
+    vt = np.asarray(surface_vt, dtype=float)
+    normal, friction = state.forces
+    p_rotor = state.axial_force * rotor_zdot + state.torque * rotor_speed
+    p_stator = -np.sum(normal * wdot + friction * vt, axis=-1)
+    p_penalty = np.sum(normal * (rotor_zdot - wdot), axis=-1)
+    p_friction = state.friction_power
+    return {
+        "rotor": p_rotor,
+        "stator": p_stator,
+        "penalty": p_penalty,
+        "friction": p_friction,
+        "residual": p_rotor + p_stator - p_penalty - p_friction,
+    }
 
 
 def random_state(rng, cfg):
@@ -139,7 +163,8 @@ class TestModalReaction:
         state = evaluate_contact(z - w, R * speed - vt, GEOM, cfg)
         shape_w = np.vstack([np.cos(4 * theta), np.sin(4 * theta)])
         shape_d = np.vstack([-4 * np.sin(4 * theta), 4 * np.cos(4 * theta)])
-        q = modal_reaction(state, reaction_operator(shape_w, shape_d, GEOM))
+        operator = reaction_operator(shape_w, shape_d, GEOM)
+        q = modal_reaction(state, operator).sum(axis=0)
         zc_R = GEOM.contact_offset / GEOM.mean_radius
         for j in range(2):
             brute = sum(-state.normal_force[i] * shape_w[j, i]
@@ -159,7 +184,8 @@ class TestModalReaction:
                                  GEOM, cfg)
         shape_w = np.vstack([np.cos(4 * theta), np.sin(4 * theta)])
         shape_d = np.vstack([-4 * np.sin(4 * theta), 4 * np.cos(4 * theta)])
-        q = modal_reaction(state, reaction_operator(shape_w, shape_d, GEOM))
+        operator = reaction_operator(shape_w, shape_d, GEOM)
+        q = modal_reaction(state, operator).sum(axis=0)
         np.testing.assert_allclose(q[:2], 0.0, atol=1e-9)
 
 
@@ -173,11 +199,11 @@ class TestStepLoopForm:
         theta = contact_angles(cfg)
         operator = reaction_operator(np.cos(4 * theta), -4 * np.sin(4 * theta), GEOM)
         fresh = evaluate_contact(z - w, R * speed - vt, GEOM, cfg)
-        forces = np.full(2 * cfg.point_count, np.nan)
+        forces = np.full((2, cfg.point_count), np.nan)
         state = evaluate_contact(z - w, R * speed - vt, GEOM, cfg, out=forces)
         assert state.forces is forces
         assert np.array_equal(forces, fresh.forces)
-        reaction = np.full(3, np.nan)
+        reaction = np.full((2, 3), np.nan)
         assert modal_reaction(state, operator, out=reaction) is reaction
         assert np.array_equal(reaction, modal_reaction(fresh, operator))
 
@@ -191,10 +217,59 @@ class TestStepLoopForm:
         gap = np.stack([z - w for w, _, z, _ in states])[:, None]
         slip = np.stack([R * speed - vt for _, vt, _, speed in states])[:, None]
         batch = evaluate_contact(gap, slip, GEOM, law)
-        assert batch.forces.shape == (2, 1, 2 * law.point_count)
+        assert batch.forces.shape == (2, 2, 1, law.point_count)
         for b, cfg in enumerate(configs):
             single = evaluate_contact(gap[b, 0], slip[b, 0], GEOM, cfg)
-            assert np.array_equal(batch.forces[b, 0], single.forces)
+            assert np.array_equal(batch.forces[:, b, 0], single.forces)
+
+
+def eight_pass_law(gap, slip, cfg):
+    """The law in the eight passes it took before the six-pass form."""
+    normal = np.negative(gap)
+    np.maximum(0.0, normal, out=normal)
+    np.multiply(cfg.penalty_stiffness, normal, out=normal)
+    friction = np.divide(slip, cfg.regularization_velocity)
+    np.tanh(friction, out=friction)
+    np.multiply(-cfg.cof * normal, friction, out=friction)
+    return np.stack([normal, friction])
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestSixPassLaw:
+    """N = max(0, (-k) gap) equals k max(0, -gap) exactly for k > 0, and
+    f = (-mu N) tanh(s / v) keeps the old product order: bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           stiffness=st.floats(1e3, 1e9), velocity=st.floats(1e-5, 1e-1),
+           cof=st.floats(0.0, 1.5), zeros=st.booleans())
+    def test_matches_the_eight_pass_sequence(self, seed, stiffness, velocity, cof, zeros):
+        rng = np.random.default_rng(seed)
+        cfg = ContactConfig(penalty_stiffness=stiffness,
+                            regularization_velocity=velocity, cof=cof)
+        gap = rng.normal(0.0, 3e-6, cfg.point_count)
+        slip = rng.normal(0.0, 20 * velocity, cfg.point_count)
+        if zeros:   # exact contact and exact stick, both signs of zero
+            gap[::4], gap[1::4], slip[::3] = 0.0, -0.0, 0.0
+        state = evaluate_contact(gap, slip, GEOM, cfg)
+        assert same_bits(state.forces, eight_pass_law(gap, slip, cfg))
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 12))
+    def test_batched_rows_match_the_eight_pass_sequence(self, seed, rows):
+        rng = np.random.default_rng(seed)
+        configs = [ContactConfig(penalty_stiffness=rng.uniform(1e4, 1e7),
+                                 regularization_velocity=rng.uniform(1e-4, 1e-2),
+                                 cof=rng.uniform(0.0, 1.0)) for _ in range(rows)]
+        law = ContactBatch.stack(configs)
+        gap = rng.normal(0.0, 3e-6, (rows, 1, law.point_count))
+        slip = rng.normal(0.0, 0.05, (rows, 1, law.point_count))
+        forces = evaluate_contact(gap, slip, GEOM, law).forces
+        for b, cfg in enumerate(configs):
+            assert same_bits(forces[:, b, 0], eight_pass_law(gap[b, 0], slip[b, 0], cfg))
 
 
 class TestPowerBalance:

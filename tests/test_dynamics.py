@@ -212,6 +212,33 @@ class TestSimulateBatch:
                                                    duration=self.DURATION)
         assert len(calls) == (n_samples - 1) * steps_per_sample + 1
 
+    def test_law_operands_are_contiguous_blocks(self, stator_model, monkeypatch):
+        """At B > 1 every operand of the law, and its output, is one
+        C-contiguous block across the batch: no strided elementwise pass."""
+        law = contact.evaluate_contact
+        seen = []
+
+        def checking(gap, slip_velocity, geom, cfg, out=None):
+            blocks = (gap, slip_velocity, out, out[0], out[1], cfg.neg_stiffness,
+                      cfg.regularization_velocity, cfg.neg_cof, cfg.scratch)
+            seen.append(all(b.flags.c_contiguous for b in blocks))
+            assert gap.shape == out.shape[1:] == (3, 1, cfg.point_count)
+            return law(gap, slip_velocity, geom, cfg, out=out)
+
+        monkeypatch.setattr(contact, "evaluate_contact", checking)
+        configs = [RunConfig().override(contact={"cof": c}) for c in (0.3, 0.4, 0.5)]
+        simulate_batch(stator_model, self.rows(configs), duration=2e-5)
+        assert seen and all(seen)
+
+    def test_twelve_rows_match_solo_runs(self, stator_model):
+        configs = [RunConfig().override(contact={"cof": 0.05 + 0.04 * i},
+                                        rotor={"preload": 30.0 + 15.0 * (i % 5)})
+                   for i in range(12)]
+        batch = simulate_batch(stator_model, self.rows(configs), duration=self.DURATION)
+        for cfg, row in zip(configs, batch):
+            assert not row.diverged
+            assert_same_run(row, self.solo(stator_model, cfg))
+
 
 class TestChunkEdges:
     """The step loop runs in chunks of at most one sample interval and at
@@ -262,10 +289,11 @@ class TestTimeSeriesCsv:
         series = run_short(stator_model, short_cfg())
         path = tmp_path / "ts.csv"
         series.to_csv(path)
-        again = MotorTimeSeries.from_csv(path, radius=series.radius)
-        np.testing.assert_array_equal(again.time, series.time)
-        np.testing.assert_array_equal(again.torque, series.torque)
-        np.testing.assert_array_equal(again.surface_speed, series.surface_speed)
+        time, speed, _, _, torque, _, _ = np.loadtxt(path, delimiter=",", skiprows=1,
+                                                     ndmin=2, unpack=True)
+        np.testing.assert_array_equal(time, series.time)
+        np.testing.assert_array_equal(torque, series.torque)
+        np.testing.assert_array_equal(speed, series.surface_speed)
 
     def test_header(self, stator_model, tmp_path):
         series = run_short(stator_model, short_cfg())

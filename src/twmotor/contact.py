@@ -224,11 +224,11 @@ def modal_reaction(state: ContactState, operator: np.ndarray, out=None) -> np.nd
     forces.  Their sum over the first axis is the generalized contact
     force; the transient forms it inside its propagator product.
 
-    For forces with batch axes, such as (2, B, 1, M), ``operator`` takes a
-    unit axis per batch axis after its first, (2, 1, M, J + 2), so that
-    each half of each row is one (1, M) @ (M, J + 2) product and a row's
-    result does not depend on the batch size.  The result is written into
-    ``out`` when it is given.
+    Forces with batch axes in front of a row axis, such as (2, B, 1, M),
+    take the operator with one unit axis per batch axis, (2, 1, M, J + 2):
+    each half of each row is then one (1, M) @ (M, J + 2) product, so a
+    row's result does not depend on the batch size.  The result is written
+    into ``out`` when it is given.
     """
     forces = state.forces
     if forces.ndim == 2:                 # one interface: each half is one row

@@ -383,10 +383,10 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
             p_in = np.multiply(drive[:, :, 0], vel, out=np.empty((B, m, count)))
             p_damp = np.multiply(damping, vel, out=np.empty((B, m, count)))
             p_damp *= vel
-            fs = np.multiply(F[:count, 1, :, 0].transpose(1, 0, 2),
-                             G[:count, 1, :, 0].transpose(1, 0, 2),
-                             out=np.empty((B, count, M)))
-            p_fric = np.add.reduce(fs, axis=-1)[:, None]
+            p_fric = np.add.reduce(np.multiply(F[:count, 1, :, 0].transpose(1, 0, 2),
+                                               G[:count, 1, :, 0].transpose(1, 0, 2),
+                                               out=np.empty((B, count, M))),
+                                   axis=-1)[:, None]
             powers = (p_in, p_damp, p_fric)
             acc = [a + np.add.reduce(p, axis=-1) for a, p in zip(acc, powers)]
             if k == 0:

@@ -222,6 +222,26 @@ class TestStepLoopForm:
             single = evaluate_contact(gap[b, 0], slip[b, 0], GEOM, cfg)
             assert np.array_equal(batch.forces[:, b, 0], single.forces)
 
+    def test_batch_reactions_match_single_interfaces(self):
+        """Forces with batch axes take the operator with a unit axis per batch
+        axis; each row's reactions are then its interface's alone."""
+        rng = np.random.default_rng(13)
+        cfg = ContactConfig()
+        theta = contact_angles(cfg)
+        operator = reaction_operator(
+            np.vstack([np.cos(4 * theta), np.sin(4 * theta)]),
+            np.vstack([-4 * np.sin(4 * theta), 4 * np.cos(4 * theta)]), GEOM)
+        states = [random_state(rng, cfg) for _ in range(2)]
+        gap = np.stack([z - w for w, _, z, _ in states])[:, None]
+        slip = np.stack([R * speed - vt for _, vt, _, speed in states])[:, None]
+        batch = evaluate_contact(gap, slip, GEOM, ContactBatch.stack([cfg, cfg]))
+        halves = modal_reaction(batch, operator[:, None])
+        for b in range(2):
+            single = evaluate_contact(gap[b, 0], slip[b, 0], GEOM, cfg)
+            assert np.array_equal(halves[:, b, 0], modal_reaction(single, operator))
+        with pytest.raises(ValueError, match="unit axis"):
+            modal_reaction(batch, operator)
+
 
 def eight_pass_law(gap, slip, cfg):
     """The law in the eight passes it took before the six-pass form."""

@@ -6,7 +6,7 @@ areal surface-roughness metrology.
 """
 
 from .config import RunConfig, load_config
-from .contact import ContactConfig, ContactState, evaluate_contact, modal_reaction
+from .contact import ContactConfig, evaluate_contact, modal_reaction
 from .dynamics import (MotorTimeSeries, RotorConfig, detect_steady_state,
                        envelope_average, mean_speed, simulate, simulate_batch)
 from .materials import builtin_library, lookup, validate_piezo

@@ -54,8 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="parametric sweep")
     add_common(p)
     p.add_argument("--preset", choices=sweep.PRESET_NAMES)
-    p.add_argument("--param", choices=("preload_N", "preload_g", "cof",
-                                       "voltage", "frequency"))
+    p.add_argument("--param", choices=sweep.PARAMETER_UNITS)
     p.add_argument("--values", help="grid as start:stop:step (inclusive)")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes; each lockstep batch of rows is split "
@@ -189,8 +188,7 @@ def _cmd_sweep(args) -> int:
     (out_dir / "peak.json").write_text(text)
     print(text, end="")
     if args.plot:
-        unit = {"preload_N": "N", "preload_g": "g", "cof": "-", "voltage": "V",
-                "frequency": "Hz"}[spec.parameter]
+        unit = sweep.PARAMETER_UNITS[spec.parameter]
         svg = svg_line_chart(curve.column("param"),
                              {"torque": curve.column("torque")},
                              xlabel=f"{spec.parameter} [{unit}]",

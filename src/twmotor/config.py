@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .contact import ContactConfig
 from .dynamics import RotorConfig
@@ -67,9 +67,6 @@ class RunConfig:
             raise ConfigError("damping_ratio must be > 0")
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {self.schema_version}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":

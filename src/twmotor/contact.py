@@ -9,12 +9,12 @@ is defined on those two per-point quantities, gap and slip: the caller
 forms them from the stator and rotor motion (the transient does so with
 one kinematics product per step).
 
-This module is the one implementation of the law: the transient step loop
-calls ``evaluate_contact`` and ``modal_reaction`` once per step, both
-writing into the loop's buffers through ``out``.  Both take any leading
-batch axes in front of the contact-point axis, so B interfaces advance
-together; a ``ContactBatch`` carries one parameter row per interface.
-The forces are stacked on a new leading axis, [N, f], and so are their
+This module is the one implementation of the law, with one call form: the
+transient step loop calls ``evaluate_contact`` and ``modal_reaction`` once
+per step, both writing into the loop's buffers through ``out``.  Both take
+B interfaces as (B, 1, M) rows, and a ``ContactBatch`` carries one
+parameter row per interface; a single interface is a batch of one.  The
+forces are stacked on a new leading axis, [N, f], and so are their
 generalized forces [Q_N, Q_f].  So at any batch size the normal forces of
 all interfaces form one contiguous block, and the friction forces another,
 and each of the law's six elementwise passes runs over one block of
@@ -32,7 +32,6 @@ from .stator import StatorGeometry
 __all__ = [
     "ContactConfig",
     "ContactBatch",
-    "ContactState",
     "contact_angles",
     "evaluate_contact",
     "reaction_operator",
@@ -111,82 +110,33 @@ def contact_angles(cfg: ContactConfig) -> np.ndarray:
     return 2.0 * np.pi * np.arange(cfg.point_count) / cfg.point_count
 
 
-@dataclass(slots=True)
-class ContactState:
-    """Per-point contact forces and their resultants on the rotor.
-
-    Per-point arrays end in the contact-point axis (M); ``forces`` stacks
-    the normal and friction forces on a new leading axis as [N, f], shape
-    (2, ..., M).  Resultants drop the point axis, so a single interface
-    gives scalars.
-    """
-
-    gap: np.ndarray            # m
-    forces: np.ndarray         # N: normal (>= 0), then friction
-    slip_velocity: np.ndarray  # m/s, rotor rim minus surface
-    radius: float              # m, lever arm of the friction
-
-    @property
-    def normal_force(self) -> np.ndarray:
-        """Normal force on the rotor, >= 0."""
-        return self.forces[0]
-
-    @property
-    def friction_force(self) -> np.ndarray:
-        """Tangential force on the rotor."""
-        return self.forces[1]
-
-    @property
-    def axial_force(self):
-        """Sum of the normal forces, N."""
-        return np.sum(self.normal_force, axis=-1)
-
-    @property
-    def torque(self):
-        """Friction torque about the spin axis, N*m."""
-        return self.radius * np.sum(self.friction_force, axis=-1)
-
-    @property
-    def friction_power(self):
-        """Sum f_i * s_i; non-positive (friction dissipates)."""
-        return np.sum(self.friction_force * self.slip_velocity, axis=-1)
-
-
-def evaluate_contact(gap, slip_velocity, geom: StatorGeometry,
-                     cfg: ContactConfig | ContactBatch, out=None) -> ContactState:
-    """Evaluate the interface law at every contact point.
+def evaluate_contact(gap, slip_velocity, law: ContactBatch, out=None) -> np.ndarray:
+    """Evaluate the interface law at every contact point; return the forces [N, f].
 
     ``gap`` is the rotor plane's height above the stator surface, negative
     where they overlap, and ``slip_velocity`` is the rotor rim velocity
-    minus the tangential surface velocity.  Both are sampled at
-    ``contact_angles(cfg)``, with any leading batch axes.  For a rotor at
-    height z spinning at omega over a surface with deflection w and
-    tangential velocity v_t, they are z - w and R*omega - v_t.  ``cfg`` is
-    a ``ContactConfig``, or a ``ContactBatch`` for arrays of shape
-    (B, 1, M).
+    minus the tangential surface velocity.  Both are (B, 1, M) arrays, one
+    row per interface of ``law``, sampled at ``contact_angles``.  For a
+    rotor at height z spinning at omega over a surface with deflection w and
+    tangential velocity v_t, they are z - w and R*omega - v_t.  A single
+    interface is the batch ``ContactBatch.stack([cfg])``.
 
-    The forces [N, f] are written into ``out`` when it is given (shape: 2,
-    then the shape of ``gap``), else into a new array.  The law is six
-    elementwise passes with no temporary: N = max(0, (-k) gap), which is
-    k max(0, -gap) exactly for k > 0, and f = (-mu N) tanh(s / v).  The
-    inputs are not validated here, because the step loop calls this every
-    step: arrays without one entry per contact point fail to broadcast into
-    the force buffer.
+    The forces, shape (2, B, 1, M), are written into ``out`` when it is
+    given, else into a new array.  The law is six elementwise passes with
+    no temporary: N = max(0, (-k) gap), which is k max(0, -gap) exactly for
+    k > 0, and f = (-mu N) tanh(s / v).  The inputs are not validated here,
+    because the step loop calls this every step: arrays without one entry
+    per contact point fail to broadcast into the force buffer.
     """
-    if isinstance(cfg, ContactConfig):   # one interface: scalars, a block of its shape
-        cfg = ContactBatch(cfg.point_count, -cfg.penalty_stiffness,
-                           cfg.regularization_velocity, -cfg.cof,
-                           np.empty(np.shape(gap)))
     forces = np.empty((2,) + np.shape(gap)) if out is None else out
-    normal, friction, scratch = forces[0], forces[1], cfg.scratch
-    np.multiply(cfg.neg_stiffness, gap, out=normal)
+    normal, friction, scratch = forces[0], forces[1], law.scratch
+    np.multiply(law.neg_stiffness, gap, out=normal)
     np.maximum(0.0, normal, out=normal)
-    np.multiply(cfg.neg_cof, normal, out=scratch)
-    np.divide(slip_velocity, cfg.regularization_velocity, out=friction)
+    np.multiply(law.neg_cof, normal, out=scratch)
+    np.divide(slip_velocity, law.regularization_velocity, out=friction)
     np.tanh(friction, out=friction)
     np.multiply(scratch, friction, out=friction)
-    return ContactState(gap=gap, forces=forces, slip_velocity=slip_velocity,
-                        radius=geom.mean_radius)
+    return forces
 
 
 def reaction_operator(shape_w, shape_dtheta, geom: StatorGeometry) -> np.ndarray:
@@ -214,29 +164,22 @@ def reaction_operator(shape_w, shape_dtheta, geom: StatorGeometry) -> np.ndarray
     return operator
 
 
-def modal_reaction(state: ContactState, operator: np.ndarray, out=None) -> np.ndarray:
+def modal_reaction(forces: np.ndarray, operator: np.ndarray, out=None) -> np.ndarray:
     """Generalized forces of the normal and of the friction forces, [Q_N, Q_f].
 
     With ``operator`` = [G_N, G_f] from ``reaction_operator``, each half of
     the forces is multiplied by its own block: the result, shape
-    (2, ..., J + 2), holds the generalized forces on the J shapes, then the
+    (2, B, 1, J + 2), holds the generalized forces on the J shapes, then the
     axial force and torque, of the normal forces and of the friction
     forces.  Their sum over the first axis is the generalized contact
     force; the transient forms it inside its propagator product.
 
-    Forces with batch axes in front of a row axis, such as (2, B, 1, M),
-    take the operator with one unit axis per batch axis, (2, 1, M, J + 2):
-    each half of each row is then one (1, M) @ (M, J + 2) product, so a
-    row's result does not depend on the batch size.  The result is written
-    into ``out`` when it is given.
+    The forces (2, B, 1, M) take the operator with a unit batch axis,
+    ``operator[:, None]`` of shape (2, 1, M, J + 2): each half of each row
+    is then one (1, M) @ (M, J + 2) product, so a row's result does not
+    depend on the batch size.  The result is written into ``out`` when it
+    is given.
     """
-    forces = state.forces
-    if forces.ndim == 2:                 # one interface: each half is one row
-        halves = np.matmul(forces[:, None], operator)[:, 0]
-        if out is None:
-            return halves
-        out[...] = halves
-        return out
     if operator.ndim != forces.ndim:
         raise ValueError("operator needs a unit axis per batch axis of the forces")
     return np.matmul(forces, operator, out=out)

@@ -60,6 +60,10 @@ CSV_HEADER = "t,s_speed,surf_disp,fric_probe,torque,fz,wave_amp"
 
 _CHUNK_STEPS = 1024   # most steps one chunk of the step loop holds
 
+SETTLE_WINDOW = 2.5e-4    # s, length of the windows detect_steady_state compares
+SETTLE_TOLERANCE = 0.02   # relative difference of window means that counts as settled
+SPIKE_FACTOR = 5.0        # MADs from the median beyond which an envelope point is dropped
+
 
 class SimulationDiverged(RuntimeError):
     """Raised by callers when a run produced non-finite states."""
@@ -353,8 +357,8 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
             for j in range(count):
                 x, y, r, halves, g, gap, slip, f, y_next, r_next = step_views[j]
                 np.matmul(y, kin, out=g)
-                state = contact.evaluate_contact(gap, slip, geom, law, out=f)
-                contact.modal_reaction(state, reaction, out=halves)
+                contact.evaluate_contact(gap, slip, law, out=f)
+                contact.modal_reaction(f, reaction, out=halves)
                 if j == 0 and at_sample:
                     now = y[:, 0]
                     alive &= np.isfinite(now).all(axis=-1) & np.isfinite(r[:, 0]).all(axis=-1)
@@ -441,15 +445,15 @@ class SteadyState:
     settled: bool
 
 
-def detect_steady_state(series: MotorTimeSeries, window: float = 2.5e-4,
-                        tolerance: float = 0.02,
+def detect_steady_state(series: MotorTimeSeries,
                         signal: str = "wave_amplitude") -> SteadyState:
     """Earliest time where consecutive window means of a probe signal agree.
 
-    Non-overlapping windows of the given length are compared pairwise; the
-    first pair whose means differ by less than ``tolerance`` (relative)
-    marks settling at the shared window boundary.  A series that never
-    meets the tolerance returns its end time with ``settled=False``.
+    Non-overlapping windows of ``SETTLE_WINDOW`` seconds are compared
+    pairwise; the first pair whose means differ by at most
+    ``SETTLE_TOLERANCE`` (relative) marks settling at the shared window
+    boundary.  A series that never meets the tolerance returns its end time
+    with ``settled=False``.
 
     The default probe is the flexural wave amplitude: the stator vibration
     envelope is what reaches a repeatable level once the drive and contact
@@ -461,28 +465,26 @@ def detect_steady_state(series: MotorTimeSeries, window: float = 2.5e-4,
     if signal not in ("wave_amplitude", "surface_speed", "torque", "axial_force"):
         raise ValueError(f"unknown steady-state signal {signal!r}")
     interval = series.time[1] - series.time[0]
-    wlen = max(1, int(round(window / interval)))
-    speed = getattr(series, signal)
-    n_windows = len(speed) // wlen
+    wlen = max(1, int(round(SETTLE_WINDOW / interval)))
+    probe = getattr(series, signal)
+    n_windows = len(probe) // wlen
     if n_windows < 2:
         raise ValueError("series shorter than two windows")
-    means = np.array([np.mean(speed[j * wlen:(j + 1) * wlen])
-                      for j in range(n_windows)])
+    means = probe[:n_windows * wlen].reshape(n_windows, wlen).mean(axis=1)
     for j in range(n_windows - 1):
         m1, m2 = means[j], means[j + 1]
         denom = max(abs(m1), abs(m2))
-        if abs(m2 - m1) <= tolerance * denom:
+        if abs(m2 - m1) <= SETTLE_TOLERANCE * denom:
             return SteadyState(t=float(series.time[0] + (j + 1) * wlen * interval),
                                settled=True)
     return SteadyState(t=float(series.time[-1]), settled=False)
 
 
-def envelope_average(series: MotorTimeSeries, t_ss: float, period: float,
-                     spike_factor: float = 5.0) -> float:
+def envelope_average(series: MotorTimeSeries, t_ss: float, period: float) -> float:
     """Mean upper envelope of the oscillating torque after steady state.
 
     The upper envelope is the per-window maximum over consecutive windows
-    of one drive period; envelope points farther than ``spike_factor``
+    of one drive period; envelope points farther than ``SPIKE_FACTOR``
     median-absolute-deviations from the envelope median are discarded
     before averaging.
     """
@@ -493,8 +495,7 @@ def envelope_average(series: MotorTimeSeries, t_ss: float, period: float,
     interval = series.time[1] - series.time[0]
     wlen = max(1, int(round(period / interval)))
     n_windows = len(torque) // wlen
-    envelope = np.array([np.max(torque[j * wlen:(j + 1) * wlen])
-                         for j in range(n_windows)])
+    envelope = torque[:n_windows * wlen].reshape(n_windows, wlen).max(axis=1)
     if len(envelope) < 5:
         raise ValueError(
             f"only {len(envelope)} envelope points after t_ss; need at least 5"
@@ -502,7 +503,7 @@ def envelope_average(series: MotorTimeSeries, t_ss: float, period: float,
     med = np.median(envelope)
     mad = np.median(np.abs(envelope - med))
     mad = max(mad, 1e-12 * abs(med))
-    keep = np.abs(envelope - med) <= spike_factor * mad
+    keep = np.abs(envelope - med) <= SPIKE_FACTOR * mad
     return float(np.mean(envelope[keep]))
 
 

@@ -10,7 +10,6 @@ All values are SI.  Voigt component order is (11, 22, 33, 23, 13, 12).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,21 +177,13 @@ def lookup(name: str) -> IsotropicMaterial | PiezoMaterial:
         raise KeyError(f"unknown material {name!r}; catalog has: {known}") from None
 
 
-def load_material(source) -> IsotropicMaterial | PiezoMaterial:
-    """Build a material from a JSON file path or an already-parsed dict.
+def load_material(data) -> IsotropicMaterial | PiezoMaterial:
+    """Build a material from an already-parsed mapping, such as a config entry.
 
     Isotropic entries carry ``poisson_ratio`` and ``youngs_modulus``; piezo
     entries carry ``elasticity`` (36 numbers row-major), ``coupling`` (18)
     and ``relative_permittivity`` (9).
     """
-    if isinstance(source, (str, bytes)) or hasattr(source, "read"):
-        if hasattr(source, "read"):
-            data = json.load(source)
-        else:
-            with open(source) as fh:
-                data = json.load(fh)
-    else:
-        data = dict(source)
     name = data["name"]
     density = float(data["density"])
     if "elasticity" in data:

@@ -49,16 +49,15 @@ def build_stator(config: RunConfig) -> stator.StatorModel:
     forcing = stator.piezo_modal_force(pair, geom, piezo, voltage=1.0,
                                        piezo_offset=config.piezo_offset)
     return stator.StatorModel(
-        geometry=geom, mesh=mesh, system=system, modes=modes, pair=pair,
-        forcing_per_volt=forcing, damping_ratio=config.damping_ratio,
+        geometry=geom, modes=modes, pair=pair, forcing_per_volt=forcing,
+        damping_ratio=config.damping_ratio,
     )
 
 
 def ideal_speed(config: RunConfig, model: stator.StatorModel) -> float | None:
     """No-slip speed bound of the steady drive wave; None if not a pure wave."""
     force = model.forcing_per_volt * config.drive.voltage
-    sol = wave.steady_wave_response(model.pair, force, force, config.drive,
-                                    config.damping_ratio)
+    sol = wave.steady_wave_response(model.pair, force, config.drive, config.damping_ratio)
     try:
         return wave.ideal_no_slip_speed(sol, model.geometry)
     except ValueError:

@@ -299,8 +299,6 @@ class StatorModel:
     """
 
     geometry: StatorGeometry
-    mesh: RingMesh
-    system: SystemMatrices = field(repr=False)
     modes: ModeSet = field(repr=False)
     pair: ModePair
     forcing_per_volt: float     # N per volt on each shape of the pair

@@ -29,6 +29,7 @@ __all__ = [
     "SweepRow",
     "SweepCurve",
     "PeakReport",
+    "PARAMETER_UNITS",
     "PRESET_NAMES",
     "grams_to_newtons",
     "make_preset",
@@ -38,7 +39,9 @@ __all__ = [
 
 STANDARD_GRAVITY = 9.80665  # m/s^2
 
-_PARAMETERS = ("preload_N", "preload_g", "cof", "voltage", "frequency")
+# The sweepable parameters and their units.
+PARAMETER_UNITS = {"preload_N": "N", "preload_g": "g", "cof": "-", "voltage": "V",
+                   "frequency": "Hz"}
 SWEEP_CSV_HEADER = "param,torque,speed,t_ss,settled,ok,error"
 
 
@@ -58,10 +61,10 @@ class SweepSpec:
     base: RunConfig = field(default_factory=RunConfig)
 
     def __post_init__(self):
-        if self.parameter not in _PARAMETERS:
+        if self.parameter not in PARAMETER_UNITS:
             raise ValueError(
                 f"unknown sweep parameter {self.parameter!r}; "
-                f"choose from {', '.join(_PARAMETERS)}"
+                f"choose from {', '.join(PARAMETER_UNITS)}"
             )
         vals = tuple(float(v) for v in self.values)
         object.__setattr__(self, "values", vals)

@@ -87,20 +87,21 @@ class WaveSolution:
         return self.w_forward + self.w_backward
 
 
-def steady_wave_response(pair: ModePair, f_cos: float, f_sin: float,
-                         drive: DriveConfig, zeta: float) -> WaveSolution:
+def steady_wave_response(pair: ModePair, force: float, drive: DriveConfig,
+                         zeta: float) -> WaveSolution:
     """Steady two-phase modal response at the drive frequency.
 
-    ``f_cos``/``f_sin`` are the channel force amplitudes (already scaled
-    by voltage) onto the cosine and sine shapes.
+    ``force`` is each channel's force amplitude (already scaled by voltage)
+    onto its shape: channel A's on the cosine shape, equal to channel B's
+    on the sine shape.
     """
     if zeta <= 0:
         raise ValueError("modal damping ratio must be > 0")
     omega = 2.0 * math.pi * drive.resolve_frequency(pair)
     wn = pair.omega
     H = 1.0 / (wn * wn - omega * omega + 2j * zeta * wn * omega)
-    q_cos = f_cos * H
-    q_sin = f_sin * cmath.exp(1j * drive.phase_offset) * H
+    q_cos = force * H
+    q_sin = force * cmath.exp(1j * drive.phase_offset) * H
     return WaveSolution(q_cos=q_cos, q_sin=q_sin, omega=omega,
                         shape_amp=pair.amp, nodal_diameters=pair.nodal_diameters)
 

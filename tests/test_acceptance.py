@@ -14,11 +14,12 @@ import pytest
 
 from twmotor import runner, sweep
 from twmotor.config import RunConfig
-from twmotor.contact import ContactConfig, contact_angles, evaluate_contact
+from twmotor.contact import ContactConfig, contact_angles
 from twmotor.metrology import HeightMap, areal_params, level_mean_plane
 from twmotor.stator import StatorGeometry
 from twmotor.wave import DriveConfig, steady_wave_response
 
+from test_contact import evaluate_one
 from test_metrology import brute_force_params
 from test_stator import COPPER, analytic_frequency
 
@@ -49,13 +50,11 @@ def test_2_traveling_wave_purity(stator_model):
     with scoreboard(2, "wave-purity"):
         f = stator_model.forcing_per_volt
         drive = DriveConfig(voltage=100.0)
-        fwd = steady_wave_response(stator_model.pair, f * drive.voltage,
-                                   f * drive.voltage, drive,
+        fwd = steady_wave_response(stator_model.pair, f * drive.voltage, drive,
                                    stator_model.damping_ratio)
         assert fwd.w_backward < 1e-9 * fwd.w_forward
         rev_drive = DriveConfig(voltage=100.0, phase_offset=-math.pi / 2)
-        rev = steady_wave_response(stator_model.pair, f * drive.voltage,
-                                   f * drive.voltage, rev_drive,
+        rev = steady_wave_response(stator_model.pair, f * drive.voltage, rev_drive,
                                    stator_model.damping_ratio)
         assert rev.w_forward == pytest.approx(fwd.w_backward, abs=1e-18)
         assert rev.w_backward == pytest.approx(fwd.w_forward, rel=1e-12)
@@ -73,18 +72,15 @@ def test_3_friction_cone_invariants(default_config):
             vt = rng.uniform(0.1, 3.0) * rng.standard_normal(cfg.point_count)
             z = rng.uniform(-2 * amp, 2 * amp)
             speed = rng.uniform(-200.0, 200.0)
-            state = evaluate_contact(z - w, geom.mean_radius * speed - vt, geom, cfg)
-            assert np.all(state.normal_force >= 0.0)
+            slip = geom.mean_radius * speed - vt
+            normal, friction = evaluate_one(z - w, slip, cfg)[:, 0, 0]
+            assert np.all(normal >= 0.0)
             # tanh saturates to exactly 1.0 in double precision, so the
             # strict cone inequality is asserted away from saturation
-            assert np.all(np.abs(state.friction_force)
-                          <= cfg.cof * state.normal_force)
-            interior = np.abs(state.slip_velocity) \
-                < 18.0 * cfg.regularization_velocity
-            loaded = interior & (state.normal_force > 0)
-            assert np.all(np.abs(state.friction_force[loaded])
-                          < cfg.cof * state.normal_force[loaded])
-            assert np.all(state.friction_force * state.slip_velocity <= 0.0)
+            assert np.all(np.abs(friction) <= cfg.cof * normal)
+            loaded = (np.abs(slip) < 18.0 * cfg.regularization_velocity) & (normal > 0)
+            assert np.all(np.abs(friction[loaded]) < cfg.cof * normal[loaded])
+            assert np.all(friction * slip <= 0.0)
             evaluations += cfg.point_count
         assert evaluations >= 100_000
 

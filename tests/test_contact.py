@@ -1,9 +1,11 @@
 """Penalty contact and regularized friction: invariants and bookkeeping.
 
 The friction-cone and sign properties are exercised with randomized
-surface states via hypothesis; the resultants and modal projections are
-checked against brute-force summation, and the law against the eight-pass
-sequence it replaced.
+surface states via hypothesis; the modal projections and rotor resultants
+are checked against brute-force summation, and the law against the
+eight-pass sequence it replaced.  A single interface is called the way the
+step loop calls the law: as a batch of one, with (1, 1, M) rows and the
+reaction operator given a unit batch axis.
 """
 
 import math
@@ -29,8 +31,26 @@ GEOM = StatorGeometry(mean_radius=0.0125, section_width=0.005,
 R = GEOM.mean_radius
 
 
-def power_balance(state, surface_wdot, surface_vt, rotor_zdot, rotor_speed) -> dict:
-    """Bookkeeping of contact power flow.
+def one_interface(*per_point):
+    """Per-point arrays of one interface as the rows of a batch of one."""
+    return [np.reshape(a, (1, 1, -1)) for a in per_point]
+
+
+def evaluate_one(gap, slip, cfg):
+    """The forces [N, f] of one interface, each of shape (1, 1, M)."""
+    return evaluate_contact(*one_interface(gap, slip), ContactBatch.stack([cfg]))
+
+
+def flexural_operator(theta):
+    """The reaction operator of the cos/sin(4 theta) pair, with a unit batch axis."""
+    shape_w = np.vstack([np.cos(4 * theta), np.sin(4 * theta)])
+    shape_d = np.vstack([-4 * np.sin(4 * theta), 4 * np.cos(4 * theta)])
+    return shape_w, shape_d, reaction_operator(shape_w, shape_d, GEOM)[:, None]
+
+
+def power_balance(forces, slip, surface_wdot, surface_vt, rotor_zdot,
+                  rotor_speed) -> dict:
+    """Bookkeeping of contact power flow for one interface.
 
     The work rate on the rotor plus the work rate of the reactions on the
     stator surface equals the penalty-spring storage rate plus the
@@ -39,11 +59,11 @@ def power_balance(state, surface_wdot, surface_vt, rotor_zdot, rotor_speed) -> d
     """
     wdot = np.asarray(surface_wdot, dtype=float)
     vt = np.asarray(surface_vt, dtype=float)
-    normal, friction = state.forces
-    p_rotor = state.axial_force * rotor_zdot + state.torque * rotor_speed
-    p_stator = -np.sum(normal * wdot + friction * vt, axis=-1)
-    p_penalty = np.sum(normal * (rotor_zdot - wdot), axis=-1)
-    p_friction = state.friction_power
+    normal, friction = forces
+    p_rotor = np.sum(normal) * rotor_zdot + R * np.sum(friction) * rotor_speed
+    p_stator = -np.sum(normal * wdot + friction * vt)
+    p_penalty = np.sum(normal * (rotor_zdot - wdot))
+    p_friction = np.sum(friction * slip)
     return {
         "rotor": p_rotor,
         "stator": p_stator,
@@ -99,57 +119,39 @@ class TestPointwiseInvariants:
         rng = np.random.default_rng(seed)
         cfg = ContactConfig()
         w, vt, z, speed = random_state(rng, cfg)
-        state = evaluate_contact(z - w, R * speed - vt, GEOM, cfg)
-        assert np.all(state.normal_force >= 0.0)
-        open_points = state.gap > 0
-        assert np.all(state.normal_force[open_points] == 0.0)
+        gap, slip = z - w, R * speed - vt
+        normal, friction = evaluate_one(gap, slip, cfg)[:, 0, 0]
+        assert np.all(normal >= 0.0)
+        assert np.all(normal[gap > 0] == 0.0)
         # friction cone: strict inequality below tanh saturation, which
         # rounds to exactly 1.0 in double precision for |s|/v_reg >~ 19
-        active = state.normal_force > 0
-        assert np.all(np.abs(state.friction_force[active])
-                      <= cfg.cof * state.normal_force[active])
-        unsaturated = active & (np.abs(state.slip_velocity)
-                                < 18.0 * cfg.regularization_velocity)
-        assert np.all(np.abs(state.friction_force[unsaturated])
-                      < cfg.cof * state.normal_force[unsaturated])
+        active = normal > 0
+        assert np.all(np.abs(friction[active]) <= cfg.cof * normal[active])
+        unsaturated = active & (np.abs(slip) < 18.0 * cfg.regularization_velocity)
+        assert np.all(np.abs(friction[unsaturated]) < cfg.cof * normal[unsaturated])
         # friction opposes slip
-        assert np.all(state.friction_force * state.slip_velocity <= 0.0)
-
-    @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1))
-    def test_resultants_are_sums(self, seed):
-        rng = np.random.default_rng(seed)
-        cfg = ContactConfig()
-        w, vt, z, speed = random_state(rng, cfg)
-        state = evaluate_contact(z - w, R * speed - vt, GEOM, cfg)
-        assert state.axial_force == pytest.approx(float(np.sum(state.normal_force)))
-        assert state.torque == pytest.approx(
-            GEOM.mean_radius * float(np.sum(state.friction_force)))
+        assert np.all(friction * slip <= 0.0)
 
     def test_separated_rotor_is_force_free(self):
         cfg = ContactConfig()
         m = cfg.point_count
-        state = evaluate_contact(1e-3 - np.zeros(m), R * 5.0 - np.zeros(m), GEOM, cfg)
-        assert state.axial_force == 0.0
-        assert state.torque == 0.0
-        assert np.all(state.normal_force == 0.0)
+        forces = evaluate_one(1e-3 - np.zeros(m), R * 5.0 - np.zeros(m), cfg)
+        assert np.all(forces == 0.0)
 
     def test_normal_force_is_penalty_linear(self):
         cfg = ContactConfig()
         m = cfg.point_count
         depth = 2e-6
-        state = evaluate_contact(-depth - np.zeros(m), R * 0.0 - np.zeros(m),
-                                 GEOM, cfg)
-        np.testing.assert_allclose(state.normal_force,
-                                   cfg.penalty_stiffness * depth)
+        normal, _ = evaluate_one(-depth - np.zeros(m), R * 0.0 - np.zeros(m), cfg)
+        np.testing.assert_allclose(normal, cfg.penalty_stiffness * depth)
 
     def test_frictionless_has_zero_torque(self):
         cfg = ContactConfig(cof=0.0)
         m = cfg.point_count
-        state = evaluate_contact(-1e-6 - np.zeros(m), R * 10.0 - np.full(m, 0.3),
-                                 GEOM, cfg)
-        assert state.torque == 0.0
-        assert state.axial_force > 0.0
+        normal, friction = evaluate_one(-1e-6 - np.zeros(m),
+                                        R * 10.0 - np.full(m, 0.3), cfg)
+        assert R * np.sum(friction) == 0.0
+        assert np.sum(normal) > 0.0
 
 
 class TestModalReaction:
@@ -158,34 +160,27 @@ class TestModalReaction:
     def test_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
         cfg = ContactConfig()
-        theta = contact_angles(cfg)
         w, vt, z, speed = random_state(rng, cfg)
-        state = evaluate_contact(z - w, R * speed - vt, GEOM, cfg)
-        shape_w = np.vstack([np.cos(4 * theta), np.sin(4 * theta)])
-        shape_d = np.vstack([-4 * np.sin(4 * theta), 4 * np.cos(4 * theta)])
-        operator = reaction_operator(shape_w, shape_d, GEOM)
-        q = modal_reaction(state, operator).sum(axis=0)
+        forces = evaluate_one(z - w, R * speed - vt, cfg)
+        shape_w, shape_d, operator = flexural_operator(contact_angles(cfg))
+        q = modal_reaction(forces, operator).sum(axis=0)[0, 0]
+        normal, friction = forces[:, 0, 0]
         zc_R = GEOM.contact_offset / GEOM.mean_radius
         for j in range(2):
-            brute = sum(-state.normal_force[i] * shape_w[j, i]
-                        + zc_R * state.friction_force[i] * shape_d[j, i]
+            brute = sum(-normal[i] * shape_w[j, i] + zc_R * friction[i] * shape_d[j, i]
                         for i in range(cfg.point_count))
             assert q[j] == pytest.approx(brute, rel=1e-12, abs=1e-12)
-        # the two trailing entries are the rotor resultants
-        assert q[2] == pytest.approx(state.axial_force, rel=1e-12, abs=1e-12)
-        assert q[3] == pytest.approx(state.torque, rel=1e-12, abs=1e-15)
+        # the two trailing entries are the rotor resultants: F_z and T
+        assert q[2] == pytest.approx(sum(normal), rel=1e-12, abs=1e-12)
+        assert q[3] == pytest.approx(R * sum(friction), rel=1e-12, abs=1e-15)
 
     def test_uniform_pressure_decouples_from_flexural_shapes(self):
         """A uniform normal-force ring does no virtual work on cos/sin(4t)."""
         cfg = ContactConfig()
-        theta = contact_angles(cfg)
         m = cfg.point_count
-        state = evaluate_contact(-1e-6 - np.zeros(m), R * 0.0 - np.zeros(m),
-                                 GEOM, cfg)
-        shape_w = np.vstack([np.cos(4 * theta), np.sin(4 * theta)])
-        shape_d = np.vstack([-4 * np.sin(4 * theta), 4 * np.cos(4 * theta)])
-        operator = reaction_operator(shape_w, shape_d, GEOM)
-        q = modal_reaction(state, operator).sum(axis=0)
+        forces = evaluate_one(-1e-6 - np.zeros(m), R * 0.0 - np.zeros(m), cfg)
+        _, _, operator = flexural_operator(contact_angles(cfg))
+        q = modal_reaction(forces, operator).sum(axis=0)[0, 0]
         np.testing.assert_allclose(q[:2], 0.0, atol=1e-9)
 
 
@@ -197,14 +192,16 @@ class TestStepLoopForm:
         cfg = ContactConfig()
         w, vt, z, speed = random_state(rng, cfg)
         theta = contact_angles(cfg)
-        operator = reaction_operator(np.cos(4 * theta), -4 * np.sin(4 * theta), GEOM)
-        fresh = evaluate_contact(z - w, R * speed - vt, GEOM, cfg)
-        forces = np.full((2, cfg.point_count), np.nan)
-        state = evaluate_contact(z - w, R * speed - vt, GEOM, cfg, out=forces)
-        assert state.forces is forces
-        assert np.array_equal(forces, fresh.forces)
-        reaction = np.full((2, 3), np.nan)
-        assert modal_reaction(state, operator, out=reaction) is reaction
+        operator = reaction_operator(np.cos(4 * theta), -4 * np.sin(4 * theta),
+                                     GEOM)[:, None]
+        gap, slip = one_interface(z - w, R * speed - vt)
+        law = ContactBatch.stack([cfg])
+        fresh = evaluate_contact(gap, slip, law)
+        forces = np.full((2, 1, 1, cfg.point_count), np.nan)
+        assert evaluate_contact(gap, slip, law, out=forces) is forces
+        assert np.array_equal(forces, fresh)
+        reaction = np.full((2, 1, 1, 3), np.nan)
+        assert modal_reaction(forces, operator, out=reaction) is reaction
         assert np.array_equal(reaction, modal_reaction(fresh, operator))
 
     def test_batch_rows_match_single_interfaces(self):
@@ -216,31 +213,27 @@ class TestStepLoopForm:
         states = [random_state(rng, c) for c in configs]
         gap = np.stack([z - w for w, _, z, _ in states])[:, None]
         slip = np.stack([R * speed - vt for _, vt, _, speed in states])[:, None]
-        batch = evaluate_contact(gap, slip, GEOM, law)
-        assert batch.forces.shape == (2, 2, 1, law.point_count)
+        batch = evaluate_contact(gap, slip, law)
+        assert batch.shape == (2, 2, 1, law.point_count)
         for b, cfg in enumerate(configs):
-            single = evaluate_contact(gap[b, 0], slip[b, 0], GEOM, cfg)
-            assert np.array_equal(batch.forces[:, b, 0], single.forces)
+            assert np.array_equal(batch[:, b], evaluate_one(gap[b], slip[b], cfg)[:, 0])
 
     def test_batch_reactions_match_single_interfaces(self):
         """Forces with batch axes take the operator with a unit axis per batch
         axis; each row's reactions are then its interface's alone."""
         rng = np.random.default_rng(13)
         cfg = ContactConfig()
-        theta = contact_angles(cfg)
-        operator = reaction_operator(
-            np.vstack([np.cos(4 * theta), np.sin(4 * theta)]),
-            np.vstack([-4 * np.sin(4 * theta), 4 * np.cos(4 * theta)]), GEOM)
+        _, _, operator = flexural_operator(contact_angles(cfg))
         states = [random_state(rng, cfg) for _ in range(2)]
         gap = np.stack([z - w for w, _, z, _ in states])[:, None]
         slip = np.stack([R * speed - vt for _, vt, _, speed in states])[:, None]
-        batch = evaluate_contact(gap, slip, GEOM, ContactBatch.stack([cfg, cfg]))
-        halves = modal_reaction(batch, operator[:, None])
+        batch = evaluate_contact(gap, slip, ContactBatch.stack([cfg, cfg]))
+        halves = modal_reaction(batch, operator)
         for b in range(2):
-            single = evaluate_contact(gap[b, 0], slip[b, 0], GEOM, cfg)
-            assert np.array_equal(halves[:, b, 0], modal_reaction(single, operator))
+            single = evaluate_one(gap[b], slip[b], cfg)
+            assert np.array_equal(halves[:, b], modal_reaction(single, operator)[:, 0])
         with pytest.raises(ValueError, match="unit axis"):
-            modal_reaction(batch, operator)
+            modal_reaction(batch, operator[:, 0])
 
 
 def eight_pass_law(gap, slip, cfg):
@@ -274,8 +267,8 @@ class TestSixPassLaw:
         slip = rng.normal(0.0, 20 * velocity, cfg.point_count)
         if zeros:   # exact contact and exact stick, both signs of zero
             gap[::4], gap[1::4], slip[::3] = 0.0, -0.0, 0.0
-        state = evaluate_contact(gap, slip, GEOM, cfg)
-        assert same_bits(state.forces, eight_pass_law(gap, slip, cfg))
+        forces = evaluate_one(gap, slip, cfg)
+        assert same_bits(forces[:, 0, 0], eight_pass_law(gap, slip, cfg))
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 12))
@@ -287,7 +280,7 @@ class TestSixPassLaw:
         law = ContactBatch.stack(configs)
         gap = rng.normal(0.0, 3e-6, (rows, 1, law.point_count))
         slip = rng.normal(0.0, 0.05, (rows, 1, law.point_count))
-        forces = evaluate_contact(gap, slip, GEOM, law).forces
+        forces = evaluate_contact(gap, slip, law)
         for b, cfg in enumerate(configs):
             assert same_bits(forces[:, b, 0], eight_pass_law(gap[b, 0], slip[b, 0], cfg))
 
@@ -302,8 +295,8 @@ class TestPowerBalance:
         w, vt, z, speed = random_state(rng, cfg)
         wdot = rng.normal(0, 1.0, cfg.point_count)
         zdot = rng.normal(0, 0.01)
-        state = evaluate_contact(z - w, R * speed - vt, GEOM, cfg)
-        book = power_balance(state, wdot, vt, zdot, speed)
+        slip = R * speed - vt
+        book = power_balance(evaluate_one(z - w, slip, cfg), slip, wdot, vt, zdot, speed)
         scale = max(abs(book["rotor"]), abs(book["stator"]),
                     abs(book["penalty"]), abs(book["friction"]), 1e-12)
         assert abs(book["residual"]) < 1e-9 * scale
@@ -314,6 +307,7 @@ class TestPowerBalance:
         rng = np.random.default_rng(seed)
         cfg = ContactConfig()
         w, vt, z, speed = random_state(rng, cfg)
-        state = evaluate_contact(z - w, R * speed - vt, GEOM, cfg)
-        book = power_balance(state, np.zeros(cfg.point_count), vt, 0.0, speed)
+        slip = R * speed - vt
+        book = power_balance(evaluate_one(z - w, slip, cfg), slip,
+                             np.zeros(cfg.point_count), vt, 0.0, speed)
         assert book["friction"] <= 1e-15

@@ -4,11 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twmotor import contact
 from twmotor.config import RunConfig
 from twmotor.dynamics import (
     _CHUNK_STEPS,
+    SETTLE_TOLERANCE,
+    SETTLE_WINDOW,
+    SPIKE_FACTOR,
     MotorTimeSeries,
     RotorConfig,
     detect_steady_state,
@@ -197,20 +202,26 @@ class TestSimulateBatch:
             simulate_batch(stator_model, self.rows(configs), duration=self.DURATION)
 
     def test_simulate_runs_the_contact_module_law(self, stator_model, monkeypatch):
-        """The hypothesis tests of contact.py cover the law the loop runs."""
-        calls = []
-        law = contact.evaluate_contact
+        """The hypothesis tests of contact.py cover the law and the projection
+        the loop runs: each is called once per evaluation, from ``contact``."""
+        calls = {"evaluate_contact": 0, "modal_reaction": 0}
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return law(*args, **kwargs)
+        def counting(name):
+            function = getattr(contact, name)
 
-        monkeypatch.setattr(contact, "evaluate_contact", counting)
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(contact, name, counting(name))
         cfg = RunConfig()
         self.solo(stator_model, cfg)
         _, steps_per_sample, n_samples = step_grid(stator_model, cfg.drive,
                                                    duration=self.DURATION)
-        assert len(calls) == (n_samples - 1) * steps_per_sample + 1
+        evaluations = (n_samples - 1) * steps_per_sample + 1
+        assert calls == {"evaluate_contact": evaluations, "modal_reaction": evaluations}
 
     def test_law_operands_are_contiguous_blocks(self, stator_model, monkeypatch):
         """At B > 1 every operand of the law, and its output, is one
@@ -218,12 +229,12 @@ class TestSimulateBatch:
         law = contact.evaluate_contact
         seen = []
 
-        def checking(gap, slip_velocity, geom, cfg, out=None):
-            blocks = (gap, slip_velocity, out, out[0], out[1], cfg.neg_stiffness,
-                      cfg.regularization_velocity, cfg.neg_cof, cfg.scratch)
+        def checking(gap, slip_velocity, batch, out=None):
+            blocks = (gap, slip_velocity, out, out[0], out[1], batch.neg_stiffness,
+                      batch.regularization_velocity, batch.neg_cof, batch.scratch)
             seen.append(all(b.flags.c_contiguous for b in blocks))
-            assert gap.shape == out.shape[1:] == (3, 1, cfg.point_count)
-            return law(gap, slip_velocity, geom, cfg, out=out)
+            assert gap.shape == out.shape[1:] == (3, 1, batch.point_count)
+            return law(gap, slip_velocity, batch, out=out)
 
         monkeypatch.setattr(contact, "evaluate_contact", checking)
         configs = [RunConfig().override(contact={"cof": c}) for c in (0.3, 0.4, 0.5)]
@@ -308,21 +319,21 @@ class TestDetectSteadyState:
         tau = 3e-4
         t = np.arange(0, 5e-3, 1e-5)
         series = synthetic_series(t, 1.0 - np.exp(-t / tau))
-        ss = detect_steady_state(series, window=2.5e-4, tolerance=0.02)
+        ss = detect_steady_state(series)
         assert ss.settled
         assert ss.t == pytest.approx(4 * tau, rel=0.25)
 
     def test_constant_series_settles_immediately(self):
         t = np.arange(0, 5e-3, 1e-5)
         series = synthetic_series(t, np.full_like(t, 2.0))
-        ss = detect_steady_state(series, window=2.5e-4)
+        ss = detect_steady_state(series)
         assert ss.settled
         assert ss.t == pytest.approx(2.5e-4, rel=1e-9)
 
     def test_growing_series_not_settled(self):
         t = np.arange(0, 5e-3, 1e-5)
         series = synthetic_series(t, 1.0 + 1e4 * t)
-        ss = detect_steady_state(series, window=2.5e-4)
+        ss = detect_steady_state(series)
         assert not ss.settled
         assert ss.t == pytest.approx(t[-1])
 
@@ -369,6 +380,47 @@ class TestEnvelopeAverage:
         _, series = self.make(np.zeros(500))
         with pytest.raises(ValueError, match="outside"):
             envelope_average(series, 1.0, period=1.0 / self.F)
+
+
+def loop_windows(x, wlen, reduce):
+    """Each whole window of ``wlen`` points reduced in turn: the loop form."""
+    return np.array([reduce(x[j * wlen:(j + 1) * wlen]) for j in range(len(x) // wlen)])
+
+
+class TestWindowReductions:
+    """The post-processing reductions against the per-window loops they
+    replaced, on noisy settling series of many lengths and window sizes."""
+
+    def noisy_series(self, seed, n, wlen):
+        rng = np.random.default_rng(seed)
+        t = np.arange(n) * (SETTLE_WINDOW / wlen)
+        signal = 1.0 - np.exp(-t / rng.uniform(1e-4, 3e-3)) + rng.normal(0, 0.01, n)
+        return t, synthetic_series(t, signal, torque=rng.normal(0.1, 0.02, n))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(120, 3000),
+           wlen=st.integers(1, 59))
+    def test_settling_matches_the_loop(self, seed, n, wlen):
+        t, series = self.noisy_series(seed, n, wlen)
+        means = loop_windows(series.wave_amplitude, wlen, np.mean)
+        agree = [abs(b - a) <= SETTLE_TOLERANCE * max(abs(a), abs(b))
+                 for a, b in zip(means, means[1:])]
+        ss = detect_steady_state(series)
+        assert ss.settled == any(agree)
+        interval = t[1] - t[0]
+        expected = t[0] + (agree.index(True) + 1) * wlen * interval if any(agree) else t[-1]
+        assert ss.t == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(120, 3000),
+           wlen=st.integers(1, 23))
+    def test_envelope_matches_the_loop(self, seed, n, wlen):
+        t, series = self.noisy_series(seed, n, wlen)
+        envelope = loop_windows(series.torque, wlen, np.max)
+        med = np.median(envelope)
+        mad = max(np.median(np.abs(envelope - med)), 1e-12 * abs(med))
+        expected = np.mean(envelope[np.abs(envelope - med) <= SPIKE_FACTOR * mad])
+        assert envelope_average(series, 0.0, period=wlen * (t[1] - t[0])) == expected
 
 
 class TestMeanSpeed:

@@ -115,7 +115,7 @@ class TestLoadMaterial:
             "poisson_ratio": 0.34,
             "youngs_modulus": 97e9,
         }))
-        m = load_material(str(path))
+        m = load_material(json.loads(path.read_text()))
         assert isinstance(m, IsotropicMaterial)
         assert m.name == "Brass"
         assert m.youngs_modulus == 97e9

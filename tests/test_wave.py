@@ -28,8 +28,7 @@ def pair(stator_model):
 def balanced(stator_model):
     f = stator_model.forcing_per_volt
     drive = DriveConfig(voltage=100.0)
-    return steady_wave_response(stator_model.pair, f * drive.voltage,
-                                f * drive.voltage, drive,
+    return steady_wave_response(stator_model.pair, f * drive.voltage, drive,
                                 stator_model.damping_ratio)
 
 
@@ -40,10 +39,10 @@ class TestSteadyResponse:
 
     def test_phase_reversal_swaps_components(self, stator_model):
         f = stator_model.forcing_per_volt
-        fwd = steady_wave_response(stator_model.pair, f * 100, f * 100,
+        fwd = steady_wave_response(stator_model.pair, f * 100,
                                    DriveConfig(voltage=100, phase_offset=math.pi / 2),
                                    stator_model.damping_ratio)
-        rev = steady_wave_response(stator_model.pair, f * 100, f * 100,
+        rev = steady_wave_response(stator_model.pair, f * 100,
                                    DriveConfig(voltage=100, phase_offset=-math.pi / 2),
                                    stator_model.damping_ratio)
         assert rev.w_backward == pytest.approx(fwd.w_forward, rel=1e-12)
@@ -52,7 +51,6 @@ class TestSteadyResponse:
     def test_zero_phase_is_standing(self, stator_model):
         f = stator_model.forcing_per_volt
         standing = steady_wave_response(stator_model.pair, f * 100,
-                                        f * 100,
                                         DriveConfig(voltage=100, phase_offset=0.0),
                                         stator_model.damping_ratio)
         assert standing.w_forward == pytest.approx(standing.w_backward, rel=1e-12)
@@ -66,7 +64,7 @@ class TestSteadyResponse:
 
     def test_zero_damping_rejected(self, stator_model):
         with pytest.raises(ValueError):
-            steady_wave_response(stator_model.pair, 1.0, 1.0, DriveConfig(),
+            steady_wave_response(stator_model.pair, 1.0, DriveConfig(),
                                  zeta=0.0)
 
     def test_frequency_default_is_resonance(self, pair):
@@ -125,7 +123,7 @@ class TestIdealSpeed:
 
     def test_reversed_drive_flips_sign(self, stator_model):
         f = stator_model.forcing_per_volt
-        rev = steady_wave_response(stator_model.pair, f * 100, f * 100,
+        rev = steady_wave_response(stator_model.pair, f * 100,
                                    DriveConfig(voltage=100, phase_offset=-math.pi / 2),
                                    stator_model.damping_ratio)
         assert ideal_no_slip_speed(rev, GEOM) < 0
@@ -133,7 +131,6 @@ class TestIdealSpeed:
     def test_standing_wave_rejected(self, stator_model):
         f = stator_model.forcing_per_volt
         standing = steady_wave_response(stator_model.pair, f * 100,
-                                        f * 100,
                                         DriveConfig(voltage=100, phase_offset=0.0),
                                         stator_model.damping_ratio)
         with pytest.raises(ValueError, match="standing"):

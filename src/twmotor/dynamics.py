@@ -2,32 +2,36 @@
 
 The stator is reduced to its drive mode pair (two modal oscillators with
 mass-normalized coordinates); the rigid rotor carries an axial
-translation and a spin DOF.  Per fixed step, the contact law of
-``contact.py`` (``evaluate_contact`` on the gap and slip at every contact
-point, then ``modal_reaction``) is evaluated at the step start
-(explicit), while the linear modal and rotor dynamics are advanced with
-their exact propagators: the electrode drive is sampled at the step
+translation and a spin DOF.  Each run states its linear dynamics once:
+between contact evaluations the positions x = [q_cos, q_sin, z, phi] obey
+M x'' + C x' + K x = F with diagonal M, C and K.  Per fixed step, the
+contact law of ``contact.py`` (``evaluate_contact`` on the gap and slip
+at every contact point, then ``modal_reaction``) is evaluated at the step
+start (explicit), while the linear system is advanced exactly: its step
+map is the exponential of the system augmented by its forcing, held
+constant over the step; the electrode drive is sampled at the step
 midpoint, and the contact reactions are extrapolated there from the last
 two evaluations.  This keeps the integration robust against the stiff
-penalty forces; accuracy is monitored by an energy-bookkeeping residual
-accumulated alongside the states.
+penalty forces; accuracy is monitored by an energy-bookkeeping residual,
+weighted by the same K, M and C, accumulated alongside the states.
 
 ``simulate_batch`` runs B transients that share the stator and the step
 grid in one step loop.  Each run is one row of (B, 1, K) arrays; its state
 is [q_cos, q_sin, z, phi | q_cos', q_sin', z', omega].  A step is small
 matrix products per row around the law: the kinematics map from the state
-to the gap and the slip, the reactions of the normal and of the friction
-forces, and a propagator that adds those two and also folds in the
-midpoint drive and the reaction extrapolation.  The law's operands are
-laid out (2, B, 1, M), gap over slip and normal over friction force, so
-each of its elementwise passes runs over one contiguous block whatever B
-is.  The loop runs in chunks of up to one sample interval (and at most
-``_CHUNK_STEPS`` steps), step first in every buffer: a chunk evaluates
-the drive and the preload ramp at all its steps at once, and reduces the
-energy ledger's powers from its history of states, gaps, slips and
-forces.  Every operation acts on each row alone, so a row's results are
-bitwise the same whatever batch it runs in.  ``simulate`` is the batch of
-one.
+to the gap and the slip (the transpose of the reaction operator, since
+gap and slip are the work conjugates of the normal and friction forces),
+the reactions of the normal and of the friction forces, and the step map,
+which adds those two and also folds in the midpoint drive and the
+reaction extrapolation.  The law's operands are laid out (2, B, 1, M),
+gap over slip and normal over friction force, so each of its elementwise
+passes runs over one contiguous block whatever B is.  The loop runs in
+chunks of up to one sample interval (and at most ``_CHUNK_STEPS``
+steps), step first in every buffer: a chunk evaluates the drive and the
+preload ramp at all its steps at once, and reduces the energy ledger's
+powers from its history of states, gaps, slips and forces.  Every
+operation acts on each row alone, so a row's results are bitwise the
+same whatever batch it runs in.  ``simulate`` is the batch of one.
 """
 
 from __future__ import annotations
@@ -152,14 +156,6 @@ class MotorTimeSeries:
             fh.write("\n".join(lines) + "\n")
 
 
-def _phase_matrices(omega, zeta, dt):
-    """Exact one-step propagator of q'' + 2 zeta w q' + w^2 q = const."""
-    A = np.array([[0.0, 1.0], [-omega * omega, -2.0 * zeta * omega]])
-    E = scipy.linalg.expm(A * dt)
-    P = np.linalg.solve(A, E - np.eye(2))
-    return E, P
-
-
 def step_grid(stator: StatorModel, drive: DriveConfig, duration: float = 5e-3,
               output_interval: float = 1e-5,
               dt: float | None = None) -> tuple[float, int, int]:
@@ -195,49 +191,36 @@ def simulate(stator: StatorModel, drive: DriveConfig,
                           output_interval=output_interval, dt=dt)[0]
 
 
-def _propagator(stator: StatorModel, rotor_cfg: RotorConfig, h: float) -> np.ndarray:
-    """Exact one-step map [state | d | r | r_prev] -> next state of one row.
+def _propagator(mass, damping, stiffness, h: float) -> np.ndarray:
+    """Exact one-step maps [state | d | r | r_prev] -> next state, one per row.
 
-    The state is [q_cos, q_sin, z, phi | q_cos', q_sin', z', omega].  The
-    forcing, held constant over the step, is d + 1.5 r - 0.5 r_prev, each
-    laid out as [modal forces on the cos and sin shapes, axial force,
-    torque]: d is the drive at the step midpoint plus the external loads
-    (minus the preload, minus the load torque), and the contact reactions
-    r are extrapolated to the midpoint from this step's and the previous
-    step's evaluations, which keeps the coupling second order.  r and
-    r_prev each come as the reactions of the normal and of the friction
-    forces, [r_N | r_f], which the map adds.
+    ``mass``, ``damping`` and ``stiffness`` are (..., 4) diagonals of
+    M x'' + C x' + K x = F on the positions x = [q_cos, q_sin, z, phi];
+    the state is [x | x'].  The forcing F, held constant over the step, is
+    d + 1.5 r - 0.5 r_prev, each laid out as [modal forces on the cos and
+    sin shapes, axial force, torque]: d is the drive at the step midpoint
+    plus the external loads (minus the preload, minus the load torque), and
+    the contact reactions r are extrapolated to the midpoint from this
+    step's and the previous step's evaluations, which keeps the coupling
+    second order.  r and r_prev each come as the reactions of the normal
+    and of the friction forces, [r_N | r_f], which the map adds.
+
+    The map is the exponential of the system augmented by its constant
+    forcing, [[0, I, 0], [-K/M, -C/M, 1/M], [0, 0, 0]] h (Van Loan, IEEE
+    Trans. Autom. Control 23 (1978) 395-404), whose first 2 m rows map
+    [x | x' | F] to the next state.
     """
-    m, n = 4, 8       # positions [q_cos, q_sin, z, phi]; the state
-    prop = np.zeros((n + m, n))
-    E, Pm = _phase_matrices(stator.pair.omega, stator.damping_ratio, h)
-    for pos in (0, 1):                  # both shapes share the pair's oscillator
-        vel, force = m + pos, n + pos
-        prop[pos, pos], prop[vel, pos], prop[force, pos] = E[0, 0], E[0, 1], Pm[0, 1]
-        prop[pos, vel], prop[vel, vel], prop[force, vel] = E[1, 0], E[1, 1], Pm[1, 1]
-
-    z, phi, zd, om = 2, 3, 6, 7
-    fz, tz = 10, 11
-    mass, c_z, J = rotor_cfg.mass, rotor_cfg.axial_damping, rotor_cfg.inertia
-    prop[z, z] = prop[phi, phi] = prop[om, om] = 1.0
-    if c_z > 0:
-        gamma = c_z / mass
-        x = gamma * h
-        k_g = -math.expm1(-x) / gamma
-        prop[zd, z] = k_g
-        prop[fz, z] = (x + math.expm1(-x)) / (gamma * gamma * mass)
-        prop[zd, zd] = math.exp(-x)
-        prop[fz, zd] = k_g / mass
-    else:
-        prop[zd, z] = h
-        prop[fz, z] = 0.5 * h * h / mass
-        prop[zd, zd] = 1.0
-        prop[fz, zd] = h / mass
-    prop[om, phi] = h
-    prop[tz, phi] = 0.5 * h * h / J
-    prop[tz, om] = h / J
-    forcing = prop[n:]
-    return np.vstack([prop] + [1.5 * forcing] * 2 + [-0.5 * forcing] * 2)
+    m = mass.shape[-1]
+    n = 2 * m
+    i = np.arange(m)
+    system = np.zeros(mass.shape[:-1] + (n + m, n + m))
+    system[..., i, m + i] = 1.0
+    system[..., m + i, i] = -stiffness / mass
+    system[..., m + i, m + i] = -damping / mass
+    system[..., m + i, n + i] = 1.0 / mass
+    step = np.swapaxes(scipy.linalg.expm(system * h)[..., :n, :], -1, -2)
+    forcing = step[..., n:, :]
+    return np.concatenate([step] + [1.5 * forcing] * 2 + [-0.5 * forcing] * 2, axis=-2)
 
 
 def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
@@ -269,11 +252,12 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
     M = law.point_count
 
     # mode shapes at the contact angles: their reaction operator [G_N, G_f]
-    # maps the forces N and f each to [Q_cos, Q_sin, F_z, T]; its adjoint,
-    # with the rotor's z and R omega added, maps the state to the law's
-    # inputs [gap, slip] = [z - q . phi, R omega + (z_c / R) q' . phi'].
-    # Both carry a unit axis after the half axis, which broadcasts over the
-    # B rows, so every product is one small matrix product per half and row.
+    # maps the forces N and f each to [Q_cos, Q_sin, F_z, T].  The gap and
+    # the slip are the work conjugates of N and f, so the kinematics is its
+    # transpose: the positions map to gap = z - q . phi and the velocities
+    # to slip = R omega + (z_c / R) q' . phi'.  Both carry a unit axis after
+    # the half axis, which broadcasts over the B rows, so every product is
+    # one small matrix product per half and row.
     theta = contact.contact_angles(contacts[0])
     amp, ndia = stator.pair.amp, stator.pair.nodal_diameters
     cos_n, sin_n = np.cos(ndia * theta), np.sin(ndia * theta)
@@ -281,11 +265,8 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
         np.vstack([amp * cos_n, amp * sin_n]),
         np.vstack([-amp * ndia * sin_n, amp * ndia * cos_n]), geom)[:, None]
     kin = np.zeros((2, 1, n, M))
-    kin[0, 0, :2] = reaction[0, 0, :, :2].T
-    kin[0, 0, 2] = 1.0
-    kin[1, 0, m:m + 2] = reaction[1, 0, :, :2].T
-    kin[1, 0, n - 1] = R
-    prop = np.stack([_propagator(stator, r, h) for r in rotors])
+    kin[0, 0, :m] = reaction[0, 0].T
+    kin[1, 0, m:] = reaction[1, 0].T
 
     def per_row(values):
         return np.array(values, dtype=float)
@@ -301,19 +282,27 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
     load_torque = per_row([r.load_torque for r in rotors])[:, None, None]
     offsets = np.array([[0.0], [0.5 * h]])      # step start and midpoint
 
+    # each row's linear dynamics M x'' + C x' + K x = F, as three diagonals
+    # over [q_cos, q_sin, z, phi]: mass-normalized modes, the rotor's axial
+    # damper and its free spin.  The step map and the ledger read only these:
+    # twice the energy per squared state is [K | M], and the dissipated
+    # power per squared rate is C.
     omega_n = stator.pair.omega
-    damping = np.zeros((B, m, 1))               # dissipated power per squared rate
-    damping[:, :2, 0] = 2.0 * stator.damping_ratio * omega_n
-    damping[:, 2, 0] = per_row([r.axial_damping for r in rotors])
-    stiffness = np.zeros((B, 1, n))             # twice the energy per squared state
-    stiffness[:, 0, :2] = omega_n ** 2
-    stiffness[:, 0, m:m + 2] = 1.0
-    stiffness[:, 0, m + 2] = per_row([r.mass for r in rotors])
-    stiffness[:, 0, n - 1] = per_row([r.inertia for r in rotors])
+    mass = np.ones((B, m))
+    mass[:, 2] = per_row([r.mass for r in rotors])
+    mass[:, 3] = per_row([r.inertia for r in rotors])
+    damping = np.zeros((B, m))
+    damping[:, :2] = 2.0 * stator.damping_ratio * omega_n
+    damping[:, 2] = per_row([r.axial_damping for r in rotors])
+    stiffness = np.zeros((B, m))
+    stiffness[:, :2] = omega_n ** 2
+    prop = _propagator(mass, damping, stiffness, h)
+    weights = np.concatenate([stiffness, mass], axis=-1)[:, None]
+    damper = damping[:, :, None]
 
     def mech_energy(y, gap):
         pen = np.maximum(0.0, -gap)
-        return 0.5 * (np.sum(stiffness * y * y, axis=-1)
+        return 0.5 * (np.sum(weights * y * y, axis=-1)
                       + np.sum(-law.neg_stiffness * pen * pen, axis=-1))
 
     # A chunk holds the steps up to the next sample, at most _CHUNK_STEPS,
@@ -385,7 +374,7 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
             # the ledger's powers at each evaluation, time along the last axis
             vel = X[:count, :, 0, m:n].transpose(1, 2, 0)
             p_in = np.multiply(drive[:, :, 0], vel, out=np.empty((B, m, count)))
-            p_damp = np.multiply(damping, vel, out=np.empty((B, m, count)))
+            p_damp = np.multiply(damper, vel, out=np.empty((B, m, count)))
             p_damp *= vel
             p_fric = np.add.reduce(np.multiply(F[:count, 1, :, 0].transpose(1, 0, 2),
                                                G[:count, 1, :, 0].transpose(1, 0, 2),

@@ -13,7 +13,9 @@ def resolve_materials(config: RunConfig
                       ) -> tuple[materials.IsotropicMaterial, materials.PiezoMaterial]:
     """The stator and piezo materials of a config: catalog names or inline data.
 
-    Raises ConfigError for an unknown name or a material of the wrong kind.
+    Raises ConfigError for an unknown name, an entry that is neither a name
+    nor an object, a missing or wrongly typed field, or a material of the
+    wrong kind.
     """
     def resolve(source):
         if isinstance(source, str):
@@ -21,10 +23,15 @@ def resolve_materials(config: RunConfig
                 return materials.lookup(source)
             except KeyError as exc:
                 raise ConfigError(exc.args[0]) from None
+        if not isinstance(source, dict):
+            raise ConfigError("material entry must be a catalog name or an object, "
+                              f"not {type(source).__name__}")
         try:
             return materials.load_material(source)
         except KeyError as exc:
             raise ConfigError(f"material entry lacks {exc.args[0]!r}") from None
+        except TypeError as exc:
+            raise ConfigError(f"material entry has a field of the wrong type: {exc}") from None
 
     ring_mat = resolve(config.stator_material)
     piezo = resolve(config.piezo_material)

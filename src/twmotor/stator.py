@@ -213,11 +213,6 @@ class ModePair:
     def frequency_hz(self) -> float:
         return self.omega / (2.0 * math.pi)
 
-    def deflection(self, theta, q_cos, q_sin):
-        """Surface deflection at angle(s) theta for modal coordinates q."""
-        n = self.nodal_diameters
-        return self.amp * (q_cos * np.cos(n * theta) + q_sin * np.sin(n * theta))
-
 
 def select_mode_pair(modes: ModeSet, n: int, system: SystemMatrices) -> ModePair:
     """Extract and cosine/sine-align the degenerate pair at nodal diameter n."""

@@ -7,6 +7,7 @@ scoreboard alongside the pytest verdict.
 
 import contextlib
 import math
+import os
 import sys
 
 import numpy as np
@@ -112,7 +113,7 @@ def test_5_settling(default_config, default_run):
 def test_6_preload_trend():
     with scoreboard(6, "preload-trend"):
         spec = sweep.make_preset("usr30_preload")
-        curve = sweep.run_sweep(spec, jobs=4)
+        curve = sweep.run_sweep(spec, jobs=len(os.sched_getaffinity(0)))
         assert all(r.settled for r in curve.rows)
         peak = sweep.find_peak(curve)
         assert peak.unimodal
@@ -123,7 +124,7 @@ def test_6_preload_trend():
 def test_7_cof_trend():
     with scoreboard(7, "cof-trend"):
         spec = sweep.make_preset("cof_sweep")
-        curve = sweep.run_sweep(spec, jobs=4)
+        curve = sweep.run_sweep(spec, jobs=len(os.sched_getaffinity(0)))
         peak = sweep.find_peak(curve)
         assert peak.unimodal
         assert not peak.boundary_maximum

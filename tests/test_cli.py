@@ -234,6 +234,23 @@ class TestValidate:
                        "--out-dir", str(tmp_path)) == cli.EXIT_CONFIG
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry, message", [
+        ([1, 2], "material entry must be a catalog name or an object, not list"),
+        ({"name": "Resin", "density": 1200.0, "poisson_ratio": None,
+          "youngs_modulus": 3e9}, "material entry has a field of the wrong type"),
+    ], ids=["array", "null-field"])
+    def test_malformed_material_entry(self, tmp_path, capsys, entry, message):
+        """A config error with one message line, not a traceback."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"stator_material": entry}))
+        assert run_cli("validate", "--config", str(cfg)) == cli.EXIT_CONFIG
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 1 and out[0].startswith(f"invalid: {message}")
+        assert run_cli("run", "--config", str(cfg),
+                       "--out-dir", str(tmp_path)) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message}")
+
     def test_unresolved_mode_pair(self, tmp_path, capsys):
         """Too few modes for the drive pair: rejected as ``eigen`` rejects it."""
         cfg = tmp_path / "cfg.json"

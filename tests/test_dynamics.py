@@ -15,6 +15,7 @@ from twmotor.dynamics import (
     SETTLE_WINDOW,
     SPIKE_FACTOR,
     MotorTimeSeries,
+    _propagator,
     RotorConfig,
     detect_steady_state,
     envelope_average,
@@ -249,6 +250,69 @@ class TestSimulateBatch:
         for cfg, row in zip(configs, batch):
             assert not row.diverged
             assert_same_run(row, self.solo(stator_model, cfg))
+
+
+class TestPropagator:
+    """Every entry of the step map against the closed-form solutions of its
+    decoupled systems: the damped modal oscillator, the rotor's axial motion
+    with and without its damper, and its free spin."""
+
+    @staticmethod
+    def x_plus_expm1(x):
+        """x + expm1(-x) = sum over k >= 2 of (-x)^k / k!, free of cancellation."""
+        total, term = 0.0, -x
+        for k in range(2, 20):
+            term *= -x / k
+            total += term
+        return total
+
+    @pytest.mark.parametrize("c_z", [700.0, 0.0])
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    def test_matches_closed_forms(self, stator_model, c_z, scale):
+        omega, zeta = stator_model.pair.omega, stator_model.damping_ratio
+        rotor = RotorConfig(axial_damping=c_z)
+        mass, J = rotor.mass, rotor.inertia
+        h = scale * step_grid(stator_model, RunConfig().drive)[0]
+        prop = _propagator(np.array([1.0, 1.0, mass, J]),
+                           np.array([2.0 * zeta * omega] * 2 + [c_z, 0.0]),
+                           np.array([omega ** 2] * 2 + [0.0, 0.0]), h)
+        assert prop.shape == (28, 8)
+
+        expected = np.zeros((12, 8))      # [positions | rates | forces] -> state
+        sigma, omega_d = zeta * omega, omega * math.sqrt(1.0 - zeta * zeta)
+        decay, theta = math.exp(-sigma * h), omega_d * h
+        sin_d = math.sin(theta) / omega_d
+        e00 = decay * (math.cos(theta) + sigma * sin_d)
+        e11 = decay * (math.cos(theta) - sigma * sin_d)
+        one_minus_e00 = (-math.expm1(-sigma * h) + 2.0 * decay * math.sin(0.5 * theta) ** 2
+                         - decay * sigma * sin_d)
+        for pos in (0, 1):
+            vel, force = 4 + pos, 8 + pos
+            expected[pos, pos], expected[vel, pos] = e00, decay * sin_d
+            expected[force, pos] = one_minus_e00 / omega ** 2
+            expected[pos, vel], expected[vel, vel] = -omega ** 2 * decay * sin_d, e11
+            expected[force, vel] = decay * sin_d
+
+        z, phi, zd, om, fz, tz = 2, 3, 6, 7, 10, 11
+        expected[z, z] = expected[phi, phi] = expected[om, om] = 1.0
+        if c_z > 0:
+            gamma = c_z / mass
+            x = gamma * h
+            expected[zd, z] = -math.expm1(-x) / gamma
+            expected[fz, z] = self.x_plus_expm1(x) / (gamma * gamma * mass)
+            expected[zd, zd] = math.exp(-x)
+            expected[fz, zd] = -math.expm1(-x) / (gamma * mass)
+        else:
+            expected[zd, z], expected[fz, z] = h, 0.5 * h * h / mass
+            expected[zd, zd], expected[fz, zd] = 1.0, h / mass
+        expected[om, phi], expected[tz, phi], expected[tz, om] = h, 0.5 * h * h / J, h / J
+
+        # abs=0: every entry the closed forms leave at zero is exactly zero
+        assert prop[:12] == pytest.approx(expected, rel=1e-14, abs=0.0)
+        forcing = prop[8:12]
+        for rows, factor in ((slice(12, 16), 1.5), (slice(16, 20), 1.5),
+                             (slice(20, 24), -0.5), (slice(24, 28), -0.5)):
+            assert np.array_equal(prop[rows], factor * forcing)
 
 
 class TestChunkEdges:

@@ -132,11 +132,6 @@ class TestModePair:
                                    pair.amp * np.sin(4 * theta),
                                    rtol=1e-6, atol=1e-9 * pair.amp)
 
-    def test_deflection_helper(self, pair):
-        theta = np.linspace(0, 2 * math.pi, 9)
-        w = pair.deflection(theta, 1.0, 0.0)
-        np.testing.assert_allclose(w, pair.amp * np.cos(4 * theta), atol=1e-12)
-
     def test_missing_pair_rejected(self, modes64, system64):
         _, system = system64
         with pytest.raises(ValueError, match="not resolved"):

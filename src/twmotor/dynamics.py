@@ -9,11 +9,13 @@ contact law of ``contact.py`` (``evaluate_contact`` on the gap and slip
 at every contact point, then ``modal_reaction``) is evaluated at the step
 start (explicit), while the linear system is advanced exactly: its step
 map is the exponential of the system augmented by its forcing, held
-constant over the step; the electrode drive is sampled at the step
-midpoint, and the contact reactions are extrapolated there from the last
-two evaluations.  This keeps the integration robust against the stiff
-penalty forces; accuracy is monitored by an energy-bookkeeping residual,
-weighted by the same K, M and C, accumulated alongside the states.
+constant over the step (Van Loan 1978), computed by scaling and squaring
+a Taylor polynomial (Al-Mohy & Higham 2009); the electrode drive is
+sampled at the step midpoint, and the contact reactions are extrapolated
+there from the last two evaluations.  This keeps the integration robust
+against the stiff penalty forces; accuracy is monitored by an
+energy-bookkeeping residual, weighted by the same K, M and C, accumulated
+alongside the states.
 
 ``simulate_batch`` runs B transients that share the stator and the step
 grid in one step loop.  Each run is one row of (B, 1, K) arrays; its state
@@ -40,7 +42,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import contact
 from .stator import StatorModel
@@ -63,6 +64,7 @@ __all__ = [
 CSV_HEADER = "t,s_speed,surf_disp,fric_probe,torque,fz,wave_amp"
 
 _CHUNK_STEPS = 1024   # most steps one chunk of the step loop holds
+_EXPM_TERMS = 20      # Taylor terms of a scaled matrix exponential
 
 SETTLE_WINDOW = 2.5e-4    # s, length of the windows detect_steady_state compares
 SETTLE_TOLERANCE = 0.02   # relative difference of window means that counts as settled
@@ -205,10 +207,10 @@ def _propagator(mass, damping, stiffness, h: float) -> np.ndarray:
     second order.  r and r_prev each come as the reactions of the normal
     and of the friction forces, [r_N | r_f], which the map adds.
 
-    The map is the exponential of the system augmented by its constant
-    forcing, [[0, I, 0], [-K/M, -C/M, 1/M], [0, 0, 0]] h (Van Loan, IEEE
-    Trans. Autom. Control 23 (1978) 395-404), whose first 2 m rows map
-    [x | x' | F] to the next state.
+    The map is the exponential (``_expm``) of the system augmented by its
+    constant forcing, [[0, I, 0], [-K/M, -C/M, 1/M], [0, 0, 0]] h (Van
+    Loan, IEEE Trans. Autom. Control 23 (1978) 395-404), whose first 2 m
+    rows map [x | x' | F] to the next state.
     """
     m = mass.shape[-1]
     n = 2 * m
@@ -218,9 +220,35 @@ def _propagator(mass, damping, stiffness, h: float) -> np.ndarray:
     system[..., m + i, i] = -stiffness / mass
     system[..., m + i, m + i] = -damping / mass
     system[..., m + i, n + i] = 1.0 / mass
-    step = np.swapaxes(scipy.linalg.expm(system * h)[..., :n, :], -1, -2)
+    step = np.swapaxes(_expm(system * h)[..., :n, :], -1, -2)
     forcing = step[..., n:, :]
     return np.concatenate([step] + [1.5 * forcing] * 2 + [-0.5 * forcing] * 2, axis=-2)
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """The exponential of each (n, n) matrix in ``a``, by scaling and squaring.
+
+    Each matrix A is scaled by 2^-s, s being the least with
+    ||(A 2^-s)^2||_1 <= 1; the Taylor polynomial of the scaled matrix is
+    summed by Horner's rule and squared s times.  The scaling follows
+    ||A^2||^(1/2), not ||A|| (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl.
+    31 (2009) 970-989): a step's system is badly scaled, omega^2 h sitting
+    below the diagonal, so ||A||_1 is about 4e3 where the spectral radius
+    is omega h, about 0.016, and every needless squaring doubles the
+    rounding error of the near-identity modal block.  s is chosen for each
+    matrix alone, so each result is bitwise independent of its batch.
+    """
+    rho = np.sqrt(np.abs(a @ a).sum(axis=-2).max(axis=-1))
+    s = np.ceil(np.log2(np.maximum(rho, 1.0))).astype(int)
+    a = np.ldexp(a, -s[..., None, None])
+    eye = np.eye(a.shape[-1])
+    e = eye + a / (_EXPM_TERMS - 1)
+    for k in range(_EXPM_TERMS - 2, 0, -1):
+        e = eye + a @ e / k
+    for i in range(s.max(initial=0)):
+        square = s > i
+        e[square] = e[square] @ e[square]
+    return e
 
 
 def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,

@@ -14,10 +14,10 @@ def resolve_materials(config: RunConfig
     """The stator and piezo materials of a config: catalog names or inline data.
 
     Raises ConfigError for an unknown name, an entry that is neither a name
-    nor an object, a missing or wrongly typed field, or a material of the
-    wrong kind.
+    nor an object, a missing, wrongly typed or invalid field, or a material
+    of the wrong kind.
     """
-    def resolve(source):
+    def resolve(source, key):
         if isinstance(source, str):
             try:
                 return materials.lookup(source)
@@ -32,9 +32,11 @@ def resolve_materials(config: RunConfig
             raise ConfigError(f"material entry lacks {exc.args[0]!r}") from None
         except TypeError as exc:
             raise ConfigError(f"material entry has a field of the wrong type: {exc}") from None
+        except ValueError as exc:
+            raise ConfigError(f"material entry {key} has an invalid value: {exc}") from None
 
-    ring_mat = resolve(config.stator_material)
-    piezo = resolve(config.piezo_material)
+    ring_mat = resolve(config.stator_material, "stator_material")
+    piezo = resolve(config.piezo_material, "piezo_material")
     if not isinstance(ring_mat, materials.IsotropicMaterial):
         raise ConfigError("stator material must be isotropic")
     if not isinstance(piezo, materials.PiezoMaterial):

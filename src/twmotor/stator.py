@@ -8,8 +8,10 @@ traveling wave and admits an exact analytic dispersion check
 
     f_n = (1 / 2 pi) * (n / R)^2 * sqrt(EI / rho A).
 
-Teeth are not meshed; they only offset the contact surface from the
-neutral plane by ``contact_offset``.
+The modes come from one dense generalized eigensolve, reduced to a
+standard symmetric one by the Cholesky factor of the mass matrix
+(``solve_eigen``).  Teeth are not meshed; they only offset the contact
+surface from the neutral plane by ``contact_offset``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .materials import IsotropicMaterial, PiezoMaterial
 
@@ -165,13 +166,20 @@ class ModeSet:
 
 
 def solve_eigen(system: SystemMatrices, k: int, mesh: RingMesh) -> ModeSet:
-    """Solve K phi = omega^2 M phi for the k lowest modes."""
+    """Solve K phi = omega^2 M phi for the k lowest modes.
+
+    The symmetric-definite pencil is reduced to a standard symmetric
+    problem by the Cholesky factor M = L L^T: the eigenpairs (lambda, y) of
+    L^-1 K L^-T give phi = L^-T y, which are M-orthonormal (Golub & Van
+    Loan, *Matrix Computations*, 4th ed., section 8.7).
+    """
     ndof = system.stiffness.shape[0]
     if k > ndof:
         raise ValueError(f"requested {k} modes from a {ndof}-DOF system")
-    vals, vecs = scipy.linalg.eigh(system.stiffness, system.mass)
+    inv_l = np.linalg.inv(np.linalg.cholesky(system.mass))
+    vals, vecs = np.linalg.eigh(inv_l @ system.stiffness @ inv_l.T)
     vals = vals[:k]
-    vecs = vecs[:, :k]
+    vecs = inv_l.T @ vecs[:, :k]
     resid = _eigen_residuals(system, vals, vecs)
     if np.any(resid > 1e-6):
         bad = ", ".join(f"{r:.2e}" for r in resid[resid > 1e-6])

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,6 +182,8 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepCurve:
     if jobs <= 1 or len(tasks) <= 1:
         results = [_run_batch(t) for t in tasks]
     else:
+        # imported here: loading the pool machinery costs every command start-up
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(_run_batch, tasks))
     for part, part_rows in zip(parts, results):

@@ -1,6 +1,10 @@
 """Command-line interface, exercised through ``main(argv)``."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,6 +255,26 @@ class TestValidate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {message}")
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("density", "abc", "could not convert string to float: 'abc'"),
+        ("poisson_ratio", 0.7, "X: Poisson ratio must lie in (0, 0.5)"),
+    ], ids=["unparsable", "out-of-range"])
+    def test_invalid_material_value(self, tmp_path, capsys, field, value, message):
+        """Listed as a problem naming the entry, like every other material error."""
+        entry = {"name": "X", "density": 7800.0, "poisson_ratio": 0.3,
+                 "youngs_modulus": 1e11, field: value}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"stator_material": entry}))
+        expected = f"material entry stator_material has an invalid value: {message}"
+        assert run_cli("validate", "--config", str(cfg)) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [f"invalid: {expected}"]
+        assert captured.err == ""
+        for command in ("run", "eigen"):
+            assert run_cli(command, "--config", str(cfg),
+                           "--out-dir", str(tmp_path)) == cli.EXIT_CONFIG
+            assert capsys.readouterr().err.splitlines() == [f"error: {expected}"]
+
     def test_unresolved_mode_pair(self, tmp_path, capsys):
         """Too few modes for the drive pair: rejected as ``eigen`` rejects it."""
         cfg = tmp_path / "cfg.json"
@@ -261,3 +285,37 @@ class TestValidate:
         assert run_cli("eigen", "--config", str(cfg),
                        "--out-dir", str(tmp_path)) == cli.EXIT_CONFIG
         assert message in capsys.readouterr().err
+
+
+class TestImports:
+    """The commands load NumPy and the standard library alone, in a fresh
+    interpreter: SciPy is never imported and the process pool only when a
+    sweep asks for workers."""
+
+    @staticmethod
+    def python(code, *args, cwd):
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_cli_import_loads_no_scipy_and_no_pool(self, tmp_path):
+        proc = self.python(
+            "import sys, twmotor.cli\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')"
+            " or m == 'concurrent.futures.process'))", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        ["validate"], ["eigen"], ["run", "--duration", "1.5e-3"],
+    ], ids=["validate", "eigen", "run"])
+    def test_commands_run_with_scipy_blocked(self, tmp_path, argv):
+        """No function-level SciPy import hides behind a command."""
+        proc = self.python(
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from twmotor import cli\n"
+            "sys.exit(cli.main(sys.argv[1:]))", *argv, cwd=tmp_path)
+        assert proc.returncode == cli.EXIT_OK, proc.stderr

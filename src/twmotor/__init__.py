@@ -11,9 +11,8 @@ from .dynamics import (MotorTimeSeries, RotorConfig, detect_steady_state,
                        envelope_average, mean_speed, simulate, simulate_batch)
 from .materials import builtin_library, lookup, validate_piezo
 from .metrology import areal_params, level_mean_plane, load_height_map
-from .stator import (StatorGeometry, StatorModel, assemble_system,
-                     build_ring_mesh, piezo_modal_force, select_mode_pair,
-                     solve_eigen)
+from .stator import (StatorGeometry, StatorModel, piezo_modal_force, ring_modes,
+                     select_mode_pair)
 from .sweep import SweepSpec, find_peak, grams_to_newtons, run_sweep
 from .wave import DriveConfig, ideal_no_slip_speed, steady_wave_response, surface_state
 

@@ -232,8 +232,6 @@ def _cmd_validate(args) -> int:
         problems.append(str(exc))
     else:
         problems.extend(validate_piezo(piezo))
-    if config.mesh.n_elements < 8 * config.geometry.drive_nodal_diameters:
-        problems.append("mesh too coarse for the drive nodal diameters")
     if not problems:
         try:
             runner.build_stator(config)

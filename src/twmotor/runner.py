@@ -45,16 +45,15 @@ def resolve_materials(config: RunConfig
 
 
 def build_stator(config: RunConfig) -> stator.StatorModel:
-    """Assemble the ring model and select the drive mode pair."""
+    """Solve the ring modes and select the drive mode pair."""
     ring_mat, piezo = resolve_materials(config)
     geom = config.geometry
     try:
-        mesh = stator.build_ring_mesh(geom, config.mesh.n_elements)
+        modes = stator.ring_modes(geom, ring_mat, config.mesh.n_elements,
+                                  config.mesh.modes)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    system = stator.assemble_system(mesh, ring_mat, geom)
-    modes = stator.solve_eigen(system, config.mesh.modes, mesh)
-    pair = stator.select_mode_pair(modes, geom.drive_nodal_diameters, system)
+    pair = stator.select_mode_pair(modes, geom.drive_nodal_diameters)
     forcing = stator.piezo_modal_force(pair, geom, piezo, voltage=1.0,
                                        piezo_offset=config.piezo_offset)
     return stator.StatorModel(

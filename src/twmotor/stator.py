@@ -8,10 +8,16 @@ traveling wave and admits an exact analytic dispersion check
 
     f_n = (1 / 2 pi) * (n / R)^2 * sqrt(EI / rho A).
 
-The modes come from one dense generalized eigensolve, reduced to a
-standard symmetric one by the Cholesky factor of the mass matrix
-(``solve_eigen``).  Teeth are not meshed; they only offset the contact
-surface from the neutral plane by ``contact_offset``.
+The uniform mesh makes the ring rotationally periodic, so its FE
+eigenproblem splits exactly into one 2x2 Hermitian pencil per
+nodal-diameter count n = 0..N/2 (Thomas, "Dynamics of rotationally
+periodic structures", Int. J. Numer. Methods Eng. 14 (1979) 81-102).
+``ring_modes`` solves them as one batch, each reduced to a standard
+Hermitian problem by the Cholesky factor of its mass block (Golub & Van
+Loan, *Matrix Computations*, 4th ed., section 8.7).  That makes each
+mode's label exact, each pair exactly degenerate and its amplitude a
+closed form.  Teeth are not meshed; they only offset the contact surface
+from the neutral plane by ``contact_offset``.
 """
 
 from __future__ import annotations
@@ -25,14 +31,10 @@ from .materials import IsotropicMaterial, PiezoMaterial
 
 __all__ = [
     "StatorGeometry",
-    "RingMesh",
-    "SystemMatrices",
     "ModeSet",
     "ModePair",
     "StatorModel",
-    "build_ring_mesh",
-    "assemble_system",
-    "solve_eigen",
+    "ring_modes",
     "select_mode_pair",
     "piezo_modal_force",
 ]
@@ -69,48 +71,6 @@ class StatorGeometry:
         return 2.0 * math.pi * self.mean_radius
 
 
-@dataclass(frozen=True)
-class RingMesh:
-    """Uniform periodic mesh on the unwrapped ring.
-
-    Node k sits at angle 2*pi*k/N; element N wraps back to node 0.
-    DOF layout: (w_0, w'_0, w_1, w'_1, ...) with w' = dw/dx, x = R*theta.
-    """
-
-    element_count: int
-    radius: float
-    angles: np.ndarray = field(repr=False)
-
-    @property
-    def dof_count(self) -> int:
-        return 2 * self.element_count
-
-    @property
-    def element_length(self) -> float:
-        return 2.0 * math.pi * self.radius / self.element_count
-
-
-@dataclass(frozen=True)
-class SystemMatrices:
-    """Assembled stiffness and consistent mass of the free periodic ring."""
-
-    stiffness: np.ndarray = field(repr=False)
-    mass: np.ndarray = field(repr=False)
-
-
-def build_ring_mesh(geom: StatorGeometry, n_elements: int) -> RingMesh:
-    """Uniform periodic mesh; needs >= 8 elements per drive wavelength."""
-    minimum = 8 * geom.drive_nodal_diameters
-    if n_elements < minimum:
-        raise ValueError(
-            f"n_elements={n_elements} too coarse for n={geom.drive_nodal_diameters} "
-            f"nodal diameters; need at least {minimum}"
-        )
-    angles = 2.0 * math.pi * np.arange(n_elements) / n_elements
-    angles.flags.writeable = False
-    return RingMesh(element_count=n_elements, radius=geom.mean_radius, angles=angles)
-
-
 def _element_matrices(EI, rhoA, l):
     k = EI / l**3 * np.array(
         [
@@ -131,99 +91,93 @@ def _element_matrices(EI, rhoA, l):
     return k, m
 
 
-def assemble_system(mesh: RingMesh, mat: IsotropicMaterial,
-                    geom: StatorGeometry) -> SystemMatrices:
-    """Assemble Hermite beam stiffness/consistent mass with periodic wrap."""
-    EI = mat.youngs_modulus * geom.section_width * geom.section_thickness**3 / 12.0
-    rhoA = mat.density * geom.section_width * geom.section_thickness
-    N = mesh.element_count
-    ke, me = _element_matrices(EI, rhoA, mesh.element_length)
-    K = np.zeros((2 * N, 2 * N))
-    M = np.zeros((2 * N, 2 * N))
-    for e in range(N):
-        nxt = (e + 1) % N
-        dofs = np.array([2 * e, 2 * e + 1, 2 * nxt, 2 * nxt + 1])
-        K[np.ix_(dofs, dofs)] += ke
-        M[np.ix_(dofs, dofs)] += me
-    return SystemMatrices(stiffness=K, mass=M)
-
-
 @dataclass(frozen=True)
 class ModeSet:
-    """Mass-normalized generalized eigenpairs, ascending in frequency.
+    """The k lowest ring modes, ascending in frequency.
 
-    ``labels[i]`` is the nodal-diameter count of mode i, found by discrete
-    Fourier decomposition of the deflection components.
+    ``labels[i]`` is the nodal-diameter count of mode i and
+    ``amplitudes[i]`` the deflection amplitude of its mass-normalized
+    shape, in m per unit modal coordinate.  A pair with n in 1..N/2-1
+    appears twice in a row, once for its cosine and once for its sine shape.
     """
 
     frequencies_hz: np.ndarray = field(repr=False)
-    shapes: np.ndarray = field(repr=False)          # (dofs, k), columns
     labels: np.ndarray = field(repr=False)
-    mesh: RingMesh = field(repr=False)
+    amplitudes: np.ndarray = field(repr=False)
 
     def __len__(self):
         return len(self.frequencies_hz)
 
 
-def solve_eigen(system: SystemMatrices, k: int, mesh: RingMesh) -> ModeSet:
-    """Solve K phi = omega^2 M phi for the k lowest modes.
+def ring_modes(geom: StatorGeometry, mat: IsotropicMaterial, n_elements: int,
+               k: int) -> ModeSet:
+    """The k lowest modes of the uniform periodic ring of ``n_elements``.
 
-    The symmetric-definite pencil is reduced to a standard symmetric
-    problem by the Cholesky factor M = L L^T: the eigenpairs (lambda, y) of
-    L^-1 K L^-T give phi = L^-T y, which are M-orthonormal (Golub & Van
-    Loan, *Matrix Computations*, 4th ed., section 8.7).
+    Needs >= 8 elements per drive wavelength.  Wave n is the nodal field
+    u_j = v t^j with t = exp(2 pi i n / N); with each element matrix split
+    into 2x2 node blocks [[A, B], [B^T, D]], its pencil is
+    K(n) = A + D + B t + B^T conj(t), and M(n) likewise.  Each eigenvalue
+    of pencil n stands for c modes: c = 1 for n = 0 and N/2, and c = 2, a
+    degenerate pair, otherwise.  With v^H M(n) v = 1, the mass-normalized
+    deflection amplitude is |v_w| sqrt(c / N).
     """
-    ndof = system.stiffness.shape[0]
-    if k > ndof:
-        raise ValueError(f"requested {k} modes from a {ndof}-DOF system")
-    inv_l = np.linalg.inv(np.linalg.cholesky(system.mass))
-    vals, vecs = np.linalg.eigh(inv_l @ system.stiffness @ inv_l.T)
-    vals = vals[:k]
-    vecs = inv_l.T @ vecs[:, :k]
-    resid = _eigen_residuals(system, vals, vecs)
+    minimum = 8 * geom.drive_nodal_diameters
+    if n_elements < minimum:
+        raise ValueError(
+            f"n_elements={n_elements} too coarse for n={geom.drive_nodal_diameters} "
+            f"nodal diameters; need at least {minimum}"
+        )
+    if not 1 <= k <= 2 * n_elements:
+        raise ValueError(f"requested {k} modes from a {2 * n_elements}-DOF system")
+    EI = mat.youngs_modulus * geom.section_width * geom.section_thickness**3 / 12.0
+    rhoA = mat.density * geom.section_width * geom.section_thickness
+    n = np.arange(n_elements // 2 + 1)
+    t = np.exp(2j * math.pi * n / n_elements)[:, None, None]
+
+    def pencil(e):
+        return e[:2, :2] + e[2:, 2:] + e[:2, 2:] * t + e[2:, :2] * t.conj()
+
+    K, M = map(pencil, _element_matrices(EI, rhoA, geom.circumference / n_elements))
+    inv_l = np.linalg.inv(np.linalg.cholesky(M))
+    inv_lh = inv_l.conj().swapaxes(1, 2)
+    vals, vecs = np.linalg.eigh(inv_l @ K @ inv_lh)
+    vecs = inv_lh @ vecs
+    # scaled by ||K(n)|| ||v|| so the null rigid mode is judged fairly
+    resid = (np.linalg.norm(K @ vecs - M @ vecs * vals[:, None, :], axis=1)
+             / np.linalg.norm(K, 1, axis=(1, 2))[:, None]
+             / np.linalg.norm(vecs, axis=1))
     if np.any(resid > 1e-6):
         bad = ", ".join(f"{r:.2e}" for r in resid[resid > 1e-6])
         raise RuntimeError(f"eigensolver did not converge; residual norms: {bad}")
-    freqs = np.sqrt(np.maximum(vals, 0.0)) / (2.0 * math.pi)
-    labels = np.empty(k, dtype=int)
-    for i in range(k):
-        w = vecs[0::2, i]
-        spec = np.abs(np.fft.rfft(w))
-        labels[i] = int(np.argmax(spec))
-    return ModeSet(frequencies_hz=freqs, shapes=vecs, labels=labels, mesh=mesh)
-
-
-def _eigen_residuals(system, vals, vecs):
-    # scaled by ||K|| ||phi|| so the near-null rigid mode is judged fairly
-    K, M = system.stiffness, system.mass
-    r = K @ vecs - M @ vecs * vals
-    num = np.linalg.norm(r, axis=0)
-    den = np.linalg.norm(K, 1) * np.linalg.norm(vecs, axis=0)
-    return num / np.maximum(den, 1e-300)
+    count = np.where((n == 0) | (2 * n == n_elements), 1, 2)
+    amp = np.abs(vecs[:, 0, :]) * np.sqrt(count / n_elements)[:, None]
+    repeat = np.repeat(count, 2)
+    vals, labels, amp = (np.repeat(a.ravel(), repeat)
+                         for a in (vals, np.repeat(n, 2), amp))
+    keep = np.argsort(vals, kind="stable")[:k]
+    freqs = np.sqrt(np.maximum(vals[keep], 0.0)) / (2.0 * math.pi)
+    return ModeSet(frequencies_hz=freqs, labels=labels[keep], amplitudes=amp[keep])
 
 
 @dataclass(frozen=True)
 class ModePair:
     """Degenerate flexural pair at one nodal-diameter count.
 
-    The shapes are rotated so the deflection components follow
-    amp*cos(n theta) and amp*sin(n theta); both are mass-normalized and
-    M-orthogonal.  ``amp`` is the deflection amplitude of either shape.
+    Its mass-normalized shapes deflect as amp*cos(n theta) and
+    amp*sin(n theta).
     """
 
     nodal_diameters: int
     omega: float                  # rad/s, shared natural frequency
     amp: float                    # m per unit modal coordinate
-    shape_cos: np.ndarray = field(repr=False)
-    shape_sin: np.ndarray = field(repr=False)
 
     @property
     def frequency_hz(self) -> float:
         return self.omega / (2.0 * math.pi)
 
 
-def select_mode_pair(modes: ModeSet, n: int, system: SystemMatrices) -> ModePair:
-    """Extract and cosine/sine-align the degenerate pair at nodal diameter n."""
+def select_mode_pair(modes: ModeSet, n: int) -> ModePair:
+    """The degenerate pair at nodal diameter n."""
     if n < 1:
         raise ValueError("n=0 is not a traveling-wave pair")
     idx = np.flatnonzero(modes.labels == n)
@@ -231,42 +185,10 @@ def select_mode_pair(modes: ModeSet, n: int, system: SystemMatrices) -> ModePair
         raise ValueError(
             f"mode pair n={n} not resolved; increase the mode count or mesh density"
         )
-    i, j = int(idx[0]), int(idx[1])
-    fi, fj = modes.frequencies_hz[i], modes.frequencies_hz[j]
-    if abs(fi - fj) > 1e-3 * max(fi, fj):
-        raise ValueError(
-            f"modes labeled n={n} are not degenerate ({fi:.1f} vs {fj:.1f} Hz); "
-            "increase mesh density"
-        )
-    phi1 = modes.shapes[:, i]
-    phi2 = modes.shapes[:, j]
-    theta = modes.mesh.angles
-    N = modes.mesh.element_count
-
-    def coeff(phi):
-        w = phi[0::2]
-        return 2.0 / N * np.sum(w * np.exp(-1j * n * theta))
-
-    c1, c2 = coeff(phi1), coeff(phi2)
-    A = np.array([[c1.real, c2.real], [c1.imag, c2.imag]])
-    ab_cos = np.linalg.solve(A, [1.0, 0.0])   # target coefficient 1 -> cos
-    ab_sin = np.linalg.solve(A, [0.0, -1.0])  # target coefficient -i -> sin
-    M = system.mass
-    phi_cos = ab_cos[0] * phi1 + ab_cos[1] * phi2
-    phi_cos = phi_cos / math.sqrt(phi_cos @ M @ phi_cos)
-    phi_sin = ab_sin[0] * phi1 + ab_sin[1] * phi2
-    phi_sin = phi_sin - (phi_sin @ M @ phi_cos) * phi_cos
-    phi_sin = phi_sin / math.sqrt(phi_sin @ M @ phi_sin)
-    amp = abs(coeff(phi_cos))
-    if np.sum(phi_cos[0::2] * np.cos(n * theta)) < 0:
-        phi_cos = -phi_cos
-    if np.sum(phi_sin[0::2] * np.sin(n * theta)) < 0:
-        phi_sin = -phi_sin
-    omega = 2.0 * math.pi * 0.5 * (fi + fj)
-    for arr in (phi_cos, phi_sin):
-        arr.flags.writeable = False
-    return ModePair(nodal_diameters=n, omega=omega, amp=amp,
-                    shape_cos=phi_cos, shape_sin=phi_sin)
+    i = int(idx[0])
+    return ModePair(nodal_diameters=n,
+                    omega=float(2.0 * math.pi * modes.frequencies_hz[i]),
+                    amp=float(modes.amplitudes[i]))
 
 
 def piezo_modal_force(pair: ModePair, geom: StatorGeometry, piezo: PiezoMaterial,

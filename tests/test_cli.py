@@ -286,6 +286,19 @@ class TestValidate:
                        "--out-dir", str(tmp_path)) == cli.EXIT_CONFIG
         assert message in capsys.readouterr().err
 
+    def test_coarse_mesh(self, tmp_path, capsys):
+        """The mesh-density rule has one owner: ``validate`` reports the
+        message ``run`` and ``eigen`` reject the config with."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mesh": {"n_elements": 16}}))
+        message = "n_elements=16 too coarse for n=4 nodal diameters; need at least 32"
+        assert run_cli("validate", "--config", str(cfg)) == cli.EXIT_CONFIG
+        assert capsys.readouterr().out.splitlines() == [f"invalid: {message}"]
+        for command in ("run", "eigen"):
+            assert run_cli(command, "--config", str(cfg),
+                           "--out-dir", str(tmp_path)) == cli.EXIT_CONFIG
+            assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
 
 class TestImports:
     """The commands load NumPy and the standard library alone, in a fresh
@@ -293,8 +306,8 @@ class TestImports:
     sweep asks for workers."""
 
     @staticmethod
-    def python(code, *args, cwd):
-        env = dict(os.environ)
+    def python(code, *args, cwd, **env_vars):
+        env = dict(os.environ, **env_vars)
         src = str(Path(cli.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
@@ -319,3 +332,28 @@ class TestImports:
             "from twmotor import cli\n"
             "sys.exit(cli.main(sys.argv[1:]))", *argv, cwd=tmp_path)
         assert proc.returncode == cli.EXIT_OK, proc.stderr
+
+
+class TestBlasThreads:
+    """The drive pair and a transient carry the same bits whatever the
+    OpenBLAS thread count, each in a fresh interpreter."""
+
+    def test_stator_and_run_bits(self, tmp_path):
+        code = (
+            "import hashlib\n"
+            "from twmotor import dynamics, runner\n"
+            "from twmotor.config import RunConfig\n"
+            "c = RunConfig()\n"
+            "m = runner.build_stator(c)\n"
+            "s = dynamics.simulate(m, c.drive, c.contact, c.rotor, duration=1.5e-3)\n"
+            "print(m.pair.omega.hex(), m.pair.amp.hex())\n"
+            "print(m.modes.frequencies_hz.tobytes().hex())\n"
+            "cols = (s.time, s.surface_speed, s.surface_displacement, s.friction_probe,\n"
+            "        s.torque, s.axial_force, s.wave_amplitude)\n"
+            "print(len(s), hashlib.sha256(b''.join(a.tobytes() for a in cols)).hexdigest())\n"
+        )
+        runs = [TestImports.python(code, cwd=tmp_path, OPENBLAS_NUM_THREADS=threads)
+                for threads in ("1", "2")]
+        for proc in runs:
+            assert proc.returncode == 0, proc.stderr
+        assert runs[0].stdout == runs[1].stdout

@@ -1,5 +1,5 @@
-"""Ring FEM: assembly invariants, eigenfrequencies, mode-pair alignment
-and piezo modal forcing."""
+"""Ring FEM: assembly invariants, eigenfrequencies against a dense
+reference, the drive mode pair and piezo modal forcing."""
 
 import math
 
@@ -9,11 +9,10 @@ import pytest
 from twmotor.materials import lookup
 from twmotor.stator import (
     StatorGeometry,
-    assemble_system,
-    build_ring_mesh,
+    _element_matrices,
     piezo_modal_force,
+    ring_modes,
     select_mode_pair,
-    solve_eigen,
 )
 
 GEOM = StatorGeometry(mean_radius=0.0125, section_width=0.005,
@@ -29,49 +28,82 @@ def analytic_frequency(geom, mat, n):
     return (n / geom.mean_radius) ** 2 * math.sqrt(EI / rhoA) / (2 * math.pi)
 
 
+def dense_system(geom, mat, N):
+    """Reference: the element matrices assembled one by one into the dense
+    (2N, 2N) stiffness and consistent mass of the periodic ring, with DOF
+    layout (w_0, w'_0, w_1, w'_1, ...) and element N wrapping to node 0."""
+    EI = mat.youngs_modulus * geom.section_width * geom.section_thickness**3 / 12.0
+    rhoA = mat.density * geom.section_width * geom.section_thickness
+    ke, me = _element_matrices(EI, rhoA, geom.circumference / N)
+    K = np.zeros((2 * N, 2 * N))
+    M = np.zeros((2 * N, 2 * N))
+    for e in range(N):
+        nxt = (e + 1) % N
+        dofs = np.array([2 * e, 2 * e + 1, 2 * nxt, 2 * nxt + 1])
+        K[np.ix_(dofs, dofs)] += ke
+        M[np.ix_(dofs, dofs)] += me
+    return K, M
+
+
+def dense_modes(K, M, element_length):
+    """Reference: all generalized eigenpairs by Cholesky reduction, with
+    M-orthonormal vectors, each labelled by the largest harmonic of its
+    nodal deflections and slopes.  The slopes, scaled by the element length,
+    label the modes whose nodes do not deflect: the second mode of the
+    n = 0 and n = N/2 pencils."""
+    inv_l = np.linalg.inv(np.linalg.cholesky(M))
+    vals, vecs = np.linalg.eigh(inv_l @ K @ inv_l.T)
+    vecs = inv_l.T @ vecs
+    spectrum = (np.abs(np.fft.rfft(vecs[0::2], axis=0))
+                + np.abs(np.fft.rfft(element_length * vecs[1::2], axis=0)))
+    return vals, vecs, np.argmax(spectrum, axis=0)
+
+
 @pytest.fixture(scope="module")
 def system64():
-    mesh = build_ring_mesh(GEOM, 64)
-    return mesh, assemble_system(mesh, COPPER, GEOM)
+    return dense_system(GEOM, COPPER, 64)
 
 
 @pytest.fixture(scope="module")
-def modes64(system64):
-    mesh, system = system64
-    return solve_eigen(system, 15, mesh)
+def dense64(system64):
+    return dense_modes(*system64, GEOM.circumference / 64)
+
+
+@pytest.fixture(scope="module")
+def modes64():
+    return ring_modes(GEOM, COPPER, 64, 15)
 
 
 class TestAssembly:
     def test_matrices_symmetric(self, system64):
-        _, system = system64
-        np.testing.assert_allclose(system.stiffness, system.stiffness.T,
-                                   atol=1e-6)
-        np.testing.assert_allclose(system.mass, system.mass.T, atol=1e-18)
+        K, M = system64
+        np.testing.assert_allclose(K, K.T, atol=1e-6)
+        np.testing.assert_allclose(M, M.T, atol=1e-18)
 
     def test_stiffness_nullspace_is_uniform_translation(self, system64):
-        mesh, system = system64
-        u = np.zeros(mesh.dof_count)
+        K, _ = system64
+        u = np.zeros(len(K))
         u[0::2] = 1.0  # rigid transverse translation of the closed ring
-        residual = np.linalg.norm(system.stiffness @ u)
-        assert residual < 1e-6 * np.linalg.norm(system.stiffness, 1)
+        residual = np.linalg.norm(K @ u)
+        assert residual < 1e-6 * np.linalg.norm(K, 1)
 
     def test_stiffness_nullity_exactly_one(self, system64):
-        _, system = system64
-        vals = np.linalg.eigvalsh(system.stiffness)
+        K, _ = system64
+        vals = np.linalg.eigvalsh(K)
         scale = abs(vals[-1])
         assert np.sum(np.abs(vals) < 1e-12 * scale) == 1
 
     def test_consistent_mass_totals(self, system64):
-        mesh, system = system64
+        _, M = system64
         rhoA = COPPER.density * GEOM.section_width * GEOM.section_thickness
-        u = np.zeros(mesh.dof_count)
+        u = np.zeros(len(M))
         u[0::2] = 1.0
-        total = u @ system.mass @ u
+        total = u @ M @ u
         assert total == pytest.approx(rhoA * GEOM.circumference, rel=1e-12)
 
     def test_mesh_density_precondition(self):
         with pytest.raises(ValueError, match="too coarse"):
-            build_ring_mesh(GEOM, 16)
+            ring_modes(GEOM, COPPER, 16, 15)
 
 
 class TestEigenfrequencies:
@@ -92,50 +124,56 @@ class TestEigenfrequencies:
         assert modes64.labels[0] == 0
         assert modes64.frequencies_hz[0] == pytest.approx(0.0, abs=1.0)
 
+    def test_rigid_mode_exactly_zero(self, modes64):
+        """The n = 0 pencil's stiffness is singular in exact arithmetic and
+        its blocks cancel exactly, so no rounding residue is left."""
+        assert modes64.frequencies_hz[0] == 0.0
+
     def test_frequencies_ascending(self, modes64):
         diffs = np.diff(modes64.frequencies_hz)
         assert np.all(diffs >= -1e-9)
 
-    def test_too_many_modes_rejected(self, system64):
-        mesh, system = system64
-        with pytest.raises(ValueError):
-            solve_eigen(system, mesh.dof_count + 1, mesh)
+    def test_too_many_modes_rejected(self):
+        with pytest.raises(ValueError, match="requested 129 modes from a 128-DOF system"):
+            ring_modes(GEOM, COPPER, 64, 129)
+
+    def test_nonpositive_mode_count_rejected(self):
+        for k in (0, -1):
+            with pytest.raises(ValueError, match=f"requested {k} modes from a 128-DOF"):
+                ring_modes(GEOM, COPPER, 64, k)
+
+    def test_matches_dense_eigensolve(self, modes64, dense64):
+        """Every mode of the full ring: non-rigid frequencies within rel
+        1e-9 of the dense pencil's and the same nodal-diameter labels."""
+        vals, _, labels = dense64
+        modes = ring_modes(GEOM, COPPER, 64, 128)
+        dense_hz = np.sqrt(vals[1:]) / (2 * math.pi)
+        np.testing.assert_allclose(modes.frequencies_hz[1:], dense_hz, rtol=1e-9, atol=0)
+        np.testing.assert_array_equal(modes.labels, labels)
+        np.testing.assert_array_equal(modes64.labels, labels[:15])
 
 
 @pytest.fixture(scope="module")
-def pair(modes64, system64):
-    _, system = system64
-    return select_mode_pair(modes64, 4, system)
+def pair(modes64):
+    return select_mode_pair(modes64, 4)
 
 
 class TestModePair:
 
-    def test_mass_normalized(self, pair, system64):
-        _, system = system64
-        M = system.mass
-        assert pair.shape_cos @ M @ pair.shape_cos == pytest.approx(1.0)
-        assert pair.shape_sin @ M @ pair.shape_sin == pytest.approx(1.0)
+    def test_amp_matches_dense_mode(self, pair, dense64):
+        """The deflection amplitude of either dense M-normalized mode of the
+        lowest n = 4 pair: any unit combination of the pair's cosine and
+        sine shapes has it."""
+        _, vecs, labels = dense64
+        theta = 2 * math.pi * np.arange(64) / 64
+        for i in np.flatnonzero(labels == 4)[:2]:
+            w = vecs[0::2, i]
+            amp = abs(2.0 / 64 * np.sum(w * np.exp(-4j * theta)))
+            assert pair.amp == pytest.approx(amp, rel=1e-9)
 
-    def test_mass_orthogonal(self, pair, system64):
-        _, system = system64
-        cross = pair.shape_cos @ system.mass @ pair.shape_sin
-        assert abs(cross) < 1e-10
-
-    def test_fourier_alignment(self, pair, system64):
-        """Deflection components follow amp*cos(4 theta) / amp*sin(4 theta)."""
-        mesh, _ = system64
-        theta = mesh.angles
-        np.testing.assert_allclose(pair.shape_cos[0::2],
-                                   pair.amp * np.cos(4 * theta),
-                                   rtol=1e-6, atol=1e-9 * pair.amp)
-        np.testing.assert_allclose(pair.shape_sin[0::2],
-                                   pair.amp * np.sin(4 * theta),
-                                   rtol=1e-6, atol=1e-9 * pair.amp)
-
-    def test_missing_pair_rejected(self, modes64, system64):
-        _, system = system64
+    def test_missing_pair_rejected(self, modes64):
         with pytest.raises(ValueError, match="not resolved"):
-            select_mode_pair(modes64, 11, system)
+            select_mode_pair(modes64, 11)
 
 
 @pytest.fixture(scope="module")
@@ -182,9 +220,8 @@ class TestPiezoForcing:
         assert abs(quadrature_force(pair, "A", np.sin)) < 1e-12 * abs(f)
         assert abs(quadrature_force(pair, "B", np.cos)) < 1e-12 * abs(f)
 
-    def test_forcing_scales_linearly_with_voltage(self, modes64, system64):
-        _, system = system64
-        pair = select_mode_pair(modes64, 4, system)
+    def test_forcing_scales_linearly_with_voltage(self, modes64):
+        pair = select_mode_pair(modes64, 4)
         f1 = piezo_modal_force(pair, GEOM, lookup("PZT-5H"), 1.0)
         f7 = piezo_modal_force(pair, GEOM, lookup("PZT-5H"), 7.0)
         assert f7 == pytest.approx(7.0 * f1, rel=1e-12)

@@ -237,6 +237,10 @@ def _cmd_validate(args) -> int:
             runner.build_stator(config)
         except (ConfigError, ValueError) as exc:
             problems.append(str(exc))
+    try:
+        runner.check_duration(config)
+    except ConfigError as exc:
+        problems.append(str(exc))
     if problems:
         for p in problems:
             print(f"invalid: {p}")

@@ -4,21 +4,33 @@ The interface is sampled at M uniform angles on the mean contact radius.
 Normal forces follow a one-sided penalty law on the gap between the rigid
 rotor plane and the wavy stator surface; tangential forces follow a
 tanh-regularized Coulomb law of the local slip velocity, so the friction
-cone |f| < mu*N holds strictly and friction always opposes slip.  The law
-is defined on those two per-point quantities, gap and slip: the caller
-forms them from the stator and rotor motion (the transient does so with
-one kinematics product per step).
+cone |f| < mu*N holds strictly and friction always opposes slip
+(Wallaschek, Smart Mater. Struct. 7 (1998) 369-381):
+
+    N = k max(0, -gap),    f = -mu N tanh(slip / v)
+
+Gap and slip are linear in the motion, and the generalized forces linear
+in N and f, so the law's constants k, v and mu fold into those linear
+maps.  ``reaction_operator`` gives the virtual-work projection [G_N, G_f]
+of the forces onto J stator shapes and the rotor; since gap and slip are
+the work conjugates of N and f, the kinematics is its transpose.
+``ContactBatch.fold`` returns both per interface with the constants
+folded in: the kinematics maps a state straight to the law's arguments
+[-k gap, slip / v], and the friction block of the reaction carries -mu.
+What is left of the law is three elementwise passes, ``evaluate_contact``:
+
+    N = max(-k gap, 0),    u = N tanh(slip / v)
+
+and the friction force is f = -mu u, which ``modal_reaction`` applies
+inside its product with the folded operator.
 
 This module is the one implementation of the law, with one call form: the
 transient step loop calls ``evaluate_contact`` and ``modal_reaction`` once
-per step, both writing into the loop's buffers through ``out``.  Both take
-B interfaces as (B, 1, M) rows, and a ``ContactBatch`` carries one
-parameter row per interface; a single interface is a batch of one.  The
-forces are stacked on a new leading axis, [N, f], and so are their
-generalized forces [Q_N, Q_f].  So at any batch size the normal forces of
-all interfaces form one contiguous block, and the friction forces another,
-and each of the law's six elementwise passes runs over one block of
-memory.
+per step, both writing into the loop's buffers.  Both take B interfaces
+as (B, 1, M) rows, and a ``ContactBatch`` carries one parameter row per
+interface; a single interface is a batch of one.  The law's arguments,
+and its outputs [N, u], are stacked on a leading axis, so at any batch
+size each of its operands is one contiguous block of memory.
 """
 
 from __future__ import annotations
@@ -69,21 +81,17 @@ class ContactConfig:
 
 @dataclass(frozen=True)
 class ContactBatch:
-    """The parameters of B interfaces, one row each, for batched evaluation.
+    """The constitutive parameters of B interfaces, one row each.
 
-    The constitutive parameters are (B, 1, M) arrays, each row's value
-    repeated at every point, so they match per-point arrays of shape
-    (B, 1, M) without broadcasting (which costs more than the arithmetic
-    at this size); ``point_count`` is shared.  The stiffness and the
-    friction coefficient are kept negated, the signs the law multiplies
-    by, and ``scratch`` is the law's working block of that shape.
+    ``stiffness``, ``regularization_velocity`` and ``cof`` are (B,) arrays
+    of each row's k, v and mu; ``point_count`` is shared.  They enter the
+    step only through ``fold``.
     """
 
     point_count: int
-    neg_stiffness: np.ndarray = field(repr=False)
+    stiffness: np.ndarray = field(repr=False)
     regularization_velocity: np.ndarray = field(repr=False)
-    neg_cof: np.ndarray = field(repr=False)
-    scratch: np.ndarray = field(repr=False)
+    cof: np.ndarray = field(repr=False)
 
     @classmethod
     def stack(cls, configs) -> "ContactBatch":
@@ -91,18 +99,42 @@ class ContactBatch:
         counts = {c.point_count for c in configs}
         if len(counts) != 1:
             raise ValueError("batched interfaces must share one point_count")
-        point_count = counts.pop()
+        return cls(point_count=counts.pop(),
+                   stiffness=np.array([c.penalty_stiffness for c in configs], dtype=float),
+                   regularization_velocity=np.array(
+                       [c.regularization_velocity for c in configs], dtype=float),
+                   cof=np.array([c.cof for c in configs], dtype=float))
 
-        def column(values):
-            values = np.array(values, dtype=float)
-            return np.repeat(values.reshape(-1, 1, 1), point_count, axis=-1)
+    def fold(self, operator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's kinematics and reaction operator, its constants folded in.
 
-        return cls(point_count=point_count,
-                   neg_stiffness=column([-c.penalty_stiffness for c in configs]),
-                   regularization_velocity=column(
-                       [c.regularization_velocity for c in configs]),
-                   neg_cof=column([-c.cof for c in configs]),
-                   scratch=np.empty((len(configs), 1, point_count)))
+        ``operator`` is [G_N, G_f] of shape (2, M, P), from
+        ``reaction_operator``: it maps the forces N and f to the generalized
+        forces on P coordinates x.  The state is [x | x'], and gap = G_N^T x
+        and slip = G_f^T x' are the work conjugates of N and f.  Returns
+        the kinematics, shape (2, B, 2P, M), and the reaction operator,
+        shape (2, B, M, P), of every row b:
+
+            kinematics[0, b] = [-k_b G_N^T ; 0],   state -> -k gap
+            kinematics[1, b] = [0 ; G_f^T / v_b],  state -> slip / v
+            reaction[0, b] = G_N,   reaction[1, b] = -mu_b G_f
+
+        so a state (B, 1, 2P) times the kinematics gives the arguments of
+        ``evaluate_contact``, and its outputs [N, u] times the reaction give
+        the generalized forces of N and of f = -mu u.  Each row's operators
+        are its own, so every product stays one small matrix product per
+        half and row.
+        """
+        normal, friction = operator
+        m, p = normal.shape
+        rows = len(self.cof)
+        kinematics = np.zeros((2, rows, 2 * p, m))
+        kinematics[0, :, :p] = -self.stiffness[:, None, None] * normal.T
+        kinematics[1, :, p:] = friction.T / self.regularization_velocity[:, None, None]
+        reaction = np.empty((2, rows, m, p))
+        reaction[0] = normal
+        reaction[1] = -self.cof[:, None, None] * friction
+        return kinematics, reaction
 
 
 def contact_angles(cfg: ContactConfig) -> np.ndarray:
@@ -110,33 +142,27 @@ def contact_angles(cfg: ContactConfig) -> np.ndarray:
     return 2.0 * np.pi * np.arange(cfg.point_count) / cfg.point_count
 
 
-def evaluate_contact(gap, slip_velocity, law: ContactBatch, out=None) -> np.ndarray:
-    """Evaluate the interface law at every contact point; return the forces [N, f].
+_ZERO = np.zeros(())   # the clamp's bound: a Python 0.0 costs a conversion per call
 
-    ``gap`` is the rotor plane's height above the stator surface, negative
-    where they overlap, and ``slip_velocity`` is the rotor rim velocity
-    minus the tangential surface velocity.  Both are (B, 1, M) arrays, one
-    row per interface of ``law``, sampled at ``contact_angles``.  For a
-    rotor at height z spinning at omega over a surface with deflection w and
-    tangential velocity v_t, they are z - w and R*omega - v_t.  A single
-    interface is the batch ``ContactBatch.stack([cfg])``.
 
-    The forces, shape (2, B, 1, M), are written into ``out`` when it is
-    given, else into a new array.  The law is six elementwise passes with
-    no temporary: N = max(0, (-k) gap), which is k max(0, -gap) exactly for
-    k > 0, and f = (-mu N) tanh(s / v).  The inputs are not validated here,
-    because the step loop calls this every step: arrays without one entry
-    per contact point fail to broadcast into the force buffer.
+def evaluate_contact(load, slip_ratio, normal, traction) -> None:
+    """The law at every contact point, in the arguments ``ContactBatch.fold`` gives.
+
+    ``load`` is -k gap, the penalty force before the one-sided clamp, and
+    ``slip_ratio`` is slip / v, each a (B, 1, M) row per interface sampled
+    at ``contact_angles``; for a rotor at height z spinning at omega over a
+    surface with deflection w and tangential velocity v_t, gap = z - w and
+    slip = R omega - v_t.  Writes the normal forces N = max(-k gap, 0),
+    which is k max(0, -gap) for k > 0, into ``normal``, and
+    u = N tanh(slip / v) into ``traction``: the friction force is -mu u,
+    applied by the folded reaction operator.  Three elementwise passes
+    with no temporary.  The inputs are not validated here, because the
+    step loop calls this every step: arrays without one entry per contact
+    point fail to broadcast into the outputs.
     """
-    forces = np.empty((2,) + np.shape(gap)) if out is None else out
-    normal, friction, scratch = forces[0], forces[1], law.scratch
-    np.multiply(law.neg_stiffness, gap, out=normal)
-    np.maximum(0.0, normal, out=normal)
-    np.multiply(law.neg_cof, normal, out=scratch)
-    np.divide(slip_velocity, law.regularization_velocity, out=friction)
-    np.tanh(friction, out=friction)
-    np.multiply(scratch, friction, out=friction)
-    return forces
+    np.maximum(load, _ZERO, out=normal)
+    np.tanh(slip_ratio, out=traction)
+    np.multiply(normal, traction, out=traction)
 
 
 def reaction_operator(shape_w, shape_dtheta, geom: StatorGeometry) -> np.ndarray:
@@ -165,21 +191,24 @@ def reaction_operator(shape_w, shape_dtheta, geom: StatorGeometry) -> np.ndarray
 
 
 def modal_reaction(forces: np.ndarray, operator: np.ndarray, out=None) -> np.ndarray:
-    """Generalized forces of the normal and of the friction forces, [Q_N, Q_f].
+    """Generalized forces of the two halves of the forces, one block each.
 
     With ``operator`` = [G_N, G_f] from ``reaction_operator``, each half of
-    the forces is multiplied by its own block: the result, shape
+    the forces [N, f] is multiplied by its own block: the result, shape
     (2, B, 1, J + 2), holds the generalized forces on the J shapes, then the
     axial force and torque, of the normal forces and of the friction
     forces.  Their sum over the first axis is the generalized contact
-    force; the transient forms it inside its propagator product.
+    force; the transient forms it inside its propagator product.  The step
+    loop passes [N, u] from ``evaluate_contact`` with the reaction from
+    ``ContactBatch.fold``, whose friction block carries -mu.
 
-    The forces (2, B, 1, M) take the operator with a unit batch axis,
-    ``operator[:, None]`` of shape (2, 1, M, J + 2): each half of each row
-    is then one (1, M) @ (M, J + 2) product, so a row's result does not
-    depend on the batch size.  The result is written into ``out`` when it
-    is given.
+    The forces (2, B, 1, M) take the operator with an axis per batch axis,
+    either a unit axis (``operator[:, None]``, shape (2, 1, M, J + 2)) or
+    one block per row: each half of each row is then one
+    (1, M) @ (M, J + 2) product, so a row's result does not depend on the
+    batch size.  The result is written into ``out`` when it is given.
     """
     if operator.ndim != forces.ndim:
-        raise ValueError("operator needs a unit axis per batch axis of the forces")
+        raise ValueError("operator needs a unit axis, or one block per row, "
+                         "for each batch axis of the forces")
     return np.matmul(forces, operator, out=out)

@@ -5,8 +5,8 @@ mass-normalized coordinates); the rigid rotor carries an axial
 translation and a spin DOF.  Each run states its linear dynamics once:
 between contact evaluations the positions x = [q_cos, q_sin, z, phi] obey
 M x'' + C x' + K x = F with diagonal M, C and K.  Per fixed step, the
-contact law of ``contact.py`` (``evaluate_contact`` on the gap and slip
-at every contact point, then ``modal_reaction``) is evaluated at the step
+contact law of ``contact.py`` (``evaluate_contact`` at every contact
+point, then ``modal_reaction``) is evaluated at the step
 start (explicit), while the linear system is advanced exactly: its step
 map is the exponential of the system augmented by its forcing, held
 constant over the step (Van Loan 1978), computed by scaling and squaring
@@ -19,21 +19,33 @@ alongside the states.
 
 ``simulate_batch`` runs B transients that share the stator and the step
 grid in one step loop.  Each run is one row of (B, 1, K) arrays; its state
-is [q_cos, q_sin, z, phi | q_cos', q_sin', z', omega].  A step is small
-matrix products per row around the law: the kinematics map from the state
-to the gap and the slip (the transpose of the reaction operator, since
-gap and slip are the work conjugates of the normal and friction forces),
-the reactions of the normal and of the friction forces, and the step map,
-which adds those two and also folds in the midpoint drive and the
-reaction extrapolation.  The law's operands are laid out (2, B, 1, M),
-gap over slip and normal over friction force, so each of its elementwise
-passes runs over one contiguous block whatever B is.  The loop runs in
-chunks of up to one sample interval (and at most ``_CHUNK_STEPS``
-steps), step first in every buffer: a chunk evaluates the drive and the
-preload ramp at all its steps at once, and reduces the energy ledger's
-powers from its history of states, gaps, slips and forces.  Every
-operation acts on each row alone, so a row's results are bitwise the
-same whatever batch it runs in.  ``simulate`` is the batch of one.
+is [q_cos, q_sin, z, phi | q_cos', q_sin', z', omega].  A step is six
+calls: the kinematics product, which maps the state straight to the law's
+arguments [-k gap, slip / v]; the law's three elementwise passes
+(``evaluate_contact``), giving [N, u] with the friction force f = -mu u;
+``modal_reaction``, whose operator's friction block carries -mu; and the
+step map, which adds the reactions of the normal and of the friction
+forces and also folds in the midpoint drive and the reaction
+extrapolation.  The kinematics is the transpose of the reaction operator,
+since gap and slip are the work conjugates of the normal and friction
+forces, and ``ContactBatch.fold`` puts each row's k, v and mu into both,
+so the law's constants enter the step there alone.  The law's operands
+are laid out (2, B, 1, M), so each of its passes runs over one contiguous
+block whatever B is.
+
+The loop runs in chunks of up to one sample interval (and at most
+``_CHUNK_STEPS`` steps), step first in every buffer.  Row j of the step
+map's input X is [r_(j-1) | state_j | d_j | r_j], and consecutive rows
+overlap by the reactions: X is a strided window over one buffer per run,
+advancing by the row length minus the length of r, so r_j is written
+once, by ``modal_reaction``, and is already the next step's r_(j-1).
+The propagator's rows are permuted once to that order.  A chunk evaluates
+the drive and the preload ramp at all its steps at once, and reduces the
+energy ledger's powers from its history of states and of the law's
+arguments and outputs, applying -mu v to the friction power once per
+chunk.  Every operation acts on each row alone, so a row's results are
+bitwise the same whatever batch it runs in.  ``simulate`` is the batch
+of one.
 """
 
 from __future__ import annotations
@@ -54,6 +66,7 @@ __all__ = [
     "SteadyState",
     "SimulationDiverged",
     "step_grid",
+    "settling_windows",
     "simulate",
     "simulate_batch",
     "detect_steady_state",
@@ -143,10 +156,6 @@ class MotorTimeSeries:
     def __len__(self):
         return len(self.time)
 
-    @property
-    def rotor_speed(self) -> np.ndarray:
-        return self.surface_speed / self.radius
-
     def to_csv(self, path):
         cols = (self.time, self.surface_speed, self.surface_displacement,
                 self.friction_probe, self.torque, self.axial_force,
@@ -176,7 +185,25 @@ def step_grid(stator: StatorModel, drive: DriveConfig, duration: float = 5e-3,
         )
     steps_per_sample = max(1, math.ceil(output_interval / dt_nominal))
     return (output_interval / steps_per_sample, steps_per_sample,
-            int(round(duration / output_interval)) + 1)
+            _sample_count(duration, output_interval))
+
+
+def _sample_count(duration: float, output_interval: float) -> int:
+    return int(round(duration / output_interval)) + 1
+
+
+def _window_length(interval: float) -> int:
+    """Samples per settling window at a sample interval."""
+    return max(1, int(round(SETTLE_WINDOW / interval)))
+
+
+def settling_windows(duration: float, output_interval: float) -> int:
+    """How many settling windows a run's series holds.
+
+    ``detect_steady_state`` needs two, so a shorter run can be turned down
+    before it is stepped.
+    """
+    return _sample_count(duration, output_interval) // _window_length(output_interval)
 
 
 def simulate(stator: StatorModel, drive: DriveConfig,
@@ -280,21 +307,17 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
     M = law.point_count
 
     # mode shapes at the contact angles: their reaction operator [G_N, G_f]
-    # maps the forces N and f each to [Q_cos, Q_sin, F_z, T].  The gap and
-    # the slip are the work conjugates of N and f, so the kinematics is its
-    # transpose: the positions map to gap = z - q . phi and the velocities
-    # to slip = R omega + (z_c / R) q' . phi'.  Both carry a unit axis after
-    # the half axis, which broadcasts over the B rows, so every product is
-    # one small matrix product per half and row.
+    # maps the forces N and f each to [Q_cos, Q_sin, F_z, T].  Folded with
+    # each row's law constants, its transpose maps the state to the law's
+    # arguments [-k gap, slip / v], and its friction block carries -mu
+    # (ContactBatch.fold); every product is one small matrix product per
+    # half and row.
     theta = contact.contact_angles(contacts[0])
     amp, ndia = stator.pair.amp, stator.pair.nodal_diameters
     cos_n, sin_n = np.cos(ndia * theta), np.sin(ndia * theta)
-    reaction = contact.reaction_operator(
+    kin, reaction = law.fold(contact.reaction_operator(
         np.vstack([amp * cos_n, amp * sin_n]),
-        np.vstack([-amp * ndia * sin_n, amp * ndia * cos_n]), geom)[:, None]
-    kin = np.zeros((2, 1, n, M))
-    kin[0, 0, :m] = reaction[0, 0].T
-    kin[1, 0, m:] = reaction[1, 0].T
+        np.vstack([-amp * ndia * sin_n, amp * ndia * cos_n]), geom))
 
     def per_row(values):
         return np.array(values, dtype=float)
@@ -324,29 +347,38 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
     damping[:, 2] = per_row([r.axial_damping for r in rotors])
     stiffness = np.zeros((B, m))
     stiffness[:, :2] = omega_n ** 2
-    prop = _propagator(mass, damping, stiffness, h)
+    # the map's input rows reordered to [r_prev | state | d | r], as X lays them out
+    prop = np.roll(_propagator(mass, damping, stiffness, h), 2 * m, axis=-2)
     weights = np.concatenate([stiffness, mass], axis=-1)[:, None]
     damper = damping[:, :, None]
+    compliance = (1.0 / law.stiffness)[:, None]
+    friction_scale = (-law.cof * law.regularization_velocity)[:, None, None]
 
-    def mech_energy(y, gap):
-        pen = np.maximum(0.0, -gap)
+    def mech_energy(y, normal):
+        # a penalty spring at depth d stores k d^2 / 2 = N^2 / (2 k)
         return 0.5 * (np.sum(weights * y * y, axis=-1)
-                      + np.sum(-law.neg_stiffness * pen * pen, axis=-1))
+                      + compliance * np.sum(normal * normal, axis=-1))
 
     # A chunk holds the steps up to the next sample, at most _CHUNK_STEPS,
     # so its histories stay small whatever the output interval.  X[j] is
-    # step j's propagator input [state | d | r | r_prev] for every row, r
+    # step j's propagator input [r_prev | state | d | r] for every row, r
     # being [r_N | r_f], which modal_reaction writes through a (2, B, 1, m)
-    # view; G[j] and F[j] hold the step's [gap, slip] and forces [N, f],
+    # view.  The rows overlap: each row's r is the next row's r_prev, so
+    # the reactions are written once and never copied.  G[j] holds the
+    # step's law arguments [-k gap, slip / v] and F[j] its outputs [N, u],
     # kept for the energy ledger.  The views each step uses are made once.
     chunk = min(steps_per_sample, _CHUNK_STEPS)
-    X = np.zeros((chunk + 1, B, 1, n + 5 * m))
+    s0, d0, r0, width = 2 * m, 2 * m + n, 3 * m + n, 5 * m + n   # where each part starts
+    stride = width - 2 * m
+    X = np.moveaxis(np.lib.stride_tricks.sliding_window_view(
+        np.zeros((B, 1, chunk * stride + width)), width, axis=-1,
+        writeable=True)[..., ::stride, :], 2, 0)
     G = np.empty((chunk, 2, B, 1, M))
     F = np.empty((chunk, 2, B, 1, M))
-    step_views = [(X[j], X[j, ..., :n], X[j, ..., n + m:n + 3 * m],
-                   X[j, ..., n + m:n + 3 * m].reshape(B, 1, 2, m).transpose(2, 0, 1, 3),
-                   G[j], G[j, 0], G[j, 1], F[j],
-                   X[j + 1, ..., :n], X[j + 1, ..., n + 3 * m:])
+    step_views = [(X[j], X[j, ..., s0:d0], X[j, ..., r0:],
+                   X[j, ..., r0:].reshape(B, 1, 2, m).transpose(2, 0, 1, 3),
+                   G[j], G[j, 0], G[j, 1], F[j], F[j, 0], F[j, 1],
+                   X[j + 1, ..., s0:d0])
                   for j in range(chunk)]
     out = np.zeros((B, n_samples, 7))
     alive = np.ones(B, dtype=bool)
@@ -368,13 +400,14 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
             drive[:, 2] = -np.where(t < ramp, preload * t / ramp_divisor,
                                     preload)[:, None]
             drive[:, 3] = -load_torque
-            X[:count, :, 0, n:n + m] = drive[:, :, 1].transpose(2, 0, 1)
+            X[:count, :, 0, d0:r0] = drive[:, :, 1].transpose(2, 0, 1)
             at_sample = k % steps_per_sample == 0
 
             for j in range(count):
-                x, y, r, halves, g, gap, slip, f, y_next, r_next = step_views[j]
+                x, y, r, halves, g, load, slip_ratio, f, normal, traction, y_next \
+                    = step_views[j]
                 np.matmul(y, kin, out=g)
-                contact.evaluate_contact(gap, slip, law, out=f)
+                contact.evaluate_contact(load, slip_ratio, normal, traction)
                 contact.modal_reaction(f, reaction, out=halves)
                 if j == 0 and at_sample:
                     now = y[:, 0]
@@ -386,7 +419,7 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
                     row[:, 0] = k * h
                     row[:, 1] = R * now[:, n - 1]
                     row[:, 2] = R * now[:, 3]
-                    row[:, 3] = f[1, :, 0, 0]
+                    row[:, 3] = -law.cof * traction[:, 0, 0]
                     row[:, 4] = total[:, 3]
                     row[:, 5] = total[:, 2]
                     row[:, 6] = amp * np.hypot(now[:, 0], now[:, 1])
@@ -394,29 +427,30 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
                     n_valid[alive] = sample
                 if j == T:
                     break
-                r_next[...] = r
                 np.matmul(x, prop, out=y_next)
             if not alive.any():
                 break
 
             # the ledger's powers at each evaluation, time along the last axis
-            vel = X[:count, :, 0, m:n].transpose(1, 2, 0)
+            vel = X[:count, :, 0, s0 + m:d0].transpose(1, 2, 0)
             p_in = np.multiply(drive[:, :, 0], vel, out=np.empty((B, m, count)))
             p_damp = np.multiply(damper, vel, out=np.empty((B, m, count)))
             p_damp *= vel
+            # f s = (-mu u)(v s / v): the constants multiply the point sum
             p_fric = np.add.reduce(np.multiply(F[:count, 1, :, 0].transpose(1, 0, 2),
                                                G[:count, 1, :, 0].transpose(1, 0, 2),
                                                out=np.empty((B, count, M))),
                                    axis=-1)[:, None]
+            p_fric *= friction_scale
             powers = (p_in, p_damp, p_fric)
             acc = [a + np.add.reduce(p, axis=-1) for a, p in zip(acc, powers)]
             if k == 0:
                 first = [p[..., 0] for p in powers]
-                energy_initial = mech_energy(X[0, ..., :n], G[0, 0])
+                energy_initial = mech_energy(X[0, ..., s0:d0], F[0, 0])
             if T == 0:
-                energy_final = mech_energy(X[0, ..., :n], G[0, 0])
+                energy_final = mech_energy(X[0, ..., s0:d0], F[0, 0])
                 break
-            X[0] = X[T]
+            X[0, ..., :d0] = X[T, ..., :d0]   # [r_prev | state]; d is refilled
             k += T
 
     if alive.any():   # the loop ran to the end: trapezoidal work integrals
@@ -482,7 +516,7 @@ def detect_steady_state(series: MotorTimeSeries,
     if signal not in ("wave_amplitude", "surface_speed", "torque", "axial_force"):
         raise ValueError(f"unknown steady-state signal {signal!r}")
     interval = series.time[1] - series.time[0]
-    wlen = max(1, int(round(SETTLE_WINDOW / interval)))
+    wlen = _window_length(interval)
     probe = getattr(series, signal)
     n_windows = len(probe) // wlen
     if n_windows < 2:

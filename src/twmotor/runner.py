@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 from . import dynamics, materials, stator, wave
@@ -72,9 +73,29 @@ def ideal_speed(config: RunConfig, model: stator.StatorModel) -> float | None:
         return None
 
 
+def check_duration(config: RunConfig) -> None:
+    """Raise ConfigError when a run is too short for its settling verdict.
+
+    ``dynamics.detect_steady_state`` compares the means of two consecutive
+    windows of ``dynamics.SETTLE_WINDOW``; a series that holds fewer would
+    fail only after the whole transient.
+    """
+    sim = config.simulation
+    if dynamics.settling_windows(sim.duration, sim.output_interval) < 2:
+        raise ConfigError(
+            f"simulation.duration (--duration) {sim.duration:g} s is shorter than two "
+            f"settling windows of {dynamics.SETTLE_WINDOW:g} s; run at least "
+            f"{2 * dynamics.SETTLE_WINDOW:g} s")
+
+
 def run_motor(config: RunConfig, model: stator.StatorModel | None = None
               ) -> tuple[MotorTimeSeries, dict]:
-    """Full transient pipeline; raises SimulationDiverged on blow-up."""
+    """Full transient pipeline; raises SimulationDiverged on blow-up.
+
+    A run too short for its settling verdict is refused (ConfigError)
+    before it is stepped.
+    """
+    check_duration(config)
     if model is None:
         model = build_stator(config)
     sim = config.simulation
@@ -89,7 +110,10 @@ def summarize(config: RunConfig, model: stator.StatorModel,
               series: MotorTimeSeries) -> dict:
     """Settling, envelope torque and mean speed of one transient.
 
-    Raises SimulationDiverged if the series diverged.
+    Also the step ``dt`` and the number of ``steps`` taken, and the energy
+    ledger as flat keys: ``energy_`` and each ``EnergyReport`` field, the
+    field ``energy_change`` keeping its name.  Raises SimulationDiverged if
+    the series diverged.
     """
     if series.diverged:
         raise SimulationDiverged(series.last_valid_time)
@@ -101,6 +125,9 @@ def summarize(config: RunConfig, model: stator.StatorModel,
         torque = math.nan
     speed = dynamics.mean_speed(series, steady.t)
     omega_ideal = ideal_speed(config, model)
+    sim = config.simulation
+    dt, steps_per_sample, _ = dynamics.step_grid(model, config.drive, sim.duration,
+                                                 sim.output_interval, sim.dt)
     return {
         "t_ss": steady.t,
         "settled": steady.settled,
@@ -110,4 +137,8 @@ def summarize(config: RunConfig, model: stator.StatorModel,
         "ideal_speed": omega_ideal,
         "drive_frequency": f_drive,
         "wave_amplitude_final": float(series.wave_amplitude[-1]),
+        "dt": dt,
+        "steps": (len(series) - 1) * steps_per_sample,
+        **{k if k.startswith("energy_") else f"energy_{k}": v
+           for k, v in dataclasses.asdict(series.energy).items()},
     }

@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twmotor import cli, sweep
-from twmotor.config import ConfigError, phase_degrees_to_radians
+from twmotor import cli, dynamics, runner, sweep
+from twmotor.config import ConfigError, RunConfig, phase_degrees_to_radians
 
 
 def run_cli(*argv):
@@ -81,6 +81,45 @@ class TestRun:
         run_cli("run", "--out-dir", str(tmp_path), "--duration", "6e-4")
         summary = strict_json(tmp_path / "summary.json")
         assert summary["reported_torque"] is None
+
+    def test_summary_carries_the_energy_ledger(self, tmp_path):
+        """dt, the step count and the ledger, each ``EnergyReport`` field a
+        flat key, as the run computed them; the ledger closes on its own."""
+        run_cli("run", "--out-dir", str(tmp_path), "--duration", "1e-3")
+        summary = strict_json(tmp_path / "summary.json")
+        series, _ = runner.run_motor(RunConfig().override(simulation={"duration": 1e-3}))
+        ledger = {k if k.startswith("energy_") else f"energy_{k}": v
+                  for k, v in vars(series.energy).items()}
+        assert len(ledger) == 9
+        assert {k: summary[k] for k in ledger} == ledger
+        inputs = (summary["energy_drive_work"] + summary["energy_preload_work"]
+                  + summary["energy_load_torque_work"])
+        outputs = (summary["energy_change"] + summary["energy_modal_dissipation"]
+                   + summary["energy_friction_dissipation"]
+                   + summary["energy_axial_dissipation"])
+        assert inputs - outputs == pytest.approx(summary["energy_residual"],
+                                                 abs=1e-14 * inputs)
+        assert summary["energy_residual_fraction"] == pytest.approx(
+            abs(summary["energy_residual"]) / summary["energy_drive_work"], rel=1e-15)
+        rows = len((tmp_path / "timeseries.csv").read_text().splitlines()) - 1
+        assert summary["steps"] % (rows - 1) == 0
+        assert summary["steps"] * summary["dt"] == pytest.approx(1e-3, rel=1e-12)
+
+    def test_too_short_run_refused_before_stepping(self, tmp_path, capsys, monkeypatch):
+        """Below two settling windows a run is a config error naming the
+        setting, raised before the step loop and with no artifact written."""
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("the transient was stepped")
+
+        monkeypatch.setattr(dynamics, "simulate_batch", no_stepping)
+        code = run_cli("run", "--out-dir", str(tmp_path), "--duration", "2e-4")
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "error: simulation.duration (--duration) 0.0002 s is shorter than two "
+            "settling windows")
+        assert not (tmp_path / "timeseries.csv").exists()
+        assert not (tmp_path / "summary.json").exists()
 
     def test_phase_reversal_flips_rotation(self, tmp_path):
         fwd = tmp_path / "fwd"
@@ -285,6 +324,17 @@ class TestValidate:
         assert run_cli("eigen", "--config", str(cfg),
                        "--out-dir", str(tmp_path)) == cli.EXIT_CONFIG
         assert message in capsys.readouterr().err
+
+    def test_too_short_run(self, tmp_path, capsys):
+        """Reported with the message ``run`` refuses the config with."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"simulation": {"duration": 2e-4}}))
+        assert run_cli("validate", "--config", str(cfg)) == cli.EXIT_CONFIG
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 1 and out[0].startswith("invalid: simulation.duration (--duration)")
+        assert run_cli("run", "--config", str(cfg),
+                       "--out-dir", str(tmp_path)) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [f"error: {out[0][9:]}"]
 
     def test_coarse_mesh(self, tmp_path, capsys):
         """The mesh-density rule has one owner: ``validate`` reports the

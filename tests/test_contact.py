@@ -2,10 +2,11 @@
 
 The friction-cone and sign properties are exercised with randomized
 surface states via hypothesis; the modal projections and rotor resultants
-are checked against brute-force summation, and the law against the
-eight-pass sequence it replaced.  A single interface is called the way the
-step loop calls the law: as a batch of one, with (1, 1, M) rows and the
-reaction operator given a unit batch axis.
+are checked against brute-force summation, the law against its direct
+formula, and the folded operators against ``reaction_operator`` in closed
+form.  The law is called the way the step loop calls it: in the arguments
+``ContactBatch.fold`` gives, on (B, 1, M) rows, a single interface being a
+batch of one.
 """
 
 import math
@@ -36,9 +37,32 @@ def one_interface(*per_point):
     return [np.reshape(a, (1, 1, -1)) for a in per_point]
 
 
+def identity_fold(configs):
+    """The folded operators of B interfaces whose state is [gap | slip].
+
+    With the identity for both blocks of the reaction operator, the folded
+    kinematics maps [gap | slip] to the law's arguments [-k gap, slip / v],
+    and the folded reaction maps the law's outputs [N, u] to the forces
+    [N, -mu u]: every product has one non-zero term, so it is exact.
+    """
+    law = ContactBatch.stack(configs)
+    eye = np.eye(law.point_count)
+    return law.fold(np.stack([eye, eye]))
+
+
+def evaluate_rows(gap, slip, configs):
+    """The forces [N, f], shape (2, B, 1, M), of B interfaces at their
+    (B, 1, M) gaps and slips, through the step loop's folded form."""
+    kinematics, reaction = identity_fold(configs)
+    arguments = np.concatenate([gap, slip], axis=-1) @ kinematics
+    outputs = np.empty_like(arguments)
+    evaluate_contact(*arguments, *outputs)
+    return modal_reaction(outputs, reaction)
+
+
 def evaluate_one(gap, slip, cfg):
     """The forces [N, f] of one interface, each of shape (1, 1, M)."""
-    return evaluate_contact(*one_interface(gap, slip), ContactBatch.stack([cfg]))
+    return evaluate_rows(*one_interface(gap, slip), [cfg])
 
 
 def flexural_operator(theta):
@@ -184,6 +208,47 @@ class TestModalReaction:
         np.testing.assert_allclose(q[:2], 0.0, atol=1e-9)
 
 
+class TestFoldedOperators:
+    """``ContactBatch.fold`` against ``reaction_operator``, row by row."""
+
+    def test_each_row_carries_its_own_constants(self):
+        configs = [ContactConfig(cof=0.1),
+                   ContactConfig(cof=0.45, penalty_stiffness=3e5,
+                                 regularization_velocity=2e-3),
+                   ContactConfig(cof=0.0, penalty_stiffness=7e4,
+                                 regularization_velocity=5e-4)]
+        _, _, operator = flexural_operator(contact_angles(configs[0]))
+        normal, friction = operator[:, 0]
+        p = normal.shape[1]
+        kinematics, reaction = ContactBatch.stack(configs).fold(operator[:, 0])
+        assert kinematics.shape == (2, 3, 2 * p, configs[0].point_count)
+        assert reaction.shape == (2, 3, configs[0].point_count, p)
+        for b, cfg in enumerate(configs):
+            # positions map to -k gap, velocities to slip / v
+            assert np.array_equal(kinematics[0, b, :p], -cfg.penalty_stiffness * normal.T)
+            assert np.array_equal(kinematics[1, b, p:],
+                                  friction.T / cfg.regularization_velocity)
+            assert not kinematics[0, b, p:].any() and not kinematics[1, b, :p].any()
+            assert np.array_equal(reaction[0, b], normal)
+            assert np.array_equal(reaction[1, b], -cfg.cof * friction)
+
+    def test_kinematics_gives_gap_and_slip_of_the_motion(self):
+        """The unfolded blocks are gap = z - q . phi and
+        slip = R omega + (z_c / R) q' . phi'."""
+        cfg = ContactConfig()
+        theta = contact_angles(cfg)
+        shape_w, shape_d, operator = flexural_operator(theta)
+        kinematics, _ = ContactBatch.stack([cfg]).fold(operator[:, 0])
+        q, z, qdot, omega = np.array([3e-7, -2e-7]), 1e-7, np.array([0.2, 0.1]), 40.0
+        state = np.concatenate([q, [z, 0.5], qdot, [0.0, omega]])
+        load, slip_ratio = state @ kinematics[:, 0]
+        gap = z - q @ shape_w
+        slip = R * omega + GEOM.contact_offset / R * (qdot @ shape_d)
+        np.testing.assert_allclose(load, -cfg.penalty_stiffness * gap, rtol=1e-12)
+        np.testing.assert_allclose(slip_ratio, slip / cfg.regularization_velocity,
+                                   rtol=1e-12)
+
+
 class TestStepLoopForm:
     """The step loop calls the law on batched rows and into its own buffers."""
 
@@ -191,30 +256,25 @@ class TestStepLoopForm:
         rng = np.random.default_rng(7)
         cfg = ContactConfig()
         w, vt, z, speed = random_state(rng, cfg)
-        theta = contact_angles(cfg)
-        operator = reaction_operator(np.cos(4 * theta), -4 * np.sin(4 * theta),
-                                     GEOM)[:, None]
         gap, slip = one_interface(z - w, R * speed - vt)
-        law = ContactBatch.stack([cfg])
-        fresh = evaluate_contact(gap, slip, law)
+        kinematics, reaction = identity_fold([cfg])
+        arguments = np.concatenate([gap, slip], axis=-1) @ kinematics
+        outputs = np.full((2, 1, 1, cfg.point_count), np.nan)
+        assert evaluate_contact(arguments[0], arguments[1], outputs[0], outputs[1]) is None
         forces = np.full((2, 1, 1, cfg.point_count), np.nan)
-        assert evaluate_contact(gap, slip, law, out=forces) is forces
-        assert np.array_equal(forces, fresh)
-        reaction = np.full((2, 1, 1, 3), np.nan)
-        assert modal_reaction(forces, operator, out=reaction) is reaction
-        assert np.array_equal(reaction, modal_reaction(fresh, operator))
+        assert modal_reaction(outputs, reaction, out=forces) is forces
+        assert np.array_equal(forces, evaluate_one(z - w, R * speed - vt, cfg))
 
     def test_batch_rows_match_single_interfaces(self):
         rng = np.random.default_rng(11)
         configs = [ContactConfig(cof=0.1),
                    ContactConfig(cof=0.45, penalty_stiffness=3e5,
                                  regularization_velocity=2e-3)]
-        law = ContactBatch.stack(configs)
         states = [random_state(rng, c) for c in configs]
         gap = np.stack([z - w for w, _, z, _ in states])[:, None]
         slip = np.stack([R * speed - vt for _, vt, _, speed in states])[:, None]
-        batch = evaluate_contact(gap, slip, law)
-        assert batch.shape == (2, 2, 1, law.point_count)
+        batch = evaluate_rows(gap, slip, configs)
+        assert batch.shape == (2, 2, 1, configs[0].point_count)
         for b, cfg in enumerate(configs):
             assert np.array_equal(batch[:, b], evaluate_one(gap[b], slip[b], cfg)[:, 0])
 
@@ -227,7 +287,7 @@ class TestStepLoopForm:
         states = [random_state(rng, cfg) for _ in range(2)]
         gap = np.stack([z - w for w, _, z, _ in states])[:, None]
         slip = np.stack([R * speed - vt for _, vt, _, speed in states])[:, None]
-        batch = evaluate_contact(gap, slip, ContactBatch.stack([cfg, cfg]))
+        batch = evaluate_rows(gap, slip, [cfg, cfg])
         halves = modal_reaction(batch, operator)
         for b in range(2):
             single = evaluate_one(gap[b], slip[b], cfg)
@@ -236,30 +296,27 @@ class TestStepLoopForm:
             modal_reaction(batch, operator[:, 0])
 
 
-def eight_pass_law(gap, slip, cfg):
-    """The law in the eight passes it took before the six-pass form."""
-    normal = np.negative(gap)
-    np.maximum(0.0, normal, out=normal)
-    np.multiply(cfg.penalty_stiffness, normal, out=normal)
-    friction = np.divide(slip, cfg.regularization_velocity)
-    np.tanh(friction, out=friction)
-    np.multiply(-cfg.cof * normal, friction, out=friction)
-    return np.stack([normal, friction])
+def direct_law(gap, slip, cfg):
+    """The law as written, N = k max(0, -gap) and f = -mu N tanh(s / v)."""
+    normal = cfg.penalty_stiffness * np.maximum(0.0, -gap)
+    return np.stack([normal, -cfg.cof * normal * np.tanh(slip / cfg.regularization_velocity)])
 
 
-def same_bits(a, b):
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+class TestThreePassLaw:
+    """Through the folded operators, N = max(-k gap, 0) is k max(0, -gap)
+    exactly for k > 0, and f = -mu (N tanh(s v^-1)) is the direct law to a
+    few rounding errors: the slip is scaled by a rounded 1/v, and -mu
+    multiplies N tanh rather than N.  Below the normal range rounding is
+    absolute, a few of the smallest subnormal numbers."""
 
-
-class TestSixPassLaw:
-    """N = max(0, (-k) gap) equals k max(0, -gap) exactly for k > 0, and
-    f = (-mu N) tanh(s / v) keeps the old product order: bit for bit."""
+    RTOL = 8 * np.finfo(float).eps
+    ATOL = 8 * np.finfo(float).smallest_subnormal
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
            stiffness=st.floats(1e3, 1e9), velocity=st.floats(1e-5, 1e-1),
            cof=st.floats(0.0, 1.5), zeros=st.booleans())
-    def test_matches_the_eight_pass_sequence(self, seed, stiffness, velocity, cof, zeros):
+    def test_matches_the_direct_law(self, seed, stiffness, velocity, cof, zeros):
         rng = np.random.default_rng(seed)
         cfg = ContactConfig(penalty_stiffness=stiffness,
                             regularization_velocity=velocity, cof=cof)
@@ -267,22 +324,27 @@ class TestSixPassLaw:
         slip = rng.normal(0.0, 20 * velocity, cfg.point_count)
         if zeros:   # exact contact and exact stick, both signs of zero
             gap[::4], gap[1::4], slip[::3] = 0.0, -0.0, 0.0
-        forces = evaluate_one(gap, slip, cfg)
-        assert same_bits(forces[:, 0, 0], eight_pass_law(gap, slip, cfg))
+        normal, friction = evaluate_one(gap, slip, cfg)[:, 0, 0]
+        direct = direct_law(gap, slip, cfg)
+        assert np.array_equal(normal, direct[0])
+        np.testing.assert_allclose(friction, direct[1], rtol=self.RTOL, atol=self.ATOL)
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 12))
-    def test_batched_rows_match_the_eight_pass_sequence(self, seed, rows):
+    def test_batched_rows_match_the_direct_law(self, seed, rows):
         rng = np.random.default_rng(seed)
         configs = [ContactConfig(penalty_stiffness=rng.uniform(1e4, 1e7),
                                  regularization_velocity=rng.uniform(1e-4, 1e-2),
                                  cof=rng.uniform(0.0, 1.0)) for _ in range(rows)]
-        law = ContactBatch.stack(configs)
-        gap = rng.normal(0.0, 3e-6, (rows, 1, law.point_count))
-        slip = rng.normal(0.0, 0.05, (rows, 1, law.point_count))
-        forces = evaluate_contact(gap, slip, law)
+        gap = rng.normal(0.0, 3e-6, (rows, 1, configs[0].point_count))
+        slip = rng.normal(0.0, 0.05, (rows, 1, configs[0].point_count))
+        forces = evaluate_rows(gap, slip, configs)
         for b, cfg in enumerate(configs):
-            assert same_bits(forces[:, b, 0], eight_pass_law(gap[b, 0], slip[b, 0], cfg))
+            direct = direct_law(gap[b, 0], slip[b, 0], cfg)
+            assert np.array_equal(forces[0, b, 0], direct[0])
+            np.testing.assert_allclose(forces[1, b, 0], direct[1],
+                                       rtol=self.RTOL, atol=self.ATOL)
+            assert np.array_equal(forces[:, b], evaluate_one(gap[b], slip[b], cfg)[:, 0])
 
 
 class TestPowerBalance:

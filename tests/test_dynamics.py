@@ -20,6 +20,7 @@ from twmotor.dynamics import (
     detect_steady_state,
     envelope_average,
     mean_speed,
+    settling_windows,
     simulate,
     simulate_batch,
     step_grid,
@@ -225,17 +226,17 @@ class TestSimulateBatch:
         assert calls == {"evaluate_contact": evaluations, "modal_reaction": evaluations}
 
     def test_law_operands_are_contiguous_blocks(self, stator_model, monkeypatch):
-        """At B > 1 every operand of the law, and its output, is one
-        C-contiguous block across the batch: no strided elementwise pass."""
+        """At B > 1 every operand of the law, its arguments and its outputs,
+        is one C-contiguous block across the batch: no strided elementwise
+        pass."""
         law = contact.evaluate_contact
         seen = []
 
-        def checking(gap, slip_velocity, batch, out=None):
-            blocks = (gap, slip_velocity, out, out[0], out[1], batch.neg_stiffness,
-                      batch.regularization_velocity, batch.neg_cof, batch.scratch)
+        def checking(load, slip_ratio, normal, traction):
+            blocks = (load, slip_ratio, normal, traction)
             seen.append(all(b.flags.c_contiguous for b in blocks))
-            assert gap.shape == out.shape[1:] == (3, 1, batch.point_count)
-            return law(gap, slip_velocity, batch, out=out)
+            assert {b.shape for b in blocks} == {(3, 1, contact.ContactConfig().point_count)}
+            return law(load, slip_ratio, normal, traction)
 
         monkeypatch.setattr(contact, "evaluate_contact", checking)
         configs = [RunConfig().override(contact={"cof": c}) for c in (0.3, 0.4, 0.5)]
@@ -432,6 +433,22 @@ class TestDetectSteadyState:
         series = synthetic_series(t, np.zeros_like(t))
         with pytest.raises(ValueError, match="signal"):
             detect_steady_state(series, signal="nope")
+
+    @pytest.mark.parametrize("duration, interval, enough", [
+        (4.9e-4, 1e-5, True), (4.8e-4, 1e-5, False), (5e-4, 2.5e-4, True),
+        (2.4e-4, 1e-4, False), (1e-3, 3e-5, True)])
+    def test_settling_windows_predict_the_verdict(self, duration, interval, enough):
+        """A run's window count, known before it is stepped, says whether the
+        verdict on its series can be reached: 50 samples at 10 us fill two
+        windows of 25, so 0.49 ms is enough and 0.48 ms is not."""
+        t = np.arange(round(duration / interval) + 1) * interval
+        series = synthetic_series(t, np.full_like(t, 2.0))
+        assert (settling_windows(duration, interval) >= 2) == enough
+        if enough:
+            assert detect_steady_state(series).settled
+        else:
+            with pytest.raises(ValueError, match="shorter than two windows"):
+                detect_steady_state(series)
 
 
 class TestEnvelopeAverage:

@@ -14,6 +14,6 @@ from .metrology import areal_params, level_mean_plane, load_height_map
 from .stator import (StatorGeometry, StatorModel, piezo_modal_force, ring_modes,
                      select_mode_pair)
 from .sweep import SweepSpec, find_peak, grams_to_newtons, run_sweep
-from .wave import DriveConfig, ideal_no_slip_speed, steady_wave_response, surface_state
+from .wave import DriveConfig, ideal_no_slip_speed, steady_wave_response
 
 __version__ = "0.1.0"

@@ -234,7 +234,8 @@ def _cmd_validate(args) -> int:
         problems.extend(validate_piezo(piezo))
     if not problems:
         try:
-            runner.build_stator(config)
+            model = runner.build_stator(config)
+            config.contact.check_resolution(model.pair.nodal_diameters)
         except (ConfigError, ValueError) as exc:
             problems.append(str(exc))
     try:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .contact import ContactConfig
 from .dynamics import RotorConfig
@@ -63,6 +63,7 @@ class RunConfig:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
+        _reject_non_finite(self)
         if self.damping_ratio <= 0:
             raise ConfigError("damping_ratio must be > 0")
         if self.schema_version != SCHEMA_VERSION:
@@ -111,6 +112,24 @@ class RunConfig:
             return replace(self, **updates)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
+
+
+def _reject_non_finite(value, key=""):
+    """Raise ConfigError naming the first NaN or infinite number in a config.
+
+    Walks the sections' fields and inline material entries, with their
+    lists; a key is named by its dotted path.
+    """
+    if is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in fields(value)}
+    if isinstance(value, dict):
+        for name, item in value.items():
+            _reject_non_finite(item, f"{key}.{name}" if key else name)
+    elif isinstance(value, list):
+        for item in value:
+            _reject_non_finite(item, key)
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, not {value}")
 
 
 def _reject_unknown(typ, data, where):

@@ -11,9 +11,12 @@ cone |f| < mu*N holds strictly and friction always opposes slip
 
 Gap and slip are linear in the motion, and the generalized forces linear
 in N and f, so the law's constants k, v and mu fold into those linear
-maps.  ``reaction_operator`` gives the virtual-work projection [G_N, G_f]
-of the forces onto J stator shapes and the rotor; since gap and slip are
-the work conjugates of N and f, the kinematics is its transpose.
+maps.  ``interface_operator`` is the one sampling of the drive mode pair
+at the interface: it gives the virtual-work projection [G_N, G_f] of the
+forces onto the pair and the rotor at any angles, the step loop's contact
+points or a quadrature over one wavelength.  Since gap and slip are the
+work conjugates of N and f, the kinematics is its transpose, and so is
+the surface's deflection and tangential motion.
 ``ContactBatch.fold`` returns both per interface with the constants
 folded in: the kinematics maps a state straight to the law's arguments
 [-k gap, slip / v], and the friction block of the reaction carries -mu.
@@ -39,14 +42,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .stator import StatorGeometry
+from .stator import ModePair, StatorGeometry
 
 __all__ = [
     "ContactConfig",
     "ContactBatch",
     "contact_angles",
     "evaluate_contact",
-    "reaction_operator",
+    "interface_operator",
     "modal_reaction",
 ]
 
@@ -109,7 +112,7 @@ class ContactBatch:
         """Each row's kinematics and reaction operator, its constants folded in.
 
         ``operator`` is [G_N, G_f] of shape (2, M, P), from
-        ``reaction_operator``: it maps the forces N and f to the generalized
+        ``interface_operator``: it maps the forces N and f to the generalized
         forces on P coordinates x.  The state is [x | x'], and gap = G_N^T x
         and slip = G_f^T x' are the work conjugates of N and f.  Returns
         the kinematics, shape (2, B, 2P, M), and the reaction operator,
@@ -165,37 +168,43 @@ def evaluate_contact(load, slip_ratio, normal, traction) -> None:
     np.multiply(normal, traction, out=traction)
 
 
-def reaction_operator(shape_w, shape_dtheta, geom: StatorGeometry) -> np.ndarray:
+def interface_operator(pair: ModePair, geom: StatorGeometry, theta) -> np.ndarray:
     """The virtual-work projection of the interface forces, one block per half.
 
-    ``shape_w`` and ``shape_dtheta`` give each of J stator shapes'
-    deflection and theta-derivative at the contact angles, one row per
-    shape.  The result [G_N, G_f] has shape (2, M, J + 2): G_N maps the
-    normal forces, and G_f the friction forces, to the generalized forces
-    on the shapes, then the rotor's axial force and torque.  The normal
-    traction loads the deflection; the tangential traction loads the slope
-    through the tooth-tip offset:
+    The drive pair's shapes deflect as phi = amp [cos(n theta), sin(n theta)];
+    ``theta`` holds the M angles where the forces act, the contact points of
+    ``contact_angles`` or any other sampling of the surface.  The result
+    [G_N, G_f] has shape (2, M, 4): G_N maps the normal forces, and G_f the
+    friction forces, to the generalized forces on the two shapes, then the
+    rotor's axial force and torque.  The normal traction loads the
+    deflection; the tangential traction loads the slope through the
+    tooth-tip offset:
 
         Q_j = sum_i [ -N_i phi_j(theta_i) + f_i z_c phi_j'(theta_i) / R ]
         F_z = sum_i N_i,    T = R sum_i f_i
+
+    Read the other way, for modal coordinates q the surface deflects by
+    w = -G_N[:, :2] q and moves tangentially by u_t = -G_f[:, :2] q.
     """
-    shape_w = np.atleast_2d(np.asarray(shape_w, dtype=float))
-    shape_dtheta = np.atleast_2d(np.asarray(shape_dtheta, dtype=float))
-    j, m = shape_w.shape
-    operator = np.zeros((2, m, j + 2))
-    operator[0, :, :j] = -shape_w.T
-    operator[1, :, :j] = (geom.contact_offset / geom.mean_radius) * shape_dtheta.T
-    operator[0, :, j] = 1.0
-    operator[1, :, j + 1] = geom.mean_radius
+    theta = np.asarray(theta, dtype=float)
+    n, amp = pair.nodal_diameters, pair.amp
+    cos_n, sin_n = np.cos(n * theta), np.sin(n * theta)
+    shapes = amp * np.stack([cos_n, sin_n], axis=-1)
+    slopes = amp * n * np.stack([-sin_n, cos_n], axis=-1)
+    operator = np.zeros((2, len(theta), 4))
+    operator[0, :, :2] = -shapes
+    operator[1, :, :2] = (geom.contact_offset / geom.mean_radius) * slopes
+    operator[0, :, 2] = 1.0
+    operator[1, :, 3] = geom.mean_radius
     return operator
 
 
 def modal_reaction(forces: np.ndarray, operator: np.ndarray, out=None) -> np.ndarray:
     """Generalized forces of the two halves of the forces, one block each.
 
-    With ``operator`` = [G_N, G_f] from ``reaction_operator``, each half of
+    With ``operator`` = [G_N, G_f] from ``interface_operator``, each half of
     the forces [N, f] is multiplied by its own block: the result, shape
-    (2, B, 1, J + 2), holds the generalized forces on the J shapes, then the
+    (2, B, 1, 4), holds the generalized forces on the two shapes, then the
     axial force and torque, of the normal forces and of the friction
     forces.  Their sum over the first axis is the generalized contact
     force; the transient forms it inside its propagator product.  The step
@@ -203,9 +212,9 @@ def modal_reaction(forces: np.ndarray, operator: np.ndarray, out=None) -> np.nda
     ``ContactBatch.fold``, whose friction block carries -mu.
 
     The forces (2, B, 1, M) take the operator with an axis per batch axis,
-    either a unit axis (``operator[:, None]``, shape (2, 1, M, J + 2)) or
+    either a unit axis (``operator[:, None]``, shape (2, 1, M, 4)) or
     one block per row: each half of each row is then one
-    (1, M) @ (M, J + 2) product, so a row's result does not depend on the
+    (1, M) @ (M, 4) product, so a row's result does not depend on the
     batch size.  The result is written into ``out`` when it is given.
     """
     if operator.ndim != forces.ndim:

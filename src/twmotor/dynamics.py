@@ -26,12 +26,13 @@ arguments [-k gap, slip / v]; the law's three elementwise passes
 ``modal_reaction``, whose operator's friction block carries -mu; and the
 step map, which adds the reactions of the normal and of the friction
 forces and also folds in the midpoint drive and the reaction
-extrapolation.  The kinematics is the transpose of the reaction operator,
-since gap and slip are the work conjugates of the normal and friction
-forces, and ``ContactBatch.fold`` puts each row's k, v and mu into both,
-so the law's constants enter the step there alone.  The law's operands
-are laid out (2, B, 1, M), so each of its passes runs over one contiguous
-block whatever B is.
+extrapolation.  The reaction operator is ``contact.interface_operator``,
+the drive pair sampled at the contact points, built once per call; the
+kinematics is its transpose, since gap and slip are the work conjugates
+of the normal and friction forces, and ``ContactBatch.fold`` puts each
+row's k, v and mu into both, so the law's constants enter the step there
+alone.  The law's operands are laid out (2, B, 1, M), so each of its
+passes runs over one contiguous block whatever B is.
 
 The loop runs in chunks of up to one sample interval (and at most
 ``_CHUNK_STEPS`` steps), step first in every buffer.  Row j of the step
@@ -306,18 +307,13 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
     n = 2 * m         # positions, then velocities, each laid out as above
     M = law.point_count
 
-    # mode shapes at the contact angles: their reaction operator [G_N, G_f]
-    # maps the forces N and f each to [Q_cos, Q_sin, F_z, T].  Folded with
-    # each row's law constants, its transpose maps the state to the law's
-    # arguments [-k gap, slip / v], and its friction block carries -mu
-    # (ContactBatch.fold); every product is one small matrix product per
-    # half and row.
-    theta = contact.contact_angles(contacts[0])
-    amp, ndia = stator.pair.amp, stator.pair.nodal_diameters
-    cos_n, sin_n = np.cos(ndia * theta), np.sin(ndia * theta)
-    kin, reaction = law.fold(contact.reaction_operator(
-        np.vstack([amp * cos_n, amp * sin_n]),
-        np.vstack([-amp * ndia * sin_n, amp * ndia * cos_n]), geom))
+    # [G_N, G_f] of the drive pair at the contact points maps the forces N
+    # and f each to [Q_cos, Q_sin, F_z, T].  Folded with each row's law
+    # constants, its transpose maps the state to the law's arguments
+    # [-k gap, slip / v], and its friction block carries -mu; every product
+    # is one small matrix product per half and row.
+    kin, reaction = law.fold(contact.interface_operator(
+        stator.pair, geom, contact.contact_angles(contacts[0])))
 
     def per_row(values):
         return np.array(values, dtype=float)
@@ -422,7 +418,7 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
                     row[:, 3] = -law.cof * traction[:, 0, 0]
                     row[:, 4] = total[:, 3]
                     row[:, 5] = total[:, 2]
-                    row[:, 6] = amp * np.hypot(now[:, 0], now[:, 1])
+                    row[:, 6] = stator.pair.amp * np.hypot(now[:, 0], now[:, 1])
                     sample += 1
                     n_valid[alive] = sample
                 if j == T:
@@ -503,8 +499,9 @@ def detect_steady_state(series: MotorTimeSeries,
     Non-overlapping windows of ``SETTLE_WINDOW`` seconds are compared
     pairwise; the first pair whose means differ by at most
     ``SETTLE_TOLERANCE`` (relative) marks settling at the shared window
-    boundary.  A series that never meets the tolerance returns its end time
-    with ``settled=False``.
+    boundary: the time of the second window's first sample, as the series
+    holds it, so a mask ``time >= t`` keeps that sample.  A series that
+    never meets the tolerance returns its end time with ``settled=False``.
 
     The default probe is the flexural wave amplitude: the stator vibration
     envelope is what reaches a repeatable level once the drive and contact
@@ -526,8 +523,7 @@ def detect_steady_state(series: MotorTimeSeries,
         m1, m2 = means[j], means[j + 1]
         denom = max(abs(m1), abs(m2))
         if abs(m2 - m1) <= SETTLE_TOLERANCE * denom:
-            return SteadyState(t=float(series.time[0] + (j + 1) * wlen * interval),
-                               settled=True)
+            return SteadyState(t=float(series.time[(j + 1) * wlen]), settled=True)
     return SteadyState(t=float(series.time[-1]), settled=False)
 
 

@@ -1,4 +1,4 @@
-"""Two-phase forced response and traveling-wave surface kinematics.
+"""Two-phase forced response and its traveling-wave decomposition.
 
 Complex amplitudes use the exp(+i omega t) convention, so a channel
 driven as F*cos(omega t + psi) has complex force F*exp(i psi) and the
@@ -7,6 +7,7 @@ modal response is q = F / (omega_n^2 - omega^2 + 2 i zeta omega_n omega).
 The standing pair decomposes into traveling components via
 q_f = (q_A - i q_B)/2 and q_b = (q_A + i q_B)/2; the forward component
 multiplies exp(i(n theta + omega t)) and carries the rotor in +theta.
+The surface kinematics of a modal state is ``contact.interface_operator``.
 """
 
 from __future__ import annotations
@@ -15,15 +16,12 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .stator import ModePair, StatorGeometry
 
 __all__ = [
     "DriveConfig",
     "WaveSolution",
     "steady_wave_response",
-    "surface_state",
     "ideal_no_slip_speed",
 ]
 
@@ -55,9 +53,8 @@ class DriveConfig:
 class WaveSolution:
     """Steady response of the mode pair and its traveling decomposition.
 
-    Amplitudes are deflections at the contact surface:
-    ``w_forward``/``w_backward`` are the traveling components and
-    ``amplitude`` their crest sum.
+    ``w_forward``/``w_backward`` are the deflection amplitudes of the
+    traveling components at the contact surface.
     """
 
     q_cos: complex
@@ -82,10 +79,6 @@ class WaveSolution:
     def w_backward(self) -> float:
         return self.shape_amp * abs(self.q_backward)
 
-    @property
-    def amplitude(self) -> float:
-        return self.w_forward + self.w_backward
-
 
 def steady_wave_response(pair: ModePair, force: float, drive: DriveConfig,
                          zeta: float) -> WaveSolution:
@@ -104,31 +97,6 @@ def steady_wave_response(pair: ModePair, force: float, drive: DriveConfig,
     q_sin = force * cmath.exp(1j * drive.phase_offset) * H
     return WaveSolution(q_cos=q_cos, q_sin=q_sin, omega=omega,
                         shape_amp=pair.amp, nodal_diameters=pair.nodal_diameters)
-
-
-def surface_state(wave: WaveSolution, geom: StatorGeometry, theta, t):
-    """Contact-surface kinematics at angle(s) theta and time(s) t.
-
-    Returns (w, w_dot, u_t, v_t): axial deflection/velocity and the
-    tangential displacement/velocity of a surface point at offset
-    z_c from the neutral plane (u_t = -z_c dw/dx, x = R theta).
-    """
-    theta = np.asarray(theta, dtype=float)
-    t = np.asarray(t, dtype=float)
-    n = wave.nodal_diameters
-    a = wave.shape_amp
-    zc = geom.contact_offset
-    R = geom.mean_radius
-    omega = wave.omega
-    phase = np.exp(1j * omega * t)
-    S = wave.q_forward * np.exp(1j * n * theta) + wave.q_backward * np.exp(-1j * n * theta)
-    dS = 1j * n * (wave.q_forward * np.exp(1j * n * theta)
-                   - wave.q_backward * np.exp(-1j * n * theta))
-    w = a * np.real(S * phase)
-    w_dot = -a * omega * np.imag(S * phase)
-    u_t = -(zc / R) * a * np.real(dS * phase)
-    v_t = (zc / R) * a * omega * np.imag(dS * phase)
-    return w, w_dot, u_t, v_t
 
 
 def ideal_no_slip_speed(wave: WaveSolution, geom: StatorGeometry) -> float:

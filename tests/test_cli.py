@@ -1,7 +1,10 @@
 """Command-line interface, exercised through ``main(argv)``."""
 
+import ast
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import twmotor
 from twmotor import cli, dynamics, runner, sweep
 from twmotor.config import ConfigError, RunConfig, phase_degrees_to_radians
 
@@ -350,6 +354,45 @@ class TestValidate:
             assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
+    def test_unresolvable_interface(self, tmp_path, capsys):
+        """Too few contact points for the drive pair's waves: reported with
+        the message ``run`` refuses the config with."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"contact": {"point_count": 12}}))
+        message = "point_count=12 cannot resolve n=4 waves; need at least 16"
+        assert run_cli("validate", "--config", str(cfg)) == cli.EXIT_CONFIG
+        assert capsys.readouterr().out.splitlines() == [f"invalid: {message}"]
+        assert run_cli("run", "--config", str(cfg),
+                       "--out-dir", str(tmp_path)) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+class TestNonFiniteNumbers:
+    """A NaN or infinite number is a config error naming its key, whether it
+    comes from the config file, an inline material entry or a flag."""
+
+    @pytest.mark.parametrize("config, flags, key, value", [
+        ('{"rotor": {"preload": NaN}}', ["validate"], "rotor.preload", "nan"),
+        ('{"simulation": {"duration": Infinity}}', ["validate"],
+         "simulation.duration", "inf"),
+        ('{"stator_material": {"name": "X", "density": 7800.0, "poisson_ratio": 0.3,'
+         ' "youngs_modulus": -Infinity}}', ["validate"],
+         "stator_material.youngs_modulus", "-inf"),
+        (None, ["run", "--cof", "nan", "--duration", "6e-4"], "contact.cof", "nan"),
+    ], ids=["preload-file", "duration-file", "material-entry", "cof-flag"])
+    def test_rejected_with_its_key(self, tmp_path, capsys, config, flags, key, value):
+        argv = list(flags)
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(config)
+            argv += ["--config", str(cfg)]
+        if argv[0] == "run":
+            argv += ["--out-dir", str(tmp_path)]
+        assert run_cli(*argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {key} must be a finite number, not {value}"]
+
+
 class TestImports:
     """The commands load NumPy and the standard library alone, in a fresh
     interpreter: SciPy is never imported and the process pool only when a
@@ -370,6 +413,22 @@ class TestImports:
             " or m == 'concurrent.futures.process'))", cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_exported_names_resolve(self):
+        """Every name in a module's ``__all__``, and every name the package
+        imports into itself, exists."""
+        package = Path(twmotor.__file__).parent
+        missing = []
+        for info in pkgutil.iter_modules([str(package)]):
+            module = importlib.import_module(f"twmotor.{info.name}")
+            missing += [f"twmotor.{info.name}.{name}"
+                        for name in getattr(module, "__all__", ())
+                        if not hasattr(module, name)]
+        for node in ast.walk(ast.parse((package / "__init__.py").read_text())):
+            if isinstance(node, ast.ImportFrom):
+                missing += [f"twmotor.{alias.asname or alias.name}" for alias in node.names
+                            if not hasattr(twmotor, alias.asname or alias.name)]
+        assert missing == []
 
     @pytest.mark.parametrize("argv", [
         ["validate"], ["eigen"], ["run", "--duration", "1.5e-3"],

@@ -3,7 +3,7 @@
 The friction-cone and sign properties are exercised with randomized
 surface states via hypothesis; the modal projections and rotor resultants
 are checked against brute-force summation, the law against its direct
-formula, and the folded operators against ``reaction_operator`` in closed
+formula, and the folded operators against ``interface_operator`` in closed
 form.  The law is called the way the step loop calls it: in the arguments
 ``ContactBatch.fold`` gives, on (B, 1, M) rows, a single interface being a
 batch of one.
@@ -21,10 +21,10 @@ from twmotor.contact import (
     ContactConfig,
     contact_angles,
     evaluate_contact,
+    interface_operator,
     modal_reaction,
-    reaction_operator,
 )
-from twmotor.stator import StatorGeometry
+from twmotor.stator import ModePair, StatorGeometry
 
 GEOM = StatorGeometry(mean_radius=0.0125, section_width=0.005,
                       section_thickness=0.0025, tooth_height=0.001,
@@ -66,10 +66,13 @@ def evaluate_one(gap, slip, cfg):
 
 
 def flexural_operator(theta):
-    """The reaction operator of the cos/sin(4 theta) pair, with a unit batch axis."""
+    """The cos/sin(4 theta) pair's shapes and their theta-derivatives, written
+    out as the independent reference, and the pair's interface operator with
+    a unit batch axis."""
     shape_w = np.vstack([np.cos(4 * theta), np.sin(4 * theta)])
     shape_d = np.vstack([-4 * np.sin(4 * theta), 4 * np.cos(4 * theta)])
-    return shape_w, shape_d, reaction_operator(shape_w, shape_d, GEOM)[:, None]
+    operator = interface_operator(ModePair(4, 1.0, 1.0), GEOM, theta)
+    return shape_w, shape_d, operator[:, None]
 
 
 def power_balance(forces, slip, surface_wdot, surface_vt, rotor_zdot,
@@ -209,7 +212,7 @@ class TestModalReaction:
 
 
 class TestFoldedOperators:
-    """``ContactBatch.fold`` against ``reaction_operator``, row by row."""
+    """``ContactBatch.fold`` against ``interface_operator``, row by row."""
 
     def test_each_row_carries_its_own_constants(self):
         configs = [ContactConfig(cof=0.1),

@@ -422,6 +422,19 @@ class TestDetectSteadyState:
         assert not ss.settled
         assert ss.t == pytest.approx(t[-1])
 
+    def test_boundary_is_the_sample_time(self):
+        """t_ss is the boundary sample's own time, so a mask time >= t_ss keeps
+        that sample.  On the default step grid, 165 steps of h = 1e-5/165 s
+        per sample, the series holds 475 * 165 * h for the sample at
+        4.75 ms, one ulp below 475 times the sample interval."""
+        h = 1e-5 / 165
+        t = np.arange(501) * 165 * h     # the step index times h, as simulated
+        window = np.arange(501) // 25
+        series = synthetic_series(t, 2.0 ** np.minimum(window, 18))
+        ss = detect_steady_state(series)
+        assert ss.settled and ss.t == t[475]
+        assert np.count_nonzero(t >= ss.t) == 501 - 475
+
     def test_rotor_speed_probe_selectable(self):
         t = np.arange(0, 5e-3, 1e-5)
         series = synthetic_series(t, 1.0 + 1e4 * t)  # growing wave probe
@@ -508,9 +521,7 @@ class TestWindowReductions:
                  for a, b in zip(means, means[1:])]
         ss = detect_steady_state(series)
         assert ss.settled == any(agree)
-        interval = t[1] - t[0]
-        expected = t[0] + (agree.index(True) + 1) * wlen * interval if any(agree) else t[-1]
-        assert ss.t == expected
+        assert ss.t == (t[(agree.index(True) + 1) * wlen] if any(agree) else t[-1])
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(120, 3000),

@@ -81,40 +81,70 @@ class TestTravelingDecomposition:
         assert sol.q_backward == pytest.approx((1.0 + 1j * -1j) / 2)
 
 
-class TestSurfaceKinematics:
-    """The surface motion of the drive, through the step loop's interface
-    operator: the modal state times its columns."""
+def surface(pair, sol, theta, t):
+    """(w, w', u_t, v_t) of the driven surface at the angles and instant t,
+    through the step loop's interface operator: the modal state
+    q = Re(q_cos,sin e^(i omega t)), q' = -omega Im(...), times its columns."""
+    normal, friction = interface_operator(pair, GEOM, theta)[:, :, :2]
+    turned = np.array([sol.q_cos, sol.q_sin]) * np.exp(1j * sol.omega * t)
+    q, qdot = turned.real, -sol.omega * turned.imag
+    return -normal @ q, -normal @ qdot, -friction @ q, -friction @ qdot
 
+
+class TestSurfaceState:
+    def test_time_derivative_consistency(self, pair, balanced):
+        """w_dot and v_t agree with finite differences of w and u_t."""
+        theta = np.linspace(0, 2 * math.pi, 17)
+        t0, dt = 1.3e-4, 1e-12
+        w0, wdot, ut0, vt = surface(pair, balanced, theta, t0)
+        wp, _, utp, _ = surface(pair, balanced, theta, t0 + dt)
+        wm, _, utm, _ = surface(pair, balanced, theta, t0 - dt)
+        np.testing.assert_allclose(wdot, (wp - wm) / (2 * dt), rtol=1e-6,
+                                   atol=1e-6 * np.max(np.abs(wdot)))
+        np.testing.assert_allclose(vt, (utp - utm) / (2 * dt), rtol=1e-6,
+                                   atol=1e-6 * np.max(np.abs(vt)))
+
+    def test_tangent_follows_slope(self, pair, balanced):
+        """u_t = -(z_c/R) dw/dtheta at fixed time."""
+        theta = np.linspace(0, 2 * math.pi, 4097)
+        t0 = 7.7e-5
+        w, _, ut, _ = surface(pair, balanced, theta, t0)
+        dw = np.gradient(w, theta)
+        expected = -(GEOM.contact_offset / GEOM.mean_radius) * dw
+        # np.gradient is only first-order at the two endpoints
+        np.testing.assert_allclose(ut[1:-1], expected[1:-1], rtol=1e-4,
+                                   atol=1e-5 * np.max(np.abs(ut)))
+
+    def test_crest_amplitude(self, pair, balanced):
+        """A pure forward wave: the crest is the forward component's height."""
+        theta = np.linspace(0, 2 * math.pi, 20001)
+        w, *_ = surface(pair, balanced, theta, 0.0)
+        amplitude = balanced.w_forward + balanced.w_backward
+        assert np.max(np.abs(w)) == pytest.approx(amplitude, rel=1e-6)
+
+
+class TestSurfaceKinematics:
     def test_balanced_drive_is_one_forward_wave(self, pair, balanced):
-        """At any instant t the state q = Re(q_cos,sin e^(i omega t)) deflects
-        the surface as W cos(xi), xi = n theta + omega t + psi_f, and moves it
-        tangentially by u_t = -(z_c / R) dw/dtheta; the rates follow from
-        q' = -omega Im(...).  The crest's tangential velocity is the rim speed
-        of the ideal no-slip rotor."""
+        """At any instant t the surface deflects as W cos(xi),
+        xi = n theta + omega t + psi_f, and moves tangentially by
+        u_t = -(z_c / R) dw/dtheta.  The crest's tangential velocity is the
+        rim speed of the ideal no-slip rotor."""
         n, omega = pair.nodal_diameters, balanced.omega
         W, psi = balanced.w_forward, cmath.phase(balanced.q_forward)
         tangential = GEOM.contact_offset / GEOM.mean_radius * n * W
-        modal = np.array([balanced.q_cos, balanced.q_sin])
-
-        def surface(theta, t):
-            """(w, w', u_t, v_t) of the surface at the angles and instant."""
-            normal, friction = interface_operator(pair, GEOM, theta)[:, :, :2]
-            turned = modal * np.exp(1j * omega * t)
-            q, qdot = turned.real, -omega * turned.imag
-            return -normal @ q, -normal @ qdot, -friction @ q, -friction @ qdot
 
         theta = np.linspace(0.0, 2 * math.pi, 97)
         for t in (0.0, 3.1e-6, 1.3e-5, 7.7e-5):
             xi = n * theta + omega * t + psi
             expected = (W * np.cos(xi), -omega * W * np.sin(xi),
                         tangential * np.sin(xi), omega * tangential * np.cos(xi))
-            for got, want, scale in zip(surface(theta, t), expected,
+            for got, want, scale in zip(surface(pair, balanced, theta, t), expected,
                                         (W, omega * W, tangential, omega * tangential)):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
 
         t = 4.2e-6
         crest = np.array([-(omega * t + psi) / n])
-        w, _, _, v_t = surface(crest, t)
+        w, _, _, v_t = surface(pair, balanced, crest, t)
         assert w[0] == pytest.approx(W, rel=1e-12)
         assert v_t[0] == pytest.approx(GEOM.mean_radius * ideal_no_slip_speed(balanced, GEOM),
                                        rel=1e-12)

@@ -71,22 +71,21 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        """A config from a JSON document; a section's missing keys keep the defaults.
+
+        Each section given replaces fields of the default config's own
+        section, so a partial ``geometry`` keeps the default motor's other
+        dimensions, not ``StatorGeometry``'s class defaults.
+        """
         data = dict(data)
         parts = {}
-        section_types = {
-            "geometry": StatorGeometry,
-            "mesh": MeshSettings,
-            "drive": DriveConfig,
-            "contact": ContactConfig,
-            "rotor": RotorConfig,
-            "simulation": SimulationSettings,
-        }
+        defaults = cls()
         try:
-            for key, typ in section_types.items():
+            for key in ("geometry", "mesh", "drive", "contact", "rotor", "simulation"):
                 if key in data:
-                    sect = data.pop(key)
-                    _reject_unknown(typ, sect, key)
-                    parts[key] = typ(**sect)
+                    sect, default = data.pop(key), getattr(defaults, key)
+                    _reject_unknown(type(default), sect, key)
+                    parts[key] = replace(default, **sect)
             _reject_unknown(cls, data, "top level")
             return cls(**parts, **data)
         except ConfigError:

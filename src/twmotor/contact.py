@@ -27,17 +27,24 @@ What is left of the law is three elementwise passes, ``evaluate_contact``:
 and the friction force is f = -mu u, which ``modal_reaction`` applies
 inside its product with the folded operator.
 
-This module is the one implementation of the law, with one call form: the
-transient step loop calls ``evaluate_contact`` and ``modal_reaction`` once
-per step, both writing into the loop's buffers.  Both take B interfaces
-as (B, 1, M) rows, and a ``ContactBatch`` carries one parameter row per
-interface; a single interface is a batch of one.  The law's arguments,
-and its outputs [N, u], are stacked on a leading axis, so at any batch
-size each of its operands is one contiguous block of memory.
+With the drive pair alone on the stator and a rigid rotor, the contact
+pattern has the ring's cyclic symmetry: ``interface_period`` gives the
+M / g points of one period, g = gcd(n, M), which stand for the whole ring
+once the reactions are scaled by g.
+
+This module is the one implementation of the law, with one call form:
+the transient step loop calls ``evaluate_contact`` once per step, writing
+into the loop's buffers, and ``modal_reaction`` once per output sample;
+between samples its step map applies the folded reaction itself.  Both
+take B interfaces as (B, 1, M) rows, and a ``ContactBatch`` carries one
+parameter row per interface; a single interface is a batch of one.  The
+law's arguments are stacked on a leading axis, so at any batch size each
+is one contiguous block of memory; each row of its outputs is contiguous.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +57,7 @@ __all__ = [
     "contact_angles",
     "evaluate_contact",
     "interface_operator",
+    "interface_period",
     "modal_reaction",
 ]
 
@@ -145,6 +153,23 @@ def contact_angles(cfg: ContactConfig) -> np.ndarray:
     return 2.0 * np.pi * np.arange(cfg.point_count) / cfg.point_count
 
 
+def interface_period(cfg: ContactConfig, nodal_diameters: int) -> tuple[np.ndarray, int]:
+    """The contact angles of one period of the interface, and how many periods it holds.
+
+    With the drive pair alone on the stator and a rigid rotor, gap and slip
+    at a contact point depend on its angle theta only through n theta.  So
+    with g = gcd(n, M) they repeat every M / g points, point i + M / g
+    lying 2 pi n / g further round in n theta, and every period loads the
+    pair and the rotor alike (the ring's cyclic symmetry, Thomas, Int. J.
+    Numer. Methods Eng. 14 (1979) 81-102).  Returns the first M / g angles
+    of ``contact_angles`` and g: sums over the whole ring, the reactions
+    and the ledger's point sums, are g times the sums over these points.
+    When g = 1 these are all M points.
+    """
+    periods = math.gcd(nodal_diameters, cfg.point_count)
+    return contact_angles(cfg)[:cfg.point_count // periods], periods
+
+
 _ZERO = np.zeros(())   # the clamp's bound: a Python 0.0 costs a conversion per call
 
 
@@ -207,9 +232,9 @@ def modal_reaction(forces: np.ndarray, operator: np.ndarray, out=None) -> np.nda
     (2, B, 1, 4), holds the generalized forces on the two shapes, then the
     axial force and torque, of the normal forces and of the friction
     forces.  Their sum over the first axis is the generalized contact
-    force; the transient forms it inside its propagator product.  The step
-    loop passes [N, u] from ``evaluate_contact`` with the reaction from
-    ``ContactBatch.fold``, whose friction block carries -mu.
+    force.  The step loop passes [N, u] from ``evaluate_contact`` with the
+    reaction from ``ContactBatch.fold``, whose friction block carries -mu,
+    once per output sample; its step map holds the same product folded in.
 
     The forces (2, B, 1, M) take the operator with an axis per batch axis,
     either a unit axis (``operator[:, None]``, shape (2, 1, M, 4)) or

@@ -5,10 +5,11 @@ mass-normalized coordinates); the rigid rotor carries an axial
 translation and a spin DOF.  Each run states its linear dynamics once:
 between contact evaluations the positions x = [q_cos, q_sin, z, phi] obey
 M x'' + C x' + K x = F with diagonal M, C and K.  Per fixed step, the
-contact law of ``contact.py`` (``evaluate_contact`` at every contact
-point, then ``modal_reaction``) is evaluated at the step
-start (explicit), while the linear system is advanced exactly: its step
-map is the exponential of the system augmented by its forcing, held
+contact law of ``contact.py`` (``evaluate_contact`` at the contact
+points, its reactions projected by ``interface_operator``) is evaluated
+at the step start (explicit), while the linear system is advanced
+exactly: its step map is the exponential of the system augmented by its
+forcing, held
 constant over the step (Van Loan 1978), computed by scaling and squaring
 a Taylor polynomial (Al-Mohy & Higham 2009); the electrode drive is
 sampled at the step midpoint, and the contact reactions are extrapolated
@@ -19,34 +20,39 @@ alongside the states.
 
 ``simulate_batch`` runs B transients that share the stator and the step
 grid in one step loop.  Each run is one row of (B, 1, K) arrays; its state
-is [q_cos, q_sin, z, phi | q_cos', q_sin', z', omega].  A step is six
-calls: the kinematics product, which maps the state straight to the law's
-arguments [-k gap, slip / v]; the law's three elementwise passes
+is [q_cos, q_sin, z, phi | q_cos', q_sin', z', omega].  The contact law
+runs over one period of the interface only: gap and slip repeat every
+M / g contact points, g = gcd(n, M) (``contact.interface_period``), so the
+loop evaluates the law at M / g points and scales the reactions, the
+penalty energy and the friction power by g.  A step is five calls: the
+kinematics product, which maps the state straight to the law's arguments
+[-k gap, slip / v]; the law's three elementwise passes
 (``evaluate_contact``), giving [N, u] with the friction force f = -mu u;
-``modal_reaction``, whose operator's friction block carries -mu; and the
-step map, which adds the reactions of the normal and of the friction
-forces and also folds in the midpoint drive and the reaction
-extrapolation.  The reaction operator is ``contact.interface_operator``,
+and the step map.  The reaction operator is ``contact.interface_operator``,
 the drive pair sampled at the contact points, built once per call; the
 kinematics is its transpose, since gap and slip are the work conjugates
 of the normal and friction forces, and ``ContactBatch.fold`` puts each
 row's k, v and mu into both, so the law's constants enter the step there
-alone.  The law's operands are laid out (2, B, 1, M), so each of its
-passes runs over one contiguous block whatever B is.
+alone.  The reactions are linear in [N, u], so the reaction operator is
+folded into the step map (``_step_map``): the map reads [N, u] itself,
+adds their reactions to the forcing along with the midpoint drive and the
+reaction extrapolation, and carries this step's reactions to the next as
+r_prev.  ``modal_reaction`` runs once per sample, for the torque and
+axial-force probes and the finiteness check.  The law's arguments are laid
+out (2, B, 1, M / g), so each is one contiguous block whatever B is.
 
 The loop runs in chunks of up to one sample interval (and at most
 ``_CHUNK_STEPS`` steps), step first in every buffer.  Row j of the step
-map's input X is [r_(j-1) | state_j | d_j | r_j], and consecutive rows
-overlap by the reactions: X is a strided window over one buffer per run,
-advancing by the row length minus the length of r, so r_j is written
-once, by ``modal_reaction``, and is already the next step's r_(j-1).
-The propagator's rows are permuted once to that order.  A chunk evaluates
-the drive and the preload ramp at all its steps at once, and reduces the
-energy ledger's powers from its history of states and of the law's
-arguments and outputs, applying -mu v to the friction power once per
+map's input X is [state_j | r_(j-1) | d_j | N_j | u_j]: the law writes its
+outputs into it, and the map writes [state_(j+1) | r_j] into row j + 1, so
+the rows do not overlap and nothing is copied within a chunk.  A chunk
+evaluates the drive and the preload ramp at all its steps at once, and
+reduces the energy ledger's powers from its history of states and of the
+law's arguments and outputs, applying -mu v to the friction power once per
 chunk.  Every operation acts on each row alone, so a row's results are
-bitwise the same whatever batch it runs in.  ``simulate`` is the batch
-of one.
+bitwise the same whatever batch it runs in.  ``simulate`` is the batch of
+one.  A row that goes non-finite names the first entry of ``ENTRY_NAMES``
+found so, and the sample time.
 """
 
 from __future__ import annotations
@@ -85,11 +91,21 @@ SETTLE_TOLERANCE = 0.02   # relative difference of window means that counts as s
 SPIKE_FACTOR = 5.0        # MADs from the median beyond which an envelope point is dropped
 
 
-class SimulationDiverged(RuntimeError):
-    """Raised by callers when a run produced non-finite states."""
+# the entries a sample checks for finiteness: the state, then the contact reactions
+ENTRY_NAMES = ("q_cos", "q_sin", "z", "phi", "q_cos'", "q_sin'", "z'", "omega",
+               "contact Q_cos", "contact Q_sin", "contact F_z", "contact torque")
 
-    def __init__(self, last_valid_time: float):
-        super().__init__(f"simulation diverged; last valid time {last_valid_time:g} s")
+
+class SimulationDiverged(RuntimeError):
+    """Raised by callers when a run produced non-finite states.
+
+    The message names ``entry``, the first of ``ENTRY_NAMES`` found
+    non-finite, and the sample time that found it.
+    """
+
+    def __init__(self, last_valid_time: float, entry: str, time: float):
+        super().__init__(f"simulation diverged: {entry} non-finite at t = {time:g} s; "
+                         f"last valid time {last_valid_time:g} s")
         self.last_valid_time = last_valid_time
 
 
@@ -152,6 +168,8 @@ class MotorTimeSeries:
     radius: float = 1.0
     diverged: bool = False
     last_valid_time: float = 0.0
+    nonfinite_entry: str = ""             # of a diverged run: see SimulationDiverged
+    nonfinite_time: float = math.nan
     energy: EnergyReport | None = None
 
     def __len__(self):
@@ -253,6 +271,29 @@ def _propagator(mass, damping, stiffness, h: float) -> np.ndarray:
     return np.concatenate([step] + [1.5 * forcing] * 2 + [-0.5 * forcing] * 2, axis=-2)
 
 
+def _step_map(prop: np.ndarray, reaction: np.ndarray) -> np.ndarray:
+    """The step map with the contact reactions folded in, one per row.
+
+    ``prop`` is the (..., 28, 8) map of ``_propagator``, [state | d | r |
+    r_prev] -> next state, and ``reaction`` the (2, ..., P, 4) blocks that
+    map the law's outputs [N, u] at P points to the reactions r of the
+    normal and of the friction forces.  Since r is linear in [N, u], the
+    1.5 r term of the forcing enters as ``reaction @ forcing``, and r itself
+    is carried to the next step as four more outputs, which the -0.5
+    forcing rows read there as r_prev.  The result maps
+    [state | r_prev | d | N | u] -> [next state | r], shape (..., 16 + 2P, 12).
+    """
+    n = prop.shape[-1]
+    m = n // 2
+    forces = np.concatenate(list(reaction), axis=-2)       # [N | u] -> r
+    to_state = np.concatenate([prop[..., :n, :], prop[..., n + 3 * m:n + 4 * m, :],
+                               prop[..., n:n + m, :], forces @ prop[..., n + m:n + 2 * m, :]],
+                              axis=-2)
+    to_r = np.zeros(to_state.shape[:-1] + (forces.shape[-1],))
+    to_r[..., -forces.shape[-2]:, :] = forces
+    return np.concatenate([to_state, to_r], axis=-1)
+
+
 def _expm(a: np.ndarray) -> np.ndarray:
     """The exponential of each (n, n) matrix in ``a``, by scaling and squaring.
 
@@ -305,15 +346,16 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
     B = len(drives)
     m = 4             # [q_cos, q_sin, z, phi]
     n = 2 * m         # positions, then velocities, each laid out as above
-    M = law.point_count
 
-    # [G_N, G_f] of the drive pair at the contact points maps the forces N
-    # and f each to [Q_cos, Q_sin, F_z, T].  Folded with each row's law
-    # constants, its transpose maps the state to the law's arguments
-    # [-k gap, slip / v], and its friction block carries -mu; every product
-    # is one small matrix product per half and row.
-    kin, reaction = law.fold(contact.interface_operator(
-        stator.pair, geom, contact.contact_angles(contacts[0])))
+    # [G_N, G_f] of the drive pair at one period of the contact points maps
+    # the forces N and f each to [Q_cos, Q_sin, F_z, T].  Folded with each
+    # row's law constants, its transpose maps the state to the law's
+    # arguments [-k gap, slip / v], and its friction block carries -mu.  The
+    # reaction is scaled by the period count, so it gives the whole ring's.
+    theta, periods = contact.interface_period(contacts[0], stator.pair.nodal_diameters)
+    M = len(theta)
+    kin, reaction = law.fold(contact.interface_operator(stator.pair, geom, theta))
+    reaction *= periods
 
     def per_row(values):
         return np.array(values, dtype=float)
@@ -343,12 +385,11 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
     damping[:, 2] = per_row([r.axial_damping for r in rotors])
     stiffness = np.zeros((B, m))
     stiffness[:, :2] = omega_n ** 2
-    # the map's input rows reordered to [r_prev | state | d | r], as X lays them out
-    prop = np.roll(_propagator(mass, damping, stiffness, h), 2 * m, axis=-2)
+    step_map = _step_map(_propagator(mass, damping, stiffness, h), reaction)
     weights = np.concatenate([stiffness, mass], axis=-1)[:, None]
     damper = damping[:, :, None]
-    compliance = (1.0 / law.stiffness)[:, None]
-    friction_scale = (-law.cof * law.regularization_velocity)[:, None, None]
+    compliance = (periods / law.stiffness)[:, None]
+    friction_scale = (-periods * law.cof * law.regularization_velocity)[:, None, None]
 
     def mech_energy(y, normal):
         # a penalty spring at depth d stores k d^2 / 2 = N^2 / (2 k)
@@ -357,28 +398,22 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
 
     # A chunk holds the steps up to the next sample, at most _CHUNK_STEPS,
     # so its histories stay small whatever the output interval.  X[j] is
-    # step j's propagator input [r_prev | state | d | r] for every row, r
-    # being [r_N | r_f], which modal_reaction writes through a (2, B, 1, m)
-    # view.  The rows overlap: each row's r is the next row's r_prev, so
-    # the reactions are written once and never copied.  G[j] holds the
-    # step's law arguments [-k gap, slip / v] and F[j] its outputs [N, u],
-    # kept for the energy ledger.  The views each step uses are made once.
+    # step j's step map input [state | r_prev | d | N | u] for every row:
+    # the law writes [N, u] into it, and the map writes the next step's
+    # [state | r_prev].  G[j] holds the step's law arguments
+    # [-k gap, slip / v], kept with X for the energy ledger.  The views each
+    # step uses are made once.
     chunk = min(steps_per_sample, _CHUNK_STEPS)
-    s0, d0, r0, width = 2 * m, 2 * m + n, 3 * m + n, 5 * m + n   # where each part starts
-    stride = width - 2 * m
-    X = np.moveaxis(np.lib.stride_tricks.sliding_window_view(
-        np.zeros((B, 1, chunk * stride + width)), width, axis=-1,
-        writeable=True)[..., ::stride, :], 2, 0)
+    d0, f0 = n + m, n + 2 * m     # where d and [N | u] start
+    X = np.zeros((chunk + 1, B, 1, f0 + 2 * M))
     G = np.empty((chunk, 2, B, 1, M))
-    F = np.empty((chunk, 2, B, 1, M))
-    step_views = [(X[j], X[j, ..., s0:d0], X[j, ..., r0:],
-                   X[j, ..., r0:].reshape(B, 1, 2, m).transpose(2, 0, 1, 3),
-                   G[j], G[j, 0], G[j, 1], F[j], F[j, 0], F[j, 1],
-                   X[j + 1, ..., s0:d0])
+    step_views = [(X[j], X[j, ..., :n], G[j], G[j, 0], G[j, 1],
+                   X[j, ..., f0:f0 + M], X[j, ..., f0 + M:], X[j + 1, ..., :d0])
                   for j in range(chunk)]
     out = np.zeros((B, n_samples, 7))
     alive = np.ones(B, dtype=bool)
     n_valid = np.zeros(B, dtype=int)
+    first_nonfinite = [("", math.nan)] * B
     sample = 0
     acc = [0.0, 0.0, 0.0]      # sums of the powers: input, damper, friction
     k = 0                      # index of the chunk's first step
@@ -396,21 +431,24 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
             drive[:, 2] = -np.where(t < ramp, preload * t / ramp_divisor,
                                     preload)[:, None]
             drive[:, 3] = -load_torque
-            X[:count, :, 0, d0:r0] = drive[:, :, 1].transpose(2, 0, 1)
+            X[:count, :, 0, d0:f0] = drive[:, :, 1].transpose(2, 0, 1)
             at_sample = k % steps_per_sample == 0
 
             for j in range(count):
-                x, y, r, halves, g, load, slip_ratio, f, normal, traction, y_next \
-                    = step_views[j]
+                x, y, g, load, slip_ratio, normal, traction, y_next = step_views[j]
                 np.matmul(y, kin, out=g)
                 contact.evaluate_contact(load, slip_ratio, normal, traction)
-                contact.modal_reaction(f, reaction, out=halves)
                 if j == 0 and at_sample:
+                    halves = contact.modal_reaction(
+                        X[0, ..., f0:].reshape(B, 1, 2, M).transpose(2, 0, 1, 3), reaction)
+                    total = halves[0, :, 0] + halves[1, :, 0]
                     now = y[:, 0]
-                    alive &= np.isfinite(now).all(axis=-1) & np.isfinite(r[:, 0]).all(axis=-1)
+                    finite = np.isfinite(np.concatenate([now, total], axis=-1))
+                    for b in np.flatnonzero(alive & ~finite.all(axis=-1)):
+                        first_nonfinite[b] = (ENTRY_NAMES[np.argmin(finite[b])], k * h)
+                        alive[b] = False
                     if not alive.any():
                         break
-                    total = halves[0, :, 0] + halves[1, :, 0]
                     row = out[:, sample]
                     row[:, 0] = k * h
                     row[:, 1] = R * now[:, n - 1]
@@ -423,17 +461,17 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
                     n_valid[alive] = sample
                 if j == T:
                     break
-                np.matmul(x, prop, out=y_next)
+                np.matmul(x, step_map, out=y_next)
             if not alive.any():
                 break
 
             # the ledger's powers at each evaluation, time along the last axis
-            vel = X[:count, :, 0, s0 + m:d0].transpose(1, 2, 0)
+            vel = X[:count, :, 0, m:n].transpose(1, 2, 0)
             p_in = np.multiply(drive[:, :, 0], vel, out=np.empty((B, m, count)))
             p_damp = np.multiply(damper, vel, out=np.empty((B, m, count)))
             p_damp *= vel
             # f s = (-mu u)(v s / v): the constants multiply the point sum
-            p_fric = np.add.reduce(np.multiply(F[:count, 1, :, 0].transpose(1, 0, 2),
+            p_fric = np.add.reduce(np.multiply(X[:count, :, 0, f0 + M:].transpose(1, 0, 2),
                                                G[:count, 1, :, 0].transpose(1, 0, 2),
                                                out=np.empty((B, count, M))),
                                    axis=-1)[:, None]
@@ -442,11 +480,11 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
             acc = [a + np.add.reduce(p, axis=-1) for a, p in zip(acc, powers)]
             if k == 0:
                 first = [p[..., 0] for p in powers]
-                energy_initial = mech_energy(X[0, ..., s0:d0], F[0, 0])
+                energy_initial = mech_energy(X[0, ..., :n], X[0, ..., f0:f0 + M])
             if T == 0:
-                energy_final = mech_energy(X[0, ..., s0:d0], F[0, 0])
+                energy_final = mech_energy(X[0, ..., :n], X[0, ..., f0:f0 + M])
                 break
-            X[0, ..., :d0] = X[T, ..., :d0]   # [r_prev | state]; d is refilled
+            X[0, ..., :d0] = X[T, ..., :d0]   # [state | r_prev]; d is refilled
             k += T
 
     if alive.any():   # the loop ran to the end: trapezoidal work integrals
@@ -468,6 +506,7 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
             friction_probe=cols[3], torque=cols[4], axial_force=cols[5],
             wave_amplitude=cols[6], radius=R, diverged=not alive[b],
             last_valid_time=float(cols[0, -1]) if n_valid[b] else 0.0,
+            nonfinite_entry=first_nonfinite[b][0], nonfinite_time=first_nonfinite[b][1],
             energy=energy,
         ))
     return series

@@ -116,7 +116,8 @@ def summarize(config: RunConfig, model: stator.StatorModel,
     the series diverged.
     """
     if series.diverged:
-        raise SimulationDiverged(series.last_valid_time)
+        raise SimulationDiverged(series.last_valid_time, series.nonfinite_entry,
+                                 series.nonfinite_time)
     steady = dynamics.detect_steady_state(series)
     f_drive = config.drive.resolve_frequency(model.pair)
     try:

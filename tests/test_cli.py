@@ -1,6 +1,7 @@
 """Command-line interface, exercised through ``main(argv)``."""
 
 import ast
+import dataclasses
 import importlib
 import json
 import os
@@ -352,6 +353,29 @@ class TestValidate:
             assert run_cli(command, "--config", str(cfg),
                            "--out-dir", str(tmp_path)) == cli.EXIT_CONFIG
             assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("section", [
+        {"mean_radius": 0.015},
+        {"mean_radius": 0.0125, "section_width": 0.005, "section_thickness": 0.0025},
+    ], ids=["one-key", "three-keys"])
+    def test_partial_geometry_section(self, tmp_path, capsys, section):
+        """A geometry section replaces only the keys it names; the others keep
+        the default motor's values, tooth height included."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"geometry": section}))
+        expected = dataclasses.replace(RunConfig().geometry, **section)
+        assert RunConfig.from_dict({"geometry": section}).geometry == expected
+        assert run_cli("validate", "--config", str(cfg)) == cli.EXIT_OK
+        assert "valid" in capsys.readouterr().out
+        short = ("--duration", "6e-4")
+        assert run_cli("run", "--config", str(cfg), "--out-dir", str(tmp_path / "cfg"),
+                       *short) in (cli.EXIT_OK, cli.EXIT_NOT_SETTLED)
+        if expected == RunConfig().geometry:
+            run_cli("run", "--out-dir", str(tmp_path / "default"), *short)
+            assert (tmp_path / "cfg" / "timeseries.csv").read_bytes() \
+                == (tmp_path / "default" / "timeseries.csv").read_bytes()
+        else:
+            assert (tmp_path / "cfg" / "summary.json").exists()
 
 
     def test_unresolvable_interface(self, tmp_path, capsys):

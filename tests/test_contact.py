@@ -22,6 +22,7 @@ from twmotor.contact import (
     contact_angles,
     evaluate_contact,
     interface_operator,
+    interface_period,
     modal_reaction,
 )
 from twmotor.stator import ModePair, StatorGeometry
@@ -250,6 +251,50 @@ class TestFoldedOperators:
         np.testing.assert_allclose(load, -cfg.penalty_stiffness * gap, rtol=1e-12)
         np.testing.assert_allclose(slip_ratio, slip / cfg.regularization_velocity,
                                    rtol=1e-12)
+
+
+class TestInterfacePeriod:
+    """One period of the interface, M / g points with g = gcd(n, M), stands
+    for the whole ring: its reactions, and the ledger's point sums, times g
+    match the evaluation at all M points, for random rotor and wave states
+    of three interfaces at once."""
+
+    @pytest.mark.parametrize("n, count, periods", [
+        (4, 128, 4), (4, 132, 4), (3, 128, 1), (6, 64, 2)])
+    def test_matches_all_points(self, n, count, periods):
+        rng = np.random.default_rng(100 * n + count)
+        configs = [ContactConfig(point_count=count, cof=c, penalty_stiffness=k,
+                                 regularization_velocity=v)
+                   for c, k, v in ((0.1, 2e5, 1e-3), (0.3, 5e5, 2e-3), (0.5, 1e5, 5e-4))]
+        law = ContactBatch.stack(configs)
+        pair = ModePair(n, 2 * math.pi * 4e4, 1.0)
+        # [q_cos, q_sin, z, phi | their rates]: a wave of a few um, the
+        # rotor near the crests, rates of the drive frequency and a spin
+        q = rng.uniform(-5e-6, 5e-6, (3, 2))
+        states = np.concatenate([q, rng.uniform(-4e-6, 4e-6, (3, 1)), np.zeros((3, 1)),
+                                 2.5e5 * q[:, ::-1] * [1.0, -1.0],
+                                 rng.normal(0.0, 0.05, (3, 1)), rng.normal(0.0, 20.0, (3, 1))],
+                                axis=-1)[:, None]
+
+        def evaluate(theta, scale):
+            kinematics, reaction = law.fold(interface_operator(pair, GEOM, theta))
+            arguments = states @ kinematics
+            outputs = np.empty_like(arguments)
+            evaluate_contact(*arguments, *outputs)
+            sums = [np.sum(outputs[0] ** 2, axis=-1), np.sum(outputs[1] * arguments[1], axis=-1)]
+            return modal_reaction(outputs, scale * reaction), [scale * a for a in sums]
+
+        theta, g = interface_period(configs[0], n)
+        assert g == periods
+        assert np.array_equal(theta, contact_angles(configs[0])[:count // g])
+        full, full_sums = evaluate(contact_angles(configs[0]), 1)
+        reduced, reduced_sums = evaluate(theta, g)
+        assert np.any(full[0] != 0.0) and np.any(full[1] != 0.0)    # in contact, slipping
+        for half in range(2):
+            scale = np.max(np.abs(full[half]), axis=-1, keepdims=True)
+            assert np.all(np.abs(reduced[half] - full[half]) <= 1e-13 * scale)
+        for got, want in zip(reduced_sums, full_sums):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 class TestStepLoopForm:

@@ -7,16 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twmotor import contact
+from twmotor import contact, runner
 from twmotor.config import RunConfig
 from twmotor.dynamics import (
     _CHUNK_STEPS,
+    ENTRY_NAMES,
     SETTLE_TOLERANCE,
     SETTLE_WINDOW,
     SPIKE_FACTOR,
     MotorTimeSeries,
     _propagator,
     RotorConfig,
+    SimulationDiverged,
     detect_steady_state,
     envelope_average,
     mean_speed,
@@ -127,6 +129,14 @@ class TestSimulate:
         assert series.energy is not None
         assert abs(series.energy.residual_fraction) < 0.01
 
+    def test_energy_balance_without_period_reduction(self, stator_model):
+        """129 points share no period with n = 4 waves (g = 1): the step loop
+        runs over all of them, and the ledger still closes."""
+        cfg = short_cfg(contact={"point_count": 129})
+        series = run_short(stator_model, cfg)
+        assert not series.diverged
+        assert abs(series.energy.residual_fraction) < 0.01
+
     def test_preload_ramp_reaches_full_load(self, stator_model):
         cfg = short_cfg(rotor={"preload": 80.0, "preload_ramp": 2e-4},
                         drive={"voltage": 0.0})
@@ -197,6 +207,17 @@ class TestSimulateBatch:
         assert np.all(np.isfinite(bad.torque))
         for i in (0, 2):
             assert_same_run(batch[i], self.solo(stator_model, configs[i]))
+            assert batch[i].nonfinite_entry == ""
+        # the report names the first non-finite entry and the sample that
+        # found it, the one after the last valid sample; a sweep row's error
+        # is this message
+        assert bad.nonfinite_entry in ENTRY_NAMES
+        assert bad.nonfinite_time == pytest.approx(bad.last_valid_time + 1e-5, rel=1e-12)
+        with pytest.raises(SimulationDiverged) as raised:
+            runner.summarize(configs[1], stator_model, bad)
+        assert str(raised.value) == (
+            f"simulation diverged: {bad.nonfinite_entry} non-finite at "
+            f"t = {bad.nonfinite_time:g} s; last valid time {bad.last_valid_time:g} s")
 
     def test_rows_must_share_the_step_grid(self, stator_model):
         configs = [RunConfig(), RunConfig().override(drive={"frequency": 30000.0})]
@@ -205,7 +226,9 @@ class TestSimulateBatch:
 
     def test_simulate_runs_the_contact_module_law(self, stator_model, monkeypatch):
         """The hypothesis tests of contact.py cover the law and the projection
-        the loop runs: each is called once per evaluation, from ``contact``."""
+        the loop runs, both called from ``contact``: the law once per
+        evaluation, the projection once per sample, for the torque and
+        axial-force columns (the step map carries the reactions)."""
         calls = {"evaluate_contact": 0, "modal_reaction": 0}
 
         def counting(name):
@@ -223,25 +246,36 @@ class TestSimulateBatch:
         _, steps_per_sample, n_samples = step_grid(stator_model, cfg.drive,
                                                    duration=self.DURATION)
         evaluations = (n_samples - 1) * steps_per_sample + 1
-        assert calls == {"evaluate_contact": evaluations, "modal_reaction": evaluations}
+        assert calls == {"evaluate_contact": evaluations, "modal_reaction": n_samples}
 
     def test_law_operands_are_contiguous_blocks(self, stator_model, monkeypatch):
-        """At B > 1 every operand of the law, its arguments and its outputs,
-        is one C-contiguous block across the batch: no strided elementwise
-        pass."""
-        law = contact.evaluate_contact
-        seen = []
+        """At B > 1 each of the law's arguments is one C-contiguous block
+        across the batch, over one period of the interface (M / g points).
+        Its outputs are written straight into the step map's input: each row
+        of them is contiguous and lies in the buffer the step map reads."""
+        law, matmul = contact.evaluate_contact, np.matmul
+        count = contact.ContactConfig().point_count
+        points = count // math.gcd(stator_model.pair.nodal_diameters, count)
+        outputs, contiguous, in_map_input = [], [], []
 
         def checking(load, slip_ratio, normal, traction):
-            blocks = (load, slip_ratio, normal, traction)
-            seen.append(all(b.flags.c_contiguous for b in blocks))
-            assert {b.shape for b in blocks} == {(3, 1, contact.ContactConfig().point_count)}
+            assert {b.shape for b in (load, slip_ratio, normal, traction)} == {(3, 1, points)}
+            contiguous.append(load.flags.c_contiguous and slip_ratio.flags.c_contiguous
+                        and all(row.flags.c_contiguous for row in (*normal, *traction)))
+            outputs[:] = [normal, traction]
             return law(load, slip_ratio, normal, traction)
 
+        def step_map_reading_the_outputs(a, b, *args, **kwargs):
+            if a.shape[-1] == 16 + 2 * points:      # [state | r_prev | d | N | u]
+                in_map_input.append(all(np.shares_memory(a, o) for o in outputs))
+            return matmul(a, b, *args, **kwargs)
+
         monkeypatch.setattr(contact, "evaluate_contact", checking)
+        monkeypatch.setattr(np, "matmul", step_map_reading_the_outputs)
         configs = [RunConfig().override(contact={"cof": c}) for c in (0.3, 0.4, 0.5)]
         simulate_batch(stator_model, self.rows(configs), duration=2e-5)
-        assert seen and all(seen)
+        assert contiguous and all(contiguous)
+        assert in_map_input and all(in_map_input)
 
     def test_twelve_rows_match_solo_runs(self, stator_model):
         configs = [RunConfig().override(contact={"cof": 0.05 + 0.04 * i},

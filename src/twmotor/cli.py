@@ -199,6 +199,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_roughness(args) -> int:
+    for flag, pitch in (("--dx", args.dx), ("--dy", args.dy)):
+        if not 0 < pitch < math.inf:
+            raise ConfigError(f"pixel pitch {flag} must be finite and > 0, not {pitch:g}")
+
     def loaded_maps():
         """Each map in turn; after a failure, the rest are only checked."""
         failed = 0

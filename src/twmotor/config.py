@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import get_args, get_type_hints
 
 from .contact import ContactConfig
 from .dynamics import RotorConfig
@@ -85,8 +86,10 @@ class RunConfig:
                 if key in data:
                     sect, default = data.pop(key), getattr(defaults, key)
                     _reject_unknown(type(default), sect, key)
+                    _reject_mistyped(type(default), sect, key)
                     parts[key] = replace(default, **sect)
             _reject_unknown(cls, data, "top level")
+            _reject_mistyped(cls, data)
             return cls(**parts, **data)
         except ConfigError:
             raise
@@ -138,6 +141,28 @@ def _reject_unknown(typ, data, where):
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+
+
+def _reject_mistyped(typ, data, where=""):
+    """Raise ConfigError naming the first value not of its field's declared type.
+
+    Integer fields take integers, number fields integers or floats, never
+    booleans; None passes where allowed.  Material entries are not checked.
+    """
+    hints = get_type_hints(typ)
+    for name, value in data.items():
+        kinds = get_args(hints[name]) or (hints[name],)
+        if value is None and type(None) in kinds:
+            continue
+        if int in kinds:
+            accepted, noun = (int,), "an integer"
+        elif float in kinds:
+            accepted, noun = (int, float), "a number"
+        else:
+            continue
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            key = f"{where}.{name}" if where else name
+            raise ConfigError(f"{key} must be {noun}, not {value!r}")
 
 
 def load_config(path) -> RunConfig:

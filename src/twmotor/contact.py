@@ -24,8 +24,8 @@ What is left of the law is three elementwise passes, ``evaluate_contact``:
 
     N = max(-k gap, 0),    u = N tanh(slip / v)
 
-and the friction force is f = -mu u, which ``modal_reaction`` applies
-inside its product with the folded operator.
+and the friction force is f = -mu u, which the folded reaction applies:
+[N, u] times it gives the generalized contact forces.
 
 With the drive pair alone on the stator and a rigid rotor, the contact
 pattern has the ring's cyclic symmetry: ``interface_period`` gives the
@@ -34,12 +34,12 @@ once the reactions are scaled by g.
 
 This module is the one implementation of the law, with one call form:
 the transient step loop calls ``evaluate_contact`` once per step, writing
-into the loop's buffers, and ``modal_reaction`` once per output sample;
-between samples its step map applies the folded reaction itself.  Both
-take B interfaces as (B, 1, M) rows, and a ``ContactBatch`` carries one
-parameter row per interface; a single interface is a batch of one.  The
-law's arguments are stacked on a leading axis, so at any batch size each
-is one contiguous block of memory; each row of its outputs is contiguous.
+into the loop's buffers, and its step map applies the folded reaction.
+The law takes B interfaces as (B, 1, M) rows, and a ``ContactBatch``
+carries one parameter row per interface; a single interface is a batch of
+one.  The law's arguments are stacked on a leading axis, so at any batch
+size each is one contiguous block of memory; each row of its outputs is
+contiguous.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ __all__ = [
     "evaluate_contact",
     "interface_operator",
     "interface_period",
-    "modal_reaction",
 ]
 
 
@@ -222,27 +221,3 @@ def interface_operator(pair: ModePair, geom: StatorGeometry, theta) -> np.ndarra
     operator[0, :, 2] = 1.0
     operator[1, :, 3] = geom.mean_radius
     return operator
-
-
-def modal_reaction(forces: np.ndarray, operator: np.ndarray, out=None) -> np.ndarray:
-    """Generalized forces of the two halves of the forces, one block each.
-
-    With ``operator`` = [G_N, G_f] from ``interface_operator``, each half of
-    the forces [N, f] is multiplied by its own block: the result, shape
-    (2, B, 1, 4), holds the generalized forces on the two shapes, then the
-    axial force and torque, of the normal forces and of the friction
-    forces.  Their sum over the first axis is the generalized contact
-    force.  The step loop passes [N, u] from ``evaluate_contact`` with the
-    reaction from ``ContactBatch.fold``, whose friction block carries -mu,
-    once per output sample; its step map holds the same product folded in.
-
-    The forces (2, B, 1, M) take the operator with an axis per batch axis,
-    either a unit axis (``operator[:, None]``, shape (2, 1, M, 4)) or
-    one block per row: each half of each row is then one
-    (1, M) @ (M, 4) product, so a row's result does not depend on the
-    batch size.  The result is written into ``out`` when it is given.
-    """
-    if operator.ndim != forces.ndim:
-        raise ValueError("operator needs a unit axis, or one block per row, "
-                         "for each batch axis of the forces")
-    return np.matmul(forces, operator, out=out)

@@ -37,21 +37,22 @@ alone.  The reactions are linear in [N, u], so the reaction operator is
 folded into the step map (``_step_map``): the map reads [N, u] itself,
 adds their reactions to the forcing along with the midpoint drive and the
 reaction extrapolation, and carries this step's reactions to the next as
-r_prev.  ``modal_reaction`` runs once per sample, for the torque and
-axial-force probes and the finiteness check.  The law's arguments are laid
-out (2, B, 1, M / g), so each is one contiguous block whatever B is.
+r_prev: the one place they are formed, where the samples read them.  The
+law's arguments are laid out (2, B, 1, M / g), so each is one contiguous
+block whatever B is.
 
 The loop runs in chunks of up to one sample interval (and at most
 ``_CHUNK_STEPS`` steps), step first in every buffer.  Row j of the step
 map's input X is [state_j | r_(j-1) | d_j | N_j | u_j]: the law writes its
 outputs into it, and the map writes [state_(j+1) | r_j] into row j + 1, so
-the rows do not overlap and nothing is copied within a chunk.  A chunk
-evaluates the drive and the preload ramp at all its steps at once, and
-reduces the energy ledger's powers from its history of states and of the
-law's arguments and outputs, applying -mu v to the friction power once per
-chunk.  Every operation acts on each row alone, so a row's results are
-bitwise the same whatever batch it runs in.  ``simulate`` is the batch of
-one.  A row that goes non-finite names the first entry of ``ENTRY_NAMES``
+the rows do not overlap and nothing is copied within a chunk.  No step
+branches: a chunk that starts at a sample reads it from rows 0 and 1 after
+its steps.  A chunk evaluates the drive and the preload ramp at all its
+steps at once, and reduces the energy ledger's powers from its history of
+states and of the law's arguments and outputs, applying -mu v to the
+friction power once per chunk.  Every operation acts on each row alone,
+so a row's results are bitwise the same whatever batch it runs in.
+``simulate`` is the batch of one.  A row that goes non-finite names the first entry of ``ENTRY_NAMES``
 found so, and the sample time.
 """
 
@@ -240,23 +241,16 @@ def simulate(stator: StatorModel, drive: DriveConfig,
 
 
 def _propagator(mass, damping, stiffness, h: float) -> np.ndarray:
-    """Exact one-step maps [state | d | r | r_prev] -> next state, one per row.
+    """Exact one-step maps [state | F] -> next state, one per row.
 
     ``mass``, ``damping`` and ``stiffness`` are (..., 4) diagonals of
     M x'' + C x' + K x = F on the positions x = [q_cos, q_sin, z, phi];
-    the state is [x | x'].  The forcing F, held constant over the step, is
-    d + 1.5 r - 0.5 r_prev, each laid out as [modal forces on the cos and
-    sin shapes, axial force, torque]: d is the drive at the step midpoint
-    plus the external loads (minus the preload, minus the load torque), and
-    the contact reactions r are extrapolated to the midpoint from this
-    step's and the previous step's evaluations, which keeps the coupling
-    second order.  r and r_prev each come as the reactions of the normal
-    and of the friction forces, [r_N | r_f], which the map adds.
-
-    The map is the exponential (``_expm``) of the system augmented by its
-    constant forcing, [[0, I, 0], [-K/M, -C/M, 1/M], [0, 0, 0]] h (Van
-    Loan, IEEE Trans. Autom. Control 23 (1978) 395-404), whose first 2 m
-    rows map [x | x' | F] to the next state.
+    the state is [x | x'], and F, held constant over the step, is [modal
+    forces on the cos and sin shapes, axial force, torque].  The map is
+    the exponential (``_expm``) of the system augmented by its forcing,
+    [[0, I, 0], [-K/M, -C/M, 1/M], [0, 0, 0]] h (Van Loan, IEEE Trans.
+    Autom. Control 23 (1978) 395-404), its first 2 m rows transposed:
+    shape (..., 12, 8), for row vectors.
     """
     m = mass.shape[-1]
     n = 2 * m
@@ -266,29 +260,28 @@ def _propagator(mass, damping, stiffness, h: float) -> np.ndarray:
     system[..., m + i, i] = -stiffness / mass
     system[..., m + i, m + i] = -damping / mass
     system[..., m + i, n + i] = 1.0 / mass
-    step = np.swapaxes(_expm(system * h)[..., :n, :], -1, -2)
-    forcing = step[..., n:, :]
-    return np.concatenate([step] + [1.5 * forcing] * 2 + [-0.5 * forcing] * 2, axis=-2)
+    return np.swapaxes(_expm(system * h)[..., :n, :], -1, -2)
 
 
 def _step_map(prop: np.ndarray, reaction: np.ndarray) -> np.ndarray:
     """The step map with the contact reactions folded in, one per row.
 
-    ``prop`` is the (..., 28, 8) map of ``_propagator``, [state | d | r |
-    r_prev] -> next state, and ``reaction`` the (2, ..., P, 4) blocks that
-    map the law's outputs [N, u] at P points to the reactions r of the
-    normal and of the friction forces.  Since r is linear in [N, u], the
-    1.5 r term of the forcing enters as ``reaction @ forcing``, and r itself
-    is carried to the next step as four more outputs, which the -0.5
-    forcing rows read there as r_prev.  The result maps
-    [state | r_prev | d | N | u] -> [next state | r], shape (..., 16 + 2P, 12).
+    ``prop`` is ``_propagator``'s (..., 12, 8) map, and ``reaction`` the
+    (2, ..., P, 4) blocks that map the law's outputs [N, u] at P points to
+    the reactions r of the normal and of the friction forces.  The forcing
+    is F = d + 1.5 r - 0.5 r_prev: d is the midpoint drive plus the loads
+    (minus the preload and the load torque), and r is extrapolated to the
+    midpoint from this step's and the last, which keeps the coupling second
+    order.  r, linear in [N, u], enters as ``reaction @ (1.5 forcing)`` and
+    is carried to the next step as four more outputs, read there as r_prev.
+    The result maps [state | r_prev | d | N | u] -> [next state | r], shape
+    (..., 16 + 2P, 12).
     """
     n = prop.shape[-1]
-    m = n // 2
+    forcing = prop[..., n:, :]
     forces = np.concatenate(list(reaction), axis=-2)       # [N | u] -> r
-    to_state = np.concatenate([prop[..., :n, :], prop[..., n + 3 * m:n + 4 * m, :],
-                               prop[..., n:n + m, :], forces @ prop[..., n + m:n + 2 * m, :]],
-                              axis=-2)
+    to_state = np.concatenate([prop[..., :n, :], -0.5 * forcing, forcing,
+                               forces @ (1.5 * forcing)], axis=-2)
     to_r = np.zeros(to_state.shape[:-1] + (forces.shape[-1],))
     to_r[..., -forces.shape[-2]:, :] = forces
     return np.concatenate([to_state, to_r], axis=-1)
@@ -420,7 +413,7 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
 
     with np.errstate(over="ignore", invalid="ignore"):   # caught at the next sample
         while True:
-            # T steps advance; the last chunk (T = 0) only evaluates the final state
+            # T steps advance; the last (T = 0) maps the final state for its reactions
             T = min(chunk, n_steps - k, steps_per_sample - k % steps_per_sample)
             count = max(T, 1)
             t = (k + np.arange(count)) * h
@@ -432,38 +425,32 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
                                     preload)[:, None]
             drive[:, 3] = -load_torque
             X[:count, :, 0, d0:f0] = drive[:, :, 1].transpose(2, 0, 1)
-            at_sample = k % steps_per_sample == 0
 
-            for j in range(count):
-                x, y, g, load, slip_ratio, normal, traction, y_next = step_views[j]
+            for x, y, g, load, slip_ratio, normal, traction, y_next in step_views[:count]:
                 np.matmul(y, kin, out=g)
                 contact.evaluate_contact(load, slip_ratio, normal, traction)
-                if j == 0 and at_sample:
-                    halves = contact.modal_reaction(
-                        X[0, ..., f0:].reshape(B, 1, 2, M).transpose(2, 0, 1, 3), reaction)
-                    total = halves[0, :, 0] + halves[1, :, 0]
-                    now = y[:, 0]
-                    finite = np.isfinite(np.concatenate([now, total], axis=-1))
-                    for b in np.flatnonzero(alive & ~finite.all(axis=-1)):
-                        first_nonfinite[b] = (ENTRY_NAMES[np.argmin(finite[b])], k * h)
-                        alive[b] = False
-                    if not alive.any():
-                        break
-                    row = out[:, sample]
-                    row[:, 0] = k * h
-                    row[:, 1] = R * now[:, n - 1]
-                    row[:, 2] = R * now[:, 3]
-                    row[:, 3] = -law.cof * traction[:, 0, 0]
-                    row[:, 4] = total[:, 3]
-                    row[:, 5] = total[:, 2]
-                    row[:, 6] = stator.pair.amp * np.hypot(now[:, 0], now[:, 1])
-                    sample += 1
-                    n_valid[alive] = sample
-                if j == T:
-                    break
                 np.matmul(x, step_map, out=y_next)
-            if not alive.any():
-                break
+
+            if k % steps_per_sample == 0:
+                # the chunk's first state, and the reactions the map formed from it
+                now = X[0, :, 0, :n]
+                total = X[1, :, 0, n:n + m]
+                finite = np.isfinite(np.concatenate([now, total], axis=-1))
+                for b in np.flatnonzero(alive & ~finite.all(axis=-1)):
+                    first_nonfinite[b] = (ENTRY_NAMES[np.argmin(finite[b])], k * h)
+                    alive[b] = False
+                if not alive.any():
+                    break
+                row = out[:, sample]
+                row[:, 0] = k * h
+                row[:, 1] = R * now[:, n - 1]
+                row[:, 2] = R * now[:, 3]
+                row[:, 3] = -law.cof * X[0, :, 0, f0 + M]
+                row[:, 4] = total[:, 3]
+                row[:, 5] = total[:, 2]
+                row[:, 6] = stator.pair.amp * np.hypot(now[:, 0], now[:, 1])
+                sample += 1
+                n_valid[alive] = sample
 
             # the ledger's powers at each evaluation, time along the last axis
             vel = X[:count, :, 0, m:n].transpose(1, 2, 0)

@@ -51,7 +51,8 @@ class PiezoMaterial:
     """Piezoceramic described by full matrix data.
 
     The elasticity matrix may be given with only its upper triangle
-    populated; it is mirrored across the diagonal on construction.
+    populated; it is mirrored across the diagonal on construction.  A
+    lower triangle that is given must equal the upper one's transpose.
     No isotropic scalar moduli exist for this kind of material.
     """
 
@@ -67,7 +68,14 @@ class PiezoMaterial:
         c = np.asarray(self.elasticity, dtype=float)
         if c.shape != (6, 6):
             raise ValueError("elasticity must be 6x6")
-        c = np.triu(c) + np.triu(c, 1).T  # mirror the upper triangle
+        lower, upper = np.tril(c, -1), np.triu(c, 1).T
+        if lower.any() and not np.array_equal(lower, upper):
+            i, j = np.argwhere(lower != upper)[0]
+            raise ValueError(
+                f"{self.name}: elasticity ({i + 1},{j + 1}) = {c[i, j]:g} differs from "
+                f"({j + 1},{i + 1}) = {c[j, i]:g}; give a symmetric matrix or its "
+                "upper triangle alone")
+        c = np.triu(c) + upper  # mirror the upper triangle
         e = np.asarray(self.coupling, dtype=float)
         if e.shape != (3, 6):
             raise ValueError("coupling must be 3x6")
@@ -92,11 +100,7 @@ def validate_piezo(m: PiezoMaterial) -> list[str]:
     material is valid.  Violations are data, not exceptions.
     """
     report = []
-    c = np.asarray(m.elasticity, dtype=float)
-    asym = float(np.max(np.abs(c - c.T)))
-    if asym > 0.0:
-        report.append(f"elasticity not symmetric (max asymmetry {asym:g} Pa)")
-    eigs = np.linalg.eigvalsh(0.5 * (c + c.T))
+    eigs = np.linalg.eigvalsh(m.elasticity)   # symmetric by construction
     if eigs[0] <= 0.0:
         report.append(
             f"elasticity not positive definite (smallest eigenvalue {eigs[0]:g} Pa)"

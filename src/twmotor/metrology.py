@@ -43,8 +43,8 @@ class HeightMap:
         z = self.heights if _fresh else np.array(self.heights, dtype=float)
         if z.ndim != 2 or z.shape[0] < 2 or z.shape[1] < 2:
             raise ValueError("height map must be a grid of at least 2x2 points")
-        if self.dx <= 0 or self.dy <= 0:
-            raise ValueError("pixel pitch must be > 0")
+        if not (0 < self.dx < math.inf and 0 < self.dy < math.inf):
+            raise ValueError("pixel pitch must be finite and > 0")
         if not np.all(np.isfinite(z)):
             i, j = np.argwhere(~np.isfinite(z))[0]
             raise ValueError(f"non-finite height at row {i + 1}, column {j + 1}")

@@ -160,7 +160,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepCurve:
     model = runner.build_stator(spec.base)
     rows: list[SweepRow | None] = [None] * len(spec.values)
     configs: dict[int, RunConfig] = {}
-    batches: dict[tuple, list[int]] = {}
+    batches: dict[tuple, list[int]] = {}    # row indices by step grid
     for i, value in enumerate(spec.values):
         try:
             configs[i] = config = spec.config_for(value)
@@ -170,7 +170,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepCurve:
         except Exception as exc:
             rows[i] = _failed_row(value, exc)
             continue
-        batches.setdefault((grid, config.contact.point_count), []).append(i)
+        batches.setdefault(grid, []).append(i)
 
     parts = []   # each batch split into up to ``jobs`` contiguous parts
     for members in batches.values():

@@ -255,6 +255,25 @@ class TestRoughness:
         assert not out.exists()
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dx, dy, flag, value", [
+        ("0", "1", "--dx", "0"), ("nan", "1", "--dx", "nan"),
+        ("inf", "1", "--dx", "inf"), ("1", "-2", "--dy", "-2"),
+    ], ids=["zero", "nan", "inf", "negative-dy"])
+    def test_bad_pitch_refused_before_reading(self, tmp_path, capsys, dx, dy, flag, value):
+        """A pitch that is not finite and positive is one config error,
+        given before any map is read, whatever the maps hold."""
+        scan = tmp_path / "scan.csv"
+        scan.write_text("0,1,0\n1,0,1\n0,1,0\n")
+        out = tmp_path / "report.json"
+        code = run_cli("roughness", str(scan), str(scan), "--dx", dx, "--dy", dy,
+                       "--out", str(out))
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: pixel pitch {flag} must be finite and > 0, not {value}"]
+        assert not out.exists()
+
+
 class TestValidate:
     def test_default_config_valid(self, capsys):
         assert run_cli("validate") == cli.EXIT_OK
@@ -389,6 +408,49 @@ class TestValidate:
         assert run_cli("run", "--config", str(cfg),
                        "--out-dir", str(tmp_path)) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+    @pytest.mark.parametrize("config, message", [
+        ({"contact": {"point_count": 128.0}},
+         "contact.point_count must be an integer, not 128.0"),
+        ({"geometry": {"drive_nodal_diameters": 4.0}},
+         "geometry.drive_nodal_diameters must be an integer, not 4.0"),
+        ({"mesh": {"modes": 13.0}}, "mesh.modes must be an integer, not 13.0"),
+        ({"rotor": {"preload": "50"}}, "rotor.preload must be a number, not '50'"),
+        ({"damping_ratio": True}, "damping_ratio must be a number, not True"),
+    ], ids=["float-count", "float-diameters", "float-modes", "string-preload",
+            "boolean-ratio"])
+    def test_mistyped_value(self, tmp_path, capsys, config, message):
+        """A value not of its field's type is a config error naming its key,
+        from ``validate`` and from ``run``."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        for argv in (["validate"], ["run", "--out-dir", str(tmp_path)]):
+            assert run_cli(*argv, "--config", str(cfg)) == cli.EXIT_CONFIG
+            assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        # integers are numbers, and null stands for a field's None
+        RunConfig.from_dict({"rotor": {"preload": 60}, "drive": {"frequency": None}})
+
+    def test_asymmetric_piezo_elasticity(self, tmp_path, capsys):
+        """A given lower triangle must mirror the upper one; it is not
+        silently overwritten."""
+        pzt = twmotor.lookup("PZT-5H")
+        elasticity = pzt.elasticity.copy()
+        elasticity[1, 0] = 5e10
+        entry = {"name": "PZT-X", "density": pzt.density,
+                 "elasticity": elasticity.ravel().tolist(),
+                 "coupling": pzt.coupling.ravel().tolist(),
+                 "relative_permittivity": pzt.relative_permittivity.ravel().tolist()}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"piezo_material": entry}))
+        expected = ("material entry piezo_material has an invalid value: PZT-X: "
+                    "elasticity (2,1) = 5e+10 differs from (1,2) = 8.02122e+10; "
+                    "give a symmetric matrix or its upper triangle alone")
+        assert run_cli("validate", "--config", str(cfg)) == cli.EXIT_CONFIG
+        assert capsys.readouterr().out.splitlines() == [f"invalid: {expected}"]
+        assert run_cli("run", "--config", str(cfg),
+                       "--out-dir", str(tmp_path)) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [f"error: {expected}"]
 
 
 class TestNonFiniteNumbers:

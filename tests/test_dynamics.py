@@ -17,6 +17,7 @@ from twmotor.dynamics import (
     SPIKE_FACTOR,
     MotorTimeSeries,
     _propagator,
+    _step_map,
     RotorConfig,
     SimulationDiverged,
     detect_steady_state,
@@ -225,28 +226,28 @@ class TestSimulateBatch:
             simulate_batch(stator_model, self.rows(configs), duration=self.DURATION)
 
     def test_simulate_runs_the_contact_module_law(self, stator_model, monkeypatch):
-        """The hypothesis tests of contact.py cover the law and the projection
-        the loop runs, both called from ``contact``: the law once per
-        evaluation, the projection once per sample, for the torque and
-        axial-force columns (the step map carries the reactions)."""
-        calls = {"evaluate_contact": 0, "modal_reaction": 0}
+        """The hypothesis tests of contact.py cover the law the loop runs,
+        called from ``contact`` once per evaluation.  A step is the law and
+        two products, the kinematics and the step map, which also forms the
+        reactions: no product runs per sample."""
+        calls = {"evaluate_contact": 0, "matmul": 0}
 
-        def counting(name):
-            function = getattr(contact, name)
+        def counting(module, name):
+            function = getattr(module, name)
 
             def counted(*args, **kwargs):
                 calls[name] += 1
                 return function(*args, **kwargs)
-            return counted
+            monkeypatch.setattr(module, name, counted)
 
-        for name in calls:
-            monkeypatch.setattr(contact, name, counting(name))
+        counting(contact, "evaluate_contact")
+        counting(np, "matmul")
         cfg = RunConfig()
         self.solo(stator_model, cfg)
         _, steps_per_sample, n_samples = step_grid(stator_model, cfg.drive,
                                                    duration=self.DURATION)
         evaluations = (n_samples - 1) * steps_per_sample + 1
-        assert calls == {"evaluate_contact": evaluations, "modal_reaction": n_samples}
+        assert calls == {"evaluate_contact": evaluations, "matmul": 2 * evaluations}
 
     def test_law_operands_are_contiguous_blocks(self, stator_model, monkeypatch):
         """At B > 1 each of the law's arguments is one C-contiguous block
@@ -318,7 +319,7 @@ class TestPropagator:
         prop = _propagator(np.array([1.0, 1.0, mass, J]),
                            np.array([2.0 * zeta * omega] * 2 + [c_z, 0.0]),
                            np.array([omega ** 2] * 2 + [0.0, 0.0]), h)
-        assert prop.shape == (28, 8)
+        assert prop.shape == (12, 8)
 
         expected = np.zeros((12, 8))      # [positions | rates | forces] -> state
         sigma, omega_d = zeta * omega, omega * math.sqrt(1.0 - zeta * zeta)
@@ -350,11 +351,20 @@ class TestPropagator:
         expected[om, phi], expected[tz, phi], expected[tz, om] = h, 0.5 * h * h / J, h / J
 
         # abs=0: every entry the closed forms leave at zero is exactly zero
-        assert prop[:12] == pytest.approx(expected, rel=1e-14, abs=0.0)
+        assert prop == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+        # the step map [state | r_prev | d | N | u] -> [next state | r] reads
+        # the forcing rows exactly: F = d + 1.5 r - 0.5 r_prev, r = [N | u] forces
+        reaction = np.random.default_rng(5).standard_normal((2, 6, 4))
+        forces = np.concatenate(list(reaction))
+        step = _step_map(prop, reaction)
+        assert step.shape == (28, 12)
         forcing = prop[8:12]
-        for rows, factor in ((slice(12, 16), 1.5), (slice(16, 20), 1.5),
-                             (slice(20, 24), -0.5), (slice(24, 28), -0.5)):
-            assert np.array_equal(prop[rows], factor * forcing)
+        assert np.array_equal(step[:8, :8], prop[:8])
+        assert np.array_equal(step[8:12, :8], -0.5 * forcing)
+        assert np.array_equal(step[12:16, :8], forcing)
+        assert np.array_equal(step[16:, :8], forces @ (1.5 * forcing))
+        assert np.array_equal(step[:, 8:], np.concatenate([np.zeros((16, 4)), forces]))
 
 
     def test_rows_are_independent_of_their_batch(self, stator_model):

@@ -1,6 +1,7 @@
 """Areal roughness parameters: brute-force oracles, analytic surfaces,
 invariants, and CSV loading."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -221,6 +222,12 @@ class TestHeightMapValidation:
     def test_bad_pitch(self):
         with pytest.raises(ValueError, match="pitch"):
             HeightMap(np.zeros((3, 3)), 0.0, 1.0)
+
+    @pytest.mark.parametrize("dx, dy", [(math.nan, 1.0), (1.0, math.inf)],
+                             ids=["nan", "inf"])
+    def test_non_finite_pitch(self, dx, dy):
+        with pytest.raises(ValueError, match="pitch must be finite"):
+            HeightMap(np.zeros((3, 3)), dx, dy)
 
     def test_nan_located(self):
         z = np.zeros((3, 4))

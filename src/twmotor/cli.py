@@ -151,6 +151,8 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     except ValueError:
         raise ConfigError(f"cannot parse grid {text!r}; expected start:stop:step") \
             from None
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ConfigError(f"grid {text!r} needs a finite start, stop and step")
     if step <= 0 or stop < start:
         raise ConfigError("grid needs step > 0 and stop >= start")
     values = []
@@ -189,8 +191,7 @@ def _cmd_sweep(args) -> int:
     print(text, end="")
     if args.plot:
         unit = sweep.PARAMETER_UNITS[spec.parameter]
-        svg = svg_line_chart(curve.column("param"),
-                             {"torque": curve.column("torque")},
+        svg = svg_line_chart(curve.column("param"), curve.column("torque"), "torque",
                              xlabel=f"{spec.parameter} [{unit}]",
                              ylabel="reported torque [N m]",
                              title=f"torque vs {spec.parameter}")

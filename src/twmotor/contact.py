@@ -16,10 +16,10 @@ at the interface: it gives the virtual-work projection [G_N, G_f] of the
 forces onto the pair and the rotor at any angles, the step loop's contact
 points or a quadrature over one wavelength.  Since gap and slip are the
 work conjugates of N and f, the kinematics is its transpose, and so is
-the surface's deflection and tangential motion.
-``ContactBatch.fold`` returns both per interface with the constants
-folded in: the kinematics maps a state straight to the law's arguments
-[-k gap, slip / v], and the friction block of the reaction carries -mu.
+the surface's deflection and tangential motion.  ``fold`` returns both
+per interface with the constants folded in: the kinematics maps a state
+straight to the law's arguments [-k gap, slip / v], and the friction
+block of the reaction carries -mu.
 What is left of the law is three elementwise passes, ``evaluate_contact``:
 
     N = max(-k gap, 0),    u = N tanh(slip / v)
@@ -35,17 +35,16 @@ once the reactions are scaled by g.
 This module is the one implementation of the law, with one call form:
 the transient step loop calls ``evaluate_contact`` once per step, writing
 into the loop's buffers, and its step map applies the folded reaction.
-The law takes B interfaces as (B, 1, M) rows, and a ``ContactBatch``
-carries one parameter row per interface; a single interface is a batch of
-one.  The law's arguments are stacked on a leading axis, so at any batch
-size each is one contiguous block of memory; each row of its outputs is
-contiguous.
+The law takes B interfaces as (B, 1, M) rows, and ``fold`` one (B,)
+array per constant; a single interface is a batch of one.  The law's
+arguments are stacked on a leading axis, so at any batch size each is one
+contiguous block of memory; each row of its outputs is contiguous.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,9 +52,9 @@ from .stator import ModePair, StatorGeometry
 
 __all__ = [
     "ContactConfig",
-    "ContactBatch",
     "contact_angles",
     "evaluate_contact",
+    "fold",
     "interface_operator",
     "interface_period",
 ]
@@ -89,62 +88,39 @@ class ContactConfig:
             )
 
 
-@dataclass(frozen=True)
-class ContactBatch:
-    """The constitutive parameters of B interfaces, one row each.
+def fold(operator: np.ndarray, stiffness: np.ndarray,
+         regularization_velocity: np.ndarray, cof: np.ndarray
+         ) -> tuple[np.ndarray, np.ndarray]:
+    """B interfaces' kinematics and reaction operators, their constants folded in.
 
-    ``stiffness``, ``regularization_velocity`` and ``cof`` are (B,) arrays
-    of each row's k, v and mu; ``point_count`` is shared.  They enter the
-    step only through ``fold``.
+    ``operator`` is [G_N, G_f] of shape (2, M, P), from
+    ``interface_operator``: it maps the forces N and f to the generalized
+    forces on P coordinates x.  ``stiffness``, ``regularization_velocity``
+    and ``cof`` are (B,) arrays of each interface's k, v and mu.  The state
+    is [x | x'], and gap = G_N^T x and slip = G_f^T x' are the work
+    conjugates of N and f.  Returns the kinematics, shape (2, B, 2P, M),
+    and the reaction operator, shape (2, B, M, P), of every row b:
+
+        kinematics[0, b] = [-k_b G_N^T ; 0],   state -> -k gap
+        kinematics[1, b] = [0 ; G_f^T / v_b],  state -> slip / v
+        reaction[0, b] = G_N,   reaction[1, b] = -mu_b G_f
+
+    so a state (B, 1, 2P) times the kinematics gives the arguments of
+    ``evaluate_contact``, and its outputs [N, u] times the reaction give
+    the generalized forces of N and of f = -mu u.  Each row's operators
+    are its own, so every product stays one small matrix product per
+    half and row.
     """
-
-    point_count: int
-    stiffness: np.ndarray = field(repr=False)
-    regularization_velocity: np.ndarray = field(repr=False)
-    cof: np.ndarray = field(repr=False)
-
-    @classmethod
-    def stack(cls, configs) -> "ContactBatch":
-        configs = list(configs)
-        counts = {c.point_count for c in configs}
-        if len(counts) != 1:
-            raise ValueError("batched interfaces must share one point_count")
-        return cls(point_count=counts.pop(),
-                   stiffness=np.array([c.penalty_stiffness for c in configs], dtype=float),
-                   regularization_velocity=np.array(
-                       [c.regularization_velocity for c in configs], dtype=float),
-                   cof=np.array([c.cof for c in configs], dtype=float))
-
-    def fold(self, operator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's kinematics and reaction operator, its constants folded in.
-
-        ``operator`` is [G_N, G_f] of shape (2, M, P), from
-        ``interface_operator``: it maps the forces N and f to the generalized
-        forces on P coordinates x.  The state is [x | x'], and gap = G_N^T x
-        and slip = G_f^T x' are the work conjugates of N and f.  Returns
-        the kinematics, shape (2, B, 2P, M), and the reaction operator,
-        shape (2, B, M, P), of every row b:
-
-            kinematics[0, b] = [-k_b G_N^T ; 0],   state -> -k gap
-            kinematics[1, b] = [0 ; G_f^T / v_b],  state -> slip / v
-            reaction[0, b] = G_N,   reaction[1, b] = -mu_b G_f
-
-        so a state (B, 1, 2P) times the kinematics gives the arguments of
-        ``evaluate_contact``, and its outputs [N, u] times the reaction give
-        the generalized forces of N and of f = -mu u.  Each row's operators
-        are its own, so every product stays one small matrix product per
-        half and row.
-        """
-        normal, friction = operator
-        m, p = normal.shape
-        rows = len(self.cof)
-        kinematics = np.zeros((2, rows, 2 * p, m))
-        kinematics[0, :, :p] = -self.stiffness[:, None, None] * normal.T
-        kinematics[1, :, p:] = friction.T / self.regularization_velocity[:, None, None]
-        reaction = np.empty((2, rows, m, p))
-        reaction[0] = normal
-        reaction[1] = -self.cof[:, None, None] * friction
-        return kinematics, reaction
+    normal, friction = operator
+    m, p = normal.shape
+    rows = len(cof)
+    kinematics = np.zeros((2, rows, 2 * p, m))
+    kinematics[0, :, :p] = -stiffness[:, None, None] * normal.T
+    kinematics[1, :, p:] = friction.T / regularization_velocity[:, None, None]
+    reaction = np.empty((2, rows, m, p))
+    reaction[0] = normal
+    reaction[1] = -cof[:, None, None] * friction
+    return kinematics, reaction
 
 
 def contact_angles(cfg: ContactConfig) -> np.ndarray:
@@ -173,7 +149,7 @@ _ZERO = np.zeros(())   # the clamp's bound: a Python 0.0 costs a conversion per 
 
 
 def evaluate_contact(load, slip_ratio, normal, traction) -> None:
-    """The law at every contact point, in the arguments ``ContactBatch.fold`` gives.
+    """The law at every contact point, in the arguments ``fold`` gives.
 
     ``load`` is -k gap, the penalty force before the one-sided clamp, and
     ``slip_ratio`` is slip / v, each a (B, 1, M) row per interface sampled

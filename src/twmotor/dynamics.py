@@ -31,15 +31,16 @@ kinematics product, which maps the state straight to the law's arguments
 and the step map.  The reaction operator is ``contact.interface_operator``,
 the drive pair sampled at the contact points, built once per call; the
 kinematics is its transpose, since gap and slip are the work conjugates
-of the normal and friction forces, and ``ContactBatch.fold`` puts each
-row's k, v and mu into both, so the law's constants enter the step there
-alone.  The reactions are linear in [N, u], so the reaction operator is
-folded into the step map (``_step_map``): the map reads [N, u] itself,
-adds their reactions to the forcing along with the midpoint drive and the
-reaction extrapolation, and carries this step's reactions to the next as
-r_prev: the one place they are formed, where the samples read them.  The
-law's arguments are laid out (2, B, 1, M / g), so each is one contiguous
-block whatever B is.
+of the normal and friction forces, and ``contact.fold`` puts each row's
+k, v and mu into both.  The loop stacks those constants like every other
+row constant, and the energy ledger and the friction probe read the same
+stacked arrays.  The reactions are linear in [N, u], so the reaction
+operator is folded into the step map (``_step_map``): the map reads
+[N, u] itself, adds their reactions to the forcing along with the
+midpoint drive and the reaction extrapolation, and carries this step's
+reactions to the next as r_prev: the one place they are formed, where
+the samples read them.  The law's arguments are laid out
+(2, B, 1, M / g), so each is one contiguous block whatever B is.
 
 The loop runs in chunks of up to one sample interval (and at most
 ``_CHUNK_STEPS`` steps), step first in every buffer.  Row j of the step
@@ -52,8 +53,9 @@ steps at once, and reduces the energy ledger's powers from its history of
 states and of the law's arguments and outputs, applying -mu v to the
 friction power once per chunk.  Every operation acts on each row alone,
 so a row's results are bitwise the same whatever batch it runs in.
-``simulate`` is the batch of one.  A row that goes non-finite names the first entry of ``ENTRY_NAMES``
-found so, and the sample time.
+``simulate`` is the batch of one.  A row that goes non-finite ends at its
+last finite sample, and its series' ``divergence`` names the first entry
+of ``ENTRY_NAMES`` found so and the sample time.
 """
 
 from __future__ import annotations
@@ -98,16 +100,23 @@ ENTRY_NAMES = ("q_cos", "q_sin", "z", "phi", "q_cos'", "q_sin'", "z'", "omega",
 
 
 class SimulationDiverged(RuntimeError):
-    """Raised by callers when a run produced non-finite states.
+    """A run that produced non-finite states, raised by callers.
 
-    The message names ``entry``, the first of ``ENTRY_NAMES`` found
-    non-finite, and the sample time that found it.
+    The step loop builds one when it first finds a row non-finite and keeps
+    it in that row's ``MotorTimeSeries.divergence``.  ``entry`` is the first
+    of ``ENTRY_NAMES`` found non-finite, ``time`` the sample time that
+    found it, and ``last_valid_time`` the time of the row's last sample.
     """
 
     def __init__(self, last_valid_time: float, entry: str, time: float):
         super().__init__(f"simulation diverged: {entry} non-finite at t = {time:g} s; "
                          f"last valid time {last_valid_time:g} s")
         self.last_valid_time = last_valid_time
+        self.entry = entry
+        self.time = time
+
+    def __reduce__(self):   # the default would unpickle with the message alone
+        return type(self), (self.last_valid_time, self.entry, self.time)
 
 
 @dataclass(frozen=True)
@@ -157,6 +166,8 @@ class MotorTimeSeries:
 
     ``surface_speed`` and ``surface_displacement`` are rim quantities
     R*omega_r and R*phi; divide by ``radius`` to get the rotor spin rate.
+    A run that went non-finite is truncated at its last finite sample and
+    carries its ``divergence``; it has no energy ledger.
     """
 
     time: np.ndarray = field(repr=False)
@@ -167,10 +178,7 @@ class MotorTimeSeries:
     axial_force: np.ndarray = field(repr=False)
     wave_amplitude: np.ndarray = field(repr=False)
     radius: float = 1.0
-    diverged: bool = False
-    last_valid_time: float = 0.0
-    nonfinite_entry: str = ""             # of a diverged run: see SimulationDiverged
-    nonfinite_time: float = math.nan
+    divergence: SimulationDiverged | None = None
     energy: EnergyReport | None = None
 
     def __len__(self):
@@ -233,8 +241,8 @@ def simulate(stator: StatorModel, drive: DriveConfig,
     """Fixed-step transient of the coupled motor, sampled at the output interval.
 
     The step follows ``step_grid``.  Deterministic for fixed inputs.
-    Divergence truncates the series and sets its flag instead of raising.
-    This is ``simulate_batch`` with one row.
+    Divergence truncates the series and sets its ``divergence`` instead of
+    raising.  This is ``simulate_batch`` with one row.
     """
     return simulate_batch(stator, [(drive, contact_cfg, rotor_cfg)], duration=duration,
                           output_interval=output_interval, dt=dt)[0]
@@ -322,12 +330,13 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
     rows must share the step grid (``step_grid``) and the contact point
     count.  Every array operation acts on each row alone, so a row's series
     is bitwise the same whatever else runs in its batch.  A row that goes
-    non-finite is truncated at its last valid sample and flagged; the
-    other rows carry on.
+    non-finite is truncated at its last valid sample and carries its
+    ``divergence``; the other rows carry on.
     """
     drives, contacts, rotors = zip(*rows)
     contacts[0].check_resolution(stator.pair.nodal_diameters)
-    law = contact.ContactBatch.stack(contacts)
+    if len({c.point_count for c in contacts}) != 1:
+        raise ValueError("batched interfaces must share one point_count")
     grids = {step_grid(stator, d, duration, output_interval, dt) for d in drives}
     if len(grids) != 1:
         raise ValueError("batched rows must share one step grid")
@@ -340,18 +349,22 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
     m = 4             # [q_cos, q_sin, z, phi]
     n = 2 * m         # positions, then velocities, each laid out as above
 
+    def per_row(values):
+        return np.array(values, dtype=float)
+
     # [G_N, G_f] of the drive pair at one period of the contact points maps
     # the forces N and f each to [Q_cos, Q_sin, F_z, T].  Folded with each
     # row's law constants, its transpose maps the state to the law's
     # arguments [-k gap, slip / v], and its friction block carries -mu.  The
     # reaction is scaled by the period count, so it gives the whole ring's.
+    penalty = per_row([c.penalty_stiffness for c in contacts])
+    regularization = per_row([c.regularization_velocity for c in contacts])
+    cof = per_row([c.cof for c in contacts])
     theta, periods = contact.interface_period(contacts[0], stator.pair.nodal_diameters)
     M = len(theta)
-    kin, reaction = law.fold(contact.interface_operator(stator.pair, geom, theta))
+    kin, reaction = contact.fold(contact.interface_operator(stator.pair, geom, theta),
+                                 penalty, regularization, cof)
     reaction *= periods
-
-    def per_row(values):
-        return np.array(values, dtype=float)
 
     f_drive = per_row([d.resolve_frequency(stator.pair) for d in drives])
     omega_d = (2.0 * math.pi * f_drive)[:, None, None]
@@ -381,8 +394,8 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
     step_map = _step_map(_propagator(mass, damping, stiffness, h), reaction)
     weights = np.concatenate([stiffness, mass], axis=-1)[:, None]
     damper = damping[:, :, None]
-    compliance = (periods / law.stiffness)[:, None]
-    friction_scale = (-periods * law.cof * law.regularization_velocity)[:, None, None]
+    compliance = (periods / penalty)[:, None]
+    friction_scale = (-periods * cof * regularization)[:, None, None]
 
     def mech_energy(y, normal):
         # a penalty spring at depth d stores k d^2 / 2 = N^2 / (2 k)
@@ -406,7 +419,7 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
     out = np.zeros((B, n_samples, 7))
     alive = np.ones(B, dtype=bool)
     n_valid = np.zeros(B, dtype=int)
-    first_nonfinite = [("", math.nan)] * B
+    divergence = [None] * B
     sample = 0
     acc = [0.0, 0.0, 0.0]      # sums of the powers: input, damper, friction
     k = 0                      # index of the chunk's first step
@@ -437,7 +450,9 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
                 total = X[1, :, 0, n:n + m]
                 finite = np.isfinite(np.concatenate([now, total], axis=-1))
                 for b in np.flatnonzero(alive & ~finite.all(axis=-1)):
-                    first_nonfinite[b] = (ENTRY_NAMES[np.argmin(finite[b])], k * h)
+                    divergence[b] = SimulationDiverged(
+                        float(out[b, sample - 1, 0]) if sample else 0.0,
+                        ENTRY_NAMES[np.argmin(finite[b])], k * h)
                     alive[b] = False
                 if not alive.any():
                     break
@@ -445,7 +460,7 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
                 row[:, 0] = k * h
                 row[:, 1] = R * now[:, n - 1]
                 row[:, 2] = R * now[:, 3]
-                row[:, 3] = -law.cof * X[0, :, 0, f0 + M]
+                row[:, 3] = -cof * X[0, :, 0, f0 + M]
                 row[:, 4] = total[:, 3]
                 row[:, 5] = total[:, 2]
                 row[:, 6] = stator.pair.amp * np.hypot(now[:, 0], now[:, 1])
@@ -491,10 +506,7 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
         series.append(MotorTimeSeries(
             time=cols[0], surface_speed=cols[1], surface_displacement=cols[2],
             friction_probe=cols[3], torque=cols[4], axial_force=cols[5],
-            wave_amplitude=cols[6], radius=R, diverged=not alive[b],
-            last_valid_time=float(cols[0, -1]) if n_valid[b] else 0.0,
-            nonfinite_entry=first_nonfinite[b][0], nonfinite_time=first_nonfinite[b][1],
-            energy=energy,
+            wave_amplitude=cols[6], radius=R, divergence=divergence[b], energy=energy,
         ))
     return series
 

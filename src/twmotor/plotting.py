@@ -1,4 +1,4 @@
-"""Minimal deterministic SVG line charts for sweep curves."""
+"""Minimal deterministic SVG line chart of a sweep curve."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 
 __all__ = ["svg_line_chart"]
 
-_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
+_COLOR = "#1f77b4"
 
 
 def _ticks(lo, hi, count=5):
@@ -15,16 +15,19 @@ def _ticks(lo, hi, count=5):
     return np.linspace(lo, hi, count)
 
 
-def svg_line_chart(x, series: dict, xlabel: str, ylabel: str, title: str,
-                   width: int = 640, height: int = 420) -> str:
-    """Render labeled series against a shared x axis as an SVG string."""
+def svg_line_chart(x, y, label: str, xlabel: str, ylabel: str, title: str) -> str:
+    """Render one labeled series y against x as an SVG string.
+
+    Non-finite points are left out of the line and of the y range.
+    """
     x = np.asarray(x, dtype=float)
-    ys = {k: np.asarray(v, dtype=float) for k, v in series.items()}
+    y = np.asarray(y, dtype=float)
+    width, height = 640, 420
     ml, mr, mt, mb = 70, 20, 40, 55
     pw, ph = width - ml - mr, height - mt - mb
     xmin, xmax = float(np.min(x)), float(np.max(x))
-    allv = np.concatenate([v[np.isfinite(v)] for v in ys.values()])
-    ymin, ymax = (float(np.min(allv)), float(np.max(allv))) if len(allv) else (0, 1)
+    valid = y[np.isfinite(y)]
+    ymin, ymax = (float(np.min(valid)), float(np.max(valid))) if len(valid) else (0, 1)
     if xmax == xmin:
         xmax = xmin + 1.0
     if ymax == ymin:
@@ -61,13 +64,10 @@ def svg_line_chart(x, series: dict, xlabel: str, ylabel: str, title: str,
     parts.append(f'<text x="18" y="{mt + ph / 2:.1f}" text-anchor="middle" '
                  f'font-size="12" transform="rotate(-90 18 {mt + ph / 2:.1f})">'
                  f'{ylabel}</text>')
-    for i, (label, v) in enumerate(ys.items()):
-        color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(f"{px(a):.2f},{py(b):.2f}"
-                       for a, b in zip(x, v) if np.isfinite(b))
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                     'stroke-width="1.5"/>')
-        parts.append(f'<text x="{ml + pw - 6}" y="{mt + 16 + 14 * i}" '
-                     f'text-anchor="end" font-size="11" fill="{color}">{label}</text>')
+    pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(x, y) if np.isfinite(b))
+    parts.append(f'<polyline points="{pts}" fill="none" stroke="{_COLOR}" '
+                 'stroke-width="1.5"/>')
+    parts.append(f'<text x="{ml + pw - 6}" y="{mt + 16}" '
+                 f'text-anchor="end" font-size="11" fill="{_COLOR}">{label}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

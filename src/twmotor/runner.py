@@ -7,7 +7,7 @@ import math
 
 from . import dynamics, materials, stator, wave
 from .config import ConfigError, RunConfig
-from .dynamics import MotorTimeSeries, SimulationDiverged
+from .dynamics import MotorTimeSeries
 
 
 def resolve_materials(config: RunConfig
@@ -112,12 +112,11 @@ def summarize(config: RunConfig, model: stator.StatorModel,
 
     Also the step ``dt`` and the number of ``steps`` taken, and the energy
     ledger as flat keys: ``energy_`` and each ``EnergyReport`` field, the
-    field ``energy_change`` keeping its name.  Raises SimulationDiverged if
-    the series diverged.
+    field ``energy_change`` keeping its name.  Raises the series'
+    ``divergence`` (SimulationDiverged) if it diverged.
     """
-    if series.diverged:
-        raise SimulationDiverged(series.last_valid_time, series.nonfinite_entry,
-                                 series.nonfinite_time)
+    if series.divergence is not None:
+        raise series.divergence
     steady = dynamics.detect_steady_state(series)
     f_drive = config.drive.resolve_frequency(model.pair)
     try:

@@ -242,11 +242,13 @@ def _unimodal(values: np.ndarray) -> bool:
 def find_peak(curve: SweepCurve) -> PeakReport:
     """Locate the torque maximum and report the curve's modality.
 
-    Only settled rows participate; fewer than 3 settled rows is an error.
+    Only rows that are ok, settled and of finite torque participate; fewer
+    than 3 such rows is an error.
     """
-    rows = [r for r in curve.rows if r.settled and r.ok]
+    rows = [r for r in curve.rows if r.ok and r.settled and math.isfinite(r.torque)]
     if len(rows) < 3:
-        raise ValueError(f"need at least 3 settled rows, have {len(rows)}")
+        raise ValueError(
+            f"need at least 3 settled rows of finite torque, have {len(rows)}")
     params = np.array([r.param for r in rows])
     torque = np.array([r.torque for r in rows])
     i = int(np.argmax(torque))

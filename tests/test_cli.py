@@ -195,6 +195,14 @@ class TestSweep:
                        "--param", "cof", "--values", "oops")
         assert code == cli.EXIT_CONFIG
 
+    def test_non_finite_grid_refused(self, tmp_path, capsys):
+        """An infinite bound would grow the grid without end."""
+        for values in ("0:inf:0.1", "0:1:nan", "-inf:1:0.1"):
+            code = run_cli("sweep", "--out-dir", str(tmp_path), "--param", "cof",
+                           f"--values={values}")
+            assert code == cli.EXIT_CONFIG
+            assert "finite" in capsys.readouterr().err
+
     def test_grid_parser(self):
         assert cli._parse_grid("25:100:25") == (25.0, 50.0, 75.0, 100.0)
         with pytest.raises(ConfigError):

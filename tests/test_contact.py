@@ -5,8 +5,8 @@ surface states via hypothesis; the modal projections and rotor resultants
 are checked against brute-force summation, the law against its direct
 formula, and the folded operators against ``interface_operator`` in closed
 form.  The law is called the way the step loop calls it: in the arguments
-``ContactBatch.fold`` gives, on (B, 1, M) rows, a single interface being a
-batch of one.
+``fold`` gives, on (B, 1, M) rows, a single interface being a batch of
+one.
 """
 
 import math
@@ -17,10 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twmotor.contact import (
-    ContactBatch,
     ContactConfig,
     contact_angles,
     evaluate_contact,
+    fold,
     interface_operator,
     interface_period,
 )
@@ -37,6 +37,14 @@ def one_interface(*per_point):
     return [np.reshape(a, (1, 1, -1)) for a in per_point]
 
 
+def fold_rows(operator, configs):
+    """``fold`` of one operator with each config's k, v and mu as a row."""
+    def per_row(name):
+        return np.array([getattr(c, name) for c in configs], dtype=float)
+    return fold(operator, per_row("penalty_stiffness"), per_row("regularization_velocity"),
+                per_row("cof"))
+
+
 def identity_fold(configs):
     """The folded operators of B interfaces whose state is [gap | slip].
 
@@ -45,9 +53,8 @@ def identity_fold(configs):
     and the folded reaction maps the law's outputs [N, u] to the forces
     [N, -mu u]: every product has one non-zero term, so it is exact.
     """
-    law = ContactBatch.stack(configs)
-    eye = np.eye(law.point_count)
-    return law.fold(np.stack([eye, eye]))
+    eye = np.eye(configs[0].point_count)
+    return fold_rows(np.stack([eye, eye]), configs)
 
 
 def evaluate_rows(gap, slip, configs):
@@ -212,7 +219,7 @@ class TestModalReaction:
 
 
 class TestFoldedOperators:
-    """``ContactBatch.fold`` against ``interface_operator``, row by row."""
+    """``fold`` against ``interface_operator``, row by row."""
 
     def test_each_row_carries_its_own_constants(self):
         configs = [ContactConfig(cof=0.1),
@@ -223,7 +230,7 @@ class TestFoldedOperators:
         _, _, operator = flexural_operator(contact_angles(configs[0]))
         normal, friction = operator[:, 0]
         p = normal.shape[1]
-        kinematics, reaction = ContactBatch.stack(configs).fold(operator[:, 0])
+        kinematics, reaction = fold_rows(operator[:, 0], configs)
         assert kinematics.shape == (2, 3, 2 * p, configs[0].point_count)
         assert reaction.shape == (2, 3, configs[0].point_count, p)
         for b, cfg in enumerate(configs):
@@ -241,7 +248,7 @@ class TestFoldedOperators:
         cfg = ContactConfig()
         theta = contact_angles(cfg)
         shape_w, shape_d, operator = flexural_operator(theta)
-        kinematics, _ = ContactBatch.stack([cfg]).fold(operator[:, 0])
+        kinematics, _ = fold_rows(operator[:, 0], [cfg])
         q, z, qdot, omega = np.array([3e-7, -2e-7]), 1e-7, np.array([0.2, 0.1]), 40.0
         state = np.concatenate([q, [z, 0.5], qdot, [0.0, omega]])
         load, slip_ratio = state @ kinematics[:, 0]
@@ -265,7 +272,6 @@ class TestInterfacePeriod:
         configs = [ContactConfig(point_count=count, cof=c, penalty_stiffness=k,
                                  regularization_velocity=v)
                    for c, k, v in ((0.1, 2e5, 1e-3), (0.3, 5e5, 2e-3), (0.5, 1e5, 5e-4))]
-        law = ContactBatch.stack(configs)
         pair = ModePair(n, 2 * math.pi * 4e4, 1.0)
         # [q_cos, q_sin, z, phi | their rates]: a wave of a few um, the
         # rotor near the crests, rates of the drive frequency and a spin
@@ -276,7 +282,8 @@ class TestInterfacePeriod:
                                 axis=-1)[:, None]
 
         def evaluate(theta, scale):
-            kinematics, reaction = law.fold(interface_operator(pair, GEOM, theta))
+            operator = interface_operator(pair, GEOM, theta)
+            kinematics, reaction = fold_rows(operator, configs)
             arguments = states @ kinematics
             outputs = np.empty_like(arguments)
             evaluate_contact(*arguments, *outputs)

@@ -1,6 +1,7 @@
 """Coupled transient integration and the post-processing operators."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -135,7 +136,7 @@ class TestSimulate:
         runs over all of them, and the ledger still closes."""
         cfg = short_cfg(contact={"point_count": 129})
         series = run_short(stator_model, cfg)
-        assert not series.diverged
+        assert series.divergence is None
         assert abs(series.energy.residual_fraction) < 0.01
 
     def test_preload_ramp_reaches_full_load(self, stator_model):
@@ -156,8 +157,7 @@ def assert_same_run(a, b):
     """Bitwise equality of two runs: every probe, the flags and the ledger."""
     for name in SERIES_FIELDS:
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    assert (a.diverged, a.last_valid_time, a.energy) \
-        == (b.diverged, b.last_valid_time, b.energy)
+    assert (str(a.divergence), a.energy) == (str(b.divergence), b.energy)
 
 
 class TestSimulateBatch:
@@ -190,7 +190,7 @@ class TestSimulateBatch:
                                duration=self.DURATION)
         assert len(batch) == 4
         for cfg, row in zip(configs, batch):
-            assert not row.diverged
+            assert row.divergence is None
             assert_same_run(row, self.solo(stator_model, cfg))
 
     def test_diverging_row_is_flagged_and_isolated(self, stator_model):
@@ -202,27 +202,35 @@ class TestSimulateBatch:
         batch = simulate_batch(stator_model, self.rows(configs),
                                duration=self.DURATION)
         bad = batch[1]
-        assert bad.diverged
+        report = bad.divergence
+        assert report is not None
         assert bad.energy is None
         assert len(bad) < len(batch[0])
         assert np.all(np.isfinite(bad.torque))
         for i in (0, 2):
             assert_same_run(batch[i], self.solo(stator_model, configs[i]))
-            assert batch[i].nonfinite_entry == ""
+            assert batch[i].divergence is None
         # the report names the first non-finite entry and the sample that
         # found it, the one after the last valid sample; a sweep row's error
         # is this message
-        assert bad.nonfinite_entry in ENTRY_NAMES
-        assert bad.nonfinite_time == pytest.approx(bad.last_valid_time + 1e-5, rel=1e-12)
+        assert report.entry in ENTRY_NAMES
+        assert report.last_valid_time == (bad.time[-1] if len(bad) else 0.0)
+        assert report.time == pytest.approx(report.last_valid_time + 1e-5, rel=1e-12)
         with pytest.raises(SimulationDiverged) as raised:
             runner.summarize(configs[1], stator_model, bad)
         assert str(raised.value) == (
-            f"simulation diverged: {bad.nonfinite_entry} non-finite at "
-            f"t = {bad.nonfinite_time:g} s; last valid time {bad.last_valid_time:g} s")
+            f"simulation diverged: {report.entry} non-finite at "
+            f"t = {report.time:g} s; last valid time {report.last_valid_time:g} s")
+        assert str(pickle.loads(pickle.dumps(bad)).divergence) == str(report)
 
     def test_rows_must_share_the_step_grid(self, stator_model):
         configs = [RunConfig(), RunConfig().override(drive={"frequency": 30000.0})]
         with pytest.raises(ValueError, match="step grid"):
+            simulate_batch(stator_model, self.rows(configs), duration=self.DURATION)
+
+    def test_rows_must_share_the_point_count(self, stator_model):
+        configs = [RunConfig(), RunConfig().override(contact={"point_count": 132})]
+        with pytest.raises(ValueError, match="must share one point_count"):
             simulate_batch(stator_model, self.rows(configs), duration=self.DURATION)
 
     def test_simulate_runs_the_contact_module_law(self, stator_model, monkeypatch):
@@ -284,7 +292,7 @@ class TestSimulateBatch:
                    for i in range(12)]
         batch = simulate_batch(stator_model, self.rows(configs), duration=self.DURATION)
         for cfg, row in zip(configs, batch):
-            assert not row.diverged
+            assert row.divergence is None
             assert_same_run(row, self.solo(stator_model, cfg))
 
 

@@ -138,6 +138,15 @@ class TestFindPeak:
                                   settled=[True, False, True, True]))
         assert pk.param == 3
 
+    def test_non_finite_torque_excluded(self):
+        """A settled row whose envelope torque is NaN (too few drive periods
+        after settling) is not a peak; two finite rows are too few."""
+        with pytest.raises(ValueError, match="3 settled rows of finite torque, have 2"):
+            find_peak(curve_from([1000.0, 2000.0, 3000.0],
+                                 [float("nan"), 9.4e-6, 9.6e-5]))
+        pk = find_peak(curve_from([1, 2, 3, 4], [float("nan"), 0.1, 0.3, 0.2]))
+        assert (pk.param, pk.torque, pk.boundary_maximum) == (3, 0.3, False)
+
     def test_all_unsettled_rejected(self):
         with pytest.raises(ValueError, match="settled"):
             find_peak(curve_from([1, 2, 3], [0.1, 0.2, 0.3],

@@ -57,8 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", choices=sweep.PARAMETER_UNITS)
     p.add_argument("--values", help="grid as start:stop:step (inclusive)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes; each lockstep batch of rows is split "
-                        "into up to this many parts")
+                   help="worker processes, at least 1; each lockstep batch of rows "
+                        "is split into up to this many parts")
     p.add_argument("--plot", action="store_true", help="emit an SVG line plot")
     p.add_argument("--duration", type=float, help="simulated time per run in s")
 
@@ -164,6 +164,8 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 
 
 def _cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, not {args.jobs}")
     config = _load(args)
     if args.preset:
         spec = sweep.make_preset(args.preset, config)

@@ -36,9 +36,11 @@ This module is the one implementation of the law, with one call form:
 the transient step loop calls ``evaluate_contact`` once per step, writing
 into the loop's buffers, and its step map applies the folded reaction.
 The law takes B interfaces as (B, 1, M) rows, and ``fold`` one (B,)
-array per constant; a single interface is a batch of one.  The law's
-arguments are stacked on a leading axis, so at any batch size each is one
-contiguous block of memory; each row of its outputs is contiguous.
+array per constant; a single interface is a batch of one.  The folded
+kinematics is one (2P, 2M) matrix per row, so one matrix-vector product
+per row writes that row's arguments as one contiguous block
+[-k gap | slip / v], which the law reads as its two halves; each row of
+its outputs is contiguous too.
 """
 
 from __future__ import annotations
@@ -98,25 +100,25 @@ def fold(operator: np.ndarray, stiffness: np.ndarray,
     forces on P coordinates x.  ``stiffness``, ``regularization_velocity``
     and ``cof`` are (B,) arrays of each interface's k, v and mu.  The state
     is [x | x'], and gap = G_N^T x and slip = G_f^T x' are the work
-    conjugates of N and f.  Returns the kinematics, shape (2, B, 2P, M),
+    conjugates of N and f.  Returns the kinematics, shape (B, 2P, 2M),
     and the reaction operator, shape (2, B, M, P), of every row b:
 
-        kinematics[0, b] = [-k_b G_N^T ; 0],   state -> -k gap
-        kinematics[1, b] = [0 ; G_f^T / v_b],  state -> slip / v
+        kinematics[b] = [-k_b G_N^T ; 0 | 0 ; G_f^T / v_b],
+                        state -> [-k gap | slip / v]
         reaction[0, b] = G_N,   reaction[1, b] = -mu_b G_f
 
-    so a state (B, 1, 2P) times the kinematics gives the arguments of
-    ``evaluate_contact``, and its outputs [N, u] times the reaction give
-    the generalized forces of N and of f = -mu u.  Each row's operators
-    are its own, so every product stays one small matrix product per
-    half and row.
+    so a state (B, 1, 2P) times the kinematics gives each row's arguments
+    of ``evaluate_contact`` as one contiguous row [load | slip_ratio], and
+    its outputs [N, u] times the reaction give the generalized forces of N
+    and of f = -mu u.  Each row's operators are its own, so the kinematics
+    is one small matrix-vector product per row.
     """
     normal, friction = operator
     m, p = normal.shape
     rows = len(cof)
-    kinematics = np.zeros((2, rows, 2 * p, m))
-    kinematics[0, :, :p] = -stiffness[:, None, None] * normal.T
-    kinematics[1, :, p:] = friction.T / regularization_velocity[:, None, None]
+    kinematics = np.zeros((rows, 2 * p, 2 * m))
+    kinematics[:, :p, :m] = -stiffness[:, None, None] * normal.T
+    kinematics[:, p:, m:] = friction.T / regularization_velocity[:, None, None]
     reaction = np.empty((2, rows, m, p))
     reaction[0] = normal
     reaction[1] = -cof[:, None, None] * friction

@@ -26,7 +26,7 @@ M / g contact points, g = gcd(n, M) (``contact.interface_period``), so the
 loop evaluates the law at M / g points and scales the reactions, the
 penalty energy and the friction power by g.  A step is five calls: the
 kinematics product, which maps the state straight to the law's arguments
-[-k gap, slip / v]; the law's three elementwise passes
+[-k gap | slip / v]; the law's three elementwise passes
 (``evaluate_contact``), giving [N, u] with the friction force f = -mu u;
 and the step map.  The reaction operator is ``contact.interface_operator``,
 the drive pair sampled at the contact points, built once per call; the
@@ -39,8 +39,14 @@ operator is folded into the step map (``_step_map``): the map reads
 [N, u] itself, adds their reactions to the forcing along with the
 midpoint drive and the reaction extrapolation, and carries this step's
 reactions to the next as r_prev: the one place they are formed, where
-the samples read them.  The law's arguments are laid out
-(2, B, 1, M / g), so each is one contiguous block whatever B is.
+the samples read them.  The folded kinematics is one (8, 2M / g) matrix
+per row, so each step makes one matrix-vector product per row, which
+writes that row's [-k gap | slip / v] as one contiguous block of the
+(B, 1, 2M / g) arguments; the law reads its two halves.  Both products
+run as ``np.matmul`` on the batch, except in a batch of one, which makes
+them with ``np.dot`` on 2-D views of the same buffers: its call costs
+about half of ``np.matmul``'s, and it reaches the same matrix-vector
+product of the same operands, so the results are bitwise the same.
 
 The loop runs in chunks of up to one sample interval (and at most
 ``_CHUNK_STEPS`` steps), step first in every buffer.  Row j of the step
@@ -202,7 +208,9 @@ def step_grid(stator: StatorModel, drive: DriveConfig, duration: float = 5e-3,
 
     The step defaults to 1/(400 f_drive) and is snapped to an integer
     divider of the output interval; steps above 1/(200 f_drive) are
-    rejected as unstable.
+    rejected as too coarse.  That bound guards accuracy, not stability:
+    the default motor steps stably up to 1/(30 f_drive), but its energy
+    residual grows as the step squared.
     """
     f_drive = drive.resolve_frequency(stator.pair)
     dt_nominal = dt if dt is not None else 1.0 / (400.0 * f_drive)
@@ -407,14 +415,21 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
     # step j's step map input [state | r_prev | d | N | u] for every row:
     # the law writes [N, u] into it, and the map writes the next step's
     # [state | r_prev].  G[j] holds the step's law arguments
-    # [-k gap, slip / v], kept with X for the energy ledger.  The views each
-    # step uses are made once.
+    # [-k gap | slip / v], one row per interface, kept with X for the
+    # energy ledger.  The views each step uses are made once; a batch of
+    # one takes them 2-D, for np.dot.
     chunk = min(steps_per_sample, _CHUNK_STEPS)
     d0, f0 = n + m, n + 2 * m     # where d and [N | u] start
     X = np.zeros((chunk + 1, B, 1, f0 + 2 * M))
-    G = np.empty((chunk, 2, B, 1, M))
-    step_views = [(X[j], X[j, ..., :n], G[j], G[j, 0], G[j, 1],
-                   X[j, ..., f0:f0 + M], X[j, ..., f0 + M:], X[j + 1, ..., :d0])
+    G = np.empty((chunk, B, 1, 2 * M))
+    if B == 1:
+        product, batch, kin, step_map = np.dot, 0, kin[0], step_map[0]
+    else:
+        product, batch = np.matmul, slice(None)
+    step_views = [(X[j, batch], X[j, batch, ..., :n], G[j, batch],
+                   G[j, batch, ..., :M], G[j, batch, ..., M:],
+                   X[j, batch, ..., f0:f0 + M], X[j, batch, ..., f0 + M:],
+                   X[j + 1, batch, ..., :d0])
                   for j in range(chunk)]
     out = np.zeros((B, n_samples, 7))
     alive = np.ones(B, dtype=bool)
@@ -440,9 +455,9 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
             X[:count, :, 0, d0:f0] = drive[:, :, 1].transpose(2, 0, 1)
 
             for x, y, g, load, slip_ratio, normal, traction, y_next in step_views[:count]:
-                np.matmul(y, kin, out=g)
+                product(y, kin, out=g)
                 contact.evaluate_contact(load, slip_ratio, normal, traction)
-                np.matmul(x, step_map, out=y_next)
+                product(x, step_map, out=y_next)
 
             if k % steps_per_sample == 0:
                 # the chunk's first state, and the reactions the map formed from it
@@ -474,7 +489,7 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
             p_damp *= vel
             # f s = (-mu u)(v s / v): the constants multiply the point sum
             p_fric = np.add.reduce(np.multiply(X[:count, :, 0, f0 + M:].transpose(1, 0, 2),
-                                               G[:count, 1, :, 0].transpose(1, 0, 2),
+                                               G[:count, :, 0, M:].transpose(1, 0, 2),
                                                out=np.empty((B, count, M))),
                                    axis=-1)[:, None]
             p_fric *= friction_scale

@@ -203,6 +203,17 @@ class TestSweep:
             assert code == cli.EXIT_CONFIG
             assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_refused(self, tmp_path, capsys, monkeypatch, jobs):
+        """Refused before the stator is built, with the flag named."""
+        monkeypatch.setattr(sweep, "run_sweep", None)
+        code = run_cli("sweep", "--out-dir", str(tmp_path), "--param", "cof",
+                       "--values", "0.3:0.5:0.1", "--jobs", jobs)
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --jobs must be >= 1, not {jobs}"]
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_grid_parser(self):
         assert cli._parse_grid("25:100:25") == (25.0, 50.0, 75.0, 100.0)
         with pytest.raises(ConfigError):

@@ -49,7 +49,7 @@ def identity_fold(configs):
     """The folded operators of B interfaces whose state is [gap | slip].
 
     With the identity for both blocks of the reaction operator, the folded
-    kinematics maps [gap | slip] to the law's arguments [-k gap, slip / v],
+    kinematics maps [gap | slip] to the law's arguments [-k gap | slip / v],
     and the folded reaction maps the law's outputs [N, u] to the forces
     [N, -mu u]: every product has one non-zero term, so it is exact.
     """
@@ -57,14 +57,21 @@ def identity_fold(configs):
     return fold_rows(np.stack([eye, eye]), configs)
 
 
+def law_outputs(arguments):
+    """The law's outputs [N, u], shape (2, B, 1, M), at the (B, 1, 2M) rows
+    [-k gap | slip / v] of the folded kinematics, split on their last axis."""
+    load, slip_ratio = np.split(arguments, 2, axis=-1)
+    outputs = np.empty((2,) + load.shape)
+    evaluate_contact(load, slip_ratio, *outputs)
+    return outputs
+
+
 def evaluate_rows(gap, slip, configs):
     """The forces [N, f], shape (2, B, 1, M), of B interfaces at their
     (B, 1, M) gaps and slips, through the step loop's folded form."""
     kinematics, reaction = identity_fold(configs)
     arguments = np.concatenate([gap, slip], axis=-1) @ kinematics
-    outputs = np.empty_like(arguments)
-    evaluate_contact(*arguments, *outputs)
-    return np.matmul(outputs, reaction)
+    return np.matmul(law_outputs(arguments), reaction)
 
 
 def evaluate_one(gap, slip, cfg):
@@ -230,15 +237,16 @@ class TestFoldedOperators:
         _, _, operator = flexural_operator(contact_angles(configs[0]))
         normal, friction = operator[:, 0]
         p = normal.shape[1]
+        m = configs[0].point_count
         kinematics, reaction = fold_rows(operator[:, 0], configs)
-        assert kinematics.shape == (2, 3, 2 * p, configs[0].point_count)
-        assert reaction.shape == (2, 3, configs[0].point_count, p)
+        assert kinematics.shape == (3, 2 * p, 2 * m)
+        assert reaction.shape == (2, 3, m, p)
         for b, cfg in enumerate(configs):
             # positions map to -k gap, velocities to slip / v
-            assert np.array_equal(kinematics[0, b, :p], -cfg.penalty_stiffness * normal.T)
-            assert np.array_equal(kinematics[1, b, p:],
+            assert np.array_equal(kinematics[b, :p, :m], -cfg.penalty_stiffness * normal.T)
+            assert np.array_equal(kinematics[b, p:, m:],
                                   friction.T / cfg.regularization_velocity)
-            assert not kinematics[0, b, p:].any() and not kinematics[1, b, :p].any()
+            assert not kinematics[b, p:, :m].any() and not kinematics[b, :p, m:].any()
             assert np.array_equal(reaction[0, b], normal)
             assert np.array_equal(reaction[1, b], -cfg.cof * friction)
 
@@ -251,7 +259,7 @@ class TestFoldedOperators:
         kinematics, _ = fold_rows(operator[:, 0], [cfg])
         q, z, qdot, omega = np.array([3e-7, -2e-7]), 1e-7, np.array([0.2, 0.1]), 40.0
         state = np.concatenate([q, [z, 0.5], qdot, [0.0, omega]])
-        load, slip_ratio = state @ kinematics[:, 0]
+        load, slip_ratio = np.split(state @ kinematics[0], 2)
         gap = z - q @ shape_w
         slip = R * omega + GEOM.contact_offset / R * (qdot @ shape_d)
         np.testing.assert_allclose(load, -cfg.penalty_stiffness * gap, rtol=1e-12)
@@ -285,9 +293,9 @@ class TestInterfacePeriod:
             operator = interface_operator(pair, GEOM, theta)
             kinematics, reaction = fold_rows(operator, configs)
             arguments = states @ kinematics
-            outputs = np.empty_like(arguments)
-            evaluate_contact(*arguments, *outputs)
-            sums = [np.sum(outputs[0] ** 2, axis=-1), np.sum(outputs[1] * arguments[1], axis=-1)]
+            outputs = law_outputs(arguments)
+            slip_ratio = arguments[..., len(theta):]
+            sums = [np.sum(outputs[0] ** 2, axis=-1), np.sum(outputs[1] * slip_ratio, axis=-1)]
             return np.matmul(outputs, scale * reaction), [scale * a for a in sums]
 
         theta, g = interface_period(configs[0], n)
@@ -312,9 +320,10 @@ class TestStepLoopForm:
         w, vt, z, speed = random_state(rng, cfg)
         gap, slip = one_interface(z - w, R * speed - vt)
         kinematics, reaction = identity_fold([cfg])
-        arguments = np.concatenate([gap, slip], axis=-1) @ kinematics
+        load, slip_ratio = np.split(np.concatenate([gap, slip], axis=-1) @ kinematics, 2,
+                                    axis=-1)
         outputs = np.full((2, 1, 1, cfg.point_count), np.nan)
-        assert evaluate_contact(arguments[0], arguments[1], outputs[0], outputs[1]) is None
+        assert evaluate_contact(load, slip_ratio, outputs[0], outputs[1]) is None
         forces = np.full((2, 1, 1, cfg.point_count), np.nan)
         np.matmul(outputs, reaction, out=forces)
         assert np.array_equal(forces, evaluate_one(z - w, R * speed - vt, cfg))

@@ -237,8 +237,9 @@ class TestSimulateBatch:
         """The hypothesis tests of contact.py cover the law the loop runs,
         called from ``contact`` once per evaluation.  A step is the law and
         two products, the kinematics and the step map, which also forms the
-        reactions: no product runs per sample."""
-        calls = {"evaluate_contact": 0, "matmul": 0}
+        reactions: no product runs per sample.  A batch of one makes them
+        with ``np.dot`` on 2-D views, a batch of three with ``np.matmul``."""
+        calls = {}
 
         def counting(module, name):
             function = getattr(module, name)
@@ -249,42 +250,73 @@ class TestSimulateBatch:
             monkeypatch.setattr(module, name, counted)
 
         counting(contact, "evaluate_contact")
+        counting(np, "dot")
         counting(np, "matmul")
-        cfg = RunConfig()
-        self.solo(stator_model, cfg)
-        _, steps_per_sample, n_samples = step_grid(stator_model, cfg.drive,
+        _, steps_per_sample, n_samples = step_grid(stator_model, RunConfig().drive,
                                                    duration=self.DURATION)
         evaluations = (n_samples - 1) * steps_per_sample + 1
-        assert calls == {"evaluate_contact": evaluations, "matmul": 2 * evaluations}
+        for rows, product, other in ((1, "dot", "matmul"), (3, "matmul", "dot")):
+            calls.update(evaluate_contact=0, dot=0, matmul=0)
+            configs = [RunConfig().override(contact={"cof": 0.3 + 0.1 * i})
+                       for i in range(rows)]
+            simulate_batch(stator_model, self.rows(configs), duration=self.DURATION)
+            assert calls == {"evaluate_contact": evaluations, product: 2 * evaluations,
+                             other: 0}, rows
 
     def test_law_operands_are_contiguous_blocks(self, stator_model, monkeypatch):
-        """At B > 1 each of the law's arguments is one C-contiguous block
-        across the batch, over one period of the interface (M / g points).
-        Its outputs are written straight into the step map's input: each row
-        of them is contiguous and lies in the buffer the step map reads."""
+        """At B > 1 each row's law arguments [load | slip_ratio] are one
+        C-contiguous block, over one period of the interface (M / g points),
+        written by that step's kinematics product.  The law's outputs are
+        written straight into the step map's input: each row of them is
+        contiguous and lies in the buffer the step map reads."""
         law, matmul = contact.evaluate_contact, np.matmul
         count = contact.ContactConfig().point_count
         points = count // math.gcd(stator_model.pair.nodal_diameters, count)
-        outputs, contiguous, in_map_input = [], [], []
+        written, outputs, one_block, in_map_input = [], [], [], []
+
+        def address(a):
+            return a.__array_interface__["data"][0]
 
         def checking(load, slip_ratio, normal, traction):
             assert {b.shape for b in (load, slip_ratio, normal, traction)} == {(3, 1, points)}
-            contiguous.append(load.flags.c_contiguous and slip_ratio.flags.c_contiguous
-                        and all(row.flags.c_contiguous for row in (*normal, *traction)))
+            block = written[-1]       # the kinematics product's output
+            one_block.append(all(
+                block[b].flags.c_contiguous
+                and address(load[b]) == address(block[b])
+                and address(slip_ratio[b]) == address(block[b]) + points * block.itemsize
+                for b in range(3))
+                and all(row.flags.c_contiguous for row in (*normal, *traction)))
             outputs[:] = [normal, traction]
             return law(load, slip_ratio, normal, traction)
 
-        def step_map_reading_the_outputs(a, b, *args, **kwargs):
-            if a.shape[-1] == 16 + 2 * points:      # [state | r_prev | d | N | u]
+        def recording(a, b, *args, **kwargs):
+            if b.shape[-1] == 2 * points:           # state -> [load | slip_ratio]
+                written.append(kwargs["out"])
+            elif a.shape[-1] == 16 + 2 * points:    # [state | r_prev | d | N | u]
                 in_map_input.append(all(np.shares_memory(a, o) for o in outputs))
             return matmul(a, b, *args, **kwargs)
 
         monkeypatch.setattr(contact, "evaluate_contact", checking)
-        monkeypatch.setattr(np, "matmul", step_map_reading_the_outputs)
+        monkeypatch.setattr(np, "matmul", recording)
         configs = [RunConfig().override(contact={"cof": c}) for c in (0.3, 0.4, 0.5)]
         simulate_batch(stator_model, self.rows(configs), duration=2e-5)
-        assert contiguous and all(contiguous)
+        assert one_block and all(one_block)
         assert in_map_input and all(in_map_input)
+
+    @pytest.mark.parametrize("point_count", [66, 129])
+    def test_solo_run_matches_its_row_where_blas_tails_differ(self, stator_model,
+                                                               point_count):
+        """At 33 points per period (66, g = 2) and at 129 points (g = 1) one
+        matrix-vector product over the [load | slip_ratio] columns and two
+        over each half round differently, so a batch of one, which steps
+        through ``np.dot``, matches its row in a batch of three only if both
+        make the same product of the same kinematics."""
+        configs = [RunConfig().override(contact={"point_count": point_count, "cof": c})
+                   for c in (0.3, 0.4, 0.5)]
+        batch = simulate_batch(stator_model, self.rows(configs), duration=self.DURATION)
+        for cfg, row in zip(configs, batch):
+            assert row.divergence is None
+            assert_same_run(row, self.solo(stator_model, cfg))
 
     def test_twelve_rows_match_solo_runs(self, stator_model):
         configs = [RunConfig().override(contact={"cof": 0.05 + 0.04 * i},

@@ -44,21 +44,28 @@ per row, so each step makes one matrix-vector product per row, which
 writes that row's [-k gap | slip / v] as one contiguous block of the
 (B, 1, 2M / g) arguments; the law reads its two halves.  Both products
 run as ``np.matmul`` on the batch, except in a batch of one, which makes
-them with ``np.dot`` on 2-D views of the same buffers: its call costs
-about half of ``np.matmul``'s, and it reaches the same matrix-vector
-product of the same operands, so the results are bitwise the same.
+them with ``np.ndarray.dot`` on 1-D views of the same buffers: that is the
+matrix-vector product ``np.dot`` reaches, of the same operands, so the
+results are bitwise the same, without ``np.dot``'s Python-level dispatch
+(NEP 18), and its call costs less than half of ``np.matmul``'s.
 
-The loop runs in chunks of up to one sample interval (and at most
-``_CHUNK_STEPS`` steps), step first in every buffer.  Row j of the step
-map's input X is [state_j | r_(j-1) | d_j | N_j | u_j]: the law writes its
-outputs into it, and the map writes [state_(j+1) | r_j] into row j + 1, so
-the rows do not overlap and nothing is copied within a chunk.  No step
-branches: a chunk that starts at a sample reads it from rows 0 and 1 after
-its steps.  A chunk evaluates the drive and the preload ramp at all its
-steps at once, and reduces the energy ledger's powers from its history of
-states and of the law's arguments and outputs, applying -mu v to the
-friction power once per chunk.  Every operation acts on each row alone,
-so a row's results are bitwise the same whatever batch it runs in.
+The loop runs in chunks of whole sample intervals, step first in every
+buffer: as many intervals as fit in ``_CHUNK_ROW_STEPS`` steps x rows, at
+least one, and at most ``_CHUNK_STEPS`` steps, so an interval longer than
+that spans several chunks.  Row j of the step map's input X is
+[state_j | r_(j-1) | d_j | N_j | u_j]: the law writes its outputs into it,
+and the map writes [state_(j+1) | r_j] into row j + 1, so the rows do not
+overlap and nothing is copied within a chunk.  No step branches: after its
+steps a chunk reads its samples from the strided rows j0, j0 + s, ... of
+X (s steps per sample), and their reactions one row later, and checks them
+for finiteness together.  A chunk evaluates the drive and the preload ramp
+at all its steps at once, and reduces the energy ledger's powers from its
+history of states and of the law's arguments and outputs, applying -mu v
+to the friction power once per chunk.  The ledger sums each sample
+interval's powers (each chunk's, where an interval spans several), then
+adds the sums to its totals in time order, so no result depends on how
+many intervals a chunk holds.  Every operation acts on each row alone, so
+a row's results are bitwise the same whatever batch it runs in.
 ``simulate`` is the batch of one.  A row that goes non-finite ends at its
 last finite sample, and its series' ``divergence`` names the first entry
 of ``ENTRY_NAMES`` found so and the sample time.
@@ -92,8 +99,12 @@ __all__ = [
 
 CSV_HEADER = "t,s_speed,surf_disp,fric_probe,torque,fz,wave_amp"
 
-_CHUNK_STEPS = 1024   # most steps one chunk of the step loop holds
-_EXPM_TERMS = 20      # Taylor terms of a scaled matrix exponential
+_CHUNK_STEPS = 1024       # most steps one chunk of the step loop holds
+_CHUNK_ROW_STEPS = 512    # steps x rows a chunk fills with whole sample intervals
+_EXPM_TERMS = 20          # Taylor terms of a scaled matrix exponential
+
+# A batch of one's products: the C method np.dot reaches, without its dispatcher
+_dot = np.ndarray.dot
 
 SETTLE_WINDOW = 2.5e-4    # s, length of the windows detect_steady_state compares
 SETTLE_TOLERANCE = 0.02   # relative difference of window means that counts as settled
@@ -410,39 +421,41 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
         return 0.5 * (np.sum(weights * y * y, axis=-1)
                       + compliance * np.sum(normal * normal, axis=-1))
 
-    # A chunk holds the steps up to the next sample, at most _CHUNK_STEPS,
-    # so its histories stay small whatever the output interval.  X[j] is
-    # step j's step map input [state | r_prev | d | N | u] for every row:
-    # the law writes [N, u] into it, and the map writes the next step's
-    # [state | r_prev].  G[j] holds the step's law arguments
-    # [-k gap | slip / v], one row per interface, kept with X for the
-    # energy ledger.  The views each step uses are made once; a batch of
-    # one takes them 2-D, for np.dot.
-    chunk = min(steps_per_sample, _CHUNK_STEPS)
+    # A chunk holds as many whole sample intervals as fit in _CHUNK_ROW_STEPS
+    # steps x rows, at least one; an interval longer than _CHUNK_STEPS spans
+    # several chunks.  X[j] is step j's step map input
+    # [state | r_prev | d | N | u] for every row: the law writes [N, u] into
+    # it, and the map writes the next step's [state | r_prev].  G[j] holds
+    # the step's law arguments [-k gap | slip / v], one row per interface,
+    # kept with X for the energy ledger.  The views each step uses are made
+    # once; a batch of one makes its products on 1-D views of X and G.
+    span = max(1, _CHUNK_ROW_STEPS // (B * steps_per_sample)) * steps_per_sample
+    chunk = min(span, _CHUNK_STEPS)
     d0, f0 = n + m, n + 2 * m     # where d and [N | u] start
     X = np.zeros((chunk + 1, B, 1, f0 + 2 * M))
     G = np.empty((chunk, B, 1, 2 * M))
     if B == 1:
-        product, batch, kin, step_map = np.dot, 0, kin[0], step_map[0]
+        product, kin, step_map = _dot, kin[0], step_map[0]
+        XP, GP = X[:, 0, 0], G[:, 0, 0]
     else:
-        product, batch = np.matmul, slice(None)
-    step_views = [(X[j, batch], X[j, batch, ..., :n], G[j, batch],
-                   G[j, batch, ..., :M], G[j, batch, ..., M:],
-                   X[j, batch, ..., f0:f0 + M], X[j, batch, ..., f0 + M:],
-                   X[j + 1, batch, ..., :d0])
+        product, XP, GP = np.matmul, X, G
+    step_views = [(XP[j], XP[j, ..., :n], GP[j], G[j, ..., :M], G[j, ..., M:],
+                   X[j, ..., f0:f0 + M], X[j, ..., f0 + M:], XP[j + 1, ..., :d0])
                   for j in range(chunk)]
     out = np.zeros((B, n_samples, 7))
+    out[..., 0] = np.arange(n_samples) * steps_per_sample * h
+    probe = -cof[:, None]          # the friction probe is -mu u at the first point
     alive = np.ones(B, dtype=bool)
-    n_valid = np.zeros(B, dtype=int)
+    n_valid = np.full(B, n_samples)   # the loop ends early only when no row is left
     divergence = [None] * B
     sample = 0
-    acc = [0.0, 0.0, 0.0]      # sums of the powers: input, damper, friction
+    acc = np.zeros((B, n + 1))     # sums of the powers: input, damper, friction
     k = 0                      # index of the chunk's first step
 
     with np.errstate(over="ignore", invalid="ignore"):   # caught at the next sample
         while True:
             # T steps advance; the last (T = 0) maps the final state for its reactions
-            T = min(chunk, n_steps - k, steps_per_sample - k % steps_per_sample)
+            T = min(chunk, n_steps - k, span - k % steps_per_sample)
             count = max(T, 1)
             t = (k + np.arange(count)) * h
             wt = omega_d * (t + offsets)
@@ -459,44 +472,56 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
                 contact.evaluate_contact(load, slip_ratio, normal, traction)
                 product(x, step_map, out=y_next)
 
-            if k % steps_per_sample == 0:
-                # the chunk's first state, and the reactions the map formed from it
-                now = X[0, :, 0, :n]
-                total = X[1, :, 0, n:n + m]
-                finite = np.isfinite(np.concatenate([now, total], axis=-1))
-                for b in np.flatnonzero(alive & ~finite.all(axis=-1)):
+            # the chunk's samples: each sampled state, and the reactions the
+            # map formed from it, one row later
+            j0 = -k % steps_per_sample
+            at = slice(j0, count, steps_per_sample)
+            now = X[at, :, 0, :n]
+            total = X[j0 + 1:count + 1:steps_per_sample, :, 0, n:n + m]
+            S = len(now)
+            record = out[:, sample:sample + S]
+            record[..., 1] = R * now[..., n - 1].T
+            record[..., 2] = R * now[..., 3].T
+            record[..., 3] = probe * X[at, :, 0, f0 + M].T
+            record[..., 4] = total[..., 3].T
+            record[..., 5] = total[..., 2].T
+            record[..., 6] = stator.pair.amp * np.hypot(now[..., 0], now[..., 1]).T
+            finite = np.isfinite(np.concatenate([now, total], axis=-1))
+            if not finite.all():
+                bad = ~finite.all(axis=-1)
+                for b in np.flatnonzero(alive & bad.any(axis=0)):
+                    s = int(np.argmax(bad[:, b]))
+                    valid = sample + s
                     divergence[b] = SimulationDiverged(
-                        float(out[b, sample - 1, 0]) if sample else 0.0,
-                        ENTRY_NAMES[np.argmin(finite[b])], k * h)
+                        float(out[b, valid - 1, 0]) if valid else 0.0,
+                        ENTRY_NAMES[np.argmin(finite[s, b])], float(out[b, valid, 0]))
                     alive[b] = False
+                    n_valid[b] = valid
                 if not alive.any():
                     break
-                row = out[:, sample]
-                row[:, 0] = k * h
-                row[:, 1] = R * now[:, n - 1]
-                row[:, 2] = R * now[:, 3]
-                row[:, 3] = -cof * X[0, :, 0, f0 + M]
-                row[:, 4] = total[:, 3]
-                row[:, 5] = total[:, 2]
-                row[:, 6] = stator.pair.amp * np.hypot(now[:, 0], now[:, 1])
-                sample += 1
-                n_valid[alive] = sample
+            sample += S
 
-            # the ledger's powers at each evaluation, time along the last axis
+            # the ledger's powers at each evaluation, per row [input on each
+            # coordinate | damper on each | friction], time along the last axis
             vel = X[:count, :, 0, m:n].transpose(1, 2, 0)
-            p_in = np.multiply(drive[:, :, 0], vel, out=np.empty((B, m, count)))
-            p_damp = np.multiply(damper, vel, out=np.empty((B, m, count)))
-            p_damp *= vel
+            power = np.empty((B, n + 1, count))
+            np.multiply(drive[:, :, 0], vel, out=power[:, :m])
+            np.multiply(damper, vel, out=power[:, m:n])
+            power[:, m:n] *= vel
             # f s = (-mu u)(v s / v): the constants multiply the point sum
-            p_fric = np.add.reduce(np.multiply(X[:count, :, 0, f0 + M:].transpose(1, 0, 2),
-                                               G[:count, :, 0, M:].transpose(1, 0, 2),
-                                               out=np.empty((B, count, M))),
-                                   axis=-1)[:, None]
-            p_fric *= friction_scale
-            powers = (p_in, p_damp, p_fric)
-            acc = [a + np.add.reduce(p, axis=-1) for a, p in zip(acc, powers)]
+            np.add.reduce(np.multiply(X[:count, :, 0, f0 + M:].transpose(1, 0, 2),
+                                      G[:count, :, 0, M:].transpose(1, 0, 2),
+                                      out=np.empty((B, count, M))),
+                          axis=-1, out=power[:, n])
+            power[:, n:] *= friction_scale
+            # summed over each sample interval (or the chunk, if shorter),
+            # then the sums added to the totals in time order
+            sums = np.add.reduce(power.reshape(B, n + 1, -1, min(count, steps_per_sample)),
+                                 axis=-1)
+            acc = np.add.accumulate(np.concatenate([acc[..., None], sums], axis=-1),
+                                    axis=-1)[..., -1]
             if k == 0:
-                first = [p[..., 0] for p in powers]
+                first = power[..., 0]
                 energy_initial = mech_energy(X[0, ..., :n], X[0, ..., f0:f0 + M])
             if T == 0:
                 energy_final = mech_energy(X[0, ..., :n], X[0, ..., f0:f0 + M])
@@ -505,17 +530,17 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
             k += T
 
     if alive.any():   # the loop ran to the end: trapezoidal work integrals
-        w_in, w_out, w_fric = (h * (a - 0.5 * (p0 + p[..., -1]))
-                               for a, p0, p in zip(acc, first, powers))
+        work = h * (acc - 0.5 * (first + power[..., -1]))
         energy_change = energy_final - energy_initial
     series = []
     for b in range(B):
         energy = None
         if alive[b]:
+            w_in, w_out = work[b, :m], work[b, m:n]
             energy = _energy_report(
-                drive=float(np.sum(w_in[b, :2])), preload=float(w_in[b, 2]),
-                load=float(w_in[b, 3]), modal=float(np.sum(w_out[b, :2])),
-                friction=-float(w_fric[b, 0]), axial=float(w_out[b, 2]),
+                drive=float(np.sum(w_in[:2])), preload=float(w_in[2]),
+                load=float(w_in[3]), modal=float(np.sum(w_out[:2])),
+                friction=-float(work[b, n]), axial=float(w_out[2]),
                 energy_change=float(energy_change[b, 0]))
         cols = out[b, :n_valid[b]].T.copy()
         series.append(MotorTimeSeries(

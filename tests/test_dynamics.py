@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twmotor import contact, runner
+from twmotor import contact, dynamics, runner
 from twmotor.config import RunConfig
 from twmotor.dynamics import (
     _CHUNK_STEPS,
@@ -238,7 +238,8 @@ class TestSimulateBatch:
         called from ``contact`` once per evaluation.  A step is the law and
         two products, the kinematics and the step map, which also forms the
         reactions: no product runs per sample.  A batch of one makes them
-        with ``np.dot`` on 2-D views, a batch of three with ``np.matmul``."""
+        with ``dynamics._dot`` (``np.ndarray.dot``) on 1-D views, a batch of
+        three with ``np.matmul``."""
         calls = {}
 
         def counting(module, name):
@@ -250,13 +251,13 @@ class TestSimulateBatch:
             monkeypatch.setattr(module, name, counted)
 
         counting(contact, "evaluate_contact")
-        counting(np, "dot")
+        counting(dynamics, "_dot")
         counting(np, "matmul")
         _, steps_per_sample, n_samples = step_grid(stator_model, RunConfig().drive,
                                                    duration=self.DURATION)
         evaluations = (n_samples - 1) * steps_per_sample + 1
-        for rows, product, other in ((1, "dot", "matmul"), (3, "matmul", "dot")):
-            calls.update(evaluate_contact=0, dot=0, matmul=0)
+        for rows, product, other in ((1, "_dot", "matmul"), (3, "matmul", "_dot")):
+            calls.update(evaluate_contact=0, _dot=0, matmul=0)
             configs = [RunConfig().override(contact={"cof": 0.3 + 0.1 * i})
                        for i in range(rows)]
             simulate_batch(stator_model, self.rows(configs), duration=self.DURATION)
@@ -421,10 +422,12 @@ class TestPropagator:
 
 
 class TestChunkEdges:
-    """The step loop runs in chunks of at most one sample interval and at
-    most ``_CHUNK_STEPS`` steps; the edge cases keep the values of the
+    """The step loop runs in chunks of whole sample intervals, as many as
+    fit in ``_CHUNK_ROW_STEPS`` steps x rows, and of at most
+    ``_CHUNK_STEPS`` steps; the edge cases keep the values of the
     unchunked loop (the last sample of each run below, rel 1e-10) and
-    bitwise batch independence."""
+    bitwise batch independence, and no result depends on the chunk
+    length."""
 
     CASES = {
         "one step per sample": (2e-5, 5e-8, {
@@ -462,6 +465,63 @@ class TestChunkEdges:
         batch = simulate_batch(stator_model, rows, duration=duration,
                                output_interval=interval)
         assert_same_run(batch[1], series)
+
+    @staticmethod
+    def chunked(monkeypatch, intervals, steps_per_sample, rows):
+        """Chunks of ``intervals`` sample intervals for a batch of ``rows``."""
+        monkeypatch.setattr(dynamics, "_CHUNK_ROW_STEPS", intervals * steps_per_sample * rows)
+
+    # 31 and 400 sample intervals: three per chunk leaves a shorter last chunk
+    GRIDS = {"default": (3.1e-4, 1e-5), "one step per sample": (2e-5, 5e-8)}
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_results_do_not_depend_on_the_chunk_length(self, stator_model, monkeypatch,
+                                                       grid):
+        """A solo run and its row in a batch of three, with chunks of 1, 2
+        and 3 sample intervals: the ledger sums each interval, then adds
+        the sums in time order, so every series and ledger is bitwise one."""
+        duration, interval = self.GRIDS[grid]
+        configs = [RunConfig(),
+                   RunConfig().override(contact={"cof": 0.35},
+                                        rotor={"preload_ramp": 0.7 * duration}),
+                   RunConfig().override(rotor={"load_torque": 0.01})]
+        rows = [(c.drive, c.contact, c.rotor) for c in configs]
+        _, steps_per_sample, _ = step_grid(stator_model, configs[0].drive, duration, interval)
+        runs = []
+        for intervals in (1, 2, 3):
+            self.chunked(monkeypatch, intervals, steps_per_sample, 1)
+            solo = simulate(stator_model, *rows[0], duration=duration,
+                            output_interval=interval)
+            self.chunked(monkeypatch, intervals, steps_per_sample, 3)
+            batch = simulate_batch(stator_model, rows, duration=duration,
+                                   output_interval=interval)
+            assert solo.energy is not None and solo.divergence is None
+            runs.append([solo, *batch])
+        for chunked in runs[1:]:
+            for a, b in zip(runs[0], chunked):
+                assert_same_run(a, b)
+        assert_same_run(runs[0][0], runs[0][1])
+
+    def test_divergence_found_anywhere_in_a_chunk(self, stator_model, monkeypatch):
+        """At k = 1e13 N/m q_cos is non-finite at the second sample, t = 1e-5 s.
+        With chunks of one interval that sample starts a chunk; with two or
+        three it lies inside one.  The report and the truncation agree."""
+        cfg = RunConfig().override(contact={"penalty_stiffness": 1e13})
+        _, steps_per_sample, _ = step_grid(stator_model, cfg.drive, 3e-4)
+        runs = []
+        for intervals in (1, 2, 3):
+            self.chunked(monkeypatch, intervals, steps_per_sample, 1)
+            runs.append(simulate(stator_model, cfg.drive, cfg.contact, cfg.rotor,
+                                 duration=3e-4))
+        first = runs[0].divergence
+        assert (first.entry, first.last_valid_time) == ("q_cos", 0.0)
+        assert first.time == pytest.approx(1e-5, rel=1e-12)
+        for run in runs:
+            report = run.divergence
+            assert (report.entry, report.time, report.last_valid_time) \
+                == (first.entry, first.time, first.last_valid_time)
+            assert len(run) == 1 and run.energy is None
+            assert_same_run(run, runs[0])
 
 
 class TestTimeSeriesCsv:

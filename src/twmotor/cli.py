@@ -13,7 +13,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import metrology, runner, sweep
+from . import dynamics, metrology, runner, sweep
 from .config import ConfigError, RunConfig, load_config, phase_degrees_to_radians
 from .dynamics import SimulationDiverged
 from .materials import validate_piezo
@@ -242,13 +242,12 @@ def _cmd_validate(args) -> int:
     if not problems:
         try:
             model = runner.build_stator(config)
+            sim = config.simulation
+            dynamics.step_grid(model, config.drive, sim.duration, sim.output_interval,
+                               sim.dt)
             config.contact.check_resolution(model.pair.nodal_diameters)
         except (ConfigError, ValueError) as exc:
             problems.append(str(exc))
-    try:
-        runner.check_duration(config)
-    except ConfigError as exc:
-        problems.append(str(exc))
     if problems:
         for p in problems:
             print(f"invalid: {p}")

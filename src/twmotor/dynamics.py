@@ -89,7 +89,6 @@ __all__ = [
     "SteadyState",
     "SimulationDiverged",
     "step_grid",
-    "settling_windows",
     "simulate",
     "simulate_batch",
     "detect_steady_state",
@@ -215,7 +214,26 @@ class MotorTimeSeries:
 def step_grid(stator: StatorModel, drive: DriveConfig, duration: float = 5e-3,
               output_interval: float = 1e-5,
               dt: float | None = None) -> tuple[float, int, int]:
-    """The step rule of ``simulate``: (step, steps per sample, sample count).
+    """The admission rule of a run: (step, steps per sample, sample count).
+
+    ``runner.run_motor``, a sweep's row grouping and ``twmotor validate``
+    call it before any step, and ``runner.summarize`` reads the grid of the
+    run it judges.  It refuses a step too coarse for the step loop
+    (``_grid``), and a run whose series holds fewer than the two windows of
+    ``SETTLE_WINDOW`` that ``detect_steady_state`` compares.
+    """
+    grid = _grid(stator, drive, duration, output_interval, dt)
+    if grid[2] // _window_length(output_interval) < 2:
+        raise ValueError(
+            f"simulation.duration (--duration) {duration:g} s is shorter than two "
+            f"settling windows of {SETTLE_WINDOW:g} s; run at least "
+            f"{2 * SETTLE_WINDOW:g} s")
+    return grid
+
+
+def _grid(stator: StatorModel, drive: DriveConfig, duration: float,
+          output_interval: float, dt: float | None) -> tuple[float, int, int]:
+    """The step loop's grid: ``step_grid`` without its length rule.
 
     The step defaults to 1/(400 f_drive) and is snapped to an integer
     divider of the output interval; steps above 1/(200 f_drive) are
@@ -232,25 +250,12 @@ def step_grid(stator: StatorModel, drive: DriveConfig, duration: float = 5e-3,
         )
     steps_per_sample = max(1, math.ceil(output_interval / dt_nominal))
     return (output_interval / steps_per_sample, steps_per_sample,
-            _sample_count(duration, output_interval))
-
-
-def _sample_count(duration: float, output_interval: float) -> int:
-    return int(round(duration / output_interval)) + 1
+            int(round(duration / output_interval)) + 1)
 
 
 def _window_length(interval: float) -> int:
     """Samples per settling window at a sample interval."""
     return max(1, int(round(SETTLE_WINDOW / interval)))
-
-
-def settling_windows(duration: float, output_interval: float) -> int:
-    """How many settling windows a run's series holds.
-
-    ``detect_steady_state`` needs two, so a shorter run can be turned down
-    before it is stepped.
-    """
-    return _sample_count(duration, output_interval) // _window_length(output_interval)
 
 
 def simulate(stator: StatorModel, drive: DriveConfig,
@@ -259,7 +264,8 @@ def simulate(stator: StatorModel, drive: DriveConfig,
              dt: float | None = None) -> MotorTimeSeries:
     """Fixed-step transient of the coupled motor, sampled at the output interval.
 
-    The step follows ``step_grid``.  Deterministic for fixed inputs.
+    The step follows ``step_grid``'s step rule; any length is stepped, even
+    one too short for a settling verdict.  Deterministic for fixed inputs.
     Divergence truncates the series and sets its ``divergence`` instead of
     raising.  This is ``simulate_batch`` with one row.
     """
@@ -346,8 +352,9 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
     """Advance several transients on one stator together, one row each.
 
     ``rows`` holds (DriveConfig, ContactConfig, RotorConfig) triples.  The
-    rows must share the step grid (``step_grid``) and the contact point
-    count.  Every array operation acts on each row alone, so a row's series
+    rows must share the step grid (``step_grid``'s step rule; any length is
+    stepped) and the contact point count.  Every array operation acts on
+    each row alone, so a row's series
     is bitwise the same whatever else runs in its batch.  A row that goes
     non-finite is truncated at its last valid sample and carries its
     ``divergence``; the other rows carry on.
@@ -356,7 +363,7 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
     contacts[0].check_resolution(stator.pair.nodal_diameters)
     if len({c.point_count for c in contacts}) != 1:
         raise ValueError("batched interfaces must share one point_count")
-    grids = {step_grid(stator, d, duration, output_interval, dt) for d in drives}
+    grids = {_grid(stator, d, duration, output_interval, dt) for d in drives}
     if len(grids) != 1:
         raise ValueError("batched rows must share one step grid")
     h, steps_per_sample, n_samples = grids.pop()
@@ -609,9 +616,12 @@ def envelope_average(series: MotorTimeSeries, t_ss: float, period: float) -> flo
     """Mean upper envelope of the oscillating torque after steady state.
 
     The upper envelope is the per-window maximum over consecutive windows
-    of one drive period; envelope points farther than ``SPIKE_FACTOR``
-    median-absolute-deviations from the envelope median are discarded
-    before averaging.
+    of one drive period, round(period / interval) samples; envelope points
+    farther than ``SPIKE_FACTOR`` median-absolute-deviations from the
+    envelope median are discarded before averaging.  At the default 10 us
+    interval a window is 2 samples of a 24.27 us period, so this is the
+    mean of maxima of point samples, not a mean torque.  It is
+    the summary's ``reported_torque``, which acceptance gates 6 and 7 read.
     """
     if not series.time[0] <= t_ss <= series.time[-1]:
         raise ValueError(f"t_ss={t_ss:g} outside the series span")

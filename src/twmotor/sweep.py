@@ -71,14 +71,9 @@ class SweepSpec:
             raise ValueError("a sweep needs at least 3 values")
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("sweep values must be strictly ascending")
-        if self.parameter in ("preload_N", "preload_g") and vals[0] < 0:
-            raise ValueError("preload must be >= 0")
-        if self.parameter == "cof" and not (0 <= vals[0] and vals[-1] <= 2):
+        if self.parameter == "cof" and vals[-1] > 2:
             raise ValueError("cof sweep must stay within [0, 2]")
-        if self.parameter == "voltage" and vals[0] < 0:
-            raise ValueError("voltage must be >= 0")
-        if self.parameter == "frequency" and vals[0] <= 0:
-            raise ValueError("frequency must be > 0")
+        self.config_for(vals[0])    # the config types state the domains; the lowest decides
 
     def config_for(self, value: float) -> RunConfig:
         if self.parameter == "preload_N":
@@ -155,7 +150,8 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepCurve:
     """Run the pipeline over every grid value; rows keep the input order.
 
     Any error in a row's configuration, run or post-processing makes that
-    row failed (ok=False, with the message) and the sweep continues.
+    row failed (ok=False, with the message) and the sweep continues.  A
+    row that ``dynamics.step_grid`` refuses fails before any row is stepped.
     """
     model = runner.build_stator(spec.base)
     rows: list[SweepRow | None] = [None] * len(spec.values)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import twmotor
-from twmotor import cli, dynamics, runner, sweep
+from twmotor import cli, contact, runner, sweep
 from twmotor.config import ConfigError, RunConfig, phase_degrees_to_radians
 
 
@@ -116,7 +116,7 @@ class TestRun:
         def no_stepping(*args, **kwargs):
             raise AssertionError("the transient was stepped")
 
-        monkeypatch.setattr(dynamics, "simulate_batch", no_stepping)
+        monkeypatch.setattr(contact, "evaluate_contact", no_stepping)
         code = run_cli("run", "--out-dir", str(tmp_path), "--duration", "2e-4")
         assert code == cli.EXIT_CONFIG
         err = capsys.readouterr().err.splitlines()
@@ -175,15 +175,16 @@ class TestSweep:
         assert strict_json(tmp_path / "peak.json")["torque"] is None
 
     def test_failed_rows_still_written(self, tmp_path, capsys):
-        """Rows too short to post-process fail; the sweep does not abort."""
+        """Rows too short for a settling verdict fail; the sweep does not abort."""
         code = run_cli("sweep", "--out-dir", str(tmp_path), "--param", "cof",
                        "--values", "0.3:0.5:0.1", "--duration", "4e-4")
         assert code == cli.EXIT_DIVERGED
         assert "every sweep row failed" in capsys.readouterr().err
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(lines) == 4
-        assert all(line.endswith(",0,0,series shorter than two windows")
-                   for line in lines[1:])
+        assert all(line.endswith(
+            ",0,0,simulation.duration (--duration) 0.0004 s is shorter than two "
+            "settling windows of 0.00025 s; run at least 0.0005 s") for line in lines[1:])
 
     def test_missing_grid_args(self, tmp_path, capsys):
         code = run_cli("sweep", "--out-dir", str(tmp_path))
@@ -368,13 +369,19 @@ class TestValidate:
                        "--out-dir", str(tmp_path)) == cli.EXIT_CONFIG
         assert message in capsys.readouterr().err
 
-    def test_too_short_run(self, tmp_path, capsys):
-        """Reported with the message ``run`` refuses the config with."""
+    @pytest.mark.parametrize("config, start", [
+        ({"simulation": {"duration": 2e-4}}, "simulation.duration (--duration)"),
+        ({"simulation": {"dt": 1e-6}}, "dt=1e-06 s too coarse"),
+        ({"contact": {"point_count": 8}}, "point_count=8 cannot resolve"),
+    ], ids=["duration", "dt", "point_count"])
+    def test_too_short_run(self, tmp_path, capsys, config, start):
+        """Reported with the message ``run`` refuses the config with: a run
+        too short for its verdict, a step too coarse, too few points."""
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"simulation": {"duration": 2e-4}}))
+        cfg.write_text(json.dumps(config))
         assert run_cli("validate", "--config", str(cfg)) == cli.EXIT_CONFIG
         out = capsys.readouterr().out.splitlines()
-        assert len(out) == 1 and out[0].startswith("invalid: simulation.duration (--duration)")
+        assert len(out) == 1 and out[0].startswith(f"invalid: {start}")
         assert run_cli("run", "--config", str(cfg),
                        "--out-dir", str(tmp_path)) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.splitlines() == [f"error: {out[0][9:]}"]

@@ -24,7 +24,6 @@ from twmotor.dynamics import (
     detect_steady_state,
     envelope_average,
     mean_speed,
-    settling_windows,
     simulate,
     simulate_batch,
     step_grid,
@@ -253,9 +252,8 @@ class TestSimulateBatch:
         counting(contact, "evaluate_contact")
         counting(dynamics, "_dot")
         counting(np, "matmul")
-        _, steps_per_sample, n_samples = step_grid(stator_model, RunConfig().drive,
-                                                   duration=self.DURATION)
-        evaluations = (n_samples - 1) * steps_per_sample + 1
+        steps_per_sample = step_grid(stator_model, RunConfig().drive)[1]
+        evaluations = round(self.DURATION / 1e-5) * steps_per_sample + 1
         for rows, product, other in ((1, "_dot", "matmul"), (3, "matmul", "_dot")):
             calls.update(evaluate_contact=0, _dot=0, matmul=0)
             configs = [RunConfig().override(contact={"cof": 0.3 + 0.1 * i})
@@ -450,7 +448,7 @@ class TestChunkEdges:
     def test_matches_reference_values(self, stator_model, case):
         duration, interval, reference = self.CASES[case]
         cfg = RunConfig()
-        _, steps_per_sample, _ = step_grid(stator_model, cfg.drive, duration, interval)
+        steps_per_sample = step_grid(stator_model, cfg.drive, output_interval=interval)[1]
         assert steps_per_sample == 1 or steps_per_sample > _CHUNK_STEPS
         series = simulate(stator_model, cfg.drive, cfg.contact, cfg.rotor,
                           duration=duration, output_interval=interval)
@@ -486,7 +484,8 @@ class TestChunkEdges:
                                         rotor={"preload_ramp": 0.7 * duration}),
                    RunConfig().override(rotor={"load_torque": 0.01})]
         rows = [(c.drive, c.contact, c.rotor) for c in configs]
-        _, steps_per_sample, _ = step_grid(stator_model, configs[0].drive, duration, interval)
+        steps_per_sample = step_grid(stator_model, configs[0].drive,
+                                     output_interval=interval)[1]
         runs = []
         for intervals in (1, 2, 3):
             self.chunked(monkeypatch, intervals, steps_per_sample, 1)
@@ -507,7 +506,7 @@ class TestChunkEdges:
         With chunks of one interval that sample starts a chunk; with two or
         three it lies inside one.  The report and the truncation agree."""
         cfg = RunConfig().override(contact={"penalty_stiffness": 1e13})
-        _, steps_per_sample, _ = step_grid(stator_model, cfg.drive, 3e-4)
+        steps_per_sample = step_grid(stator_model, cfg.drive)[1]
         runs = []
         for intervals in (1, 2, 3):
             self.chunked(monkeypatch, intervals, steps_per_sample, 1)
@@ -594,16 +593,20 @@ class TestDetectSteadyState:
     @pytest.mark.parametrize("duration, interval, enough", [
         (4.9e-4, 1e-5, True), (4.8e-4, 1e-5, False), (5e-4, 2.5e-4, True),
         (2.4e-4, 1e-4, False), (1e-3, 3e-5, True)])
-    def test_settling_windows_predict_the_verdict(self, duration, interval, enough):
-        """A run's window count, known before it is stepped, says whether the
-        verdict on its series can be reached: 50 samples at 10 us fill two
+    def test_settling_windows_predict_the_verdict(self, stator_model, duration, interval,
+                                                  enough):
+        """``step_grid`` refuses a run, before it is stepped, exactly when the
+        verdict on its series cannot be reached: 50 samples at 10 us fill two
         windows of 25, so 0.49 ms is enough and 0.48 ms is not."""
         t = np.arange(round(duration / interval) + 1) * interval
         series = synthetic_series(t, np.full_like(t, 2.0))
-        assert (settling_windows(duration, interval) >= 2) == enough
+        drive = RunConfig().drive
         if enough:
+            assert step_grid(stator_model, drive, duration, interval)[2] == len(t)
             assert detect_steady_state(series).settled
         else:
+            with pytest.raises(ValueError, match="shorter than two settling windows"):
+                step_grid(stator_model, drive, duration, interval)
             with pytest.raises(ValueError, match="shorter than two windows"):
                 detect_steady_state(series)
 

@@ -9,6 +9,7 @@ import csv
 import numpy as np
 import pytest
 
+from twmotor import contact
 from twmotor.config import ConfigError, RunConfig
 from twmotor.sweep import (
     PRESET_NAMES,
@@ -60,9 +61,17 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec("cof", (0.1, 0.5, 2.5))
 
-    def test_negative_preload_domain(self):
-        with pytest.raises(ValueError):
-            SweepSpec("preload_N", (-10.0, 20.0, 30.0))
+    @pytest.mark.parametrize("parameter, values, message", [
+        ("preload_N", (-10.0, 20.0, 30.0), "preload must be >= 0"),
+        ("preload_g", (-10.0, 20.0, 30.0), "mass in grams must be >= 0"),
+        ("cof", (-0.1, 0.2, 0.3), "cof must be >= 0"),
+        ("voltage", (-5.0, 20.0, 30.0), "voltage must be >= 0"),
+        ("frequency", (0.0, 40e3, 41e3), "frequency must be > 0"),
+    ], ids=["preload_N", "preload_g", "cof", "voltage", "frequency"])
+    def test_value_domain(self, parameter, values, message):
+        """The config types state each value's domain; the sweep asks them."""
+        with pytest.raises(ValueError, match=message):
+            SweepSpec(parameter, values)
 
     def test_config_for_sets_parameter(self):
         spec = SweepSpec("cof", (0.1, 0.2, 0.3))
@@ -219,7 +228,23 @@ class TestRunSweep:
         assert np.isfinite(curve.rows[0].speed)
 
     def test_post_processing_errors_fail_rows(self):
+        """At k = 1e13 N/m every row diverges at its second sample, and
+        ``runner.summarize`` raises that divergence for each row."""
+        base = RunConfig().override(contact={"penalty_stiffness": 1e13},
+                                    simulation={"duration": 6e-4})
+        curve = run_sweep(SweepSpec("cof", (0.3, 0.4, 0.5), base=base))
+        assert not any(r.ok for r in curve.rows)
+        assert all(r.error.startswith("simulation diverged: q_cos non-finite at t = 1e-05 s")
+                   for r in curve.rows)
+
+    def test_too_short_sweep_steps_nothing(self, monkeypatch):
+        """Each row is refused by ``dynamics.step_grid`` before any step."""
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("the transient was stepped")
+
+        monkeypatch.setattr(contact, "evaluate_contact", no_stepping)
         base = RunConfig().override(simulation={"duration": 4e-4})
         curve = run_sweep(SweepSpec("cof", (0.3, 0.4, 0.5), base=base))
         assert not any(r.ok for r in curve.rows)
-        assert all("shorter than two windows" in r.error for r in curve.rows)
+        assert all(r.error.startswith("simulation.duration (--duration) 0.0004 s")
+                   for r in curve.rows)

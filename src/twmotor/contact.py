@@ -35,12 +35,14 @@ once the reactions are scaled by g.
 This module is the one implementation of the law, with one call form:
 the transient step loop calls ``evaluate_contact`` once per step, writing
 into the loop's buffers, and its step map applies the folded reaction.
-The law takes B interfaces as (B, 1, M) rows, and ``fold`` one (B,)
-array per constant; a single interface is a batch of one.  The folded
-kinematics is one (2P, 2M) matrix per row, so one matrix-vector product
-per row writes that row's arguments as one contiguous block
-[-k gap | slip / v], which the law reads as its two halves; each row of
-its outputs is contiguous too.
+The law is elementwise, and the loop passes B interfaces as (M, B)
+blocks, one column per interface; ``fold`` takes one (B,) array per
+constant, and a single interface is a batch of one.  The folded
+kinematics is one (2P, 2M) matrix per row, and the loop stores the
+arguments entry-major: one matrix-vector product per row writes that
+row's column of the (2M, B) block [-k gap | slip / v], whose two halves
+the law reads as two C-contiguous (M, B) blocks, and the law's outputs
+are two such blocks too.
 """
 
 from __future__ import annotations
@@ -107,11 +109,12 @@ def fold(operator: np.ndarray, stiffness: np.ndarray,
                         state -> [-k gap | slip / v]
         reaction[0, b] = G_N,   reaction[1, b] = -mu_b G_f
 
-    so a state (B, 1, 2P) times the kinematics gives each row's arguments
-    of ``evaluate_contact`` as one contiguous row [load | slip_ratio], and
-    its outputs [N, u] times the reaction give the generalized forces of N
-    and of f = -mu u.  Each row's operators are its own, so the kinematics
-    is one small matrix-vector product per row.
+    so each row's state (2P,) times its kinematics gives that row's
+    arguments of ``evaluate_contact`` [load | slip_ratio], which the step
+    loop writes as column b of a (2M, B) block, and its outputs [N, u], two
+    (M, B) blocks, times the reaction give the generalized forces of N and
+    of f = -mu u.  Each row's operators are its own, so the kinematics is
+    one small matrix-vector product per row.
     """
     normal, friction = operator
     m, p = normal.shape
@@ -154,9 +157,10 @@ def evaluate_contact(load, slip_ratio, normal, traction) -> None:
     """The law at every contact point, in the arguments ``fold`` gives.
 
     ``load`` is -k gap, the penalty force before the one-sided clamp, and
-    ``slip_ratio`` is slip / v, each a (B, 1, M) row per interface sampled
-    at ``contact_angles``; for a rotor at height z spinning at omega over a
-    surface with deflection w and tangential velocity v_t, gap = z - w and
+    ``slip_ratio`` is slip / v, each an (M, B) block with one column per
+    interface sampled at ``contact_angles``, as the step loop passes them;
+    for a rotor at height z spinning at omega over a surface with
+    deflection w and tangential velocity v_t, gap = z - w and
     slip = R omega - v_t.  Writes the normal forces N = max(-k gap, 0),
     which is k max(0, -gap) for k > 0, into ``normal``, and
     u = N tanh(slip / v) into ``traction``: the friction force is -mu u,

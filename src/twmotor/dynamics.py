@@ -19,8 +19,8 @@ energy-bookkeeping residual, weighted by the same K, M and C, accumulated
 alongside the states.
 
 ``simulate_batch`` runs B transients that share the stator and the step
-grid in one step loop.  Each run is one row of (B, 1, K) arrays; its state
-is [q_cos, q_sin, z, phi | q_cos', q_sin', z', omega].  The contact law
+grid in one step loop, one row b each; a run's state is
+[q_cos, q_sin, z, phi | q_cos', q_sin', z', omega].  The contact law
 runs over one period of the interface only: gap and slip repeat every
 M / g contact points, g = gcd(n, M) (``contact.interface_period``), so the
 loop evaluates the law at M / g points and scales the reactions, the
@@ -40,11 +40,17 @@ operator is folded into the step map (``_step_map``): the map reads
 midpoint drive and the reaction extrapolation, and carries this step's
 reactions to the next as r_prev: the one place they are formed, where
 the samples read them.  The folded kinematics is one (8, 2M / g) matrix
-per row, so each step makes one matrix-vector product per row, which
-writes that row's [-k gap | slip / v] as one contiguous block of the
-(B, 1, 2M / g) arguments; the law reads its two halves.  Both products
-run as ``np.matmul`` on the batch, except in a batch of one, which makes
-them with ``np.ndarray.dot`` on 1-D views of the same buffers: that is the
+per row, so each step makes one matrix-vector product per row.
+
+The step buffers are entry-major, the row index last.  The kinematics
+product writes row b's [-k gap | slip / v] as column b of a (2M / g, B)
+block, so each of the law's four operands, the two halves of that block
+and its outputs N and u, is one C-contiguous (M / g, B) block, and every
+elementwise pass takes NumPy's contiguous fast path at any B.  Both
+products run as ``np.matmul`` on (B, 1, K) views whose vectors have
+stride B, which NumPy hands to the BLAS matrix-vector product with that
+increment, making no copy.  A batch of one makes them with
+``np.ndarray.dot`` on 1-D views of the same buffers: that is the
 matrix-vector product ``np.dot`` reaches, of the same operands, so the
 results are bitwise the same, without ``np.dot``'s Python-level dispatch
 (NEP 18), and its call costs less than half of ``np.matmul``'s.
@@ -52,20 +58,21 @@ results are bitwise the same, without ``np.dot``'s Python-level dispatch
 The loop runs in chunks of whole sample intervals, step first in every
 buffer: as many intervals as fit in ``_CHUNK_ROW_STEPS`` steps x rows, at
 least one, and at most ``_CHUNK_STEPS`` steps, so an interval longer than
-that spans several chunks.  Row j of the step map's input X is
-[state_j | r_(j-1) | d_j | N_j | u_j]: the law writes its outputs into it,
-and the map writes [state_(j+1) | r_j] into row j + 1, so the rows do not
-overlap and nothing is copied within a chunk.  No step branches: after its
-steps a chunk reads its samples from the strided rows j0, j0 + s, ... of
-X (s steps per sample), and their reactions one row later, and checks them
-for finiteness together.  A chunk evaluates the drive and the preload ramp
+that spans several chunks.  X[j], the step map's input at step j, is
+[state_j | r_(j-1) | d_j | N_j | u_j] with one column per row: the law
+writes its outputs into it, and the map writes [state_(j+1) | r_j] into
+X[j + 1], so the steps do not overlap and nothing is copied within a
+chunk.  No step branches: after its steps a chunk reads its samples from
+the steps j0, j0 + s, ... of X (s steps per sample), and their reactions
+one step later, and checks them for finiteness together.  A chunk evaluates the drive and the preload ramp
 at all its steps at once, and reduces the energy ledger's powers from its
 history of states and of the law's arguments and outputs, applying -mu v
 to the friction power once per chunk.  The ledger sums each sample
 interval's powers (each chunk's, where an interval spans several), then
 adds the sums to its totals in time order, so no result depends on how
 many intervals a chunk holds.  Every operation acts on each row alone, so
-a row's results are bitwise the same whatever batch it runs in.
+a row's results are bitwise the same whatever batch it runs in
+(``simulate_batch`` states the two rules that keep them so).
 ``simulate`` is the batch of one.  A row that goes non-finite ends at its
 last finite sample, and its series' ``divergence`` names the first entry
 of ``ENTRY_NAMES`` found so and the sample time.
@@ -354,10 +361,22 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
     ``rows`` holds (DriveConfig, ContactConfig, RotorConfig) triples.  The
     rows must share the step grid (``step_grid``'s step rule; any length is
     stepped) and the contact point count.  Every array operation acts on
-    each row alone, so a row's series
-    is bitwise the same whatever else runs in its batch.  A row that goes
-    non-finite is truncated at its last valid sample and carries its
-    ``divergence``; the other rows carry on.
+    each row alone, so a row's series and ``EnergyReport`` are bitwise the
+    same whatever else runs in its batch.  Two rules keep them so, since a
+    row's entries have stride B in a batch and stride 1 alone:
+
+    - the products' width is padded: the step map's input is padded with
+      zero entries, which the map reads with zero rows, to a multiple of 4
+      entries.  The BLAS matrix-vector kernels for the two strides group a
+      tail of fewer than 4 terms differently, and padded there is no tail;
+      the kinematics product sums 8 terms.
+    - the ledger reduces over contiguous copies: the energy's sums over a
+      row's state and its points, and the friction power's point sum, run
+      over a contiguous last axis.  NumPy sums a contiguous axis pairwise
+      but a strided one in sequence, which differs already at 8 terms.
+
+    A row that goes non-finite is truncated at its last valid sample and
+    carries its ``divergence``; the other rows carry on.
     """
     drives, contacts, rotors = zip(*rows)
     contacts[0].check_resolution(stator.pair.nodal_diameters)
@@ -417,37 +436,46 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
     damping[:, 2] = per_row([r.axial_damping for r in rotors])
     stiffness = np.zeros((B, m))
     stiffness[:, :2] = omega_n ** 2
-    step_map = _step_map(_propagator(mass, damping, stiffness, h), reaction)
-    weights = np.concatenate([stiffness, mass], axis=-1)[:, None]
+    # the map's input [state | r_prev | d | N | u] is padded with zero
+    # entries, read by zero rows, to a multiple of 4 entries, so a row's
+    # product sums the same groups at any B (see the docstring)
+    d0, f0 = n + m, n + 2 * m     # where d and [N | u] start
+    width = -(-(f0 + 2 * M) // 4) * 4
+    step_map = np.pad(_step_map(_propagator(mass, damping, stiffness, h), reaction),
+                      ((0, 0), (0, width - f0 - 2 * M), (0, 0)))
+    weights = np.concatenate([stiffness, mass], axis=-1)
     damper = damping[:, :, None]
-    compliance = (periods / penalty)[:, None]
+    compliance = periods / penalty
     friction_scale = (-periods * cof * regularization)[:, None, None]
 
-    def mech_energy(y, normal):
-        # a penalty spring at depth d stores k d^2 / 2 = N^2 / (2 k)
+    def mech_energy(x):
+        # a penalty spring at depth d stores k d^2 / 2 = N^2 / (2 k); each
+        # sum runs over a row's contiguous copy, as in a batch of one
+        y, normal = x[:n].T.copy(), x[f0:f0 + M].T.copy()
         return 0.5 * (np.sum(weights * y * y, axis=-1)
                       + compliance * np.sum(normal * normal, axis=-1))
 
     # A chunk holds as many whole sample intervals as fit in _CHUNK_ROW_STEPS
     # steps x rows, at least one; an interval longer than _CHUNK_STEPS spans
-    # several chunks.  X[j] is step j's step map input
-    # [state | r_prev | d | N | u] for every row: the law writes [N, u] into
-    # it, and the map writes the next step's [state | r_prev].  G[j] holds
-    # the step's law arguments [-k gap | slip / v], one row per interface,
-    # kept with X for the energy ledger.  The views each step uses are made
-    # once; a batch of one makes its products on 1-D views of X and G.
+    # several chunks.  The buffers are entry-major, the row last: X[j] holds
+    # step j's step map input [state | r_prev | d | N | u], one column per
+    # row: the law writes [N, u] into it, and the map writes the next step's
+    # [state | r_prev].  G[j] holds the step's law arguments
+    # [-k gap | slip / v], kept with X for the energy ledger.  The products
+    # read and write (B, 1, K) views whose vectors have stride B; a batch of
+    # one makes them on 1-D views.  The views each step uses are made once.
     span = max(1, _CHUNK_ROW_STEPS // (B * steps_per_sample)) * steps_per_sample
     chunk = min(span, _CHUNK_STEPS)
-    d0, f0 = n + m, n + 2 * m     # where d and [N | u] start
-    X = np.zeros((chunk + 1, B, 1, f0 + 2 * M))
-    G = np.empty((chunk, B, 1, 2 * M))
+    X = np.zeros((chunk + 1, width, B))
+    G = np.empty((chunk, 2 * M, B))
     if B == 1:
         product, kin, step_map = _dot, kin[0], step_map[0]
-        XP, GP = X[:, 0, 0], G[:, 0, 0]
+        XP, GP = X[..., 0], G[..., 0]
     else:
-        product, XP, GP = np.matmul, X, G
-    step_views = [(XP[j], XP[j, ..., :n], GP[j], G[j, ..., :M], G[j, ..., M:],
-                   X[j, ..., f0:f0 + M], X[j, ..., f0 + M:], XP[j + 1, ..., :d0])
+        product = np.matmul
+        XP, GP = (np.swapaxes(A, 1, 2)[:, :, None] for A in (X, G))
+    step_views = [(XP[j], XP[j, ..., :n], GP[j], G[j, :M], G[j, M:],
+                   X[j, f0:f0 + M], X[j, f0 + M:f0 + 2 * M], XP[j + 1, ..., :d0])
                   for j in range(chunk)]
     out = np.zeros((B, n_samples, 7))
     out[..., 0] = np.arange(n_samples) * steps_per_sample * h
@@ -472,7 +500,7 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
             drive[:, 2] = -np.where(t < ramp, preload * t / ramp_divisor,
                                     preload)[:, None]
             drive[:, 3] = -load_torque
-            X[:count, :, 0, d0:f0] = drive[:, :, 1].transpose(2, 0, 1)
+            X[:count, d0:f0] = drive[:, :, 1].T
 
             for x, y, g, load, slip_ratio, normal, traction, y_next in step_views[:count]:
                 product(y, kin, out=g)
@@ -483,25 +511,25 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
             # map formed from it, one row later
             j0 = -k % steps_per_sample
             at = slice(j0, count, steps_per_sample)
-            now = X[at, :, 0, :n]
-            total = X[j0 + 1:count + 1:steps_per_sample, :, 0, n:n + m]
+            now = X[at, :n]
+            total = X[j0 + 1:count + 1:steps_per_sample, n:n + m]
             S = len(now)
             record = out[:, sample:sample + S]
-            record[..., 1] = R * now[..., n - 1].T
-            record[..., 2] = R * now[..., 3].T
-            record[..., 3] = probe * X[at, :, 0, f0 + M].T
-            record[..., 4] = total[..., 3].T
-            record[..., 5] = total[..., 2].T
-            record[..., 6] = stator.pair.amp * np.hypot(now[..., 0], now[..., 1]).T
-            finite = np.isfinite(np.concatenate([now, total], axis=-1))
+            record[..., 1] = R * now[:, n - 1].T
+            record[..., 2] = R * now[:, 3].T
+            record[..., 3] = probe * X[at, f0 + M].T
+            record[..., 4] = total[:, 3].T
+            record[..., 5] = total[:, 2].T
+            record[..., 6] = stator.pair.amp * np.hypot(now[:, 0], now[:, 1]).T
+            finite = np.isfinite(np.concatenate([now, total], axis=1))
             if not finite.all():
-                bad = ~finite.all(axis=-1)
+                bad = ~finite.all(axis=1)
                 for b in np.flatnonzero(alive & bad.any(axis=0)):
                     s = int(np.argmax(bad[:, b]))
                     valid = sample + s
                     divergence[b] = SimulationDiverged(
                         float(out[b, valid - 1, 0]) if valid else 0.0,
-                        ENTRY_NAMES[np.argmin(finite[s, b])], float(out[b, valid, 0]))
+                        ENTRY_NAMES[np.argmin(finite[s, :, b])], float(out[b, valid, 0]))
                     alive[b] = False
                     n_valid[b] = valid
                 if not alive.any():
@@ -510,14 +538,15 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
 
             # the ledger's powers at each evaluation, per row [input on each
             # coordinate | damper on each | friction], time along the last axis
-            vel = X[:count, :, 0, m:n].transpose(1, 2, 0)
+            vel = X[:count, m:n].T
             power = np.empty((B, n + 1, count))
             np.multiply(drive[:, :, 0], vel, out=power[:, :m])
             np.multiply(damper, vel, out=power[:, m:n])
             power[:, m:n] *= vel
             # f s = (-mu u)(v s / v): the constants multiply the point sum
-            np.add.reduce(np.multiply(X[:count, :, 0, f0 + M:].transpose(1, 0, 2),
-                                      G[:count, :, 0, M:].transpose(1, 0, 2),
+            # over each row's contiguous copy of its points, as in a batch of one
+            np.add.reduce(np.multiply(X[:count, f0 + M:f0 + 2 * M].transpose(2, 0, 1),
+                                      G[:count, M:].transpose(2, 0, 1),
                                       out=np.empty((B, count, M))),
                           axis=-1, out=power[:, n])
             power[:, n:] *= friction_scale
@@ -529,11 +558,11 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
                                     axis=-1)[..., -1]
             if k == 0:
                 first = power[..., 0]
-                energy_initial = mech_energy(X[0, ..., :n], X[0, ..., f0:f0 + M])
+                energy_initial = mech_energy(X[0])
             if T == 0:
-                energy_final = mech_energy(X[0, ..., :n], X[0, ..., f0:f0 + M])
+                energy_final = mech_energy(X[0])
                 break
-            X[0, ..., :d0] = X[T, ..., :d0]   # [state | r_prev]; d is refilled
+            X[0, :d0] = X[T, :d0]   # [state | r_prev]; d is refilled
             k += T
 
     if alive.any():   # the loop ran to the end: trapezoidal work integrals
@@ -548,7 +577,7 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
                 drive=float(np.sum(w_in[:2])), preload=float(w_in[2]),
                 load=float(w_in[3]), modal=float(np.sum(w_out[:2])),
                 friction=-float(work[b, n]), axial=float(w_out[2]),
-                energy_change=float(energy_change[b, 0]))
+                energy_change=float(energy_change[b]))
         cols = out[b, :n_valid[b]].T.copy()
         series.append(MotorTimeSeries(
             time=cols[0], surface_speed=cols[1], surface_displacement=cols[2],

@@ -74,7 +74,7 @@ def test_3_friction_cone_invariants(default_config):
             z = rng.uniform(-2 * amp, 2 * amp)
             speed = rng.uniform(-200.0, 200.0)
             slip = geom.mean_radius * speed - vt
-            normal, friction = evaluate_one(z - w, slip, cfg)[:, 0, 0]
+            normal, friction = evaluate_one(z - w, slip, cfg)[..., 0]
             assert np.all(normal >= 0.0)
             # tanh saturates to exactly 1.0 in double precision, so the
             # strict cone inequality is asserted away from saturation

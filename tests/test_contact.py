@@ -5,8 +5,8 @@ surface states via hypothesis; the modal projections and rotor resultants
 are checked against brute-force summation, the law against its direct
 formula, and the folded operators against ``interface_operator`` in closed
 form.  The law is called the way the step loop calls it: in the arguments
-``fold`` gives, on (B, 1, M) rows, a single interface being a batch of
-one.
+``fold`` gives, on (M, B) blocks with one column per interface, a single
+interface being a batch of one.
 """
 
 import math
@@ -33,8 +33,8 @@ R = GEOM.mean_radius
 
 
 def one_interface(*per_point):
-    """Per-point arrays of one interface as the rows of a batch of one."""
-    return [np.reshape(a, (1, 1, -1)) for a in per_point]
+    """Per-point arrays of one interface as the (M, 1) blocks of a batch of one."""
+    return [np.reshape(a, (-1, 1)) for a in per_point]
 
 
 def fold_rows(operator, configs):
@@ -57,25 +57,43 @@ def identity_fold(configs):
     return fold_rows(np.stack([eye, eye]), configs)
 
 
+def kinematics_product(states, kinematics):
+    """The law's arguments [-k gap | slip / v], a (2M, B) block, at the
+    (2P, B) states of B interfaces, one column each: one matrix-vector
+    product per row, on (B, 1, .) views whose vectors have stride B, as
+    the step loop makes them."""
+    arguments = np.empty((kinematics.shape[-1], states.shape[-1]))
+    np.matmul(states.T[:, None], kinematics, out=arguments.T[:, None])
+    return arguments
+
+
 def law_outputs(arguments):
-    """The law's outputs [N, u], shape (2, B, 1, M), at the (B, 1, 2M) rows
-    [-k gap | slip / v] of the folded kinematics, split on their last axis."""
-    load, slip_ratio = np.split(arguments, 2, axis=-1)
+    """The law's outputs [N, u], shape (2, M, B), at the (2M, B) block
+    [-k gap | slip / v] of the folded kinematics, split into its halves."""
+    load, slip_ratio = np.split(arguments, 2)
     outputs = np.empty((2,) + load.shape)
     evaluate_contact(load, slip_ratio, *outputs)
     return outputs
 
 
+def reactions(outputs, reaction):
+    """The generalized forces of each half, shape (2, B, P), of the (M, B)
+    blocks ``outputs``: each row's column times that row's (M, P) block of
+    ``reaction`` (2, B, M, P), or of an operator with a unit batch axis,
+    one matrix-vector product per row."""
+    return np.matmul(np.swapaxes(outputs, -1, -2)[..., None, :], reaction)[..., 0, :]
+
+
 def evaluate_rows(gap, slip, configs):
-    """The forces [N, f], shape (2, B, 1, M), of B interfaces at their
-    (B, 1, M) gaps and slips, through the step loop's folded form."""
+    """The forces [N, f], shape (2, M, B), of B interfaces at their (M, B)
+    gaps and slips, through the step loop's folded form."""
     kinematics, reaction = identity_fold(configs)
-    arguments = np.concatenate([gap, slip], axis=-1) @ kinematics
-    return np.matmul(law_outputs(arguments), reaction)
+    outputs = law_outputs(kinematics_product(np.concatenate([gap, slip]), kinematics))
+    return np.swapaxes(reactions(outputs, reaction), -1, -2)
 
 
 def evaluate_one(gap, slip, cfg):
-    """The forces [N, f] of one interface, each of shape (1, 1, M)."""
+    """The forces [N, f] of one interface, each of shape (M, 1)."""
     return evaluate_rows(*one_interface(gap, slip), [cfg])
 
 
@@ -161,7 +179,7 @@ class TestPointwiseInvariants:
         cfg = ContactConfig()
         w, vt, z, speed = random_state(rng, cfg)
         gap, slip = z - w, R * speed - vt
-        normal, friction = evaluate_one(gap, slip, cfg)[:, 0, 0]
+        normal, friction = evaluate_one(gap, slip, cfg)[..., 0]
         assert np.all(normal >= 0.0)
         assert np.all(normal[gap > 0] == 0.0)
         # friction cone: strict inequality below tanh saturation, which
@@ -204,8 +222,8 @@ class TestModalReaction:
         w, vt, z, speed = random_state(rng, cfg)
         forces = evaluate_one(z - w, R * speed - vt, cfg)
         shape_w, shape_d, operator = flexural_operator(contact_angles(cfg))
-        q = np.matmul(forces, operator).sum(axis=0)[0, 0]
-        normal, friction = forces[:, 0, 0]
+        q = reactions(forces, operator).sum(axis=0)[0]
+        normal, friction = forces[..., 0]
         zc_R = GEOM.contact_offset / GEOM.mean_radius
         for j in range(2):
             brute = sum(-normal[i] * shape_w[j, i] + zc_R * friction[i] * shape_d[j, i]
@@ -221,7 +239,7 @@ class TestModalReaction:
         m = cfg.point_count
         forces = evaluate_one(-1e-6 - np.zeros(m), R * 0.0 - np.zeros(m), cfg)
         _, _, operator = flexural_operator(contact_angles(cfg))
-        q = np.matmul(forces, operator).sum(axis=0)[0, 0]
+        q = reactions(forces, operator).sum(axis=0)[0]
         np.testing.assert_allclose(q[:2], 0.0, atol=1e-9)
 
 
@@ -287,16 +305,16 @@ class TestInterfacePeriod:
         states = np.concatenate([q, rng.uniform(-4e-6, 4e-6, (3, 1)), np.zeros((3, 1)),
                                  2.5e5 * q[:, ::-1] * [1.0, -1.0],
                                  rng.normal(0.0, 0.05, (3, 1)), rng.normal(0.0, 20.0, (3, 1))],
-                                axis=-1)[:, None]
+                                axis=-1).T
 
         def evaluate(theta, scale):
             operator = interface_operator(pair, GEOM, theta)
             kinematics, reaction = fold_rows(operator, configs)
-            arguments = states @ kinematics
+            arguments = kinematics_product(states, kinematics)
             outputs = law_outputs(arguments)
-            slip_ratio = arguments[..., len(theta):]
-            sums = [np.sum(outputs[0] ** 2, axis=-1), np.sum(outputs[1] * slip_ratio, axis=-1)]
-            return np.matmul(outputs, scale * reaction), [scale * a for a in sums]
+            slip_ratio = arguments[len(theta):]
+            sums = [np.sum(outputs[0] ** 2, axis=0), np.sum(outputs[1] * slip_ratio, axis=0)]
+            return reactions(outputs, scale * reaction), [scale * a for a in sums]
 
         theta, g = interface_period(configs[0], n)
         assert g == periods
@@ -312,7 +330,7 @@ class TestInterfacePeriod:
 
 
 class TestStepLoopForm:
-    """The step loop calls the law on batched rows and into its own buffers."""
+    """The step loop calls the law on (M, B) blocks and into its own buffers."""
 
     def test_out_buffers_receive_the_same_forces(self):
         rng = np.random.default_rng(7)
@@ -320,13 +338,14 @@ class TestStepLoopForm:
         w, vt, z, speed = random_state(rng, cfg)
         gap, slip = one_interface(z - w, R * speed - vt)
         kinematics, reaction = identity_fold([cfg])
-        load, slip_ratio = np.split(np.concatenate([gap, slip], axis=-1) @ kinematics, 2,
-                                    axis=-1)
-        outputs = np.full((2, 1, 1, cfg.point_count), np.nan)
+        load, slip_ratio = np.split(kinematics_product(np.concatenate([gap, slip]),
+                                                       kinematics), 2)
+        outputs = np.full((2, cfg.point_count, 1), np.nan)
         assert evaluate_contact(load, slip_ratio, outputs[0], outputs[1]) is None
         forces = np.full((2, 1, 1, cfg.point_count), np.nan)
-        np.matmul(outputs, reaction, out=forces)
-        assert np.array_equal(forces, evaluate_one(z - w, R * speed - vt, cfg))
+        np.matmul(np.swapaxes(outputs, -1, -2)[..., None, :], reaction, out=forces)
+        assert np.array_equal(np.swapaxes(forces[:, :, 0], -1, -2),
+                              evaluate_one(z - w, R * speed - vt, cfg))
 
     def test_batch_rows_match_single_interfaces(self):
         rng = np.random.default_rng(11)
@@ -334,27 +353,28 @@ class TestStepLoopForm:
                    ContactConfig(cof=0.45, penalty_stiffness=3e5,
                                  regularization_velocity=2e-3)]
         states = [random_state(rng, c) for c in configs]
-        gap = np.stack([z - w for w, _, z, _ in states])[:, None]
-        slip = np.stack([R * speed - vt for _, vt, _, speed in states])[:, None]
+        gap = np.stack([z - w for w, _, z, _ in states], axis=-1)
+        slip = np.stack([R * speed - vt for _, vt, _, speed in states], axis=-1)
         batch = evaluate_rows(gap, slip, configs)
-        assert batch.shape == (2, 2, 1, configs[0].point_count)
+        assert batch.shape == (2, configs[0].point_count, 2)
         for b, cfg in enumerate(configs):
-            assert np.array_equal(batch[:, b], evaluate_one(gap[b], slip[b], cfg)[:, 0])
+            assert np.array_equal(batch[..., b],
+                                  evaluate_one(gap[:, b], slip[:, b], cfg)[..., 0])
 
     def test_batch_reactions_match_single_interfaces(self):
-        """Forces with batch axes take the operator with a unit axis per batch
-        axis; each row's reactions are then its interface's alone."""
+        """Forces in (M, B) blocks take the operator with a unit batch axis,
+        one matrix-vector product per row; each row's reactions are then its
+        interface's alone."""
         rng = np.random.default_rng(13)
         cfg = ContactConfig()
         _, _, operator = flexural_operator(contact_angles(cfg))
         states = [random_state(rng, cfg) for _ in range(2)]
-        gap = np.stack([z - w for w, _, z, _ in states])[:, None]
-        slip = np.stack([R * speed - vt for _, vt, _, speed in states])[:, None]
-        batch = evaluate_rows(gap, slip, [cfg, cfg])
-        halves = np.matmul(batch, operator)
+        gap = np.stack([z - w for w, _, z, _ in states], axis=-1)
+        slip = np.stack([R * speed - vt for _, vt, _, speed in states], axis=-1)
+        halves = reactions(evaluate_rows(gap, slip, [cfg, cfg]), operator)
         for b in range(2):
-            single = evaluate_one(gap[b], slip[b], cfg)
-            assert np.array_equal(halves[:, b], np.matmul(single, operator)[:, 0])
+            single = evaluate_one(gap[:, b], slip[:, b], cfg)
+            assert np.array_equal(halves[:, b], reactions(single, operator)[:, 0])
 
 
 def direct_law(gap, slip, cfg):
@@ -385,7 +405,7 @@ class TestThreePassLaw:
         slip = rng.normal(0.0, 20 * velocity, cfg.point_count)
         if zeros:   # exact contact and exact stick, both signs of zero
             gap[::4], gap[1::4], slip[::3] = 0.0, -0.0, 0.0
-        normal, friction = evaluate_one(gap, slip, cfg)[:, 0, 0]
+        normal, friction = evaluate_one(gap, slip, cfg)[..., 0]
         direct = direct_law(gap, slip, cfg)
         assert np.array_equal(normal, direct[0])
         np.testing.assert_allclose(friction, direct[1], rtol=self.RTOL, atol=self.ATOL)
@@ -397,15 +417,16 @@ class TestThreePassLaw:
         configs = [ContactConfig(penalty_stiffness=rng.uniform(1e4, 1e7),
                                  regularization_velocity=rng.uniform(1e-4, 1e-2),
                                  cof=rng.uniform(0.0, 1.0)) for _ in range(rows)]
-        gap = rng.normal(0.0, 3e-6, (rows, 1, configs[0].point_count))
-        slip = rng.normal(0.0, 0.05, (rows, 1, configs[0].point_count))
+        gap = rng.normal(0.0, 3e-6, (rows, configs[0].point_count)).T
+        slip = rng.normal(0.0, 0.05, (rows, configs[0].point_count)).T
         forces = evaluate_rows(gap, slip, configs)
         for b, cfg in enumerate(configs):
-            direct = direct_law(gap[b, 0], slip[b, 0], cfg)
-            assert np.array_equal(forces[0, b, 0], direct[0])
-            np.testing.assert_allclose(forces[1, b, 0], direct[1],
+            direct = direct_law(gap[:, b], slip[:, b], cfg)
+            assert np.array_equal(forces[0, :, b], direct[0])
+            np.testing.assert_allclose(forces[1, :, b], direct[1],
                                        rtol=self.RTOL, atol=self.ATOL)
-            assert np.array_equal(forces[:, b], evaluate_one(gap[b], slip[b], cfg)[:, 0])
+            assert np.array_equal(forces[..., b],
+                                  evaluate_one(gap[:, b], slip[:, b], cfg)[..., 0])
 
 
 class TestPowerBalance:
@@ -419,7 +440,8 @@ class TestPowerBalance:
         wdot = rng.normal(0, 1.0, cfg.point_count)
         zdot = rng.normal(0, 0.01)
         slip = R * speed - vt
-        book = power_balance(evaluate_one(z - w, slip, cfg), slip, wdot, vt, zdot, speed)
+        book = power_balance(evaluate_one(z - w, slip, cfg)[..., 0], slip, wdot, vt, zdot,
+                             speed)
         scale = max(abs(book["rotor"]), abs(book["stator"]),
                     abs(book["penalty"]), abs(book["friction"]), 1e-12)
         assert abs(book["residual"]) < 1e-9 * scale
@@ -431,6 +453,6 @@ class TestPowerBalance:
         cfg = ContactConfig()
         w, vt, z, speed = random_state(rng, cfg)
         slip = R * speed - vt
-        book = power_balance(evaluate_one(z - w, slip, cfg), slip,
+        book = power_balance(evaluate_one(z - w, slip, cfg)[..., 0], slip,
                              np.zeros(cfg.point_count), vt, 0.0, speed)
         assert book["friction"] <= 1e-15

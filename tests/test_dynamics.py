@@ -263,35 +263,34 @@ class TestSimulateBatch:
                              other: 0}, rows
 
     def test_law_operands_are_contiguous_blocks(self, stator_model, monkeypatch):
-        """At B > 1 each row's law arguments [load | slip_ratio] are one
-        C-contiguous block, over one period of the interface (M / g points),
-        written by that step's kinematics product.  The law's outputs are
-        written straight into the step map's input: each row of them is
-        contiguous and lies in the buffer the step map reads."""
+        """At B > 1 each of the law's four operands is one C-contiguous
+        (M / g, B) block over one period of the interface: its arguments
+        ``load`` and ``slip_ratio`` are the two halves of the block
+        [load | slip_ratio] that step's kinematics product wrote, and its
+        outputs lie in the buffer the step map reads."""
         law, matmul = contact.evaluate_contact, np.matmul
         count = contact.ContactConfig().point_count
         points = count // math.gcd(stator_model.pair.nodal_diameters, count)
         written, outputs, one_block, in_map_input = [], [], [], []
 
-        def address(a):
-            return a.__array_interface__["data"][0]
+        def layout(a):
+            return a.__array_interface__["data"][0], a.shape, a.strides
 
         def checking(load, slip_ratio, normal, traction):
-            assert {b.shape for b in (load, slip_ratio, normal, traction)} == {(3, 1, points)}
-            block = written[-1]       # the kinematics product's output
-            one_block.append(all(
-                block[b].flags.c_contiguous
-                and address(load[b]) == address(block[b])
-                and address(slip_ratio[b]) == address(block[b]) + points * block.itemsize
-                for b in range(3))
-                and all(row.flags.c_contiguous for row in (*normal, *traction)))
+            operands = (load, slip_ratio, normal, traction)
+            block = written[-1][:, 0].T    # the kinematics product's output, entry-major
+            one_block.append(
+                all(a.shape == (points, 3) and a.flags.c_contiguous for a in operands)
+                and block.flags.c_contiguous
+                and layout(load) == layout(block[:points])
+                and layout(slip_ratio) == layout(block[points:]))
             outputs[:] = [normal, traction]
-            return law(load, slip_ratio, normal, traction)
+            return law(*operands)
 
         def recording(a, b, *args, **kwargs):
-            if b.shape[-1] == 2 * points:           # state -> [load | slip_ratio]
+            if b.shape[-1] == 2 * points:     # state -> [load | slip_ratio]
                 written.append(kwargs["out"])
-            elif a.shape[-1] == 16 + 2 * points:    # [state | r_prev | d | N | u]
+            elif b.shape[-1] == 12:           # [state | r_prev | d | N | u] -> [state | r]
                 in_map_input.append(all(np.shares_memory(a, o) for o in outputs))
             return matmul(a, b, *args, **kwargs)
 
@@ -302,16 +301,20 @@ class TestSimulateBatch:
         assert one_block and all(one_block)
         assert in_map_input and all(in_map_input)
 
+    @pytest.mark.parametrize("rows", [2, 3, 5])
     @pytest.mark.parametrize("point_count", [66, 129])
     def test_solo_run_matches_its_row_where_blas_tails_differ(self, stator_model,
-                                                               point_count):
-        """At 33 points per period (66, g = 2) and at 129 points (g = 1) one
-        matrix-vector product over the [load | slip_ratio] columns and two
-        over each half round differently, so a batch of one, which steps
-        through ``np.dot``, matches its row in a batch of three only if both
-        make the same product of the same kinematics."""
-        configs = [RunConfig().override(contact={"point_count": point_count, "cof": c})
-                   for c in (0.3, 0.4, 0.5)]
+                                                               point_count, rows):
+        """At 33 points per period (66, g = 2) and at 129 points (g = 1) the
+        step map's input has 82 and 274 entries.  A row of a batch reads its
+        products' vectors with stride B, a batch of one with stride 1, and
+        the two matrix-vector kernels group a tail of fewer than 4 terms
+        differently; the input is padded with zeros to a multiple of 4, so
+        there is no tail.  Both also make one product over the
+        [load | slip_ratio] columns of the same kinematics."""
+        configs = [RunConfig().override(contact={"point_count": point_count,
+                                                 "cof": 0.3 + 0.1 * i})
+                   for i in range(rows)]
         batch = simulate_batch(stator_model, self.rows(configs), duration=self.DURATION)
         for cfg, row in zip(configs, batch):
             assert row.divergence is None

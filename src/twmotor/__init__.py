@@ -9,7 +9,7 @@ from .config import RunConfig, load_config
 from .contact import ContactConfig, evaluate_contact
 from .dynamics import (MotorTimeSeries, RotorConfig, detect_steady_state,
                        envelope_average, mean_speed, simulate, simulate_batch)
-from .materials import builtin_library, lookup, validate_piezo
+from .materials import builtin_library, lookup
 from .metrology import areal_params, level_mean_plane, load_height_map
 from .stator import (StatorGeometry, StatorModel, piezo_modal_force, ring_modes,
                      select_mode_pair)

@@ -13,10 +13,9 @@ import math
 import sys
 from pathlib import Path
 
-from . import dynamics, metrology, runner, sweep
+from . import metrology, runner, sweep
 from .config import ConfigError, RunConfig, load_config, phase_degrees_to_radians
 from .dynamics import SimulationDiverged
-from .materials import validate_piezo
 from .plotting import svg_line_chart
 
 EXIT_OK = 0
@@ -68,7 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dy", type=float, required=True, help="pixel pitch y, um")
     p.add_argument("--out", help="JSON report path (default: stdout)")
 
-    p = sub.add_parser("validate", help="validate a configuration and materials")
+    p = sub.add_parser("validate", help="run the checks of `run` on a configuration "
+                                        "without stepping it")
     p.add_argument("--config")
     return parser
 
@@ -232,25 +232,10 @@ def _cmd_roughness(args) -> int:
 
 def _cmd_validate(args) -> int:
     config = load_config(args.config) if args.config else RunConfig()
-    problems = []
     try:
-        _, piezo = runner.resolve_materials(config)
-    except ConfigError as exc:
-        problems.append(str(exc))
-    else:
-        problems.extend(validate_piezo(piezo))
-    if not problems:
-        try:
-            model = runner.build_stator(config)
-            sim = config.simulation
-            dynamics.step_grid(model, config.drive, sim.duration, sim.output_interval,
-                               sim.dt)
-            config.contact.check_resolution(model.pair.nodal_diameters)
-        except (ConfigError, ValueError) as exc:
-            problems.append(str(exc))
-    if problems:
-        for p in problems:
-            print(f"invalid: {p}")
+        runner.admit(config, runner.build_stator(config))
+    except (ConfigError, ValueError) as exc:
+        print(f"invalid: {exc}")
         return EXIT_CONFIG
     print("configuration valid")
     return EXIT_OK

@@ -13,6 +13,7 @@ from typing import get_args, get_type_hints
 
 from .contact import ContactConfig
 from .dynamics import RotorConfig
+from .materials import IsotropicMaterial, PiezoMaterial, lookup
 from .stator import StatorGeometry
 from .wave import DriveConfig
 
@@ -57,13 +58,17 @@ class RunConfig:
     contact: ContactConfig = field(default_factory=ContactConfig)
     rotor: RotorConfig = field(default_factory=RotorConfig)
     simulation: SimulationSettings = field(default_factory=SimulationSettings)
-    stator_material: str = "Copper"
-    piezo_material: str = "PZT-5H"
+    # a catalog name or an inline entry, held as the material it resolves to
+    stator_material: IsotropicMaterial | str | dict = "Copper"
+    piezo_material: PiezoMaterial | str | dict = "PZT-5H"
     piezo_offset: float | None = None   # None = half the section thickness
     damping_ratio: float = 0.01
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
+        for key, kind in (("stator_material", IsotropicMaterial),
+                          ("piezo_material", PiezoMaterial)):
+            object.__setattr__(self, key, _resolve_material(getattr(self, key), kind, key))
         _reject_non_finite(self)
         if self.damping_ratio <= 0:
             raise ConfigError("damping_ratio must be > 0")
@@ -116,20 +121,48 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
 
+def _resolve_material(entry, kind, key):
+    """The material of a config's ``key``: a catalog name or an inline entry.
+
+    A name must be in the catalog and of ``kind``.  An inline entry is an
+    object holding each of ``kind``'s fields, checked as a section is.
+    """
+    if isinstance(entry, str):
+        try:
+            entry = lookup(entry)
+        except KeyError as exc:
+            raise ConfigError(exc.args[0]) from None
+    elif isinstance(entry, dict):
+        _reject_unknown(kind, entry, key)
+        missing = {f.name for f in fields(kind)} - set(entry)
+        if missing:
+            raise ConfigError(f"missing key(s) in {key}: {', '.join(sorted(missing))}")
+        _reject_mistyped(kind, entry, key)
+        _reject_non_finite(entry, key)
+        try:
+            entry = kind(**entry)
+        except ValueError as exc:
+            raise ConfigError(f"{key}.{exc}") from None
+    elif not isinstance(entry, (IsotropicMaterial, PiezoMaterial)):
+        raise ConfigError(f"{key} must be a catalog name or an object, "
+                          f"not {type(entry).__name__}")
+    if not isinstance(entry, kind):
+        raise ConfigError(f"{key}: {entry.name!r} is of kind {type(entry).__name__}; "
+                          f"need {kind.__name__}")
+    return entry
+
+
 def _reject_non_finite(value, key=""):
     """Raise ConfigError naming the first NaN or infinite number in a config.
 
-    Walks the sections' fields and inline material entries, with their
-    lists; a key is named by its dotted path.
+    Walks the sections' fields and the materials' fields; a key is named by
+    its dotted path.
     """
     if is_dataclass(value):
         value = {f.name: getattr(value, f.name) for f in fields(value)}
     if isinstance(value, dict):
         for name, item in value.items():
             _reject_non_finite(item, f"{key}.{name}" if key else name)
-    elif isinstance(value, list):
-        for item in value:
-            _reject_non_finite(item, key)
     elif isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{key} must be a finite number, not {value}")
 
@@ -147,7 +180,7 @@ def _reject_mistyped(typ, data, where=""):
     """Raise ConfigError naming the first value not of its field's declared type.
 
     Integer fields take integers, number fields integers or floats, never
-    booleans; None passes where allowed.  Material entries are not checked.
+    booleans; None passes where allowed.
     """
     hints = get_type_hints(typ)
     for name, value in data.items():

@@ -221,13 +221,12 @@ class MotorTimeSeries:
 def step_grid(stator: StatorModel, drive: DriveConfig, duration: float = 5e-3,
               output_interval: float = 1e-5,
               dt: float | None = None) -> tuple[float, int, int]:
-    """The admission rule of a run: (step, steps per sample, sample count).
+    """The grid of a run that can be judged: (step, steps per sample, sample count).
 
-    ``runner.run_motor``, a sweep's row grouping and ``twmotor validate``
-    call it before any step, and ``runner.summarize`` reads the grid of the
-    run it judges.  It refuses a step too coarse for the step loop
-    (``_grid``), and a run whose series holds fewer than the two windows of
-    ``SETTLE_WINDOW`` that ``detect_steady_state`` compares.
+    ``runner.admit`` asks it before any step, and ``runner.summarize``
+    reads the grid of the run it judges.  It refuses a step too coarse for
+    the step loop (``_grid``), and a run whose series holds fewer than the
+    two windows of ``SETTLE_WINDOW`` that ``detect_steady_state`` compares.
     """
     grid = _grid(stator, drive, duration, output_interval, dt)
     if grid[2] // _window_length(output_interval) < 2:
@@ -271,8 +270,9 @@ def simulate(stator: StatorModel, drive: DriveConfig,
              dt: float | None = None) -> MotorTimeSeries:
     """Fixed-step transient of the coupled motor, sampled at the output interval.
 
-    The step follows ``step_grid``'s step rule; any length is stepped, even
-    one too short for a settling verdict.  Deterministic for fixed inputs.
+    The step follows ``step_grid``'s step rule; any length and any contact
+    point count are stepped, even those ``runner.admit`` refuses.
+    Deterministic for fixed inputs.
     Divergence truncates the series and sets its ``divergence`` instead of
     raising.  This is ``simulate_batch`` with one row.
     """
@@ -311,9 +311,10 @@ def _step_map(prop: np.ndarray, reaction: np.ndarray) -> np.ndarray:
     the reactions r of the normal and of the friction forces.  The forcing
     is F = d + 1.5 r - 0.5 r_prev: d is the midpoint drive plus the loads
     (minus the preload and the load torque), and r is extrapolated to the
-    midpoint from this step's and the last, which keeps the coupling second
-    order.  r, linear in [N, u], enters as ``reaction @ (1.5 forcing)`` and
-    is carried to the next step as four more outputs, read there as r_prev.
+    midpoint from this step's and the last, which keeps the contact's
+    feedback second order.  r, linear in [N, u], enters as
+    ``reaction @ (1.5 forcing)`` and is carried to the next step as four
+    more outputs, read there as r_prev.
     The result maps [state | r_prev | d | N | u] -> [next state | r], shape
     (..., 16 + 2P, 12).
     """
@@ -379,7 +380,6 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
     carries its ``divergence``; the other rows carry on.
     """
     drives, contacts, rotors = zip(*rows)
-    contacts[0].check_resolution(stator.pair.nodal_diameters)
     if len({c.point_count for c in contacts}) != 1:
         raise ValueError("batched interfaces must share one point_count")
     grids = {_grid(stator, d, duration, output_interval, dt) for d in drives}

@@ -5,57 +5,21 @@ from __future__ import annotations
 import dataclasses
 import math
 
-from . import dynamics, materials, stator, wave
+from . import dynamics, stator, wave
 from .config import ConfigError, RunConfig
 from .dynamics import MotorTimeSeries
 
 
-def resolve_materials(config: RunConfig
-                      ) -> tuple[materials.IsotropicMaterial, materials.PiezoMaterial]:
-    """The stator and piezo materials of a config: catalog names or inline data.
-
-    Raises ConfigError for an unknown name, an entry that is neither a name
-    nor an object, a missing, wrongly typed or invalid field, or a material
-    of the wrong kind.
-    """
-    def resolve(source, key):
-        if isinstance(source, str):
-            try:
-                return materials.lookup(source)
-            except KeyError as exc:
-                raise ConfigError(exc.args[0]) from None
-        if not isinstance(source, dict):
-            raise ConfigError("material entry must be a catalog name or an object, "
-                              f"not {type(source).__name__}")
-        try:
-            return materials.load_material(source)
-        except KeyError as exc:
-            raise ConfigError(f"material entry lacks {exc.args[0]!r}") from None
-        except TypeError as exc:
-            raise ConfigError(f"material entry has a field of the wrong type: {exc}") from None
-        except ValueError as exc:
-            raise ConfigError(f"material entry {key} has an invalid value: {exc}") from None
-
-    ring_mat = resolve(config.stator_material, "stator_material")
-    piezo = resolve(config.piezo_material, "piezo_material")
-    if not isinstance(ring_mat, materials.IsotropicMaterial):
-        raise ConfigError("stator material must be isotropic")
-    if not isinstance(piezo, materials.PiezoMaterial):
-        raise ConfigError("piezo material must carry full matrix data")
-    return ring_mat, piezo
-
-
 def build_stator(config: RunConfig) -> stator.StatorModel:
     """Solve the ring modes and select the drive mode pair."""
-    ring_mat, piezo = resolve_materials(config)
     geom = config.geometry
     try:
-        modes = stator.ring_modes(geom, ring_mat, config.mesh.n_elements,
+        modes = stator.ring_modes(geom, config.stator_material, config.mesh.n_elements,
                                   config.mesh.modes)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     pair = stator.select_mode_pair(modes, geom.drive_nodal_diameters)
-    forcing = stator.piezo_modal_force(pair, geom, piezo, voltage=1.0,
+    forcing = stator.piezo_modal_force(pair, geom, config.piezo_material, voltage=1.0,
                                        piezo_offset=config.piezo_offset)
     return stator.StatorModel(
         geometry=geom, modes=modes, pair=pair, forcing_per_volt=forcing,
@@ -73,17 +37,32 @@ def ideal_speed(config: RunConfig, model: stator.StatorModel) -> float | None:
         return None
 
 
+def admit(config: RunConfig, model: stator.StatorModel) -> tuple[float, int, int]:
+    """The admission rule of a run on a built stator: its (step, steps per
+    sample, sample count).
+
+    ``run_motor``, each sweep row and ``twmotor validate`` ask it before
+    any step.  Raises ValueError for what ``dynamics.step_grid`` refuses,
+    then for too few contact points to resolve the drive pair's waves.
+    """
+    sim = config.simulation
+    grid = dynamics.step_grid(model, config.drive, sim.duration, sim.output_interval,
+                              sim.dt)
+    config.contact.check_resolution(model.pair.nodal_diameters)
+    return grid
+
+
 def run_motor(config: RunConfig, model: stator.StatorModel | None = None
               ) -> tuple[MotorTimeSeries, dict]:
     """Full transient pipeline; raises SimulationDiverged on blow-up.
 
-    A run that ``dynamics.step_grid`` refuses (ValueError) is refused once
-    the stator is built, before it is stepped.
+    A run that ``admit`` refuses (ValueError) is refused once the stator is
+    built, before it is stepped.
     """
     if model is None:
         model = build_stator(config)
+    admit(config, model)
     sim = config.simulation
-    dynamics.step_grid(model, config.drive, sim.duration, sim.output_interval, sim.dt)
     series = dynamics.simulate(
         model, config.drive, config.contact, config.rotor,
         duration=sim.duration, output_interval=sim.output_interval, dt=sim.dt,

@@ -151,7 +151,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepCurve:
 
     Any error in a row's configuration, run or post-processing makes that
     row failed (ok=False, with the message) and the sweep continues.  A
-    row that ``dynamics.step_grid`` refuses fails before any row is stepped.
+    row that ``runner.admit`` refuses fails before any row is stepped.
     """
     model = runner.build_stator(spec.base)
     rows: list[SweepRow | None] = [None] * len(spec.values)
@@ -160,9 +160,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepCurve:
     for i, value in enumerate(spec.values):
         try:
             configs[i] = config = spec.config_for(value)
-            sim = config.simulation
-            grid = dynamics.step_grid(model, config.drive, sim.duration,
-                                      sim.output_interval, sim.dt)
+            grid = runner.admit(config, model)
         except Exception as exc:
             rows[i] = _failed_row(value, exc)
             continue

@@ -11,6 +11,7 @@ import pytest
 
 from twmotor import contact
 from twmotor.config import ConfigError, RunConfig
+from twmotor.materials import lookup
 from twmotor.sweep import (
     PRESET_NAMES,
     SweepCurve,
@@ -106,7 +107,7 @@ class TestPresets:
         assert spec.values[-1] == pytest.approx(5000.0)
         ratios = np.diff(np.log(spec.values))
         np.testing.assert_allclose(ratios, ratios[0])
-        assert spec.base.stator_material == "Ultem 1000"
+        assert spec.base.stator_material == lookup("Ultem 1000")
 
     def test_cof_grid(self):
         spec = make_preset("cof_sweep")

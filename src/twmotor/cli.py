@@ -232,11 +232,7 @@ def _cmd_roughness(args) -> int:
 
 def _cmd_validate(args) -> int:
     config = load_config(args.config) if args.config else RunConfig()
-    try:
-        runner.admit(config, runner.build_stator(config))
-    except (ConfigError, ValueError) as exc:
-        print(f"invalid: {exc}")
-        return EXIT_CONFIG
+    runner.admit(config, runner.build_stator(config))
     print("configuration valid")
     return EXIT_OK
 

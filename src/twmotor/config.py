@@ -83,40 +83,30 @@ class RunConfig:
         section, so a partial ``geometry`` keeps the default motor's other
         dimensions, not ``StatorGeometry``'s class defaults.
         """
-        data = dict(data)
-        parts = {}
-        defaults = cls()
-        try:
-            for key in ("geometry", "mesh", "drive", "contact", "rotor", "simulation"):
-                if key in data:
-                    sect, default = data.pop(key), getattr(defaults, key)
-                    _reject_unknown(type(default), sect, key)
-                    _reject_mistyped(type(default), sect, key)
-                    parts[key] = replace(default, **sect)
-            _reject_unknown(cls, data, "top level")
-            _reject_mistyped(cls, data)
-            return cls(**parts, **data)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        return cls().override(**data)
 
     def override(self, **sections) -> "RunConfig":
-        """Return a copy with per-section field overrides.
+        """A copy with the given sections and top-level fields replaced.
 
         Usage: cfg.override(contact={"cof": 0.3}, drive={"voltage": 50}).
+        Each section's object replaces the fields it names of this config's
+        section, and a material is a catalog name or a complete inline entry.
+        These are ``from_dict``'s rules, which is ``override`` on the default
+        config: an unknown or mistyped key is a ConfigError naming it.
         """
-        updates = {}
-        for key, vals in sections.items():
-            if vals is None:
-                continue
-            current = getattr(self, key)
-            if isinstance(vals, dict):
-                updates[key] = replace(current, **vals)
-            else:
-                updates[key] = vals
+        parts = {}
         try:
-            return replace(self, **updates)
+            for key in ("geometry", "mesh", "drive", "contact", "rotor", "simulation"):
+                if key in sections:
+                    sect, current = sections.pop(key), getattr(self, key)
+                    _reject_unknown(type(current), sect, key)
+                    _reject_mistyped(type(current), sect, key)
+                    parts[key] = replace(current, **sect)
+            _reject_unknown(type(self), sections, "top level")
+            _reject_mistyped(type(self), sections)
+            return replace(self, **parts, **sections)
+        except ConfigError:
+            raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 

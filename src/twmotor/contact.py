@@ -150,7 +150,11 @@ def interface_period(cfg: ContactConfig, nodal_diameters: int) -> tuple[np.ndarr
     return contact_angles(cfg)[:cfg.point_count // periods], periods
 
 
-_ZERO = np.zeros(())   # the clamp's bound: a Python 0.0 costs a conversion per call
+# The law's ufuncs, bound once as ``dynamics._dot`` is, so a step looks none of
+# them up; and the clamp's bound, a 0-d array, since a Python 0.0 costs a
+# conversion per call
+_maximum, _tanh, _multiply = np.maximum, np.tanh, np.multiply
+_ZERO = np.zeros(())
 
 
 def evaluate_contact(load, slip_ratio, normal, traction) -> None:
@@ -165,13 +169,17 @@ def evaluate_contact(load, slip_ratio, normal, traction) -> None:
     which is k max(0, -gap) for k > 0, into ``normal``, and
     u = N tanh(slip / v) into ``traction``: the friction force is -mu u,
     applied by the folded reaction operator.  Three elementwise passes
-    with no temporary.  The inputs are not validated here, because the
-    step loop calls this every step: arrays without one entry per contact
-    point fail to broadcast into the outputs.
+    with no temporary, through ufuncs bound at import; ``tanh`` and
+    ``multiply`` take their outputs positionally, which parses cheaper
+    than ``out=``, and ``np.maximum`` by keyword, since NumPy 2.4
+    deprecates a third positional argument to it.  The inputs are not
+    validated here, because the step loop calls this every step: arrays
+    without one entry per contact point fail to broadcast into the
+    outputs.
     """
-    np.maximum(load, _ZERO, out=normal)
-    np.tanh(slip_ratio, out=traction)
-    np.multiply(normal, traction, out=traction)
+    _maximum(load, _ZERO, out=normal)
+    _tanh(slip_ratio, traction)
+    _multiply(normal, traction, traction)
 
 
 def interface_operator(pair: ModePair, geom: StatorGeometry, theta) -> np.ndarray:

@@ -53,7 +53,17 @@ increment, making no copy.  A batch of one makes them with
 ``np.ndarray.dot`` on 1-D views of the same buffers: that is the
 matrix-vector product ``np.dot`` reaches, of the same operands, so the
 results are bitwise the same, without ``np.dot``'s Python-level dispatch
-(NEP 18), and its call costs less than half of ``np.matmul``'s.
+(NEP 18), and its call costs less than half of ``np.matmul``'s.  At B = 1
+a call's overhead is most of its cost, so the five calls take their
+cheapest form: both products take their output positionally, which
+``np.ndarray.dot`` and ``np.matmul`` both accept, skipping the keyword
+parsing; the loop binds ``contact.evaluate_contact`` to a local once per
+``simulate_batch`` call, so a step looks nothing up and a test that
+patches the law still sees every call; and the law calls its ufuncs
+through aliases bound at import, ``tanh`` and ``multiply`` with positional
+outputs.  ``np.maximum`` keeps ``out=``, because NumPy 2.4 deprecates a
+third positional argument to it.  The law's operands stay (M / g, 1)
+blocks at B = 1: 1-D views of them measured no faster.
 
 The loop runs in chunks of whole sample intervals, step first in every
 buffer: as many intervals as fit in ``_CHUNK_ROW_STEPS`` steps x rows, at
@@ -477,6 +487,7 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
     step_views = [(XP[j], XP[j, ..., :n], GP[j], G[j, :M], G[j, M:],
                    X[j, f0:f0 + M], X[j, f0 + M:f0 + 2 * M], XP[j + 1, ..., :d0])
                   for j in range(chunk)]
+    law = contact.evaluate_contact
     out = np.zeros((B, n_samples, 7))
     out[..., 0] = np.arange(n_samples) * steps_per_sample * h
     probe = -cof[:, None]          # the friction probe is -mu u at the first point
@@ -503,9 +514,9 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
             X[:count, d0:f0] = drive[:, :, 1].T
 
             for x, y, g, load, slip_ratio, normal, traction, y_next in step_views[:count]:
-                product(y, kin, out=g)
-                contact.evaluate_contact(load, slip_ratio, normal, traction)
-                product(x, step_map, out=y_next)
+                product(y, kin, g)
+                law(load, slip_ratio, normal, traction)
+                product(x, step_map, y_next)
 
             # the chunk's samples: each sampled state, and the reactions the
             # map formed from it, one row later
@@ -664,11 +675,28 @@ def envelope_average(series: MotorTimeSeries, t_ss: float, period: float) -> flo
         raise ValueError(
             f"only {len(envelope)} envelope points after t_ss; need at least 5"
         )
-    med = np.median(envelope)
-    mad = np.median(np.abs(envelope - med))
+    med = _median(envelope)
+    mad = _median(np.abs(envelope - med))
     mad = max(mad, 1e-12 * abs(med))
     keep = np.abs(envelope - med) <= SPIKE_FACTOR * mad
     return float(np.mean(envelope[keep]))
+
+
+def _median(values: np.ndarray) -> float:
+    """NumPy's median of a 1-D array of finite floats, bit for bit.
+
+    It partitions at the indices NumPy's median does, the middle one or two
+    and the last, so values that compare equal, 0.0 and -0.0, land alike,
+    then sums the middle values and divides by their count, as NumPy's mean
+    does (the sum starts at +0.0, so a median of -0.0 reads 0.0).  NumPy's
+    median also checks the last value for a NaN, through ``numpy.ma``, which
+    would import it in every motor command; the envelope holds none, since
+    the step loop ends a run at its last finite sample.
+    """
+    half = len(values) // 2
+    low = half - 1 + len(values) % 2     # the first of the middle one or two
+    middle = np.partition(values, [*range(low, half + 1), -1])[low:half + 1]
+    return np.add.reduce(middle) / len(middle)
 
 
 def mean_speed(series: MotorTimeSeries, t_ss: float) -> float:

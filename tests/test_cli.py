@@ -347,12 +347,13 @@ class TestValidate:
         """Too few modes for the drive pair: rejected as ``eigen`` rejects it."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"mesh": {"modes": 5}}))
-        message = "mode pair n=4 not resolved"
         assert run_cli("validate", "--config", str(cfg)) == cli.EXIT_CONFIG
-        assert message in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: mode pair n=4 not resolved")
         assert run_cli("eigen", "--config", str(cfg),
                        "--out-dir", str(tmp_path)) == cli.EXIT_CONFIG
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err == captured.err
 
     @pytest.mark.parametrize("config, start", [
         ({"simulation": {"duration": 2e-4}}, "simulation.duration (--duration)"),
@@ -365,11 +366,13 @@ class TestValidate:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         assert run_cli("validate", "--config", str(cfg)) == cli.EXIT_CONFIG
-        out = capsys.readouterr().out.splitlines()
-        assert len(out) == 1 and out[0].startswith(f"invalid: {start}")
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith(f"error: {start}")
         assert run_cli("run", "--config", str(cfg),
                        "--out-dir", str(tmp_path)) == cli.EXIT_CONFIG
-        assert capsys.readouterr().err.splitlines() == [f"error: {out[0][9:]}"]
+        assert capsys.readouterr().err.splitlines() == err
 
     def test_coarse_mesh(self, tmp_path, capsys):
         """The mesh-density rule has one owner: ``validate`` reports the
@@ -377,12 +380,12 @@ class TestValidate:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"mesh": {"n_elements": 16}}))
         message = "n_elements=16 too coarse for n=4 nodal diameters; need at least 32"
-        assert run_cli("validate", "--config", str(cfg)) == cli.EXIT_CONFIG
-        assert capsys.readouterr().out.splitlines() == [f"invalid: {message}"]
-        for command in ("run", "eigen"):
-            assert run_cli(command, "--config", str(cfg),
-                           "--out-dir", str(tmp_path)) == cli.EXIT_CONFIG
-            assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        for argv in (["validate"], ["run", "--out-dir", str(tmp_path)],
+                     ["eigen", "--out-dir", str(tmp_path)]):
+            assert run_cli(*argv, "--config", str(cfg)) == cli.EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [f"error: {message}"]
+            assert captured.out == ""
 
     @pytest.mark.parametrize("section", [
         {"mean_radius": 0.015},
@@ -414,11 +417,11 @@ class TestValidate:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"contact": {"point_count": 12}}))
         message = "point_count=12 cannot resolve n=4 waves; need at least 16"
-        assert run_cli("validate", "--config", str(cfg)) == cli.EXIT_CONFIG
-        assert capsys.readouterr().out.splitlines() == [f"invalid: {message}"]
-        assert run_cli("run", "--config", str(cfg),
-                       "--out-dir", str(tmp_path)) == cli.EXIT_CONFIG
-        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        for argv in (["validate"], ["run", "--out-dir", str(tmp_path)]):
+            assert run_cli(*argv, "--config", str(cfg)) == cli.EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [f"error: {message}"]
+            assert captured.out == ""
 
 
     @pytest.mark.parametrize("config, message", [
@@ -469,10 +472,36 @@ class TestNonFiniteNumbers:
             f"error: {key} must be a finite number, not {value}"]
 
 
+class TestOverride:
+    """``RunConfig.override``, which every flag and sweep row goes through,
+    applies ``from_dict``'s rules to the config it is called on."""
+
+    @pytest.mark.parametrize("sections, message", [
+        ({"stator_material": {"density": 1000.0}},
+         "missing key(s) in stator_material: name, youngs_modulus"),
+        ({"contact": {"cf": 1}}, "unknown key(s) in contact: cf"),
+        ({"rotor": {"preload": "50"}}, "rotor.preload must be a number, not '50'"),
+        ({"drive": None}, "section 'drive' must be an object"),
+    ], ids=["partial-material", "unknown-key", "mistyped-value", "null-section"])
+    def test_refused_as_from_dict_refuses(self, sections, message):
+        for build in (RunConfig.from_dict, lambda data: RunConfig().override(**data)):
+            with pytest.raises(ConfigError) as info:
+                build(sections)
+            assert str(info.value) == message
+
+    def test_inline_material_and_sections_of_the_config(self):
+        entry = {"name": "Brass", "density": 8500.0, "youngs_modulus": 1e11}
+        config = RunConfig().override(contact={"cof": 0.3}, stator_material=entry)
+        assert config == RunConfig.from_dict({"contact": {"cof": 0.3},
+                                              "stator_material": entry})
+        assert config.stator_material.name == "Brass"
+        assert config.override(contact={"point_count": 64}).contact.cof == 0.3
+
+
 class TestImports:
     """The commands load NumPy and the standard library alone, in a fresh
-    interpreter: SciPy is never imported and the process pool only when a
-    sweep asks for workers."""
+    interpreter: SciPy and ``numpy.ma`` are never imported, and the process
+    pool only when a sweep asks for workers."""
 
     @staticmethod
     def python(code, *args, cwd, **env_vars):
@@ -517,6 +546,23 @@ class TestImports:
             "from twmotor import cli\n"
             "sys.exit(cli.main(sys.argv[1:]))", *argv, cwd=tmp_path)
         assert proc.returncode == cli.EXIT_OK, proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--duration", "1.5e-3"],
+        ["sweep", "--param", "cof", "--values", "0.3:0.5:0.1", "--duration", "1.5e-3",
+         "--jobs", "1"],
+    ], ids=["run", "sweep"])
+    def test_motor_commands_load_no_numpy_ma(self, tmp_path, argv):
+        """The torque envelope's median is not NumPy's, whose NaN check
+        imports ``numpy.ma`` on first use, inside the command's time."""
+        proc = self.python(
+            "import sys\n"
+            "from twmotor import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
+            "sys.exit(code)", *argv, "--out-dir", str(tmp_path), cwd=tmp_path)
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestBlasThreads:

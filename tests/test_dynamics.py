@@ -5,7 +5,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twmotor import contact, dynamics, runner
@@ -287,12 +287,12 @@ class TestSimulateBatch:
             outputs[:] = [normal, traction]
             return law(*operands)
 
-        def recording(a, b, *args, **kwargs):
+        def recording(a, b, out):             # the loop passes its output positionally
             if b.shape[-1] == 2 * points:     # state -> [load | slip_ratio]
-                written.append(kwargs["out"])
+                written.append(out)
             elif b.shape[-1] == 12:           # [state | r_prev | d | N | u] -> [state | r]
                 in_map_input.append(all(np.shares_memory(a, o) for o in outputs))
-            return matmul(a, b, *args, **kwargs)
+            return matmul(a, b, out)
 
         monkeypatch.setattr(contact, "evaluate_contact", checking)
         monkeypatch.setattr(np, "matmul", recording)
@@ -614,6 +614,13 @@ class TestDetectSteadyState:
                 detect_steady_state(series)
 
 
+# mixed signs and magnitudes from 1e-12 to 1e3, and zeros of either sign
+MEDIAN_VALUES = st.one_of(
+    st.builds(lambda sign, mantissa, exponent: sign * mantissa * 10.0 ** exponent,
+              st.sampled_from([-1.0, 1.0]), st.floats(1.0, 10.0), st.integers(-12, 2)),
+    st.sampled_from([0.0, -0.0]))
+
+
 class TestEnvelopeAverage:
     F = 2000.0  # synthetic oscillation resolvable on the 0.01 ms grid
 
@@ -644,6 +651,23 @@ class TestEnvelopeAverage:
         _, series = self.make(np.zeros(500))
         with pytest.raises(ValueError, match="outside"):
             envelope_average(series, 1.0, period=1.0 / self.F)
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.one_of(
+        st.lists(MEDIAN_VALUES, min_size=1, max_size=300),
+        st.lists(MEDIAN_VALUES, min_size=1, max_size=6).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=300))))
+    @example(values=[-0.0])
+    @example(values=[0.0, -0.0, 1.0, -0.0])
+    def test_median_is_numpys_bit_for_bit(self, values):
+        """The median the envelope's centre and spread are taken from is
+        NumPy's, bit for bit, at odd and even lengths, with ties (drawn from
+        a small pool) and zeros of either sign."""
+        values = np.array(values)
+        expected = np.median(values)
+        median = dynamics._median(values)
+        assert type(median) is type(expected)
+        assert median.tobytes() == expected.tobytes()
 
 
 def loop_windows(x, wlen, reduce):

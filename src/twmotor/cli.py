@@ -169,6 +169,9 @@ def _cmd_sweep(args) -> int:
     config = _load(args)
     if args.preset:
         spec = sweep.make_preset(args.preset, config)
+        if args.duration is not None:     # the flag outranks a preset's own duration
+            spec = sweep.SweepSpec(spec.parameter, spec.values,
+                                   spec.base.override(simulation={"duration": args.duration}))
     elif args.param and args.values:
         spec = sweep.SweepSpec(args.param, _parse_grid(args.values), config)
     else:

@@ -4,88 +4,68 @@ The stator is reduced to its drive mode pair (two modal oscillators with
 mass-normalized coordinates); the rigid rotor carries an axial
 translation and a spin DOF.  Each run states its linear dynamics once:
 between contact evaluations the positions x = [q_cos, q_sin, z, phi] obey
-M x'' + C x' + K x = F with diagonal M, C and K.  Per fixed step, the
-contact law of ``contact.py`` (``evaluate_contact`` at the contact
-points, its reactions projected by ``interface_operator``) is evaluated
-at the step start (explicit), while the linear system is advanced
-exactly: its step map is the exponential of the system augmented by its
-forcing, held
-constant over the step (Van Loan 1978), computed by scaling and squaring
-a Taylor polynomial (Al-Mohy & Higham 2009); the electrode drive is
-sampled at the step midpoint, and the contact reactions are extrapolated
-there from the last two evaluations.  This keeps the integration robust
-against the stiff penalty forces; accuracy is monitored by an
-energy-bookkeeping residual, weighted by the same K, M and C, accumulated
-alongside the states.
+M x'' + C x' + K x = F with diagonal M, C and K, and a run's state is
+[x | x'] = [q_cos, q_sin, z, phi | q_cos', q_sin', z', omega].  Per fixed
+step, the contact law of ``contact.py`` is evaluated at the step start
+(explicit), and the step map (``_step_map``) advances the linear system
+exactly under the electrode drive, and under the contact reactions as
+the quadratic through their last three evaluations: an exponential
+Adams-Bashforth scheme.  This keeps the
+integration robust against the stiff penalty forces; accuracy is
+monitored by an energy-bookkeeping residual, weighted by the same K, M
+and C, accumulated alongside the states.
 
 ``simulate_batch`` runs B transients that share the stator and the step
-grid in one step loop, one row b each; a run's state is
-[q_cos, q_sin, z, phi | q_cos', q_sin', z', omega].  The contact law
-runs over one period of the interface only: gap and slip repeat every
-M / g contact points, g = gcd(n, M) (``contact.interface_period``), so the
-loop evaluates the law at M / g points and scales the reactions, the
-penalty energy and the friction power by g.  A step is five calls: the
-kinematics product, which maps the state straight to the law's arguments
+grid in one step loop, one row b each.  The contact law runs over one
+period of the interface only: gap and slip repeat every M / g contact
+points, g = gcd(n, M) (``contact.interface_period``), so the loop
+evaluates the law at M / g points and scales the reactions, the penalty
+energy and the friction power by g.  A step is five calls: the kinematics
+product, which maps the state straight to the law's arguments
 [-k gap | slip / v]; the law's three elementwise passes
 (``evaluate_contact``), giving [N, u] with the friction force f = -mu u;
-and the step map.  The reaction operator is ``contact.interface_operator``,
-the drive pair sampled at the contact points, built once per call; the
-kinematics is its transpose, since gap and slip are the work conjugates
-of the normal and friction forces, and ``contact.fold`` puts each row's
-k, v and mu into both.  The loop stacks those constants like every other
-row constant, and the energy ledger and the friction probe read the same
-stacked arrays.  The reactions are linear in [N, u], so the reaction
-operator is folded into the step map (``_step_map``): the map reads
-[N, u] itself, adds their reactions to the forcing along with the
-midpoint drive and the reaction extrapolation, and carries this step's
-reactions to the next as r_prev: the one place they are formed, where
-the samples read them.  The folded kinematics is one (8, 2M / g) matrix
-per row, so each step makes one matrix-vector product per row.
+and the step map.  The kinematics is the transpose of the reaction
+operator ``contact.interface_operator``, the drive pair sampled at the
+contact points, since gap and slip are the work conjugates of the normal
+and friction forces; ``contact.fold`` puts each row's k, v and mu into
+both.  The reactions are linear in [N, u], so the step map reads [N, u]
+itself and writes this step's reactions for the next steps to read: the
+one place they are formed, where the samples read them too.  So a step
+makes one matrix-vector product per row and matrix.
 
-The step buffers are entry-major, the row index last.  The kinematics
-product writes row b's [-k gap | slip / v] as column b of a (2M / g, B)
-block, so each of the law's four operands, the two halves of that block
-and its outputs N and u, is one C-contiguous (M / g, B) block, and every
+The step buffers are entry-major, the row index last, so each of the
+law's four operands is one C-contiguous (M / g, B) block, and every
 elementwise pass takes NumPy's contiguous fast path at any B.  Both
 products run as ``np.matmul`` on (B, 1, K) views whose vectors have
-stride B, which NumPy hands to the BLAS matrix-vector product with that
-increment, making no copy.  A batch of one makes them with
-``np.ndarray.dot`` on 1-D views of the same buffers: that is the
-matrix-vector product ``np.dot`` reaches, of the same operands, so the
-results are bitwise the same, without ``np.dot``'s Python-level dispatch
-(NEP 18), and its call costs less than half of ``np.matmul``'s.  At B = 1
-a call's overhead is most of its cost, so the five calls take their
-cheapest form: both products take their output positionally, which
-``np.ndarray.dot`` and ``np.matmul`` both accept, skipping the keyword
-parsing; the loop binds ``contact.evaluate_contact`` to a local once per
-``simulate_batch`` call, so a step looks nothing up and a test that
-patches the law still sees every call; and the law calls its ufuncs
-through aliases bound at import, ``tanh`` and ``multiply`` with positional
-outputs.  ``np.maximum`` keeps ``out=``, because NumPy 2.4 deprecates a
-third positional argument to it.  The law's operands stay (M / g, 1)
-blocks at B = 1: 1-D views of them measured no faster.
+stride B, which NumPy hands to the BLAS matrix-vector product, making no
+copy.  A batch of one makes them with ``np.ndarray.dot`` on 1-D views of
+the same buffers: the product ``np.dot`` reaches, bitwise, without its
+Python-level dispatch.  At B = 1 a call's overhead is most of its cost,
+so the products take their outputs positionally, and the loop binds
+``contact.evaluate_contact`` once per call, so a step looks nothing up
+and a test that patches the law still sees every call.
 
 The loop runs in chunks of whole sample intervals, step first in every
 buffer: as many intervals as fit in ``_CHUNK_ROW_STEPS`` steps x rows, at
 least one, and at most ``_CHUNK_STEPS`` steps, so an interval longer than
 that spans several chunks.  X[j], the step map's input at step j, is
-[state_j | r_(j-1) | d_j | N_j | u_j] with one column per row: the law
-writes its outputs into it, and the map writes [state_(j+1) | r_j] into
-X[j + 1], so the steps do not overlap and nothing is copied within a
-chunk.  No step branches: after its steps a chunk reads its samples from
-the steps j0, j0 + s, ... of X (s steps per sample), and their reactions
-one step later, and checks them for finiteness together.  A chunk evaluates the drive and the preload ramp
-at all its steps at once, and reduces the energy ledger's powers from its
-history of states and of the law's arguments and outputs, applying -mu v
-to the friction power once per chunk.  The ledger sums each sample
-interval's powers (each chunk's, where an interval spans several), then
-adds the sums to its totals in time order, so no result depends on how
-many intervals a chunk holds.  Every operation acts on each row alone, so
-a row's results are bitwise the same whatever batch it runs in
-(``simulate_batch`` states the two rules that keep them so).
-``simulate`` is the batch of one.  A row that goes non-finite ends at its
-last finite sample, and its series' ``divergence`` names the first entry
-of ``ENTRY_NAMES`` found so and the sample time.
+[state_j | r_(j-1) | r_(j-2) | d_j | N_j | u_j] with one column per row:
+the law writes its outputs into it, and the map writes
+[state_(j+1) | r_j | r_(j-1)] into X[j + 1], so nothing is copied within
+a chunk.  No step branches: after its steps a chunk reads its samples
+from the steps j0, j0 + s, ... of X (s steps per sample), and their
+reactions one step later, and checks them for finiteness together.  A
+chunk evaluates the drive and the preload ramp at all its steps at once,
+and reduces the energy ledger's powers from its history of states and of
+the law's arguments and outputs.  The ledger sums each sample interval's
+powers (each chunk's, where an interval spans several), then adds the
+sums to its totals in time order, so no result depends on how many
+intervals a chunk holds.  Every operation acts on each row alone, so a
+row's results are bitwise the same whatever batch it runs in
+(``simulate_batch`` states the two rules that keep them so).  ``simulate``
+is the batch of one.  A row that goes non-finite ends at its last finite
+sample, and its series' ``divergence`` names the first entry of
+``ENTRY_NAMES`` found so and the sample time.
 """
 
 from __future__ import annotations
@@ -251,19 +231,18 @@ def _grid(stator: StatorModel, drive: DriveConfig, duration: float,
           output_interval: float, dt: float | None) -> tuple[float, int, int]:
     """The step loop's grid: ``step_grid`` without its length rule.
 
-    The step defaults to 1/(400 f_drive) and is snapped to an integer
-    divider of the output interval; steps above 1/(200 f_drive) are
-    rejected as too coarse.  That bound guards accuracy, not stability:
-    the default motor steps stably up to 1/(30 f_drive), but its energy
-    residual grows as the step squared.
+    Steps above 1/(200 f_drive) are rejected as too coarse, and the step
+    defaults to that bound, snapped to an integer divider of the output
+    interval.  The bound guards accuracy, not stability: the default motor
+    steps stably up to 1/(30 f_drive), and at the bound the step map's
+    errors stay below the midpoint scheme's at 1/(400 f_drive) (README,
+    step error).
     """
-    f_drive = drive.resolve_frequency(stator.pair)
-    dt_nominal = dt if dt is not None else 1.0 / (400.0 * f_drive)
-    if dt_nominal > 1.0 / (200.0 * f_drive):
-        raise ValueError(
-            f"dt={dt_nominal:g} s too coarse; need <= {1.0 / (200.0 * f_drive):g} s "
-            "(1/(200 f_drive))"
-        )
+    bound = 1.0 / (200.0 * drive.resolve_frequency(stator.pair))
+    dt_nominal = dt if dt is not None else bound
+    if dt_nominal > bound:
+        raise ValueError(f"dt={dt_nominal:g} s too coarse; need <= {bound:g} s "
+                         "(1/(200 f_drive))")
     steps_per_sample = max(1, math.ceil(output_interval / dt_nominal))
     return (output_interval / steps_per_sample, steps_per_sample,
             int(round(duration / output_interval)) + 1)
@@ -290,51 +269,61 @@ def simulate(stator: StatorModel, drive: DriveConfig,
                           output_interval=output_interval, dt=dt)[0]
 
 
-def _propagator(mass, damping, stiffness, h: float) -> np.ndarray:
-    """Exact one-step maps [state | F] -> next state, one per row.
+# A step's reaction is the quadratic through r_j, r_(j-1) and r_(j-2) at the
+# times 0, -h and -2h: p(s) = c_0 + s c_1 + s^2 c_2 / 2 at s = t / h after
+# the step start.  Row i gives r_(j-i)'s weight in each c_k.
+_HISTORY = np.array([[1.0, 1.5, 1.0], [0.0, -2.0, -2.0], [0.0, 0.5, 1.0]])
+
+
+def _step_map(mass, damping, stiffness, drive, omega, reaction, h: float) -> np.ndarray:
+    """Exact one-step maps of the linear system under the drive and the
+    contact reactions, one per row.
 
     ``mass``, ``damping`` and ``stiffness`` are (..., 4) diagonals of
-    M x'' + C x' + K x = F on the positions x = [q_cos, q_sin, z, phi];
-    the state is [x | x'], and F, held constant over the step, is [modal
-    forces on the cos and sin shapes, axial force, torque].  The map is
-    the exponential (``_expm``) of the system augmented by its forcing,
-    [[0, I, 0], [-K/M, -C/M, 1/M], [0, 0, 0]] h (Van Loan, IEEE Trans.
-    Autom. Control 23 (1978) 395-404), its first 2 m rows transposed:
-    shape (..., 12, 8), for row vectors.
+    M x'' + C x' + K x = F on x = [q_cos, q_sin, z, phi].  F is ``drive``
+    (..., 4, 2) times [cos wt, sin wt], w being ``omega`` (...), plus the
+    loads and the reactions r, which ``reaction``'s (2, ..., P, 4) blocks
+    form from the law's outputs [N, u] at P points.  The map reads
+    [state | r_(j-1) | r_(j-2) | d | N | u], d = [cos wt_j, sin wt_j, the
+    held loads on z and phi], and writes [next state | r_j | r_(j-1)]:
+    shape (..., 20 + 2P, 16), for row vectors.  It is the exponential
+    (``_expm``) of the system augmented by three blocks (Van Loan, IEEE
+    Trans. Autom. Control 23 (1978) 395-404): the drive's oscillator, which
+    integrates the drive exactly; the held reaction and loads; and the
+    reaction's slope and curvature, so that r is integrated as the
+    quadratic ``_HISTORY`` draws through its last three values (Hochbruck
+    & Ostermann, Acta Numer. 19 (2010) 209-286).  That is exponential
+    Adams-Bashforth of third order for smooth forcing; the law's kinks and
+    sub-step slip reversals leave an O(h) scatter.  Both blocks are needed
+    (README): at 1/(200 f), a drive held at the midpoint leaves 2.7 times
+    the energy residual of the midpoint scheme at 1/(400 f), and r held at
+    its two-value extrapolation 3 times its error in W.  The augmented columns
+    add no squaring: their norms are far below the state's.
     """
     m = mass.shape[-1]
-    n = 2 * m
-    i = np.arange(m)
-    system = np.zeros(mass.shape[:-1] + (n + m, n + m))
+    n, k = 2 * m, len(_HISTORY[0])
+    i, j = np.arange(m), np.arange(n + 2, n + 2 + k * m)
+    system = np.zeros(mass.shape[:-1] + (n + 2 + k * m,) * 2)
     system[..., i, m + i] = 1.0
     system[..., m + i, i] = -stiffness / mass
     system[..., m + i, m + i] = -damping / mass
-    system[..., m + i, n + i] = 1.0 / mass
-    return np.swapaxes(_expm(system * h)[..., :n, :], -1, -2)
-
-
-def _step_map(prop: np.ndarray, reaction: np.ndarray) -> np.ndarray:
-    """The step map with the contact reactions folded in, one per row.
-
-    ``prop`` is ``_propagator``'s (..., 12, 8) map, and ``reaction`` the
-    (2, ..., P, 4) blocks that map the law's outputs [N, u] at P points to
-    the reactions r of the normal and of the friction forces.  The forcing
-    is F = d + 1.5 r - 0.5 r_prev: d is the midpoint drive plus the loads
-    (minus the preload and the load torque), and r is extrapolated to the
-    midpoint from this step's and the last, which keeps the contact's
-    feedback second order.  r, linear in [N, u], enters as
-    ``reaction @ (1.5 forcing)`` and is carried to the next step as four
-    more outputs, read there as r_prev.
-    The result maps [state | r_prev | d | N | u] -> [next state | r], shape
-    (..., 16 + 2P, 12).
-    """
-    n = prop.shape[-1]
-    forcing = prop[..., n:, :]
-    forces = np.concatenate(list(reaction), axis=-2)       # [N | u] -> r
-    to_state = np.concatenate([prop[..., :n, :], -0.5 * forcing, forcing,
-                               forces @ (1.5 * forcing)], axis=-2)
-    to_r = np.zeros(to_state.shape[:-1] + (forces.shape[-1],))
-    to_r[..., -forces.shape[-2]:, :] = forces
+    system[..., m:n, n:n + 2] = drive / mass[..., None]
+    system[..., n + 1, n] = omega
+    system[..., n, n + 1] = -omega
+    system[..., m + i, n + 2 + i] = 1.0 / mass
+    system *= h
+    system[..., j[:-m], j[m:]] = 1.0      # each polynomial block is the next's rate
+    e = np.swapaxes(_expm(system)[..., :n, :], -1, -2)
+    poly = _HISTORY @ e[..., n + 2:, :].reshape(e.shape[:-2] + (k, m * n))
+    history = poly.reshape(poly.shape[:-1] + (m, n))      # r_(j-i) -> next state
+    forces = np.concatenate(list(reaction), axis=-2)      # [N | u] -> r
+    to_state = np.concatenate([e[..., :n, :], history[..., 1, :, :],
+                               history[..., 2, :, :], e[..., n:n + 2, :],
+                               e[..., n + 4:n + 6, :], forces @ history[..., 0, :, :]],
+                              axis=-2)
+    to_r = np.zeros(to_state.shape[:-1] + (n,))
+    to_r[..., -forces.shape[-2]:, :m] = forces
+    to_r[..., n:n + m, m:] = np.eye(m)
     return np.concatenate([to_state, to_r], axis=-1)
 
 
@@ -346,8 +335,8 @@ def _expm(a: np.ndarray) -> np.ndarray:
     summed by Horner's rule and squared s times.  The scaling follows
     ||A^2||^(1/2), not ||A|| (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl.
     31 (2009) 970-989): a step's system is badly scaled, omega^2 h sitting
-    below the diagonal, so ||A||_1 is about 4e3 where the spectral radius
-    is omega h, about 0.016, and every needless squaring doubles the
+    below the diagonal, so ||A||_1 is about 8e3 where the spectral radius
+    is omega h, about 0.03, and every needless squaring doubles the
     rounding error of the near-identity modal block.  s is chosen for each
     matrix alone, so each result is bitwise independent of its batch.
     """
@@ -421,16 +410,19 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
                                  penalty, regularization, cof)
     reaction *= periods
 
-    f_drive = per_row([d.resolve_frequency(stator.pair) for d in drives])
-    omega_d = (2.0 * math.pi * f_drive)[:, None, None]
-    voltage = per_row([d.voltage for d in drives])[:, None, None]
-    force = stator.forcing_per_volt * voltage
-    phase = per_row([d.phase_offset for d in drives])[:, None, None]
-    preload = per_row([r.preload for r in rotors])[:, None]
-    ramp = per_row([r.preload_ramp for r in rotors])[:, None]
+    omega_d = 2.0 * math.pi * per_row([d.resolve_frequency(stator.pair) for d in drives])
+    force = stator.forcing_per_volt * per_row([d.voltage for d in drives])
+    phase = per_row([d.phase_offset for d in drives])
+    preload = per_row([r.preload for r in rotors])[:, None, None]
+    ramp = per_row([r.preload_ramp for r in rotors])[:, None, None]
     ramp_divisor = np.where(ramp > 0, ramp, 1.0)
-    load_torque = per_row([r.load_torque for r in rotors])[:, None, None]
+    load_torque = per_row([r.load_torque for r in rotors])[:, None]
     offsets = np.array([[0.0], [0.5 * h]])      # step start and midpoint
+    # [F cos wt, F cos(wt + psi)] on the modes, from [cos wt, sin wt]
+    oscillator = np.zeros((B, m, 2))
+    oscillator[:, 0, 0] = force
+    oscillator[:, 1, 0] = force * np.cos(phase)
+    oscillator[:, 1, 1] = -force * np.sin(phase)
 
     # each row's linear dynamics M x'' + C x' + K x = F, as three diagonals
     # over [q_cos, q_sin, z, phi]: mass-normalized modes, the rotor's axial
@@ -446,12 +438,12 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
     damping[:, 2] = per_row([r.axial_damping for r in rotors])
     stiffness = np.zeros((B, m))
     stiffness[:, :2] = omega_n ** 2
-    # the map's input [state | r_prev | d | N | u] is padded with zero
-    # entries, read by zero rows, to a multiple of 4 entries, so a row's
+    # the map's input [state | r_(j-1) | r_(j-2) | d | N | u] is padded with
+    # zero entries, read by zero rows, to a multiple of 4 entries, so a row's
     # product sums the same groups at any B (see the docstring)
-    d0, f0 = n + m, n + 2 * m     # where d and [N | u] start
+    d0, f0 = 2 * n, 2 * n + m     # where d and [N | u] start
     width = -(-(f0 + 2 * M) // 4) * 4
-    step_map = np.pad(_step_map(_propagator(mass, damping, stiffness, h), reaction),
+    step_map = np.pad(_step_map(mass, damping, stiffness, oscillator, omega_d, reaction, h),
                       ((0, 0), (0, width - f0 - 2 * M), (0, 0)))
     weights = np.concatenate([stiffness, mass], axis=-1)
     damper = damping[:, :, None]
@@ -468,15 +460,16 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
     # A chunk holds as many whole sample intervals as fit in _CHUNK_ROW_STEPS
     # steps x rows, at least one; an interval longer than _CHUNK_STEPS spans
     # several chunks.  The buffers are entry-major, the row last: X[j] holds
-    # step j's step map input [state | r_prev | d | N | u], one column per
-    # row: the law writes [N, u] into it, and the map writes the next step's
-    # [state | r_prev].  G[j] holds the step's law arguments
+    # step j's step map input [state | r_(j-1) | r_(j-2) | d | N | u], one
+    # column per row: the law writes [N, u] into it, and the map writes the
+    # next step's [state | r_j | r_(j-1)].  G[j] holds the step's law arguments
     # [-k gap | slip / v], kept with X for the energy ledger.  The products
     # read and write (B, 1, K) views whose vectors have stride B; a batch of
     # one makes them on 1-D views.  The views each step uses are made once.
     span = max(1, _CHUNK_ROW_STEPS // (B * steps_per_sample)) * steps_per_sample
     chunk = min(span, _CHUNK_STEPS)
     X = np.zeros((chunk + 1, width, B))
+    X[:, d0 + 3] = -load_torque.T   # held; each chunk fills the rest of d
     G = np.empty((chunk, 2 * M, B))
     if B == 1:
         product, kin, step_map = _dot, kin[0], step_map[0]
@@ -489,7 +482,7 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
                   for j in range(chunk)]
     law = contact.evaluate_contact
     out = np.zeros((B, n_samples, 7))
-    out[..., 0] = np.arange(n_samples) * steps_per_sample * h
+    out[..., 0] = np.arange(n_samples) * output_interval
     probe = -cof[:, None]          # the friction probe is -mu u at the first point
     alive = np.ones(B, dtype=bool)
     n_valid = np.full(B, n_samples)   # the loop ends early only when no row is left
@@ -504,14 +497,17 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
             T = min(chunk, n_steps - k, span - k % steps_per_sample)
             count = max(T, 1)
             t = (k + np.arange(count)) * h
-            wt = omega_d * (t + offsets)
-            drive = np.zeros((B, m, 2, count))  # [start, midpoint] of each step
-            drive[:, 0] = np.cos(wt) * force
-            drive[:, 1] = np.cos(wt + phase) * force
-            drive[:, 2] = -np.where(t < ramp, preload * t / ramp_divisor,
-                                    preload)[:, None]
+            wt = omega_d[:, None] * t
+            tt = t + offsets                    # [start, midpoint] of each step
+            loads = -np.where(tt < ramp, preload * tt / ramp_divisor, preload)
+            X[:count, d0] = np.cos(wt).T
+            X[:count, d0 + 1] = np.sin(wt).T
+            X[:count, d0 + 2] = loads[:, 1].T
+            drive = np.empty((B, m, count))     # the forces at each step start
+            drive[:, 0] = X[:count, d0].T * force[:, None]
+            drive[:, 1] = np.cos(wt + phase[:, None]) * force[:, None]
+            drive[:, 2] = loads[:, 0]
             drive[:, 3] = -load_torque
-            X[:count, d0:f0] = drive[:, :, 1].T
 
             for x, y, g, load, slip_ratio, normal, traction, y_next in step_views[:count]:
                 product(y, kin, g)
@@ -551,7 +547,7 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
             # coordinate | damper on each | friction], time along the last axis
             vel = X[:count, m:n].T
             power = np.empty((B, n + 1, count))
-            np.multiply(drive[:, :, 0], vel, out=power[:, :m])
+            np.multiply(drive, vel, out=power[:, :m])
             np.multiply(damper, vel, out=power[:, m:n])
             power[:, m:n] *= vel
             # f s = (-mu u)(v s / v): the constants multiply the point sum
@@ -573,7 +569,7 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
             if T == 0:
                 energy_final = mech_energy(X[0])
                 break
-            X[0, :d0] = X[T, :d0]   # [state | r_prev]; d is refilled
+            X[0, :d0] = X[T, :d0]   # [state | r_(j-1) | r_(j-2)]; d is refilled
             k += T
 
     if alive.any():   # the loop ran to the end: trapezoidal work integrals

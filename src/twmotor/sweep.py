@@ -194,7 +194,9 @@ def make_preset(name: str, base: RunConfig | None = None) -> SweepSpec:
 
     ``usr30_preload``/``usr60_preload``: 25 N steps up to 250/500 N.
     ``ultem_preload_g``: 20 log-spaced points from 20 to 5000 g on an
-    Ultem stator.  ``cof_sweep``: 0.05..0.6 in 0.05 steps.
+    Ultem stator, run for 7 ms: the shortest whole millisecond in which
+    all its rows settle (at 5 ms none does).  ``cof_sweep``: 0.05..0.6 in
+    0.05 steps.
     """
     base = base if base is not None else RunConfig()
     if name == "usr30_preload":
@@ -204,7 +206,8 @@ def make_preset(name: str, base: RunConfig | None = None) -> SweepSpec:
     if name == "ultem_preload_g":
         vals = tuple(np.geomspace(20.0, 5000.0, 20))
         return SweepSpec("preload_g", vals,
-                         base.override(stator_material="Ultem 1000"))
+                         base.override(stator_material="Ultem 1000",
+                                       simulation={"duration": 7e-3}))
     if name == "cof_sweep":
         # Run the friction study at 200 N where the contact annulus is fully
         # closed: only there does the drag side of the wave trade against the

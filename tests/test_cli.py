@@ -166,6 +166,21 @@ class TestSweep:
         assert "torque" in peak
         assert (tmp_path / "sweep.svg").read_text().startswith("<svg")
 
+    @pytest.mark.parametrize("flags, duration", [((), 7e-3), (("--duration", "2e-3"), 2e-3)])
+    def test_duration_flag_outranks_the_preset(self, tmp_path, capsys, monkeypatch, flags,
+                                               duration):
+        """The Ultem preset runs 7 ms unless --duration says otherwise."""
+        seen = []
+
+        def recording(spec, jobs):
+            seen.append(spec.base.simulation.duration)
+            return sweep.SweepCurve(parameter=spec.parameter, rows=(sweep.SweepRow(
+                param=0.0, torque=0.0, speed=0.0, t_ss=0.0, settled=False, ok=False,
+                error="not run"),))
+        monkeypatch.setattr(sweep, "run_sweep", recording)
+        run_cli("sweep", "--out-dir", str(tmp_path), "--preset", "ultem_preload_g", *flags)
+        assert seen == [duration]
+
     def test_peak_is_strict_json(self, tmp_path, capsys, monkeypatch):
         nan_peak = sweep.PeakReport(param=0.4, torque=float("nan"),
                                     unimodal=True, boundary_maximum=False)

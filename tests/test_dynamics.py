@@ -17,7 +17,6 @@ from twmotor.dynamics import (
     SETTLE_WINDOW,
     SPIKE_FACTOR,
     MotorTimeSeries,
-    _propagator,
     _step_map,
     RotorConfig,
     SimulationDiverged,
@@ -61,6 +60,21 @@ class TestSimulate:
         assert len(series.time) == 101
         np.testing.assert_allclose(np.diff(series.time), 1e-5, rtol=1e-9)
 
+    @pytest.mark.parametrize("interval, per_period, steps, duration", [
+        (5e-8, 200, 1, 2e-5), (1e-5, 200, 83, 1e-3), (1e-5, 400, 165, 1e-3)])
+    def test_sample_times_are_whole_intervals(self, stator_model, interval, per_period,
+                                              steps, duration):
+        """Sample i lies at i x output_interval, bitwise, not at i s h, which
+        carries the rounding of the step h."""
+        cfg = RunConfig()
+        dt = 1.0 / (per_period * cfg.drive.resolve_frequency(stator_model.pair))
+        assert step_grid(stator_model, cfg.drive, 1e-3, interval, dt)[1] == steps
+        series = simulate(stator_model, cfg.drive, cfg.contact, cfg.rotor,
+                          duration=duration, output_interval=interval, dt=dt)
+        assert len(series) == round(duration / interval) + 1
+        for i, t in enumerate(series.time):
+            assert t == i * interval
+
     def test_frictionless_rotor_never_spins(self, stator_model):
         cfg = short_cfg(contact={"cof": 0.0})
         series = run_short(stator_model, cfg)
@@ -96,21 +110,44 @@ class TestSimulate:
         assert series.surface_displacement[-1] > 0.0
 
     def test_matches_reference_values(self, stator_model):
-        """The last sample of a 1 ms default run, as the inline step loop of
-        the initial release computed it.  The batched kernel sums in another
-        order, so the values agree to rounding, not bitwise."""
+        """The last sample of a 1 ms default run, as the exponential Adams
+        step map at 1/(200 f) computed it.  Values that differ by rounding
+        only, from another summation order, pass."""
         series = run_short(stator_model, short_cfg())
         reference = {
-            "surface_speed": 0.007401928392582319,
-            "surface_displacement": 3.4406339472547915e-06,
-            "torque": 0.12601768939943822,
-            "axial_force": 50.40707575977529,
-            "wave_amplitude": 7.1350601385908425e-06,
+            "surface_speed": 0.007402179196302837,
+            "surface_displacement": 3.4408123914540616e-06,
+            "torque": 0.1260186331156789,
+            "axial_force": 50.40745324627155,
+            "wave_amplitude": 7.135457648084371e-06,
         }
         for name, value in reference.items():
             assert getattr(series, name)[-1] == pytest.approx(value, rel=1e-10), name
         assert series.energy.residual_fraction \
-            == pytest.approx(1.8906681643080083e-05, rel=1e-6)
+            == pytest.approx(8.645476614398706e-06, rel=1e-6)
+
+    # The midpoint scheme's errors at 1/(400 f) in a 1 ms default run, against
+    # its own run at 1/(1600 f): W and the rotor speed at 1 ms
+    OLD_W_ERROR = 6.35e-5
+    OLD_SPEED_ERROR = 1.19e-6
+
+    def test_default_step_is_as_accurate_as_the_old_default(self, stator_model):
+        """A 1 ms default run against one at 1/(1600 f): W's error stays within
+        the midpoint scheme's at its default 1/(400 f).  The speed's error
+        scatters from step to step under either scheme, as sub-step slip
+        reversals land (README); the midpoint scheme read 1.2e-6 at
+        1/(400 f) and 1.3e-5 to 1.4e-5 at the next three steps, so it is held
+        to that error or 1e-4, whichever is larger."""
+        cfg = short_cfg()
+        fine = short_cfg(simulation={
+            "duration": 1e-3,
+            "dt": 1.0 / (1600 * cfg.drive.resolve_frequency(stator_model.pair))})
+        run, reference = run_short(stator_model, cfg), run_short(stator_model, fine)
+
+        def error(name):
+            return abs(getattr(run, name)[-1] / getattr(reference, name)[-1] - 1.0)
+        assert error("wave_amplitude") <= self.OLD_W_ERROR
+        assert error("surface_speed") <= max(self.OLD_SPEED_ERROR, 1e-4)
 
     def test_deterministic(self, stator_model):
         a = run_short(stator_model, short_cfg())
@@ -290,7 +327,7 @@ class TestSimulateBatch:
         def recording(a, b, out):             # the loop passes its output positionally
             if b.shape[-1] == 2 * points:     # state -> [load | slip_ratio]
                 written.append(out)
-            elif b.shape[-1] == 12:           # [state | r_prev | d | N | u] -> [state | r]
+            elif b.shape[-1] == 16:           # [state | r_(j-1) | r_(j-2) | d | N | u] -> ...
                 in_map_input.append(all(np.shares_memory(a, o) for o in outputs))
             return matmul(a, b, out)
 
@@ -331,11 +368,13 @@ class TestSimulateBatch:
 
 
 class TestPropagator:
-    """Every entry of the step map against the closed-form solutions of its
-    decoupled systems: the damped modal oscillator, the rotor's axial motion
-    with and without its damper, and its free spin.  The light rotors make
-    the axial motion stiff, c_z h / m from about 4 to 85, far beyond the
-    modal rate omega h of about 0.016 that shares their map."""
+    """Every entry of the step map's linear part against the closed-form
+    solutions of its decoupled systems: the damped modal oscillator, the
+    rotor's axial motion with and without its damper, and its free spin.
+    The light rotors make the axial motion stiff, c_z h / m from about 8 to
+    170, far beyond the modal rate omega h of about 0.03 that shares their
+    map.  The drive and the reaction history against the closed-form
+    responses to a harmonic force and to a polynomial one."""
 
     @staticmethod
     def x_plus_expm1(x):
@@ -349,6 +388,19 @@ class TestPropagator:
             total += term
         return total
 
+    @staticmethod
+    def build(diagonals, h, drive=np.zeros((4, 2)), omega=0.0, reaction=None):
+        if reaction is None:
+            reaction = np.random.default_rng(5).standard_normal((2, 6, 4))
+        return _step_map(*diagonals, drive, omega, reaction, h)
+
+    @staticmethod
+    def diagonals(model, c_z=700.0, mass=RotorConfig.mass, inertia=RotorConfig.inertia):
+        omega, zeta = model.pair.omega, model.damping_ratio
+        return (np.array([1.0, 1.0, mass, inertia]),
+                np.array([2.0 * zeta * omega] * 2 + [c_z, 0.0]),
+                np.array([omega ** 2] * 2 + [0.0, 0.0]))
+
     @pytest.mark.parametrize("c_z, mass", [
         (700.0, RotorConfig.mass), (0.0, RotorConfig.mass), (700.0, 1e-5), (700.0, 1e-6),
     ], ids=["700.0", "0.0", "700.0-1e-05", "700.0-1e-06"])
@@ -358,10 +410,12 @@ class TestPropagator:
         rotor = RotorConfig(axial_damping=c_z, mass=mass)
         mass, J = rotor.mass, rotor.inertia
         h = scale * step_grid(stator_model, RunConfig().drive)[0]
-        prop = _propagator(np.array([1.0, 1.0, mass, J]),
-                           np.array([2.0 * zeta * omega] * 2 + [c_z, 0.0]),
-                           np.array([omega ** 2] * 2 + [0.0, 0.0]), h)
-        assert prop.shape == (12, 8)
+        reaction = np.random.default_rng(5).standard_normal((2, 6, 4))
+        # a drive on both modes, which must leave the state block alone
+        step = self.build(self.diagonals(stator_model, c_z, mass), h,
+                          np.array([[-900.0, 0.0], [0.0, 900.0], [0, 0], [0, 0]]),
+                          2.0 * math.pi * 41e3, reaction)
+        assert step.shape == (32, 16)
 
         expected = np.zeros((12, 8))      # [positions | rates | forces] -> state
         sigma, omega_d = zeta * omega, omega * math.sqrt(1.0 - zeta * zeta)
@@ -392,34 +446,112 @@ class TestPropagator:
             expected[zd, zd], expected[fz, zd] = 1.0, h / mass
         expected[om, phi], expected[tz, phi], expected[tz, om] = h, 0.5 * h * h / J, h / J
 
+        # the state rows, and the rows of the loads d[2:], held over the step;
         # abs=0: every entry the closed forms leave at zero is exactly zero
-        assert prop == pytest.approx(expected, rel=1e-14, abs=0.0)
+        assert step[:8, :8] == pytest.approx(expected[:8], rel=1e-14, abs=0.0)
+        assert step[18:20, :8] == pytest.approx(expected[10:], rel=1e-14, abs=0.0)
+        assert not step[18:20, 8:].any()
 
-        # the step map [state | r_prev | d | N | u] -> [next state | r] reads
-        # the forcing rows exactly: F = d + 1.5 r - 0.5 r_prev, r = [N | u] forces
-        reaction = np.random.default_rng(5).standard_normal((2, 6, 4))
-        forces = np.concatenate(list(reaction))
-        step = _step_map(prop, reaction)
-        assert step.shape == (28, 12)
-        forcing = prop[8:12]
-        assert np.array_equal(step[:8, :8], prop[:8])
-        assert np.array_equal(step[8:12, :8], -0.5 * forcing)
-        assert np.array_equal(step[12:16, :8], forcing)
-        assert np.array_equal(step[16:, :8], forces @ (1.5 * forcing))
-        assert np.array_equal(step[:, 8:], np.concatenate([np.zeros((16, 4)), forces]))
-
+        # [N | u] -> r_j and r_(j-1) -> r_(j-1), both exactly; nothing else
+        # reaches the reactions
+        r = np.zeros((32, 8))
+        r[20:, :4] = np.concatenate(list(reaction))
+        r[8:12, 4:] = np.eye(4)
+        assert np.array_equal(step[:, 8:], r)
 
     def test_rows_are_independent_of_their_batch(self, stator_model):
         """Each row's map scales by its own norm: rows whose axial motion
         needs different scalings give bitwise their solo maps together."""
-        omega, zeta = stator_model.pair.omega, stator_model.damping_ratio
         h = step_grid(stator_model, RunConfig().drive)[0]
-        mass = np.array([[1.0, 1.0, m, RotorConfig.inertia] for m in (1e-2, 1e-5, 1e-6)])
-        damping = np.array([2.0 * zeta * omega] * 2 + [700.0, 0.0])
-        stiffness = np.array([omega ** 2] * 2 + [0.0, 0.0])
-        batch = _propagator(mass, damping, stiffness, h)
-        for row, solo_mass in zip(batch, mass):
-            assert np.array_equal(row, _propagator(solo_mass, damping, stiffness, h))
+        _, damping, stiffness = self.diagonals(stator_model)
+        masses = np.array([[1.0, 1.0, m, RotorConfig.inertia] for m in (1e-2, 1e-5, 1e-6)])
+        drive = np.array([[[f, 0.0], [0.0, -f], [0, 0], [0, 0]] for f in (-900.0, 1.0, 3e3)])
+        omegas = np.array([2.5e5, 2.6e5, 3e5])
+        reaction = np.random.default_rng(5).standard_normal((2, 3, 6, 4))
+        batch = _step_map(masses, damping, stiffness, drive, omegas, reaction, h)
+        for b in range(3):
+            assert np.array_equal(batch[b], _step_map(masses[b], damping, stiffness, drive[b],
+                                                      omegas[b], reaction[:, b], h))
+
+    def test_drive_is_integrated_exactly(self, stator_model):
+        """Contact-free, one mode under F cos(w t + psi) from rest, 400 steps
+        of the map against the closed-form damped forced response."""
+        omega_n, zeta = stator_model.pair.omega, stator_model.damping_ratio
+        w, psi, force = 0.93 * omega_n, 0.7, -959.0
+        h = step_grid(stator_model, RunConfig().drive)[0]
+        drive = np.zeros((4, 2))
+        drive[0] = force * math.cos(psi), -force * math.sin(psi)
+        step = self.build(self.diagonals(stator_model), h, drive, w, np.zeros((2, 6, 4)))
+        x = np.zeros(step.shape[0])       # at rest, with d = [cos w t_j, sin w t_j, 0, 0]
+        for j in range(400):
+            x[16:18] = math.cos(w * j * h), math.sin(w * j * h)
+            x[:16] = x @ step
+
+        # the steady response a e^(i w t) plus the free decay that starts at rest
+        a = force * np.exp(1j * psi) / (omega_n ** 2 - w * w + 2j * zeta * omega_n * w)
+        sigma, omega_d = zeta * omega_n, omega_n * math.sqrt(1.0 - zeta * zeta)
+        c0 = -a.real
+        s0 = (-(1j * w * a).real + sigma * c0) / omega_d
+        end = h * 400
+        free = np.exp(-sigma * end) * np.array(
+            [c0 * math.cos(omega_d * end) + s0 * math.sin(omega_d * end),
+             (s0 * omega_d - sigma * c0) * math.cos(omega_d * end)
+             - (c0 * omega_d + sigma * s0) * math.sin(omega_d * end)])
+        steady = np.array([(a * np.exp(1j * w * end)).real,
+                           (1j * w * a * np.exp(1j * w * end)).real])
+        exact = steady + free
+        assert np.abs(x[[0, 4]] - exact).max() <= 1e-12 * abs(a) * w
+        assert not x[[1, 2, 3, 5, 6, 7]].any()
+
+    @staticmethod
+    def polynomial_response(mass, damping, stiffness, forcing):
+        """Coefficients a of x = sum a_k t^k with mass x'' + damping x' +
+        stiffness x = sum forcing_k t^k, x(0) = 0 on the rigid motions:
+        t^k's coefficients, matched from the top, solve for a_k, a_(k+1) or
+        a_(k+2), whichever term is the lowest present."""
+        a = np.zeros(len(forcing) + 2)
+        for k in range(len(forcing) - 1, -1, -1):
+            rest = forcing[k] - mass * (k + 2) * (k + 1) * a[k + 2]
+            if stiffness:
+                a[k] = (rest - damping * (k + 1) * a[k + 1]) / stiffness
+            elif damping:
+                a[k + 1] = rest / (damping * (k + 1))
+            else:
+                a[k + 2] = forcing[k] / (mass * (k + 2) * (k + 1))
+        return a
+
+    def test_reaction_polynomial_is_integrated_exactly(self, stator_model):
+        """Reactions on a polynomial of the scheme's degree, with a history
+        on the same polynomial, from the state that the polynomial response
+        holds at t = 0: 300 steps end on that response, which is a
+        polynomial too, on the modes, the damped axial motion and the free
+        spin."""
+        h = step_grid(stator_model, RunConfig().drive)[0]
+        diagonals = self.diagonals(stator_model)
+        degree = len(dynamics._HISTORY[0]) - 1
+        span = 300 * h
+        # r(t) = sum_k p_k (t / span)^k on each coordinate
+        p = np.random.default_rng(3).standard_normal((degree + 1, 4)) * [1e2, 1e2, 10.0, 1e-2]
+        forcing = p / span ** np.arange(degree + 1)[:, None]
+        coef = np.array([self.polynomial_response(*(d[i] for d in diagonals), forcing[:, i])
+                         for i in range(4)]).T
+        powers = np.arange(len(coef))
+
+        def response(t):
+            return np.concatenate([t ** powers @ coef, (powers[1:] * t ** powers[:-1]) @ coef[1:]])
+
+        def force(t):
+            return (t / span) ** np.arange(degree + 1) @ p
+
+        reaction = np.stack([np.eye(4)[:2], np.eye(4)[2:]])   # [N | u] is r itself
+        step = self.build(diagonals, h, reaction=reaction)
+        x = np.zeros(step.shape[0])
+        x[:8], x[8:12], x[12:16] = response(0.0), force(-h), force(-2 * h)
+        for j in range(300):
+            x[20:24] = force(j * h)
+            x[:16] = x @ step
+        scale = np.abs([response(t) for t in np.linspace(0.0, span, 7)]).max(axis=0)
+        assert np.all(np.abs(x[:8] - response(span)) <= 1e-12 * scale)
 
 
 class TestChunkEdges:
@@ -432,18 +564,18 @@ class TestChunkEdges:
 
     CASES = {
         "one step per sample": (2e-5, 5e-8, {
-            "surface_speed": 1.142574147396914e-05,
-            "surface_displacement": 6.480037881568096e-11,
-            "torque": 0.02223501635806511,
-            "axial_force": 15.524152255320484,
-            "wave_amplitude": 5.796833556581792e-07,
+            "surface_speed": 1.1425844116786777e-05,
+            "surface_displacement": 6.480249478989832e-11,
+            "torque": 0.022235141419029998,
+            "axial_force": 15.52413370752385,
+            "wave_amplitude": 5.796851741462961e-07,
         }),
-        "sample interval longer than a chunk": (3e-4, 1e-4, {
-            "surface_speed": 0.001780180482638526,
-            "surface_displacement": 2.113675405451309e-07,
-            "torque": 0.1300656263648401,
-            "axial_force": 53.70969168781357,
-            "wave_amplitude": 4.903190956161858e-06,
+        "sample interval longer than a chunk": (3e-4, 1.5e-4, {
+            "surface_speed": 0.0017800972496392837,
+            "surface_displacement": 2.1133853526490266e-07,
+            "torque": 0.13006791685189145,
+            "axial_force": 53.710289791095576,
+            "wave_amplitude": 4.903416810924395e-06,
         }),
     }
 
@@ -505,10 +637,10 @@ class TestChunkEdges:
         assert_same_run(runs[0][0], runs[0][1])
 
     def test_divergence_found_anywhere_in_a_chunk(self, stator_model, monkeypatch):
-        """At k = 1e13 N/m q_cos is non-finite at the second sample, t = 1e-5 s.
+        """At k = 1e15 N/m q_cos is non-finite at the second sample, t = 1e-5 s.
         With chunks of one interval that sample starts a chunk; with two or
         three it lies inside one.  The report and the truncation agree."""
-        cfg = RunConfig().override(contact={"penalty_stiffness": 1e13})
+        cfg = RunConfig().override(contact={"penalty_stiffness": 1e15})
         steps_per_sample = step_grid(stator_model, cfg.drive)[1]
         runs = []
         for intervals in (1, 2, 3):

@@ -5,6 +5,7 @@ else is exercised with synthetic curves.
 """
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -108,6 +109,14 @@ class TestPresets:
         ratios = np.diff(np.log(spec.values))
         np.testing.assert_allclose(ratios, ratios[0])
         assert spec.base.stator_material == lookup("Ultem 1000")
+
+    def test_ultem_rows_settle(self):
+        """The first, middle and last rows of the Ultem preset settle within
+        its duration, and so report a torque."""
+        spec = make_preset("ultem_preload_g")
+        values = spec.values[0], spec.values[len(spec.values) // 2], spec.values[-1]
+        curve = run_sweep(SweepSpec(spec.parameter, values, spec.base))
+        assert all(r.ok and r.settled and math.isfinite(r.torque) for r in curve.rows)
 
     def test_cof_grid(self):
         spec = make_preset("cof_sweep")
@@ -229,9 +238,9 @@ class TestRunSweep:
         assert np.isfinite(curve.rows[0].speed)
 
     def test_post_processing_errors_fail_rows(self):
-        """At k = 1e13 N/m every row diverges at its second sample, and
+        """At k = 1e15 N/m every row diverges at its second sample, and
         ``runner.summarize`` raises that divergence for each row."""
-        base = RunConfig().override(contact={"penalty_stiffness": 1e13},
+        base = RunConfig().override(contact={"penalty_stiffness": 1e15},
                                     simulation={"duration": 6e-4})
         curve = run_sweep(SweepSpec("cof", (0.3, 0.4, 0.5), base=base))
         assert not any(r.ok for r in curve.rows)

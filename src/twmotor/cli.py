@@ -37,11 +37,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", default=".", help="output directory")
 
     p = sub.add_parser("eigen", help="stator eigenfrequency table")
+    p.set_defaults(handler=_cmd_eigen)
     add_common(p)
     p.add_argument("--n-elements", type=int)
     p.add_argument("--modes", type=int)
 
     p = sub.add_parser("run", help="transient motor run")
+    p.set_defaults(handler=_cmd_run)
     add_common(p)
     p.add_argument("--cof", type=float)
     p.add_argument("--preload", type=float, help="preload in N")
@@ -51,9 +53,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, help="simulated time in s")
 
     p = sub.add_parser("sweep", help="parametric sweep")
+    p.set_defaults(handler=_cmd_sweep)
     add_common(p)
     p.add_argument("--preset", choices=sweep.PRESET_NAMES)
-    p.add_argument("--param", choices=sweep.PARAMETER_UNITS)
+    p.add_argument("--param", choices=sweep.PARAMETERS)
     p.add_argument("--values", help="grid as start:stop:step (inclusive)")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes, at least 1; each lockstep batch of rows "
@@ -62,6 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, help="simulated time per run in s")
 
     p = sub.add_parser("roughness", help="areal roughness report from CSV maps")
+    p.set_defaults(handler=_cmd_roughness)
     p.add_argument("paths", nargs="+", help="height-map CSV files (um)")
     p.add_argument("--dx", type=float, required=True, help="pixel pitch x, um")
     p.add_argument("--dy", type=float, required=True, help="pixel pitch y, um")
@@ -69,6 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run the checks of `run` on a configuration "
                                         "without stepping it")
+    p.set_defaults(handler=_cmd_validate)
     p.add_argument("--config")
     return parser
 
@@ -88,28 +93,29 @@ def _strict_json(data) -> str:
     return json.dumps(clean_data, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _load(args) -> RunConfig:
-    config = load_config(args.config) if args.config else RunConfig()
-    drive = {}
-    if getattr(args, "cof", None) is not None:
-        config = config.override(contact={"cof": args.cof})
-    if getattr(args, "preload", None) is not None:
-        config = config.override(rotor={"preload": args.preload})
-    if getattr(args, "voltage", None) is not None:
-        drive["voltage"] = args.voltage
-    if getattr(args, "phase", None) is not None:
-        drive["phase_offset"] = phase_degrees_to_radians(args.phase)
-    if getattr(args, "frequency", None) is not None:
-        drive["frequency"] = args.frequency
-    if drive:
-        config = config.override(drive=drive)
-    if getattr(args, "duration", None) is not None:
-        config = config.override(simulation={"duration": args.duration})
-    if getattr(args, "n_elements", None) is not None:
-        config = config.override(mesh={"n_elements": args.n_elements})
-    if getattr(args, "modes", None) is not None:
-        config = config.override(mesh={"modes": args.modes})
-    return config
+# Each run flag's config field: argparse dest -> (section, field, conversion).
+FLAG_FIELDS = {
+    "cof": ("contact", "cof", float),
+    "preload": ("rotor", "preload", float),
+    "voltage": ("drive", "voltage", float),
+    "phase": ("drive", "phase_offset", phase_degrees_to_radians),
+    "frequency": ("drive", "frequency", float),
+    "duration": ("simulation", "duration", float),
+    "n_elements": ("mesh", "n_elements", int),
+    "modes": ("mesh", "modes", int),
+}
+
+
+def _load(args, config: RunConfig | None = None) -> RunConfig:
+    """``config`` (by default the --config file's, else the defaults) with the
+    command's flags set in one override."""
+    if config is None:
+        config = load_config(args.config) if args.config else RunConfig()
+    sections = {}
+    for dest, (section, name, convert) in FLAG_FIELDS.items():
+        if (value := getattr(args, dest, None)) is not None:
+            sections.setdefault(section, {})[name] = convert(value)
+    return config.override(**sections)
 
 
 def _cmd_eigen(args) -> int:
@@ -166,16 +172,15 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 def _cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, not {args.jobs}")
-    config = _load(args)
-    if args.preset:
-        spec = sweep.make_preset(args.preset, config)
-        if args.duration is not None:     # the flag outranks a preset's own duration
-            spec = sweep.SweepSpec(spec.parameter, spec.values,
-                                   spec.base.override(simulation={"duration": args.duration}))
+    config = load_config(args.config) if args.config else RunConfig()
+    if args.preset:     # the flags outrank the preset's own settings, its duration too
+        preset = sweep.make_preset(args.preset, config)
+        parameter, values, config = preset.parameter, preset.values, preset.base
     elif args.param and args.values:
-        spec = sweep.SweepSpec(args.param, _parse_grid(args.values), config)
+        parameter, values = args.param, _parse_grid(args.values)
     else:
         raise ConfigError("sweep needs --preset or both --param and --values")
+    spec = sweep.SweepSpec(parameter, values, _load(args, config))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     curve = sweep.run_sweep(spec, jobs=args.jobs)
@@ -195,7 +200,7 @@ def _cmd_sweep(args) -> int:
     (out_dir / "peak.json").write_text(text)
     print(text, end="")
     if args.plot:
-        unit = sweep.PARAMETER_UNITS[spec.parameter]
+        unit = sweep.PARAMETERS[spec.parameter][0]
         svg = svg_line_chart(curve.column("param"), curve.column("torque"), "torque",
                              xlabel=f"{spec.parameter} [{unit}]",
                              ylabel="reported torque [N m]",
@@ -234,7 +239,7 @@ def _cmd_roughness(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    config = load_config(args.config) if args.config else RunConfig()
+    config = _load(args)
     runner.admit(config, runner.build_stator(config))
     print("configuration valid")
     return EXIT_OK
@@ -243,15 +248,8 @@ def _cmd_validate(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "eigen": _cmd_eigen,
-        "run": _cmd_run,
-        "sweep": _cmd_sweep,
-        "roughness": _cmd_roughness,
-        "validate": _cmd_validate,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -201,11 +201,9 @@ class MotorTimeSeries:
         cols = (self.time, self.surface_speed, self.surface_displacement,
                 self.friction_probe, self.torque, self.axial_force,
                 self.wave_amplitude)
-        lines = [CSV_HEADER]
-        for row in zip(*cols):
-            lines.append(",".join(f"{v:.17g}" for v in row))
+        row = ",".join(["%.17g"] * len(cols))
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("\n".join([CSV_HEADER, *(row % v for v in zip(*cols))]) + "\n")
 
 
 def step_grid(stator: StatorModel, drive: DriveConfig, duration: float = 5e-3,

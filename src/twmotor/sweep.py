@@ -28,7 +28,7 @@ __all__ = [
     "SweepRow",
     "SweepCurve",
     "PeakReport",
-    "PARAMETER_UNITS",
+    "PARAMETERS",
     "PRESET_NAMES",
     "grams_to_newtons",
     "make_preset",
@@ -37,10 +37,6 @@ __all__ = [
 ]
 
 STANDARD_GRAVITY = 9.80665  # m/s^2
-
-# The sweepable parameters and their units.
-PARAMETER_UNITS = {"preload_N": "N", "preload_g": "g", "cof": "-", "voltage": "V",
-                   "frequency": "Hz"}
 SWEEP_CSV_HEADER = "param,torque,speed,t_ss,settled,ok,error"
 
 
@@ -49,6 +45,17 @@ def grams_to_newtons(grams: float) -> float:
     if grams < 0:
         raise ValueError("mass in grams must be >= 0")
     return grams * STANDARD_GRAVITY * 1e-3
+
+
+# Each sweepable parameter: (unit, config section, field, conversion to the
+# field's SI value).
+PARAMETERS = {
+    "preload_N": ("N", "rotor", "preload", float),
+    "preload_g": ("g", "rotor", "preload", grams_to_newtons),
+    "cof": ("-", "contact", "cof", float),
+    "voltage": ("V", "drive", "voltage", float),
+    "frequency": ("Hz", "drive", "frequency", float),
+}
 
 
 @dataclass(frozen=True)
@@ -60,11 +67,9 @@ class SweepSpec:
     base: RunConfig = field(default_factory=RunConfig)
 
     def __post_init__(self):
-        if self.parameter not in PARAMETER_UNITS:
-            raise ValueError(
-                f"unknown sweep parameter {self.parameter!r}; "
-                f"choose from {', '.join(PARAMETER_UNITS)}"
-            )
+        if self.parameter not in PARAMETERS:
+            raise ValueError(f"unknown sweep parameter {self.parameter!r}; "
+                             f"choose from {', '.join(PARAMETERS)}")
         vals = tuple(float(v) for v in self.values)
         object.__setattr__(self, "values", vals)
         if len(vals) < 3:
@@ -76,15 +81,8 @@ class SweepSpec:
         self.config_for(vals[0])    # the config types state the domains; the lowest decides
 
     def config_for(self, value: float) -> RunConfig:
-        if self.parameter == "preload_N":
-            return self.base.override(rotor={"preload": value})
-        if self.parameter == "preload_g":
-            return self.base.override(rotor={"preload": grams_to_newtons(value)})
-        if self.parameter == "cof":
-            return self.base.override(contact={"cof": value})
-        if self.parameter == "voltage":
-            return self.base.override(drive={"voltage": value})
-        return self.base.override(drive={"frequency": value})
+        _, section, name, to_si = PARAMETERS[self.parameter]
+        return self.base.override(**{section: {name: to_si(value)}})
 
 
 @dataclass(frozen=True)
@@ -186,35 +184,31 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepCurve:
     return SweepCurve(parameter=spec.parameter, rows=tuple(rows))
 
 
-PRESET_NAMES = ("usr30_preload", "usr60_preload", "ultem_preload_g", "cof_sweep")
+# Named study grids: name -> (parameter, grid, what the study fixes over the
+# base config).  ``usr30_preload``/``usr60_preload``: 25 N steps up to
+# 250/500 N.  ``ultem_preload_g``: 20 log-spaced points from 20 to 5000 g on
+# an Ultem stator, run for 7 ms: the shortest whole millisecond in which all
+# its rows settle (at 5 ms none does).  ``cof_sweep``: 0.05..0.6 in 0.05
+# steps at 200 N, where the contact annulus is fully closed: only there does
+# the drag side of the wave trade against the driving side and produce an
+# interior friction optimum.
+PRESETS = {
+    "usr30_preload": ("preload_N", np.arange(25.0, 250.0 + 1e-9, 25.0), {}),
+    "usr60_preload": ("preload_N", np.arange(25.0, 500.0 + 1e-9, 25.0), {}),
+    "ultem_preload_g": ("preload_g", np.geomspace(20.0, 5000.0, 20),
+                        {"stator_material": "Ultem 1000", "simulation": {"duration": 7e-3}}),
+    "cof_sweep": ("cof", np.arange(0.05, 0.6 + 1e-9, 0.05), {"rotor": {"preload": 200.0}}),
+}
+PRESET_NAMES = tuple(PRESETS)
 
 
 def make_preset(name: str, base: RunConfig | None = None) -> SweepSpec:
-    """Named study grids.
-
-    ``usr30_preload``/``usr60_preload``: 25 N steps up to 250/500 N.
-    ``ultem_preload_g``: 20 log-spaced points from 20 to 5000 g on an
-    Ultem stator, run for 7 ms: the shortest whole millisecond in which
-    all its rows settle (at 5 ms none does).  ``cof_sweep``: 0.05..0.6 in
-    0.05 steps.
-    """
+    """The study grid ``PRESETS`` names, on ``base`` (by default the defaults)."""
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
+    parameter, grid, fixed = PRESETS[name]
     base = base if base is not None else RunConfig()
-    if name == "usr30_preload":
-        return SweepSpec("preload_N", tuple(np.arange(25.0, 250.0 + 1e-9, 25.0)), base)
-    if name == "usr60_preload":
-        return SweepSpec("preload_N", tuple(np.arange(25.0, 500.0 + 1e-9, 25.0)), base)
-    if name == "ultem_preload_g":
-        vals = tuple(np.geomspace(20.0, 5000.0, 20))
-        return SweepSpec("preload_g", vals,
-                         base.override(stator_material="Ultem 1000",
-                                       simulation={"duration": 7e-3}))
-    if name == "cof_sweep":
-        # Run the friction study at 200 N where the contact annulus is fully
-        # closed: only there does the drag side of the wave trade against the
-        # driving side and produce an interior friction optimum.
-        return SweepSpec("cof", tuple(np.arange(0.05, 0.6 + 1e-9, 0.05)),
-                         base.override(rotor={"preload": 200.0}))
-    raise ConfigError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
+    return SweepSpec(parameter, tuple(grid), base.override(**fixed))
 
 
 @dataclass(frozen=True)

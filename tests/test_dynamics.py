@@ -676,6 +676,18 @@ class TestTimeSeriesCsv:
         header = path.read_text().splitlines()[0]
         assert header == "t,s_speed,surf_disp,fric_probe,torque,fz,wave_amp"
 
+    def test_rows_match_per_value_formatting(self, tmp_path):
+        """Each value is written as ``f"{v:.17g}"`` writes it, signed zero,
+        subnormals, the largest magnitudes and non-finite values included."""
+        special = np.array([-0.0, 5e-324, 1e308, np.nan, np.inf, -np.inf, 0.1])
+        cols = [np.roll(special, k) for k in range(7)]
+        series = MotorTimeSeries(*cols)
+        path = tmp_path / "ts.csv"
+        series.to_csv(path)
+        rows = [",".join(f"{v:.17g}" for v in row) for row in zip(*cols)]
+        assert path.read_bytes() == "\n".join(
+            ["t,s_speed,surf_disp,fric_probe,torque,fz,wave_amp", *rows, ""]).encode()
+
 
 class TestDetectSteadyState:
     def test_exponential_settle_time(self):

@@ -14,6 +14,7 @@ from twmotor import contact
 from twmotor.config import ConfigError, RunConfig
 from twmotor.materials import lookup
 from twmotor.sweep import (
+    PARAMETERS,
     PRESET_NAMES,
     SweepCurve,
     SweepRow,
@@ -74,6 +75,25 @@ class TestSweepSpec:
         """The config types state each value's domain; the sweep asks them."""
         with pytest.raises(ValueError, match=message):
             SweepSpec(parameter, values)
+
+    # parameter: (unit, grid, value, section, field, the field's SI value)
+    SAMPLES = {
+        "preload_N": ("N", (50.0, 100.0, 150.0), 100.0, "rotor", "preload", 100.0),
+        "preload_g": ("g", (500.0, 1000.0, 1500.0), 1000.0, "rotor", "preload", 9.80665),
+        "cof": ("-", (0.1, 0.3, 0.5), 0.3, "contact", "cof", 0.3),
+        "voltage": ("V", (80.0, 90.0, 100.0), 90.0, "drive", "voltage", 90.0),
+        "frequency": ("Hz", (40e3, 41e3, 42e3), 41e3, "drive", "frequency", 41e3),
+    }
+
+    @pytest.mark.parametrize("parameter", sorted(PARAMETERS))
+    def test_config_for_sets_the_field_in_si_units(self, parameter):
+        unit, grid, value, section, name, si = self.SAMPLES[parameter]
+        assert PARAMETERS[parameter][0] == unit
+        config = SweepSpec(parameter, grid).config_for(value)
+        got = getattr(getattr(config, section), name)
+        assert got == pytest.approx(si, rel=1e-15)
+        assert config == RunConfig().override(**{section: {name: got}})
+        assert config != RunConfig()
 
     def test_config_for_sets_parameter(self):
         spec = SweepSpec("cof", (0.1, 0.2, 0.3))

@@ -37,7 +37,7 @@ class MeshSettings:
 class SimulationSettings:
     duration: float = 5e-3
     output_interval: float = 1e-5
-    dt: float | None = None          # None = 1/(200 f_drive), the coarsest accepted
+    dt: float | None = None          # None = 1/(100 f_drive), the coarsest accepted
 
     def __post_init__(self):
         if self.duration <= 0 or self.output_interval <= 0:

@@ -9,8 +9,8 @@ M x'' + C x' + K x = F with diagonal M, C and K, and a run's state is
 step, the contact law of ``contact.py`` is evaluated at the step start
 (explicit), and the step map (``_step_map``) advances the linear system
 exactly under the electrode drive, and under the contact reactions as
-the quadratic through their last three evaluations: an exponential
-Adams-Bashforth scheme.  This keeps the
+the cubic through their last four evaluations: an exponential
+Adams-Bashforth scheme of fourth order.  This keeps the
 integration robust against the stiff penalty forces; accuracy is
 monitored by an energy-bookkeeping residual, weighted by the same K, M
 and C, accumulated alongside the states.
@@ -49,12 +49,12 @@ The loop runs in chunks of whole sample intervals, step first in every
 buffer: as many intervals as fit in ``_CHUNK_ROW_STEPS`` steps x rows, at
 least one, and at most ``_CHUNK_STEPS`` steps, so an interval longer than
 that spans several chunks.  X[j], the step map's input at step j, is
-[state_j | r_(j-1) | r_(j-2) | d_j | N_j | u_j] with one column per row:
-the law writes its outputs into it, and the map writes
-[state_(j+1) | r_j | r_(j-1)] into X[j + 1], so nothing is copied within
-a chunk.  No step branches: after its steps a chunk reads its samples
-from the steps j0, j0 + s, ... of X (s steps per sample), and their
-reactions one step later, and checks them for finiteness together.  A
+[state_j | r_(j-1) | r_(j-2) | r_(j-3) | d_j | N_j | u_j] with one column
+per row: the law writes its outputs into it, and the map writes
+[state_(j+1) | r_j | r_(j-1) | r_(j-2)] into X[j + 1], so nothing is
+copied within a chunk.  No step branches: after its steps a chunk reads
+its samples from the steps j0, j0 + s, ... of X (s steps per sample), and
+their reactions one step later, and checks them for finiteness together.  A
 chunk evaluates the drive and the preload ramp at all its steps at once,
 and reduces the energy ledger's powers from its history of states and of
 the law's arguments and outputs.  The ledger sums each sample interval's
@@ -229,18 +229,19 @@ def _grid(stator: StatorModel, drive: DriveConfig, duration: float,
           output_interval: float, dt: float | None) -> tuple[float, int, int]:
     """The step loop's grid: ``step_grid`` without its length rule.
 
-    Steps above 1/(200 f_drive) are rejected as too coarse, and the step
+    Steps above 1/(100 f_drive) are rejected as too coarse, and the step
     defaults to that bound, snapped to an integer divider of the output
     interval.  The bound guards accuracy, not stability: the default motor
-    steps stably up to 1/(30 f_drive), and at the bound the step map's
-    errors stay below the midpoint scheme's at 1/(400 f_drive) (README,
-    step error).
+    steps without blowing up at 1/(20 f_drive), where its energy residual
+    is 7e-4 (9e-8 at the bound), and at the bound the step map's errors
+    stay below the midpoint scheme's at 1/(400 f_drive) (README, step
+    error).
     """
-    bound = 1.0 / (200.0 * drive.resolve_frequency(stator.pair))
+    bound = 1.0 / (100.0 * drive.resolve_frequency(stator.pair))
     dt_nominal = dt if dt is not None else bound
     if dt_nominal > bound:
         raise ValueError(f"dt={dt_nominal:g} s too coarse; need <= {bound:g} s "
-                         "(1/(200 f_drive))")
+                         "(1/(100 f_drive))")
     steps_per_sample = max(1, math.ceil(output_interval / dt_nominal))
     return (output_interval / steps_per_sample, steps_per_sample,
             int(round(duration / output_interval)) + 1)
@@ -267,10 +268,11 @@ def simulate(stator: StatorModel, drive: DriveConfig,
                           output_interval=output_interval, dt=dt)[0]
 
 
-# A step's reaction is the quadratic through r_j, r_(j-1) and r_(j-2) at the
-# times 0, -h and -2h: p(s) = c_0 + s c_1 + s^2 c_2 / 2 at s = t / h after
-# the step start.  Row i gives r_(j-i)'s weight in each c_k.
-_HISTORY = np.array([[1.0, 1.5, 1.0], [0.0, -2.0, -2.0], [0.0, 0.5, 1.0]])
+# A step's reaction is the cubic through r_j, ..., r_(j-3) at the times 0,
+# -h, -2h and -3h: p(s) = c_0 + s c_1 + s^2 c_2 / 2 + s^3 c_3 / 6 at s = t / h
+# after the step start.  Row i gives r_(j-i)'s weight in each c_k.
+_HISTORY = np.array([[1.0, 11.0 / 6.0, 2.0, 1.0], [0.0, -3.0, -5.0, -3.0],
+                     [0.0, 1.5, 4.0, 3.0], [0.0, -1.0 / 3.0, -1.0, -1.0]])
 
 
 def _step_map(mass, damping, stiffness, drive, omega, reaction, h: float) -> np.ndarray:
@@ -282,72 +284,108 @@ def _step_map(mass, damping, stiffness, drive, omega, reaction, h: float) -> np.
     (..., 4, 2) times [cos wt, sin wt], w being ``omega`` (...), plus the
     loads and the reactions r, which ``reaction``'s (2, ..., P, 4) blocks
     form from the law's outputs [N, u] at P points.  The map reads
-    [state | r_(j-1) | r_(j-2) | d | N | u], d = [cos wt_j, sin wt_j, the
-    held loads on z and phi], and writes [next state | r_j | r_(j-1)]:
-    shape (..., 20 + 2P, 16), for row vectors.  It is the exponential
-    (``_expm``) of the system augmented by three blocks (Van Loan, IEEE
-    Trans. Autom. Control 23 (1978) 395-404): the drive's oscillator, which
-    integrates the drive exactly; the held reaction and loads; and the
-    reaction's slope and curvature, so that r is integrated as the
-    quadratic ``_HISTORY`` draws through its last three values (Hochbruck
-    & Ostermann, Acta Numer. 19 (2010) 209-286).  That is exponential
-    Adams-Bashforth of third order for smooth forcing; the law's kinks and
-    sub-step slip reversals leave an O(h) scatter.  Both blocks are needed
-    (README): at 1/(200 f), a drive held at the midpoint leaves 2.7 times
-    the energy residual of the midpoint scheme at 1/(400 f), and r held at
-    its two-value extrapolation 3 times its error in W.  The augmented columns
-    add no squaring: their norms are far below the state's.
+    [state | r_(j-1) | r_(j-2) | r_(j-3) | d | N | u], d = [cos wt_j,
+    sin wt_j, the held loads on z and phi], and writes
+    [next state | r_j | r_(j-1) | r_(j-2)]: shape (..., 24 + 2P, 20), for
+    row vectors.  It is the exponential (``_expm``) of the system augmented
+    by three blocks (Van Loan, IEEE Trans. Autom. Control 23 (1978)
+    395-404): the drive's oscillator, which integrates the drive exactly;
+    the held reaction and loads; and the reaction's first three
+    derivatives, so that r is integrated as the cubic ``_HISTORY`` draws
+    through its last four values (Hochbruck & Ostermann, Acta Numer. 19
+    (2010) 209-286).  That is exponential Adams-Bashforth of fourth order
+    for smooth forcing; the law's kinks and sub-step slip reversals leave
+    an O(h) scatter.  Both blocks are needed, and the fourth order (README):
+    at 1/(200 f), a drive held at the midpoint leaves 2.7 times the energy
+    residual of the midpoint scheme at 1/(400 f), and r held at its
+    two-value extrapolation 3 times its error in W; at the 1/(100 f)
+    default, the quadratic through three values leaves 7.2e-5 of residual,
+    where the cubic leaves 9e-8.
+
+    The coordinates share only the drive's oscillator, which none of them
+    moves, so each coordinate's system [x, x', cos wt, sin wt, r, r', ...]
+    is exponentiated alone, at its own scaling: the stiff damper of a
+    light rotor's axial motion, c h / m in the hundreds, adds no squaring
+    to the modal block.  The reaction's derivatives add none: their rates,
+    entries of 1, raise ||A^2||_1 to no more than the threshold of 1.
     """
     m = mass.shape[-1]
-    n, k = 2 * m, len(_HISTORY[0])
-    i, j = np.arange(m), np.arange(n + 2, n + 2 + k * m)
-    system = np.zeros(mass.shape[:-1] + (n + 2 + k * m,) * 2)
-    system[..., i, m + i] = 1.0
-    system[..., m + i, i] = -stiffness / mass
-    system[..., m + i, m + i] = -damping / mass
-    system[..., m:n, n:n + 2] = drive / mass[..., None]
-    system[..., n + 1, n] = omega
-    system[..., n, n + 1] = -omega
-    system[..., m + i, n + 2 + i] = 1.0 / mass
+    n, k = 2 * m, len(_HISTORY)
+    kept = (k - 1) * m        # the map's r_j, ..., r_(j-k+2), which the next steps read
+    # each coordinate's own system, on [x, x', cos wt, sin wt, r, r', ...]
+    size = 4 + k
+    omega = np.asarray(omega)[..., None]
+    system = np.zeros(mass.shape + (size, size))
+    system[..., 0, 1] = 1.0
+    system[..., 1, 0] = -stiffness / mass
+    system[..., 1, 1] = -damping / mass
+    system[..., 1, 2:4] = drive / mass[..., None]
+    system[..., 3, 2] = omega
+    system[..., 2, 3] = -omega
+    system[..., 1, 4] = 1.0 / mass
     system *= h
-    system[..., j[:-m], j[m:]] = 1.0      # each polynomial block is the next's rate
-    e = np.swapaxes(_expm(system)[..., :n, :], -1, -2)
+    c = np.arange(4, size - 1)
+    system[..., c, c + 1] = 1.0      # each polynomial entry is the previous one's rate
+    own = np.zeros(system.shape[:-1], dtype=bool)
+    own[..., 1] = stiffness == 0     # a rate without stiffness is a block of its own
+    # scattered into one map from [state | cos wt, sin wt | r | r' | ...] to the state
+    i = np.arange(m)[:, None]
+    inputs = np.concatenate([i, m + i, np.full((m, 2), [n, n + 1]), n + 2 + i + m * np.arange(k)],
+                            axis=-1)
+    e = np.zeros(mass.shape[:-1] + (n + 2 + k * m, n))
+    e[..., inputs[:, :, None], np.concatenate([i, m + i], axis=-1)[:, None, :]] = \
+        np.swapaxes(_expm(system, own)[..., :2, :], -1, -2)
     poly = _HISTORY @ e[..., n + 2:, :].reshape(e.shape[:-2] + (k, m * n))
     history = poly.reshape(poly.shape[:-1] + (m, n))      # r_(j-i) -> next state
     forces = np.concatenate(list(reaction), axis=-2)      # [N | u] -> r
-    to_state = np.concatenate([e[..., :n, :], history[..., 1, :, :],
-                               history[..., 2, :, :], e[..., n:n + 2, :],
-                               e[..., n + 4:n + 6, :], forces @ history[..., 0, :, :]],
-                              axis=-2)
-    to_r = np.zeros(to_state.shape[:-1] + (n,))
+    to_state = np.concatenate([e[..., :n, :], history[..., 1:, :, :].reshape(
+                                   history.shape[:-3] + (kept, n)),
+                               e[..., n:n + 2, :], e[..., n + 4:n + 6, :],
+                               forces @ history[..., 0, :, :]], axis=-2)
+    to_r = np.zeros(to_state.shape[:-1] + (kept,))
     to_r[..., -forces.shape[-2]:, :m] = forces
-    to_r[..., n:n + m, m:] = np.eye(m)
+    to_r[..., n:n + kept - m, m:] = np.eye(kept - m)
     return np.concatenate([to_state, to_r], axis=-1)
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
+def _expm(a: np.ndarray, own: np.ndarray) -> np.ndarray:
     """The exponential of each (n, n) matrix in ``a``, by scaling and squaring.
 
     Each matrix A is scaled by 2^-s, s being the least with
     ||(A 2^-s)^2||_1 <= 1; the Taylor polynomial of the scaled matrix is
     summed by Horner's rule and squared s times.  The scaling follows
     ||A^2||^(1/2), not ||A|| (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl.
-    31 (2009) 970-989): a step's system is badly scaled, omega^2 h sitting
-    below the diagonal, so ||A||_1 is about 8e3 where the spectral radius
-    is omega h, about 0.03, and every needless squaring doubles the
+    31 (2009) 970-989): a mode's system is badly scaled, omega^2 h sitting
+    below the diagonal, so ||A||_1 is about 2e4 where the spectral radius
+    is omega h, about 0.06, and every needless squaring doubles the
     rounding error of the near-identity modal block.  s is chosen for each
     matrix alone, so each result is bitwise independent of its batch.
+
+    The diagonal entries that ``own`` (same shape as ``a``'s diagonals)
+    marks are diagonal blocks of their own, on no cycle through any other
+    entry, so exp(A) holds exp(a_jj) there.  Each squaring would double
+    their rounding error, about 2^s ulps in the end, so they are set to
+    exp(2^(i - s) a_jj) after the Taylor sum and after each squaring, as
+    Al-Mohy & Higham (sec. 2) do for triangular matrices.
     """
     rho = np.sqrt(np.abs(a @ a).sum(axis=-2).max(axis=-1))
     s = np.ceil(np.log2(np.maximum(rho, 1.0))).astype(int)
     a = np.ldexp(a, -s[..., None, None])
+    diagonal, j = np.diagonal(a, axis1=-2, axis2=-1), np.arange(a.shape[-1])
     eye = np.eye(a.shape[-1])
     e = eye + a / (_EXPM_TERMS - 1)
     for k in range(_EXPM_TERMS - 2, 0, -1):
         e = eye + a @ e / k
+
+    def own_diagonal(i):      # e is exp(A 2^(i - s)), or exp(A) once i >= s
+        exact = np.exp(np.ldexp(diagonal, np.minimum(i, s)[..., None]))
+        e[..., j, j] = np.where(own, exact, e[..., j, j])
+
+    own_diagonal(0)
     for i in range(s.max(initial=0)):
         square = s > i
         e[square] = e[square] @ e[square]
+        own_diagonal(i + 1)
     return e
 
 
@@ -436,10 +474,12 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
     damping[:, 2] = per_row([r.axial_damping for r in rotors])
     stiffness = np.zeros((B, m))
     stiffness[:, :2] = omega_n ** 2
-    # the map's input [state | r_(j-1) | r_(j-2) | d | N | u] is padded with
-    # zero entries, read by zero rows, to a multiple of 4 entries, so a row's
-    # product sums the same groups at any B (see the docstring)
-    d0, f0 = 2 * n, 2 * n + m     # where d and [N | u] start
+    # the map's input [state | r_(j-1) | ... | r_(j-k+1) | d | N | u], k the
+    # history's length, is padded with zero entries, read by zero rows, to a
+    # multiple of 4 entries, so a row's product sums the same groups at any B
+    # (see the docstring)
+    d0 = n + (len(_HISTORY) - 1) * m      # where d starts
+    f0 = d0 + m                           # where [N | u] starts
     width = -(-(f0 + 2 * M) // 4) * 4
     step_map = np.pad(_step_map(mass, damping, stiffness, oscillator, omega_d, reaction, h),
                       ((0, 0), (0, width - f0 - 2 * M), (0, 0)))
@@ -458,9 +498,9 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
     # A chunk holds as many whole sample intervals as fit in _CHUNK_ROW_STEPS
     # steps x rows, at least one; an interval longer than _CHUNK_STEPS spans
     # several chunks.  The buffers are entry-major, the row last: X[j] holds
-    # step j's step map input [state | r_(j-1) | r_(j-2) | d | N | u], one
+    # step j's step map input [state | r_(j-1) | ... | d | N | u], one
     # column per row: the law writes [N, u] into it, and the map writes the
-    # next step's [state | r_j | r_(j-1)].  G[j] holds the step's law arguments
+    # next step's [state | r_j | ...].  G[j] holds the step's law arguments
     # [-k gap | slip / v], kept with X for the energy ledger.  The products
     # read and write (B, 1, K) views whose vectors have stride B; a batch of
     # one makes them on 1-D views.  The views each step uses are made once.
@@ -567,7 +607,7 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
             if T == 0:
                 energy_final = mech_energy(X[0])
                 break
-            X[0, :d0] = X[T, :d0]   # [state | r_(j-1) | r_(j-2)]; d is refilled
+            X[0, :d0] = X[T, :d0]   # [state | r_(j-1) | ...]; d is refilled
             k += T
 
     if alive.any():   # the loop ran to the end: trapezoidal work integrals

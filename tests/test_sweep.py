@@ -250,17 +250,18 @@ class TestRunSweep:
         assert dict(zip(header, row))["error"] == "bad, worse"
 
     def test_row_errors_are_isolated(self):
-        """A row whose step is too coarse fails alone; the rest still run."""
-        base = RunConfig().override(simulation={"duration": 6e-4, "dt": 1e-7})
+        """A row whose step is too coarse fails alone; the rest still run:
+        2e-7 s is within 1/(100 f) at 40 and 41 kHz, not at 80 kHz."""
+        base = RunConfig().override(simulation={"duration": 6e-4, "dt": 2e-7})
         curve = run_sweep(SweepSpec("frequency", (40e3, 41e3, 80e3), base=base))
         assert [r.ok for r in curve.rows] == [True, True, False]
         assert "too coarse" in curve.rows[2].error
         assert np.isfinite(curve.rows[0].speed)
 
     def test_post_processing_errors_fail_rows(self):
-        """At k = 1e15 N/m every row diverges at its second sample, and
+        """At k = 1e18 N/m every row diverges at its second sample, and
         ``runner.summarize`` raises that divergence for each row."""
-        base = RunConfig().override(contact={"penalty_stiffness": 1e15},
+        base = RunConfig().override(contact={"penalty_stiffness": 1e18},
                                     simulation={"duration": 6e-4})
         curve = run_sweep(SweepSpec("cof", (0.3, 0.4, 0.5), base=base))
         assert not any(r.ok for r in curve.rows)

@@ -13,7 +13,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import metrology, runner, sweep
+from . import runner, sweep
 from .config import ConfigError, RunConfig, load_config, phase_degrees_to_radians
 from .dynamics import SimulationDiverged
 from .plotting import svg_line_chart
@@ -191,12 +191,9 @@ def _cmd_sweep(args) -> int:
         return EXIT_DIVERGED
     try:
         peak = sweep.find_peak(curve)
-        peak_summary = {"param": peak.param, "torque": peak.torque,
-                        "unimodal": peak.unimodal,
-                        "boundary_maximum": peak.boundary_maximum}
     except ValueError as exc:
-        peak_summary = {"error": str(exc)}
-    text = _strict_json(peak_summary)
+        peak = {"error": str(exc)}
+    text = _strict_json(peak)
     (out_dir / "peak.json").write_text(text)
     print(text, end="")
     if args.plot:
@@ -210,6 +207,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_roughness(args) -> int:
+    from . import metrology     # imported here: no other command reads height maps
     for flag, pitch in (("--dx", args.dx), ("--dy", args.dy)):
         if not 0 < pitch < math.inf:
             raise ConfigError(f"pixel pitch {flag} must be finite and > 0, not {pitch:g}")

@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from typing import get_args, get_type_hints
 
 from .contact import ContactConfig
 from .dynamics import RotorConfig
@@ -170,16 +169,18 @@ def _reject_mistyped(typ, data, where=""):
     """Raise ConfigError naming the first value not of its field's declared type.
 
     Integer fields take integers, number fields integers or floats, never
-    booleans; None passes where allowed.
+    booleans; None passes where allowed.  A field's kinds are the names in
+    its annotation, which ``from __future__ import annotations`` keeps as a
+    string such as "float | None", and which is not evaluated.
     """
-    hints = get_type_hints(typ)
+    annotations = {f.name: f.type.split(" | ") for f in fields(typ)}
     for name, value in data.items():
-        kinds = get_args(hints[name]) or (hints[name],)
-        if value is None and type(None) in kinds:
+        kinds = annotations[name]
+        if value is None and "None" in kinds:
             continue
-        if int in kinds:
+        if "int" in kinds:
             accepted, noun = (int,), "an integer"
-        elif float in kinds:
+        elif "float" in kinds:
             accepted, noun = (int, float), "a number"
         else:
             continue

@@ -66,6 +66,11 @@ row's results are bitwise the same whatever batch it runs in
 is the batch of one.  A row that goes non-finite ends at its last finite
 sample, and its series' ``divergence`` names the first entry of
 ``ENTRY_NAMES`` found so and the sample time.
+
+The post-processing reads a series: ``detect_steady_state`` gives the
+settling verdict as the pair (t_ss, settled), and ``envelope_average`` and
+``mean_speed`` the torque and speed after t_ss that ``runner.summarize``
+reports.
 """
 
 from __future__ import annotations
@@ -83,7 +88,6 @@ __all__ = [
     "RotorConfig",
     "MotorTimeSeries",
     "EnergyReport",
-    "SteadyState",
     "SimulationDiverged",
     "step_grid",
     "simulate",
@@ -643,24 +647,17 @@ def _energy_report(drive, preload, load, modal, friction, axial,
     )
 
 
-@dataclass(frozen=True)
-class SteadyState:
-    """Settling verdict of a transient run."""
-
-    t: float
-    settled: bool
-
-
 def detect_steady_state(series: MotorTimeSeries,
-                        signal: str = "wave_amplitude") -> SteadyState:
-    """Earliest time where consecutive window means of a probe signal agree.
+                        signal: str = "wave_amplitude") -> tuple[float, bool]:
+    """Settling verdict (t_ss, settled): where consecutive window means of a
+    probe signal first agree.
 
     Non-overlapping windows of ``SETTLE_WINDOW`` seconds are compared
     pairwise; the first pair whose means differ by at most
-    ``SETTLE_TOLERANCE`` (relative) marks settling at the shared window
-    boundary: the time of the second window's first sample, as the series
-    holds it, so a mask ``time >= t`` keeps that sample.  A series that
-    never meets the tolerance returns its end time with ``settled=False``.
+    ``SETTLE_TOLERANCE`` (relative) gives (t_ss, True), t_ss being the
+    shared window boundary: the time of the second window's first sample,
+    as the series holds it, so a mask ``time >= t_ss`` keeps that sample.
+    A series that never meets the tolerance gives (its end time, False).
 
     The default probe is the flexural wave amplitude: the stator vibration
     envelope is what reaches a repeatable level once the drive and contact
@@ -682,8 +679,8 @@ def detect_steady_state(series: MotorTimeSeries,
         m1, m2 = means[j], means[j + 1]
         denom = max(abs(m1), abs(m2))
         if abs(m2 - m1) <= SETTLE_TOLERANCE * denom:
-            return SteadyState(t=float(series.time[(j + 1) * wlen]), settled=True)
-    return SteadyState(t=float(series.time[-1]), settled=False)
+            return float(series.time[(j + 1) * wlen]), True
+    return float(series.time[-1]), False
 
 
 def envelope_average(series: MotorTimeSeries, t_ss: float, period: float) -> float:

@@ -86,20 +86,20 @@ def summarize(config: RunConfig, model: stator.StatorModel,
     """
     if series.divergence is not None:
         raise series.divergence
-    steady = dynamics.detect_steady_state(series)
+    t_ss, settled = dynamics.detect_steady_state(series)
     f_drive = config.drive.resolve_frequency(model.pair)
     try:
-        torque = dynamics.envelope_average(series, steady.t, period=1.0 / f_drive)
+        torque = dynamics.envelope_average(series, t_ss, period=1.0 / f_drive)
     except ValueError:
         torque = math.nan
-    speed = dynamics.mean_speed(series, steady.t)
+    speed = dynamics.mean_speed(series, t_ss)
     omega_ideal = ideal_speed(config, model)
     sim = config.simulation
     dt, steps_per_sample, _ = dynamics.step_grid(model, config.drive, sim.duration,
                                                  sim.output_interval, sim.dt)
     return {
-        "t_ss": steady.t,
-        "settled": steady.settled,
+        "t_ss": t_ss,
+        "settled": settled,
         "reported_torque": torque,
         "mean_speed": speed,
         "mean_surface_speed": speed * model.geometry.mean_radius,

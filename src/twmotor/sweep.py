@@ -7,8 +7,9 @@ a step grid advance together as one lockstep batch
 batches, because the step follows the drive frequency.  With ``jobs > 1``
 the batches are split into parts that run on a worker pool.  A row's
 results do not depend on its batch, and rows come back in input order, so
-a sweep is deterministic whatever the job count.  Named presets reproduce
-the study grids used for the USR30/USR60 preload curves, the
+a sweep is deterministic whatever the job count.  ``find_peak`` returns
+the torque optimum as the record ``peak.json`` holds.  Named presets
+reproduce the study grids used for the USR30/USR60 preload curves, the
 gram-denominated plastic-stator sweep, and the COF scan.
 """
 
@@ -27,7 +28,6 @@ __all__ = [
     "SweepSpec",
     "SweepRow",
     "SweepCurve",
-    "PeakReport",
     "PARAMETERS",
     "PRESET_NAMES",
     "grams_to_newtons",
@@ -211,14 +211,6 @@ def make_preset(name: str, base: RunConfig | None = None) -> SweepSpec:
     return SweepSpec(parameter, tuple(grid), base.override(**fixed))
 
 
-@dataclass(frozen=True)
-class PeakReport:
-    param: float
-    torque: float
-    unimodal: bool
-    boundary_maximum: bool
-
-
 def _unimodal(values: np.ndarray) -> bool:
     d = np.diff(values)
     signs = [s for s in np.sign(d) if s != 0]
@@ -230,9 +222,12 @@ def _unimodal(values: np.ndarray) -> bool:
     return True  # monotone
 
 
-def find_peak(curve: SweepCurve) -> PeakReport:
-    """Locate the torque maximum and report the curve's modality.
+def find_peak(curve: SweepCurve) -> dict:
+    """The torque maximum and the curve's modality, as ``peak.json`` holds them.
 
+    The record is {"param", "torque", "unimodal", "boundary_maximum"}: the
+    parameter value and torque of the maximum, whether the torques rise
+    then fall (or are monotone), and whether the maximum is an end row.
     Only rows that are ok, settled and of finite torque participate; fewer
     than 3 such rows is an error.
     """
@@ -243,8 +238,6 @@ def find_peak(curve: SweepCurve) -> PeakReport:
     params = np.array([r.param for r in rows])
     torque = np.array([r.torque for r in rows])
     i = int(np.argmax(torque))
-    return PeakReport(
-        param=float(params[i]), torque=float(torque[i]),
-        unimodal=bool(_unimodal(torque)),
-        boundary_maximum=(i == 0 or i == len(rows) - 1),
-    )
+    return {"param": float(params[i]), "torque": float(torque[i]),
+            "unimodal": bool(_unimodal(torque)),
+            "boundary_maximum": i == 0 or i == len(rows) - 1}

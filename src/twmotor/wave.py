@@ -12,7 +12,6 @@ The surface kinematics of a modal state is ``contact.interface_operator``.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -94,7 +93,8 @@ def steady_wave_response(pair: ModePair, force: float, drive: DriveConfig,
     wn = pair.omega
     H = 1.0 / (wn * wn - omega * omega + 2j * zeta * wn * omega)
     q_cos = force * H
-    q_sin = force * cmath.exp(1j * drive.phase_offset) * H
+    psi = drive.phase_offset
+    q_sin = force * complex(math.cos(psi), math.sin(psi)) * H
     return WaveSolution(q_cos=q_cos, q_sin=q_sin, omega=omega,
                         shape_amp=pair.amp, nodal_diameters=pair.nodal_diameters)
 

@@ -116,9 +116,9 @@ def test_6_preload_trend():
         curve = sweep.run_sweep(spec, jobs=len(os.sched_getaffinity(0)))
         assert all(r.settled for r in curve.rows)
         peak = sweep.find_peak(curve)
-        assert peak.unimodal
-        assert not peak.boundary_maximum
-        assert curve.rows[0].torque < 0.5 * peak.torque
+        assert peak["unimodal"]
+        assert not peak["boundary_maximum"]
+        assert curve.rows[0].torque < 0.5 * peak["torque"]
 
 
 def test_7_cof_trend():
@@ -126,9 +126,9 @@ def test_7_cof_trend():
         spec = sweep.make_preset("cof_sweep")
         curve = sweep.run_sweep(spec, jobs=len(os.sched_getaffinity(0)))
         peak = sweep.find_peak(curve)
-        assert peak.unimodal
-        assert not peak.boundary_maximum
-        assert 0.1 <= peak.param <= 0.45
+        assert peak["unimodal"]
+        assert not peak["boundary_maximum"]
+        assert 0.1 <= peak["param"] <= 0.45
 
 
 def test_8_metrology_exactness():

@@ -9,14 +9,16 @@ import os
 import pkgutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import twmotor
-from twmotor import cli, contact, runner, sweep
-from twmotor.config import ConfigError, RunConfig, phase_degrees_to_radians
+from twmotor import cli, contact, dynamics, materials, runner, stator, sweep, wave
+from twmotor.config import (ConfigError, MeshSettings, RunConfig, SimulationSettings,
+                            _reject_mistyped, phase_degrees_to_radians)
 
 
 def run_cli(*argv):
@@ -181,8 +183,8 @@ class TestSweep:
         assert seen == [duration]
 
     def test_peak_is_strict_json(self, tmp_path, capsys, monkeypatch):
-        nan_peak = sweep.PeakReport(param=0.4, torque=float("nan"),
-                                    unimodal=True, boundary_maximum=False)
+        nan_peak = {"param": 0.4, "torque": float("nan"), "unimodal": True,
+                    "boundary_maximum": False}
         monkeypatch.setattr(sweep, "find_peak", lambda curve: nan_peak)
         run_cli("sweep", "--out-dir", str(tmp_path), "--param", "cof",
                 "--values", "0.3:0.5:0.1", "--duration", "6e-4")
@@ -512,6 +514,43 @@ class TestOverride:
         assert config.override(contact={"point_count": 64}).contact.cof == 0.3
 
 
+CONFIG_CLASSES = (RunConfig, MeshSettings, SimulationSettings,
+                  contact.ContactConfig, dynamics.RotorConfig, wave.DriveConfig,
+                  stator.StatorGeometry, materials.IsotropicMaterial,
+                  materials.PiezoMaterial)
+
+
+@pytest.mark.parametrize("cls, name", [
+    (cls, f.name) for cls in CONFIG_CLASSES for f in dataclasses.fields(cls)],
+    ids=lambda v: v if isinstance(v, str) else v.__name__)
+def test_type_check_reads_each_annotation_as_declared(cls, name):
+    """The type check reads a field's annotation without evaluating it; it
+    must find there the kinds the evaluated annotation declares: an
+    integer, a number, either of them optional, or no number.  An
+    annotation it cannot read, such as ``Optional[float]``, fails here
+    instead of going unchecked."""
+    hint = typing.get_type_hints(cls)[name]
+    kinds = typing.get_args(hint) or (hint,)
+
+    def check(value):
+        _reject_mistyped(cls, {name: value})
+
+    if int in kinds:
+        noun, accepted, refused = "an integer", [1], ["1", True, 1.5]
+    elif float in kinds:
+        noun, accepted, refused = "a number", [1, 1.5], ["1", True]
+    else:
+        noun, accepted, refused = None, ["1", True, 1.5, None], []
+    if noun is not None:
+        (accepted if type(None) in kinds else refused).append(None)
+    for value in accepted:
+        check(value)
+    for value in refused:
+        with pytest.raises(ConfigError) as info:
+            check(value)
+        assert str(info.value) == f"{name} must be {noun}, not {value!r}"
+
+
 class TestFlagFields:
     """Each run flag sets one config field through ``FLAG_FIELDS``, in one
     ``RunConfig.override`` per command."""
@@ -573,10 +612,11 @@ class TestImports:
                               capture_output=True, text=True, timeout=120)
 
     def test_cli_import_loads_no_scipy_and_no_pool(self, tmp_path):
+        """Nor the height-map reader, which only ``roughness`` loads."""
         proc = self.python(
             "import sys, twmotor.cli\n"
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')"
-            " or m == 'concurrent.futures.process'))", cwd=tmp_path)
+            " or m in ('concurrent.futures.process', 'twmotor.metrology')))", cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 

@@ -714,42 +714,47 @@ class TestDetectSteadyState:
         tau = 3e-4
         t = np.arange(0, 5e-3, 1e-5)
         series = synthetic_series(t, 1.0 - np.exp(-t / tau))
-        ss = detect_steady_state(series)
-        assert ss.settled
-        assert ss.t == pytest.approx(4 * tau, rel=0.25)
+        t_ss, settled = detect_steady_state(series)
+        assert settled
+        assert t_ss == pytest.approx(4 * tau, rel=0.25)
 
     def test_constant_series_settles_immediately(self):
         t = np.arange(0, 5e-3, 1e-5)
         series = synthetic_series(t, np.full_like(t, 2.0))
-        ss = detect_steady_state(series)
-        assert ss.settled
-        assert ss.t == pytest.approx(2.5e-4, rel=1e-9)
+        t_ss, settled = detect_steady_state(series)
+        assert settled
+        assert t_ss == pytest.approx(2.5e-4, rel=1e-9)
 
     def test_growing_series_not_settled(self):
         t = np.arange(0, 5e-3, 1e-5)
         series = synthetic_series(t, 1.0 + 1e4 * t)
-        ss = detect_steady_state(series)
-        assert not ss.settled
-        assert ss.t == pytest.approx(t[-1])
+        t_ss, settled = detect_steady_state(series)
+        assert not settled
+        assert t_ss == pytest.approx(t[-1])
 
-    def test_boundary_is_the_sample_time(self):
+    def test_boundary_is_the_sample_time(self, stator_model):
         """t_ss is the boundary sample's own time, so a mask time >= t_ss keeps
-        that sample.  On the default step grid, 165 steps of h = 1e-5/165 s
-        per sample, the series holds 475 * 165 * h for the sample at
-        4.75 ms, one ulp below 475 times the sample interval."""
-        h = 1e-5 / 165
-        t = np.arange(501) * 165 * h     # the step index times h, as simulated
+        that sample.  The step loop writes sample i at i x output_interval,
+        whatever the steps per sample (42 on the default grid), so the series
+        holds 475 x 1e-5 s for the sample at 4.75 ms: one ulp above 19
+        settling windows of 2.5e-4 s, which t_ss must not be."""
+        cfg = short_cfg()
+        series = run_short(stator_model, cfg)
+        interval = cfg.simulation.output_interval
+        assert step_grid(stator_model, cfg.drive, 1e-3, interval)[1] == 42
+        assert np.array_equal(series.time, np.arange(len(series)) * interval)
+        t = np.arange(501) * interval    # the sample index times the interval, as simulated
         window = np.arange(501) // 25
         series = synthetic_series(t, 2.0 ** np.minimum(window, 18))
-        ss = detect_steady_state(series)
-        assert ss.settled and ss.t == t[475]
-        assert np.count_nonzero(t >= ss.t) == 501 - 475
+        t_ss, settled = detect_steady_state(series)
+        assert settled and t_ss == t[475]
+        assert np.count_nonzero(t >= t_ss) == 501 - 475
 
     def test_rotor_speed_probe_selectable(self):
         t = np.arange(0, 5e-3, 1e-5)
         series = synthetic_series(t, 1.0 + 1e4 * t)  # growing wave probe
-        ss = detect_steady_state(series, signal="surface_speed")
-        assert ss.settled  # the (zero) rotor-speed probe is flat
+        _, settled = detect_steady_state(series, signal="surface_speed")
+        assert settled  # the (zero) rotor-speed probe is flat
 
     def test_unknown_signal_rejected(self):
         t = np.arange(0, 5e-3, 1e-5)
@@ -770,7 +775,7 @@ class TestDetectSteadyState:
         drive = RunConfig().drive
         if enough:
             assert step_grid(stator_model, drive, duration, interval)[2] == len(t)
-            assert detect_steady_state(series).settled
+            assert detect_steady_state(series)[1]
         else:
             with pytest.raises(ValueError, match="shorter than two settling windows"):
                 step_grid(stator_model, drive, duration, interval)
@@ -857,9 +862,9 @@ class TestWindowReductions:
         means = loop_windows(series.wave_amplitude, wlen, np.mean)
         agree = [abs(b - a) <= SETTLE_TOLERANCE * max(abs(a), abs(b))
                  for a, b in zip(means, means[1:])]
-        ss = detect_steady_state(series)
-        assert ss.settled == any(agree)
-        assert ss.t == (t[(agree.index(True) + 1) * wlen] if any(agree) else t[-1])
+        t_ss, settled = detect_steady_state(series)
+        assert settled == any(agree)
+        assert t_ss == (t[(agree.index(True) + 1) * wlen] if any(agree) else t[-1])
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(120, 3000),

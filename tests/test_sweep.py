@@ -152,30 +152,30 @@ class TestPresets:
 class TestFindPeak:
     def test_simple_interior_peak(self):
         pk = find_peak(curve_from([1.0, 2.0, 3.0], [0.1, 0.3, 0.2]))
-        assert (pk.param, pk.torque) == (2.0, 0.3)
-        assert pk.unimodal
-        assert not pk.boundary_maximum
+        assert (pk["param"], pk["torque"]) == (2.0, 0.3)
+        assert pk["unimodal"]
+        assert not pk["boundary_maximum"]
 
     def test_monotone_flags_boundary(self):
         pk = find_peak(curve_from([1, 2, 3, 4], [0.1, 0.2, 0.3, 0.4]))
-        assert pk.boundary_maximum
-        assert pk.param == 4
+        assert pk["boundary_maximum"]
+        assert pk["param"] == 4
 
     def test_two_humps_not_unimodal(self):
         pk = find_peak(curve_from([1, 2, 3, 4, 5], [0.1, 0.3, 0.2, 0.4, 0.1]))
-        assert not pk.unimodal
+        assert not pk["unimodal"]
 
     def test_rescaling_invariance(self):
         torques = [0.05, 0.21, 0.17, 0.08]
         a = find_peak(curve_from([1, 2, 3, 4], torques))
         b = find_peak(curve_from([1, 2, 3, 4], [37.0 * q for q in torques]))
-        assert a.param == b.param
-        assert a.unimodal == b.unimodal
+        assert a["param"] == b["param"]
+        assert a["unimodal"] == b["unimodal"]
 
     def test_unsettled_rows_excluded(self):
         pk = find_peak(curve_from([1, 2, 3, 4], [0.1, 9.9, 0.3, 0.2],
                                   settled=[True, False, True, True]))
-        assert pk.param == 3
+        assert pk["param"] == 3
 
     def test_non_finite_torque_excluded(self):
         """A settled row whose envelope torque is NaN (too few drive periods
@@ -184,7 +184,7 @@ class TestFindPeak:
             find_peak(curve_from([1000.0, 2000.0, 3000.0],
                                  [float("nan"), 9.4e-6, 9.6e-5]))
         pk = find_peak(curve_from([1, 2, 3, 4], [float("nan"), 0.1, 0.3, 0.2]))
-        assert (pk.param, pk.torque, pk.boundary_maximum) == (3, 0.3, False)
+        assert (pk["param"], pk["torque"], pk["boundary_maximum"]) == (3, 0.3, False)
 
     def test_all_unsettled_rejected(self):
         with pytest.raises(ValueError, match="settled"):

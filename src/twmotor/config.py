@@ -91,23 +91,13 @@ class RunConfig:
         Each section's object replaces the fields it names of this config's
         section, and a material is a catalog name or a complete inline entry.
         These are ``from_dict``'s rules, which is ``override`` on the default
-        config: an unknown or mistyped key is a ConfigError naming it.
+        config: an unknown, mistyped or out-of-range key is a ConfigError
+        naming it.
         """
-        parts = {}
-        try:
-            for key in ("geometry", "mesh", "drive", "contact", "rotor", "simulation"):
-                if key in sections:
-                    sect, current = sections.pop(key), getattr(self, key)
-                    _reject_unknown(type(current), sect, key)
-                    _reject_mistyped(type(current), sect, key)
-                    parts[key] = replace(current, **sect)
-            _reject_unknown(type(self), sections, "top level")
-            _reject_mistyped(type(self), sections)
-            return replace(self, **parts, **sections)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        for key in ("geometry", "mesh", "drive", "contact", "rotor", "simulation"):
+            if key in sections:
+                sections[key] = _parse_record(sections[key], getattr(self, key), key)
+        return _parse_record(sections, self)
 
 
 def _resolve_material(entry, kind, key):
@@ -122,16 +112,7 @@ def _resolve_material(entry, kind, key):
         except KeyError as exc:
             raise ConfigError(exc.args[0]) from None
     elif isinstance(entry, dict):
-        _reject_unknown(kind, entry, key)
-        missing = {f.name for f in fields(kind)} - set(entry)
-        if missing:
-            raise ConfigError(f"missing key(s) in {key}: {', '.join(sorted(missing))}")
-        _reject_mistyped(kind, entry, key)
-        _reject_non_finite(entry, key)
-        try:
-            entry = kind(**entry)
-        except ValueError as exc:
-            raise ConfigError(f"{key}.{exc}") from None
+        entry = _parse_record(entry, kind, key)
     elif not isinstance(entry, (IsotropicMaterial, PiezoMaterial)):
         raise ConfigError(f"{key} must be a catalog name or an object, "
                           f"not {type(entry).__name__}")
@@ -141,52 +122,65 @@ def _resolve_material(entry, kind, key):
     return entry
 
 
-def _reject_non_finite(value, key=""):
-    """Raise ConfigError naming the first NaN or infinite number in a config.
+# an annotation's kind: the values it accepts and their name in a refusal
+_KINDS = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+          "str": ((str,), "a string")}
 
-    Walks the sections' fields and the materials' fields; a key is named by
-    its dotted path.
+
+def _parse_record(data, base, key=""):
+    """The record a JSON object describes: ``base`` with the object's fields
+    replaced, or, if ``base`` is a record type, the record of every field.
+
+    An unknown key, or a missing one where the record is built whole, is
+    refused.  Each value must be of a kind its field's annotation names:
+    an integer for ``int``, a finite integer or float for ``float``, a
+    string for ``str``, never a boolean, and None where ``None`` is named.
+    The annotation is the string ``from __future__ import annotations``
+    keeps, such as "float | None", split on " | " and not evaluated.  A
+    field whose annotation names a record type, a section or a material,
+    is left to its own parser.  Every refusal, the record's own range
+    errors included, is a ConfigError naming its key by the dotted path
+    under ``key`` ("" for the top level).
     """
-    if is_dataclass(value):
-        value = {f.name: getattr(value, f.name) for f in fields(value)}
-    if isinstance(value, dict):
-        for name, item in value.items():
-            _reject_non_finite(item, f"{key}.{name}" if key else name)
-    elif isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{key} must be a finite number, not {value}")
-
-
-def _reject_unknown(typ, data, where):
     if not isinstance(data, dict):
-        raise ConfigError(f"section {where!r} must be an object")
-    known = {f.name for f in fields(typ)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
-
-
-def _reject_mistyped(typ, data, where=""):
-    """Raise ConfigError naming the first value not of its field's declared type.
-
-    Integer fields take integers, number fields integers or floats, never
-    booleans; None passes where allowed.  A field's kinds are the names in
-    its annotation, which ``from __future__ import annotations`` keeps as a
-    string such as "float | None", and which is not evaluated.
-    """
+        raise ConfigError(f"section {key!r} must be an object")
+    typ = base if isinstance(base, type) else type(base)
     annotations = {f.name: f.type.split(" | ") for f in fields(typ)}
+    unknown = set(data) - set(annotations)
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {key or 'top level'}: "
+                          f"{', '.join(sorted(unknown))}")
+    missing = set(annotations) - set(data) if typ is base else None
+    if missing:
+        raise ConfigError(f"missing key(s) in {key}: {', '.join(sorted(missing))}")
     for name, value in data.items():
         kinds = annotations[name]
-        if value is None and "None" in kinds:
+        if value is None and "None" in kinds or not set(kinds) <= {*_KINDS, "None"}:
             continue
-        if "int" in kinds:
-            accepted, noun = (int,), "an integer"
-        elif "float" in kinds:
-            accepted, noun = (int, float), "a number"
-        else:
-            continue
+        accepted, noun = next(_KINDS[kind] for kind in _KINDS if kind in kinds)
+        dotted = f"{key}.{name}" if key else name
         if isinstance(value, bool) or not isinstance(value, accepted):
-            key = f"{where}.{name}" if where else name
-            raise ConfigError(f"{key} must be {noun}, not {value!r}")
+            raise ConfigError(f"{dotted} must be {noun}, not {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{dotted} must be a finite number, not {value}")
+    try:
+        return base(**data) if typ is base else replace(base, **data)
+    except ValueError as exc:
+        raise ConfigError(f"{key}.{exc}" if key else str(exc)) from None
+
+
+def _reject_non_finite(record, key=""):
+    """Raise ConfigError naming the first NaN or infinite number in a record.
+
+    Walks the fields of a config, its sections and its materials; a key is
+    named by its dotted path.
+    """
+    for f in fields(record):
+        value, name = getattr(record, f.name), f"{key}.{f.name}" if key else f.name
+        if is_dataclass(value):
+            _reject_non_finite(value, name)
+        elif isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{name} must be a finite number, not {value}")
 
 
 def load_config(path) -> RunConfig:

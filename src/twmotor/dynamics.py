@@ -163,7 +163,8 @@ class EnergyReport:
     """Work/energy ledger of one transient run.
 
     ``residual`` is input work minus (energy change + dissipation); the
-    fraction is relative to the drive work.
+    fraction is relative to the drive work, and None when the drive does
+    no work.
     """
 
     drive_work: float
@@ -174,7 +175,7 @@ class EnergyReport:
     axial_dissipation: float
     energy_change: float
     residual: float
-    residual_fraction: float
+    residual_fraction: float | None
 
 
 @dataclass
@@ -643,14 +644,13 @@ def _energy_report(drive, preload, load, modal, friction, axial,
         drive_work=drive, preload_work=preload, load_torque_work=load,
         modal_dissipation=modal, friction_dissipation=friction,
         axial_dissipation=axial, energy_change=energy_change, residual=residual,
-        residual_fraction=abs(residual) / max(abs(drive), 1e-300),
+        residual_fraction=abs(residual) / abs(drive) if drive else None,
     )
 
 
-def detect_steady_state(series: MotorTimeSeries,
-                        signal: str = "wave_amplitude") -> tuple[float, bool]:
-    """Settling verdict (t_ss, settled): where consecutive window means of a
-    probe signal first agree.
+def detect_steady_state(series: MotorTimeSeries) -> tuple[float, bool]:
+    """Settling verdict (t_ss, settled): where consecutive window means of
+    the flexural wave amplitude first agree.
 
     Non-overlapping windows of ``SETTLE_WINDOW`` seconds are compared
     pairwise; the first pair whose means differ by at most
@@ -659,18 +659,17 @@ def detect_steady_state(series: MotorTimeSeries,
     as the series holds it, so a mask ``time >= t_ss`` keeps that sample.
     A series that never meets the tolerance gives (its end time, False).
 
-    The default probe is the flexural wave amplitude: the stator vibration
-    envelope is what reaches a repeatable level once the drive and contact
-    transients die out, and its settling time is insensitive to the rotor
-    inertia.  Pass ``signal="surface_speed"`` to watch the rotor instead.
+    The stator vibration envelope is what reaches a repeatable level once
+    the drive and contact transients die out, and its settling time is
+    insensitive to the rotor inertia.  The verdict is the stator's, not the
+    rotor's: the same window test calls a slow spin-up settled long before
+    it ends.
     """
     if len(series) < 2:
         raise ValueError("series too short")
-    if signal not in ("wave_amplitude", "surface_speed", "torque", "axial_force"):
-        raise ValueError(f"unknown steady-state signal {signal!r}")
     interval = series.time[1] - series.time[0]
     wlen = _window_length(interval)
-    probe = getattr(series, signal)
+    probe = series.wave_amplitude
     n_windows = len(probe) // wlen
     if n_windows < 2:
         raise ValueError("series shorter than two windows")

@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 import twmotor
-from twmotor import cli, contact, dynamics, materials, runner, stator, sweep, wave
-from twmotor.config import (ConfigError, MeshSettings, RunConfig, SimulationSettings,
-                            _reject_mistyped, phase_degrees_to_radians)
+from twmotor import cli, contact, runner, sweep
+from twmotor.config import (ConfigError, RunConfig, _parse_record,
+                            phase_degrees_to_radians)
 
 
 def run_cli(*argv):
@@ -110,6 +110,17 @@ class TestRun:
         rows = len((tmp_path / "timeseries.csv").read_text().splitlines()) - 1
         assert summary["steps"] % (rows - 1) == 0
         assert summary["steps"] * summary["dt"] == pytest.approx(1e-3, rel=1e-12)
+
+    def test_undriven_run_has_no_residual_fraction(self, tmp_path):
+        """With no drive work there is nothing to relate the residual to: the
+        fraction is null, and the residual itself is still written."""
+        code = run_cli("run", "--out-dir", str(tmp_path), "--voltage", "0",
+                       "--duration", "1e-3")
+        assert code in (cli.EXIT_OK, cli.EXIT_NOT_SETTLED)
+        summary = strict_json(tmp_path / "summary.json")
+        assert summary["energy_drive_work"] == 0.0
+        assert summary["energy_residual_fraction"] is None
+        assert 0.0 < abs(summary["energy_residual"]) < 1e-4 * summary["energy_preload_work"]
 
     def test_too_short_run_refused_before_stepping(self, tmp_path, capsys, monkeypatch):
         """Below two settling windows a run is a config error naming the
@@ -341,9 +352,11 @@ class TestValidate:
          "stator_material.youngs_modulus must be a number, not None"),
         ({"stator_material": {"name": "X", "density": 0, "youngs_modulus": 1e11}},
          "stator_material.density must be > 0, not 0"),
+        ({"stator_material": {"name": 3, "density": 7800, "youngs_modulus": 2e11}},
+         "stator_material.name must be a string, not 3"),
     ], ids=["unknown-name", "piezo-as-stator", "isotropic-as-piezo", "array",
             "unknown-key", "removed-piezo-key", "removed-ring-key", "missing-key",
-            "string-density", "null-field", "zero-density"])
+            "string-density", "null-field", "zero-density", "numeric-name"])
     def test_material_refused(self, tmp_path, capsys, config, message):
         """A material entry that is not a catalog name of its kind or a
         complete, well-typed object of its kind's fields is one config
@@ -498,7 +511,10 @@ class TestOverride:
         ({"contact": {"cf": 1}}, "unknown key(s) in contact: cf"),
         ({"rotor": {"preload": "50"}}, "rotor.preload must be a number, not '50'"),
         ({"drive": None}, "section 'drive' must be an object"),
-    ], ids=["partial-material", "unknown-key", "mistyped-value", "null-section"])
+        ({"contact": {"cof": -0.1}}, "contact.cof must be >= 0"),
+        ({"damping_ratio": 0}, "damping_ratio must be > 0"),
+    ], ids=["partial-material", "unknown-key", "mistyped-value", "null-section",
+            "section-range", "top-level-range"])
     def test_refused_as_from_dict_refuses(self, sections, message):
         for build in (RunConfig.from_dict, lambda data: RunConfig().override(**data)):
             with pytest.raises(ConfigError) as info:
@@ -514,41 +530,53 @@ class TestOverride:
         assert config.override(contact={"point_count": 64}).contact.cof == 0.3
 
 
-CONFIG_CLASSES = (RunConfig, MeshSettings, SimulationSettings,
-                  contact.ContactConfig, dynamics.RotorConfig, wave.DriveConfig,
-                  stator.StatorGeometry, materials.IsotropicMaterial,
-                  materials.PiezoMaterial)
+DEFAULT = RunConfig()
+# each config and material class, keyed to the record of it the default config holds
+CONFIG_RECORDS = {type(record): record for record in (
+    DEFAULT, DEFAULT.geometry, DEFAULT.mesh, DEFAULT.drive, DEFAULT.contact,
+    DEFAULT.rotor, DEFAULT.simulation, DEFAULT.stator_material, DEFAULT.piezo_material)}
 
 
 @pytest.mark.parametrize("cls, name", [
-    (cls, f.name) for cls in CONFIG_CLASSES for f in dataclasses.fields(cls)],
+    (cls, f.name) for cls in CONFIG_RECORDS for f in dataclasses.fields(cls)],
     ids=lambda v: v if isinstance(v, str) else v.__name__)
 def test_type_check_reads_each_annotation_as_declared(cls, name):
-    """The type check reads a field's annotation without evaluating it; it
+    """The parser reads a field's annotation without evaluating it; it
     must find there the kinds the evaluated annotation declares: an
-    integer, a number, either of them optional, or no number.  An
-    annotation it cannot read, such as ``Optional[float]``, fails here
-    instead of going unchecked."""
+    integer, a number, a string, any of them optional, or a record type,
+    whose field it leaves to the record's own parser.  An annotation it
+    cannot read, such as ``Optional[float]``, fails here instead of going
+    unchecked."""
     hint = typing.get_type_hints(cls)[name]
     kinds = typing.get_args(hint) or (hint,)
+    record = CONFIG_RECORDS[cls]
 
-    def check(value):
-        _reject_mistyped(cls, {name: value})
+    def refusal(value):
+        try:
+            _parse_record({name: value}, record)
+        except ConfigError as exc:
+            return str(exc)
+        return None
 
+    if any(dataclasses.is_dataclass(kind) for kind in kinds):
+        assert refusal(getattr(record, name)) is None
+        if str in kinds:    # a material, refused as _resolve_material refuses it
+            assert refusal(getattr(record, name).name) is None
+            assert refusal(1.5) == f"{name} must be a catalog name or an object, not float"
+        return
     if int in kinds:
-        noun, accepted, refused = "an integer", [1], ["1", True, 1.5]
+        noun, accepted, refused = "an integer", [getattr(record, name)], ["1", True, 1.5]
     elif float in kinds:
         noun, accepted, refused = "a number", [1, 1.5], ["1", True]
+        assert refusal(-math.inf) == f"{name} must be a finite number, not -inf"
     else:
-        noun, accepted, refused = None, ["1", True, 1.5, None], []
-    if noun is not None:
-        (accepted if type(None) in kinds else refused).append(None)
+        assert kinds == (str,)
+        noun, accepted, refused = "a string", ["1"], [1, True, 1.5]
+    (accepted if type(None) in kinds else refused).append(None)
     for value in accepted:
-        check(value)
+        assert refusal(value) is None
     for value in refused:
-        with pytest.raises(ConfigError) as info:
-            check(value)
-        assert str(info.value) == f"{name} must be {noun}, not {value!r}"
+        assert refusal(value) == f"{name} must be {noun}, not {value!r}"
 
 
 class TestFlagFields:

@@ -91,7 +91,11 @@ class TestSimulate:
 
     def test_static_settle_under_preload(self, stator_model):
         """No drive: the axial force balances the preload; penetration
-        matches the closed-form penalty deflection F_p / (M k_n)."""
+        matches the closed-form penalty deflection F_p / (M k_n).  So the
+        preload does F_p^2 / (M k_n) of work, half of it stored in the
+        interface springs and half spent in the axial damper.  The preload
+        work carries the trapezoid rule's error on the 30 us axial
+        transient (-1.2e-5 relative at 1 ms); the other two are near exact."""
         cfg = short_cfg(drive={"voltage": 0.0})
         series = run_short(stator_model, cfg)
         Fp = cfg.rotor.preload
@@ -101,6 +105,13 @@ class TestSimulate:
         assert series.wave_amplitude[-1] < 1e-12  # contact noise only
         assert abs(series.surface_speed[-1]) < 1e-12
         assert depth > 0.0
+        energy, work = series.energy, Fp * depth
+        assert work == 9.765625e-5
+        assert energy.drive_work == 0.0
+        assert energy.residual_fraction is None    # no drive work to relate it to
+        assert energy.preload_work == pytest.approx(work, rel=1e-4)
+        assert energy.axial_dissipation == pytest.approx(work / 2, rel=1e-8)
+        assert energy.energy_change == pytest.approx(work / 2, rel=1e-8)
 
     def test_phase_mirror_symmetry(self, stator_model):
         fwd = run_short(stator_model, short_cfg())
@@ -749,18 +760,6 @@ class TestDetectSteadyState:
         t_ss, settled = detect_steady_state(series)
         assert settled and t_ss == t[475]
         assert np.count_nonzero(t >= t_ss) == 501 - 475
-
-    def test_rotor_speed_probe_selectable(self):
-        t = np.arange(0, 5e-3, 1e-5)
-        series = synthetic_series(t, 1.0 + 1e4 * t)  # growing wave probe
-        _, settled = detect_steady_state(series, signal="surface_speed")
-        assert settled  # the (zero) rotor-speed probe is flat
-
-    def test_unknown_signal_rejected(self):
-        t = np.arange(0, 5e-3, 1e-5)
-        series = synthetic_series(t, np.zeros_like(t))
-        with pytest.raises(ValueError, match="signal"):
-            detect_steady_state(series, signal="nope")
 
     @pytest.mark.parametrize("duration, interval, enough", [
         (4.9e-4, 1e-5, True), (4.8e-4, 1e-5, False), (5e-4, 2.5e-4, True),

@@ -39,8 +39,9 @@ class SimulationSettings:
     dt: float | None = None          # None = 1/(100 f_drive), the coarsest accepted
 
     def __post_init__(self):
-        if self.duration <= 0 or self.output_interval <= 0:
-            raise ConfigError("duration and output_interval must be > 0")
+        for key in ("duration", "output_interval"):
+            if getattr(self, key) <= 0:
+                raise ConfigError(f"{key} must be > 0")
         if self.dt is not None and self.dt <= 0:
             raise ConfigError("dt must be > 0")
 

@@ -52,20 +52,24 @@ that spans several chunks.  X[j], the step map's input at step j, is
 [state_j | r_(j-1) | r_(j-2) | r_(j-3) | d_j | N_j | u_j] with one column
 per row: the law writes its outputs into it, and the map writes
 [state_(j+1) | r_j | r_(j-1) | r_(j-2)] into X[j + 1], so nothing is
-copied within a chunk.  No step branches: after its steps a chunk reads
-its samples from the steps j0, j0 + s, ... of X (s steps per sample), and
-their reactions one step later, and checks them for finiteness together.  A
-chunk evaluates the drive and the preload ramp at all its steps at once,
-and reduces the energy ledger's powers from its history of states and of
-the law's arguments and outputs.  The ledger sums each sample interval's
+copied within a chunk.  No step branches: after its steps a chunk copies
+its samples into one buffer, the states at the steps j0, j0 + s, ... of X
+(s steps per sample), their reactions one step later and the friction
+force's u at the first contact point, and ends every row whose samples are
+not all finite; the loop stops when no row is left.  A chunk evaluates
+the drive and the preload ramp at all its steps at once, and reduces the
+energy ledger's powers from its history of states and of the law's
+arguments and outputs.  The ledger sums each sample interval's
 powers (each chunk's, where an interval spans several), then adds the
 sums to its totals in time order, so no result depends on how many
 intervals a chunk holds.  Every operation acts on each row alone, so a
 row's results are bitwise the same whatever batch it runs in
 (``simulate_batch`` states the two rules that keep them so).  ``simulate``
-is the batch of one.  A row that goes non-finite ends at its last finite
-sample, and its series' ``divergence`` names the first entry of
-``ENTRY_NAMES`` found so and the sample time.
+is the batch of one.  After the loop, one pass per row forms its series
+from the buffer, and its energy ledger or, for a row that went non-finite,
+its ``divergence``: the row ends at its last finite sample, and the report
+names the first entry of ``ENTRY_NAMES`` not finite at the next one and
+that sample's time.
 
 The post-processing reads a series: ``detect_steady_state`` gives the
 settling verdict as the pair (t_ss, settled), and ``envelope_average`` and
@@ -119,10 +123,12 @@ ENTRY_NAMES = ("q_cos", "q_sin", "z", "phi", "q_cos'", "q_sin'", "z'", "omega",
 class SimulationDiverged(RuntimeError):
     """A run that produced non-finite states, raised by callers.
 
-    The step loop builds one when it first finds a row non-finite and keeps
-    it in that row's ``MotorTimeSeries.divergence``.  ``entry`` is the first
-    of ``ENTRY_NAMES`` found non-finite, ``time`` the sample time that
-    found it, and ``last_valid_time`` the time of the row's last sample.
+    ``simulate_batch`` builds one after its step loop for each row that
+    went non-finite and keeps it in that row's
+    ``MotorTimeSeries.divergence``.  ``time`` is the time of the row's
+    first sample that is not finite, ``entry`` the first of
+    ``ENTRY_NAMES`` not finite there, and ``last_valid_time`` the time of
+    the sample before it (0 when there is none).
     """
 
     def __init__(self, last_valid_time: float, entry: str, time: float):
@@ -148,14 +154,12 @@ class RotorConfig:
     preload_ramp: float = 0.0     # s; 0 = full preload from t=0
 
     def __post_init__(self):
-        if self.inertia <= 0 or self.mass <= 0:
-            raise ValueError("inertia and mass must be > 0")
-        if self.axial_damping < 0:
-            raise ValueError("axial_damping must be >= 0")
-        if self.preload < 0:
-            raise ValueError("preload must be >= 0")
-        if self.preload_ramp < 0:
-            raise ValueError("preload_ramp must be >= 0")
+        for key in ("inertia", "mass"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key} must be > 0")
+        for key in ("axial_damping", "preload", "preload_ramp"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -416,8 +420,11 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
       over a contiguous last axis.  NumPy sums a contiguous axis pairwise
       but a strided one in sequence, which differs already at 8 terms.
 
-    A row that goes non-finite is truncated at its last valid sample and
-    carries its ``divergence``; the other rows carry on.
+    The step loop only steps, records each sample's raw entries and sums
+    the ledger's powers; a row whose sample is not finite ends there and
+    the other rows carry on.  Each row's series, its ``EnergyReport`` or
+    its ``divergence`` are formed once, after the loop.  A row that went
+    non-finite is truncated at its last finite sample and has no ledger.
     """
     drives, contacts, rotors = zip(*rows)
     if len({c.point_count for c in contacts}) != 1:
@@ -524,17 +531,15 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
                    X[j, f0:f0 + M], X[j, f0 + M:f0 + 2 * M], XP[j + 1, ..., :d0])
                   for j in range(chunk)]
     law = contact.evaluate_contact
-    out = np.zeros((B, n_samples, 7))
-    out[..., 0] = np.arange(n_samples) * output_interval
-    probe = -cof[:, None]          # the friction probe is -mu u at the first point
-    alive = np.ones(B, dtype=bool)
-    n_valid = np.full(B, n_samples)   # the loop ends early only when no row is left
-    divergence = [None] * B
+    # each sample's [state | the reactions the map formed from it | u at the
+    # first contact point], one column per row
+    samples = np.zeros((n_samples, n + m + 1, B))
+    alive = np.ones(B, dtype=bool)   # the loop ends early only when no row is left
     sample = 0
     acc = np.zeros((B, n + 1))     # sums of the powers: input, damper, friction
     k = 0                      # index of the chunk's first step
 
-    with np.errstate(over="ignore", invalid="ignore"):   # caught at the next sample
+    with np.errstate(over="ignore", invalid="ignore"):   # found at the chunk's samples
         while True:
             # T steps advance; the last (T = 0) maps the final state for its reactions
             T = min(chunk, n_steps - k, span - k % steps_per_sample)
@@ -557,34 +562,18 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
                 law(load, slip_ratio, normal, traction)
                 product(x, step_map, y_next)
 
-            # the chunk's samples: each sampled state, and the reactions the
-            # map formed from it, one row later
+            # the chunk's samples, their reactions one step later; a row
+            # ends at its first sample that is not finite
             j0 = -k % steps_per_sample
-            at = slice(j0, count, steps_per_sample)
-            now = X[at, :n]
-            total = X[j0 + 1:count + 1:steps_per_sample, n:n + m]
-            S = len(now)
-            record = out[:, sample:sample + S]
-            record[..., 1] = R * now[:, n - 1].T
-            record[..., 2] = R * now[:, 3].T
-            record[..., 3] = probe * X[at, f0 + M].T
-            record[..., 4] = total[:, 3].T
-            record[..., 5] = total[:, 2].T
-            record[..., 6] = stator.pair.amp * np.hypot(now[:, 0], now[:, 1]).T
-            finite = np.isfinite(np.concatenate([now, total], axis=1))
-            if not finite.all():
-                bad = ~finite.all(axis=1)
-                for b in np.flatnonzero(alive & bad.any(axis=0)):
-                    s = int(np.argmax(bad[:, b]))
-                    valid = sample + s
-                    divergence[b] = SimulationDiverged(
-                        float(out[b, valid - 1, 0]) if valid else 0.0,
-                        ENTRY_NAMES[np.argmin(finite[s, :, b])], float(out[b, valid, 0]))
-                    alive[b] = False
-                    n_valid[b] = valid
-                if not alive.any():
-                    break
-            sample += S
+            now = X[j0:count:steps_per_sample]
+            record = samples[sample:sample + len(now)]
+            record[:, :n] = now[:, :n]
+            record[:, n:n + m] = X[j0 + 1:count + 1:steps_per_sample, n:n + m]
+            record[:, -1] = now[:, f0 + M]
+            alive &= np.isfinite(record[:, :n + m]).all(axis=(0, 1))
+            if not alive.any():
+                break
+            sample += len(now)
 
             # the ledger's powers at each evaluation, per row [input on each
             # coordinate | damper on each | friction], time along the last axis
@@ -618,34 +607,32 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
     if alive.any():   # the loop ran to the end: trapezoidal work integrals
         work = h * (acc - 0.5 * (first + power[..., -1]))
         energy_change = energy_final - energy_initial
+    time = np.arange(n_samples) * output_interval
     series = []
     for b in range(B):
-        energy = None
+        valid, divergence, energy = n_samples, None, None
         if alive[b]:
-            w_in, w_out = work[b, :m], work[b, m:n]
-            energy = _energy_report(
-                drive=float(np.sum(w_in[:2])), preload=float(w_in[2]),
-                load=float(w_in[3]), modal=float(np.sum(w_out[:2])),
-                friction=-float(work[b, n]), axial=float(w_out[2]),
-                energy_change=float(energy_change[b]))
-        cols = out[b, :n_valid[b]].T.copy()
+            w, change = work[b], float(energy_change[b])
+            w_drive, w_preload, w_load = float(np.sum(w[:2])), float(w[2]), float(w[3])
+            modal, friction, axial = float(np.sum(w[m:m + 2])), -float(w[n]), float(w[m + 2])
+            residual = (w_drive + w_preload + w_load) - (change + modal + friction + axial)
+            energy = EnergyReport(w_drive, w_preload, w_load, modal, friction, axial,
+                                  change, residual,
+                                  abs(residual) / abs(w_drive) if w_drive else None)
+        else:   # the first sample not finite, and its first entry not finite
+            finite = np.isfinite(samples[:, :n + m, b])
+            valid = int(np.argmin(finite.all(axis=1)))
+            divergence = SimulationDiverged(float(time[max(valid - 1, 0)]),
+                                            ENTRY_NAMES[np.argmin(finite[valid])],
+                                            float(time[valid]))
+        y = samples[:valid, :, b].T
         series.append(MotorTimeSeries(
-            time=cols[0], surface_speed=cols[1], surface_displacement=cols[2],
-            friction_probe=cols[3], torque=cols[4], axial_force=cols[5],
-            wave_amplitude=cols[6], radius=R, divergence=divergence[b], energy=energy,
-        ))
+            time=time[:valid].copy(), surface_speed=R * y[n - 1],
+            surface_displacement=R * y[3], friction_probe=-cof[b] * y[-1],
+            torque=y[n + 3].copy(), axial_force=y[n + 2].copy(),
+            wave_amplitude=stator.pair.amp * np.hypot(y[0], y[1]), radius=R,
+            divergence=divergence, energy=energy))
     return series
-
-
-def _energy_report(drive, preload, load, modal, friction, axial,
-                   energy_change) -> EnergyReport:
-    residual = (drive + preload + load) - (energy_change + modal + friction + axial)
-    return EnergyReport(
-        drive_work=drive, preload_work=preload, load_torque_work=load,
-        modal_dissipation=modal, friction_dissipation=friction,
-        axial_dissipation=axial, energy_change=energy_change, residual=residual,
-        residual_fraction=abs(residual) / abs(drive) if drive else None,
-    )
 
 
 def detect_steady_state(series: MotorTimeSeries) -> tuple[float, bool]:

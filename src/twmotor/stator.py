@@ -55,8 +55,9 @@ class StatorGeometry:
     drive_nodal_diameters: int = 4
 
     def __post_init__(self):
-        if min(self.mean_radius, self.section_width, self.section_thickness) <= 0:
-            raise ValueError("mean_radius, section_width, section_thickness must be > 0")
+        for key in ("mean_radius", "section_width", "section_thickness"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key} must be > 0")
         if self.tooth_height < 0:
             raise ValueError("tooth_height must be >= 0")
         if self.drive_nodal_diameters < 1:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import twmotor
-from twmotor import cli, contact, runner, sweep
+from twmotor import cli, contact, dynamics, runner, sweep
 from twmotor.config import (ConfigError, RunConfig, _parse_record,
                             phase_degrees_to_radians)
 
@@ -138,6 +138,19 @@ class TestRun:
         assert not (tmp_path / "timeseries.csv").exists()
         assert not (tmp_path / "summary.json").exists()
 
+    def test_diverged_run_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        """A run that goes non-finite names the first non-finite entry and
+        the sample times, exits 3 and writes no artifact."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"contact": {"penalty_stiffness": 1e13}}))
+        code = run_cli("run", "--config", str(cfg), "--out-dir", str(tmp_path))
+        assert code == cli.EXIT_DIVERGED
+        assert capsys.readouterr().err == (
+            "error: simulation diverged: q_cos non-finite at t = 3e-05 s; "
+            "last valid time 2e-05 s\n")
+        assert not (tmp_path / "timeseries.csv").exists()
+        assert not (tmp_path / "summary.json").exists()
+
     def test_phase_reversal_flips_rotation(self, tmp_path):
         fwd = tmp_path / "fwd"
         rev = tmp_path / "rev"
@@ -212,6 +225,41 @@ class TestSweep:
         assert all(line.endswith(
             ",0,0,simulation.duration (--duration) 0.0004 s is shorter than two "
             "settling windows of 0.00025 s; run at least 0.0005 s") for line in lines[1:])
+
+    def test_batch_that_raises_fails_each_of_its_rows(self, tmp_path, capsys,
+                                                      monkeypatch):
+        """An error of the step loop itself fails every row of its batch with
+        the message; the table is still written, and exit 3 says every row failed."""
+        def raising(*args, **kwargs):
+            raise RuntimeError("step loop failed")
+
+        monkeypatch.setattr(dynamics, "simulate_batch", raising)
+        code = run_cli("sweep", "--out-dir", str(tmp_path), "--param", "cof",
+                       "--values", "0.3:0.5:0.1")
+        assert code == cli.EXIT_DIVERGED
+        assert capsys.readouterr().err.splitlines() == [
+            "error: every sweep row failed; first: step loop failed"]
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert lines[1:] == [f"{v:.17g},nan,nan,nan,0,0,step loop failed"
+                             for v in (0.3, 0.4, 0.5)]
+        assert not (tmp_path / "peak.json").exists()
+
+    def test_peak_of_too_few_settled_rows_is_an_error_record(self, tmp_path, capsys,
+                                                             monkeypatch):
+        """Fewer than three settled rows give no peak: ``peak.json`` holds the
+        reason, and the sweep still succeeds."""
+        def two_settled(spec, jobs):
+            return sweep.SweepCurve(parameter=spec.parameter, rows=tuple(
+                sweep.SweepRow(param=v, torque=0.1, speed=1.0, t_ss=1e-3, settled=v < 0.5)
+                for v in spec.values))
+
+        monkeypatch.setattr(sweep, "run_sweep", two_settled)
+        code = run_cli("sweep", "--out-dir", str(tmp_path), "--param", "cof",
+                       "--values", "0.3:0.5:0.1")
+        assert code == cli.EXIT_OK
+        assert strict_json(tmp_path / "peak.json") == {
+            "error": "need at least 3 settled rows of finite torque, have 2"}
+        assert (tmp_path / "sweep.csv").exists()
 
     def test_missing_grid_args(self, tmp_path, capsys):
         code = run_cli("sweep", "--out-dir", str(tmp_path))
@@ -372,6 +420,29 @@ class TestValidate:
         assert not (tmp_path / "summary.json").exists()
         assert not (tmp_path / "eigenfrequencies.csv").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read config {path}: [Errno 2] No such file or directory: '{path}'"),
+        ('{"contact": {"cof": 0.3,}}', "config {path} is not valid JSON: {json_error}"),
+        ("[1, 2]", "config root must be a JSON object"),
+        ('{"schema_version": 2}', "unsupported schema_version 2"),
+    ], ids=["missing-file", "invalid-json", "list-root", "schema-version"])
+    def test_config_file_refused(self, tmp_path, capsys, text, message):
+        """A config file that cannot be read, is not JSON, is not an object
+        or names another schema is a config error of its own."""
+        cfg = tmp_path / "cfg.json"
+        json_error = None
+        if text is not None:
+            cfg.write_text(text)
+            try:
+                json.loads(text)
+            except json.JSONDecodeError as exc:
+                json_error = exc
+        assert run_cli("validate", "--config", str(cfg)) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: " + message.format(path=cfg, json_error=json_error)]
+
     def test_unresolved_mode_pair(self, tmp_path, capsys):
         """Too few modes for the drive pair: rejected as ``eigen`` rejects it."""
         cfg = tmp_path / "cfg.json"
@@ -513,8 +584,19 @@ class TestOverride:
         ({"drive": None}, "section 'drive' must be an object"),
         ({"contact": {"cof": -0.1}}, "contact.cof must be >= 0"),
         ({"damping_ratio": 0}, "damping_ratio must be > 0"),
+        ({"rotor": {"inertia": 0}}, "rotor.inertia must be > 0"),
+        ({"rotor": {"mass": -0.01}}, "rotor.mass must be > 0"),
+        ({"simulation": {"duration": 0}}, "simulation.duration must be > 0"),
+        ({"simulation": {"output_interval": -1e-5}},
+         "simulation.output_interval must be > 0"),
+        ({"geometry": {"mean_radius": 0}}, "geometry.mean_radius must be > 0"),
+        ({"geometry": {"section_width": -0.005}}, "geometry.section_width must be > 0"),
+        ({"geometry": {"section_thickness": 0.0}},
+         "geometry.section_thickness must be > 0"),
     ], ids=["partial-material", "unknown-key", "mistyped-value", "null-section",
-            "section-range", "top-level-range"])
+            "section-range", "top-level-range", "rotor-inertia", "rotor-mass",
+            "simulation-duration", "simulation-output-interval", "geometry-mean-radius",
+            "geometry-section-width", "geometry-section-thickness"])
     def test_refused_as_from_dict_refuses(self, sections, message):
         for build in (RunConfig.from_dict, lambda data: RunConfig().override(**data)):
             with pytest.raises(ConfigError) as info:

@@ -2,7 +2,8 @@
 
 Subcommands: eigen | run | sweep | roughness | validate.  Exit codes:
 0 success, 2 config error, 3 numerical divergence (for a sweep: every row
-failed), 4 run did not settle, 5 I/O error.
+failed), 4 run did not settle (for a sweep: too few settled rows for a
+peak), 5 I/O error.
 """
 
 from __future__ import annotations
@@ -203,7 +204,7 @@ def _cmd_sweep(args) -> int:
                              ylabel="reported torque [N m]",
                              title=f"torque vs {spec.parameter}")
         (out_dir / "sweep.svg").write_text(svg)
-    return EXIT_OK
+    return EXIT_NOT_SETTLED if "error" in peak else EXIT_OK
 
 
 def _cmd_roughness(args) -> int:

@@ -11,14 +11,13 @@ from .dynamics import MotorTimeSeries
 
 
 def build_stator(config: RunConfig) -> stator.StatorModel:
-    """Solve the ring modes and select the drive mode pair."""
+    """Solve the ring modes: the ``eigen`` table and the drive mode pair."""
     geom = config.geometry
     try:
-        modes = stator.ring_modes(geom, config.stator_material, config.mesh.n_elements,
-                                  config.mesh.modes)
+        modes, pair = stator.ring_modes(geom, config.stator_material,
+                                        config.mesh.n_elements, config.mesh.modes)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    pair = stator.select_mode_pair(modes, geom.drive_nodal_diameters)
     forcing = stator.piezo_modal_force(pair, geom, config.piezo_material, voltage=1.0,
                                        piezo_offset=config.piezo_offset)
     return stator.StatorModel(
@@ -30,7 +29,7 @@ def build_stator(config: RunConfig) -> stator.StatorModel:
 def ideal_speed(config: RunConfig, model: stator.StatorModel) -> float | None:
     """No-slip speed bound of the steady drive wave; None if not a pure wave."""
     force = model.forcing_per_volt * config.drive.voltage
-    sol = wave.steady_wave_response(model.pair, force, config.drive, config.damping_ratio)
+    sol = wave.steady_wave_response(model.pair, force, config.drive, model.damping_ratio)
     try:
         return wave.ideal_no_slip_speed(sol, model.geometry)
     except ValueError:

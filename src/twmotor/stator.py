@@ -16,8 +16,9 @@ periodic structures", Int. J. Numer. Methods Eng. 14 (1979) 81-102).
 Hermitian problem by the Cholesky factor of its mass block (Golub & Van
 Loan, *Matrix Computations*, 4th ed., section 8.7).  That makes each
 mode's label exact, each pair exactly degenerate and its amplitude a
-closed form.  Teeth are not meshed; they only offset the contact surface
-from the neutral plane by ``contact_offset``.
+closed form; the drive pair is read from its own pencil, so the size of
+the mode table does not decide it.  Teeth are not meshed; they only
+offset the contact surface from the neutral plane by ``contact_offset``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ __all__ = [
     "ModePair",
     "StatorModel",
     "ring_modes",
-    "select_mode_pair",
     "piezo_modal_force",
 ]
 
@@ -94,40 +94,51 @@ def _element_matrices(EI, rhoA, l):
 
 @dataclass(frozen=True)
 class ModeSet:
-    """The k lowest ring modes, ascending in frequency.
+    """The k lowest ring modes, ascending in frequency, as ``eigen`` lists them.
 
-    ``labels[i]`` is the nodal-diameter count of mode i and
-    ``amplitudes[i]`` the deflection amplitude of its mass-normalized
-    shape, in m per unit modal coordinate.  A pair with n in 1..N/2-1
-    appears twice in a row, once for its cosine and once for its sine shape.
+    ``labels[i]`` is the nodal-diameter count of mode i.  A pair with n in
+    1..N/2-1 appears twice in a row, once for its cosine and once for its
+    sine shape.
     """
 
     frequencies_hz: np.ndarray = field(repr=False)
     labels: np.ndarray = field(repr=False)
-    amplitudes: np.ndarray = field(repr=False)
 
-    def __len__(self):
-        return len(self.frequencies_hz)
+
+@dataclass(frozen=True)
+class ModePair:
+    """Degenerate flexural pair at one nodal-diameter count.
+
+    Its mass-normalized shapes deflect as amp*cos(n theta) and
+    amp*sin(n theta).
+    """
+
+    nodal_diameters: int
+    omega: float                  # rad/s, shared natural frequency
+    amp: float                    # m per unit modal coordinate
+
+    @property
+    def frequency_hz(self) -> float:
+        return self.omega / (2.0 * math.pi)
 
 
 def ring_modes(geom: StatorGeometry, mat: IsotropicMaterial, n_elements: int,
-               k: int) -> ModeSet:
-    """The k lowest modes of the uniform periodic ring of ``n_elements``.
+               k: int) -> tuple[ModeSet, ModePair]:
+    """The k lowest modes of the uniform periodic ring of ``n_elements``, and
+    its drive pair: the lower mode of pencil ``geom.drive_nodal_diameters``.
 
-    Needs >= 8 elements per drive wavelength.  Wave n is the nodal field
-    u_j = v t^j with t = exp(2 pi i n / N); with each element matrix split
-    into 2x2 node blocks [[A, B], [B^T, D]], its pencil is
-    K(n) = A + D + B t + B^T conj(t), and M(n) likewise.  Each eigenvalue
+    Needs >= 8 elements per drive wavelength; k only sizes the table.  Wave
+    n is the nodal field u_j = v t^j with t = exp(2 pi i n / N); with each
+    element matrix split into 2x2 node blocks [[A, B], [B^T, D]], its pencil
+    is K(n) = A + D + B t + B^T conj(t), and M(n) likewise.  Each eigenvalue
     of pencil n stands for c modes: c = 1 for n = 0 and N/2, and c = 2, a
     degenerate pair, otherwise.  With v^H M(n) v = 1, the mass-normalized
     deflection amplitude is |v_w| sqrt(c / N).
     """
-    minimum = 8 * geom.drive_nodal_diameters
-    if n_elements < minimum:
-        raise ValueError(
-            f"n_elements={n_elements} too coarse for n={geom.drive_nodal_diameters} "
-            f"nodal diameters; need at least {minimum}"
-        )
+    d = geom.drive_nodal_diameters
+    if n_elements < 8 * d:
+        raise ValueError(f"n_elements={n_elements} too coarse for n={d} nodal diameters; "
+                         f"need at least {8 * d}")
     if not 1 <= k <= 2 * n_elements:
         raise ValueError(f"requested {k} modes from a {2 * n_elements}-DOF system")
     EI = mat.youngs_modulus * geom.section_width * geom.section_thickness**3 / 12.0
@@ -150,46 +161,16 @@ def ring_modes(geom: StatorGeometry, mat: IsotropicMaterial, n_elements: int,
     if np.any(resid > 1e-6):
         bad = ", ".join(f"{r:.2e}" for r in resid[resid > 1e-6])
         raise RuntimeError(f"eigensolver did not converge; residual norms: {bad}")
+    hz = np.sqrt(np.maximum(vals, 0.0)) / (2.0 * math.pi)
     count = np.where((n == 0) | (2 * n == n_elements), 1, 2)
-    amp = np.abs(vecs[:, 0, :]) * np.sqrt(count / n_elements)[:, None]
     repeat = np.repeat(count, 2)
-    vals, labels, amp = (np.repeat(a.ravel(), repeat)
-                         for a in (vals, np.repeat(n, 2), amp))
-    keep = np.argsort(vals, kind="stable")[:k]
-    freqs = np.sqrt(np.maximum(vals[keep], 0.0)) / (2.0 * math.pi)
-    return ModeSet(frequencies_hz=freqs, labels=labels[keep], amplitudes=amp[keep])
-
-
-@dataclass(frozen=True)
-class ModePair:
-    """Degenerate flexural pair at one nodal-diameter count.
-
-    Its mass-normalized shapes deflect as amp*cos(n theta) and
-    amp*sin(n theta).
-    """
-
-    nodal_diameters: int
-    omega: float                  # rad/s, shared natural frequency
-    amp: float                    # m per unit modal coordinate
-
-    @property
-    def frequency_hz(self) -> float:
-        return self.omega / (2.0 * math.pi)
-
-
-def select_mode_pair(modes: ModeSet, n: int) -> ModePair:
-    """The degenerate pair at nodal diameter n."""
-    if n < 1:
-        raise ValueError("n=0 is not a traveling-wave pair")
-    idx = np.flatnonzero(modes.labels == n)
-    if len(idx) < 2:
-        raise ValueError(
-            f"mode pair n={n} not resolved; increase the mode count or mesh density"
-        )
-    i = int(idx[0])
-    return ModePair(nodal_diameters=n,
-                    omega=float(2.0 * math.pi * modes.frequencies_hz[i]),
-                    amp=float(modes.amplitudes[i]))
+    keep = np.argsort(np.repeat(vals.ravel(), repeat), kind="stable")[:k]
+    table = ModeSet(frequencies_hz=np.repeat(hz.ravel(), repeat)[keep],
+                    labels=np.repeat(n, 2 * count)[keep])
+    # d < N/2, so the drive pencil stands for c = 2 modes
+    pair = ModePair(nodal_diameters=d, omega=float(2.0 * math.pi * hz[d, 0]),
+                    amp=float(np.abs(vecs[d, 0, 0]) * np.sqrt(2 / n_elements)))
+    return table, pair
 
 
 def piezo_modal_force(pair: ModePair, geom: StatorGeometry, piezo: PiezoMaterial,

@@ -76,8 +76,6 @@ class SweepSpec:
             raise ValueError("a sweep needs at least 3 values")
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("sweep values must be strictly ascending")
-        if self.parameter == "cof" and vals[-1] > 2:
-            raise ValueError("cof sweep must stay within [0, 2]")
         self.config_for(vals[0])    # the config types state the domains; the lowest decides
 
     def config_for(self, value: float) -> RunConfig:

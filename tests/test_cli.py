@@ -20,6 +20,8 @@ from twmotor import cli, contact, dynamics, runner, sweep
 from twmotor.config import (ConfigError, RunConfig, _parse_record,
                             phase_degrees_to_radians)
 
+from test_stator import analytic_frequency
+
 
 def run_cli(*argv):
     return cli.main(list(argv))
@@ -62,6 +64,19 @@ class TestEigen:
         code = run_cli("eigen", "--out-dir", str(tmp_path), "--n-elements", "16")
         assert code == cli.EXIT_CONFIG
         assert "too coarse" in capsys.readouterr().err
+
+    def test_short_table_still_names_the_drive_pair(self, tmp_path, capsys):
+        """``--modes`` sizes the table only: five rows end below the n = 4
+        pair, so none is flagged, and the pair is still reported."""
+        assert run_cli("eigen", "--out-dir", str(tmp_path), "--modes", "5") == cli.EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 7        # header, 5 rows, the pair
+        assert not any(line.endswith("*") for line in out[1:6])
+        assert out[-1] == "drive pair n=4 at 41211.6 Hz"
+        rows = [line.split(",") for line in
+                (tmp_path / "eigenfrequencies.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 5
+        assert [r[3] for r in rows] == ["0"] * 5
 
 
 class TestRun:
@@ -247,7 +262,7 @@ class TestSweep:
     def test_peak_of_too_few_settled_rows_is_an_error_record(self, tmp_path, capsys,
                                                              monkeypatch):
         """Fewer than three settled rows give no peak: ``peak.json`` holds the
-        reason, and the sweep still succeeds."""
+        reason, ``sweep.csv`` is written and the sweep exits as not settled."""
         def two_settled(spec, jobs):
             return sweep.SweepCurve(parameter=spec.parameter, rows=tuple(
                 sweep.SweepRow(param=v, torque=0.1, speed=1.0, t_ss=1e-3, settled=v < 0.5)
@@ -256,7 +271,7 @@ class TestSweep:
         monkeypatch.setattr(sweep, "run_sweep", two_settled)
         code = run_cli("sweep", "--out-dir", str(tmp_path), "--param", "cof",
                        "--values", "0.3:0.5:0.1")
-        assert code == cli.EXIT_OK
+        assert code == cli.EXIT_NOT_SETTLED
         assert strict_json(tmp_path / "peak.json") == {
             "error": "need at least 3 settled rows of finite torque, have 2"}
         assert (tmp_path / "sweep.csv").exists()
@@ -421,7 +436,7 @@ class TestValidate:
         assert not (tmp_path / "eigenfrequencies.csv").exists()
 
     @pytest.mark.parametrize("text, message", [
-        (None, "cannot read config {path}: [Errno 2] No such file or directory: '{path}'"),
+        (None, "cannot read config {path}: No such file or directory"),
         ('{"contact": {"cof": 0.3,}}', "config {path} is not valid JSON: {json_error}"),
         ("[1, 2]", "config root must be a JSON object"),
         ('{"schema_version": 2}', "unsupported schema_version 2"),
@@ -443,17 +458,28 @@ class TestValidate:
         assert captured.err.splitlines() == [
             "error: " + message.format(path=cfg, json_error=json_error)]
 
-    def test_unresolved_mode_pair(self, tmp_path, capsys):
-        """Too few modes for the drive pair: rejected as ``eigen`` rejects it."""
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"mesh": {"modes": 5}}))
-        assert run_cli("validate", "--config", str(cfg)) == cli.EXIT_CONFIG
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: mode pair n=4 not resolved")
-        assert run_cli("eigen", "--config", str(cfg),
-                       "--out-dir", str(tmp_path)) == cli.EXIT_CONFIG
-        assert capsys.readouterr().err == captured.err
+    def test_mode_count_does_not_decide(self, tmp_path, capsys):
+        """The drive pair comes from its own pencil, whatever the table's
+        size: five modes, below the n = 4 pair, and the default 13 modes,
+        below an n = 9 pair, are both valid."""
+        for config in ({"mesh": {"modes": 5}},
+                       {"geometry": {"drive_nodal_diameters": 9},
+                        "mesh": {"n_elements": 72}}):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            assert run_cli("validate", "--config", str(cfg)) == cli.EXIT_OK
+            assert capsys.readouterr().out == "configuration valid\n"
+
+    def test_high_order_drive_pair(self):
+        """An n = 9 drive at the default 13 modes: its pair is the flexural
+        ring's, within 1% of the analytic dispersion."""
+        config = RunConfig().override(geometry={"drive_nodal_diameters": 9},
+                                      mesh={"n_elements": 72})
+        model = runner.build_stator(config)
+        assert config.mesh.modes == 13
+        assert model.pair.nodal_diameters == 9
+        assert model.pair.frequency_hz == pytest.approx(
+            analytic_frequency(config.geometry, config.stator_material, 9), rel=0.01)
 
     @pytest.mark.parametrize("config, start", [
         ({"simulation": {"duration": 2e-4}}, "simulation.duration (--duration)"),

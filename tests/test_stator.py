@@ -1,6 +1,7 @@
 """Ring FEM: assembly invariants, eigenfrequencies against a dense
 reference, the drive mode pair and piezo modal forcing."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from twmotor.stator import (
     _element_matrices,
     piezo_modal_force,
     ring_modes,
-    select_mode_pair,
 )
 
 GEOM = StatorGeometry(mean_radius=0.0125, section_width=0.005,
@@ -70,8 +70,14 @@ def dense64(system64):
 
 
 @pytest.fixture(scope="module")
-def modes64():
+def ring64():
+    """The 15-mode table and the n = 4 drive pair of the 64-element ring."""
     return ring_modes(GEOM, COPPER, 64, 15)
+
+
+@pytest.fixture(scope="module")
+def modes64(ring64):
+    return ring64[0]
 
 
 class TestAssembly:
@@ -146,7 +152,7 @@ class TestEigenfrequencies:
         """Every mode of the full ring: non-rigid frequencies within rel
         1e-9 of the dense pencil's and the same nodal-diameter labels."""
         vals, _, labels = dense64
-        modes = ring_modes(GEOM, COPPER, 64, 128)
+        modes, _ = ring_modes(GEOM, COPPER, 64, 128)
         dense_hz = np.sqrt(vals[1:]) / (2 * math.pi)
         np.testing.assert_allclose(modes.frequencies_hz[1:], dense_hz, rtol=1e-9, atol=0)
         np.testing.assert_array_equal(modes.labels, labels)
@@ -154,8 +160,8 @@ class TestEigenfrequencies:
 
 
 @pytest.fixture(scope="module")
-def pair(modes64):
-    return select_mode_pair(modes64, 4)
+def pair(ring64):
+    return ring64[1]
 
 
 class TestModePair:
@@ -171,9 +177,26 @@ class TestModePair:
             amp = abs(2.0 / 64 * np.sum(w * np.exp(-4j * theta)))
             assert pair.amp == pytest.approx(amp, rel=1e-9)
 
-    def test_missing_pair_rejected(self, modes64):
-        with pytest.raises(ValueError, match="not resolved"):
-            select_mode_pair(modes64, 11)
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_pair_is_first_mode_of_its_label(self, n, dense64):
+        """The drive pair is the full table's first mode labelled n, bit for
+        bit, with the amplitude of the dense solve's first such mode."""
+        modes, pair = ring_modes(dataclasses.replace(GEOM, drive_nodal_diameters=n),
+                                 COPPER, 64, 128)
+        first = np.flatnonzero(modes.labels == n)[0]
+        assert pair.nodal_diameters == n
+        assert pair.omega == 2.0 * math.pi * modes.frequencies_hz[first]
+        _, vecs, labels = dense64
+        w = vecs[0::2, np.flatnonzero(labels == n)[0]]
+        theta = 2 * math.pi * np.arange(64) / 64
+        amp = abs(2.0 / 64 * np.sum(w * np.exp(-1j * n * theta)))
+        assert pair.amp == pytest.approx(amp, rel=1e-9)
+
+    def test_table_size_does_not_decide_the_pair(self, pair):
+        """A table too short to list the n = 4 pair leaves the pair as it is."""
+        modes, short = ring_modes(GEOM, COPPER, 64, 5)
+        assert 4 not in modes.labels
+        assert short == pair
 
 
 @pytest.fixture(scope="module")
@@ -220,8 +243,7 @@ class TestPiezoForcing:
         assert abs(quadrature_force(pair, "A", np.sin)) < 1e-12 * abs(f)
         assert abs(quadrature_force(pair, "B", np.cos)) < 1e-12 * abs(f)
 
-    def test_forcing_scales_linearly_with_voltage(self, modes64):
-        pair = select_mode_pair(modes64, 4)
+    def test_forcing_scales_linearly_with_voltage(self, pair):
         f1 = piezo_modal_force(pair, GEOM, lookup("PZT-5H"), 1.0)
         f7 = piezo_modal_force(pair, GEOM, lookup("PZT-5H"), 7.0)
         assert f7 == pytest.approx(7.0 * f1, rel=1e-12)

@@ -61,8 +61,10 @@ class TestSweepSpec:
             SweepSpec("preload_N", (25.0, 75.0, 50.0))
 
     def test_cof_domain(self):
-        with pytest.raises(ValueError):
-            SweepSpec("cof", (0.1, 0.5, 2.5))
+        """cof has one domain, ``ContactConfig``'s: any cof >= 0."""
+        spec = SweepSpec("cof", (0.1, 0.5, 2.5))
+        assert [spec.config_for(v) for v in spec.values] == [
+            RunConfig().override(contact={"cof": v}) for v in (0.1, 0.5, 2.5)]
 
     @pytest.mark.parametrize("parameter, values, message", [
         ("preload_N", (-10.0, 20.0, 30.0), "preload must be >= 0"),

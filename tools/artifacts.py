@@ -46,8 +46,18 @@ CASES = {
                          "--duration", "2e-3"], {}),
     "run_diverged": (["run", "--config", "config.json"],
                      {"config.json": json.dumps({"contact": {"penalty_stiffness": 1e13}})}),
+    # no row settles in 0.5 ms, so there is no peak: exit 4
+    "sweep_no_peak": (["sweep", "--param", "cof", "--values", "0.3:0.5:0.1",
+                       "--duration", "5e-4"], {}),
+    "sweep_cof_high": (["sweep", "--param", "cof", "--values", "1.5:2.5:0.5",
+                        "--duration", "5e-4"], {}),
     "eigen": (["eigen"], {}),
+    # a table of 5 modes ends below the n = 4 drive pair
+    "eigen_few_modes": (["eigen", "--modes", "5"], {}),
     "validate_default": (["validate"], {}),
+    "validate_n9": (["validate", "--config", "config.json"],
+                    {"config.json": json.dumps({"geometry": {"drive_nodal_diameters": 9},
+                                                "mesh": {"n_elements": 72}})}),
     "validate_missing_file": (["validate", "--config", "absent.json"], {}),
     "validate_invalid_json": (["validate", "--config", "config.json"],
                               {"config.json": '{"contact": {"cof": 0.3,}}'}),

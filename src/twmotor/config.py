@@ -61,7 +61,6 @@ class RunConfig:
     # a catalog name or an inline entry, held as the material it resolves to
     stator_material: IsotropicMaterial | str | dict = "Copper"
     piezo_material: PiezoMaterial | str | dict = "PZT-5H"
-    piezo_offset: float | None = None   # None = half the section thickness
     damping_ratio: float = 0.01
     schema_version: int = SCHEMA_VERSION
 

@@ -56,8 +56,9 @@ copied within a chunk.  No step branches: after its steps a chunk copies
 its samples into one buffer, the states at the steps j0, j0 + s, ... of X
 (s steps per sample), their reactions one step later and the friction
 force's u at the first contact point, and ends every row whose samples are
-not all finite; the loop stops when no row is left.  A chunk evaluates
-the drive and the preload ramp at all its steps at once, and reduces the
+not all finite; the loop stops when no row is left.  The held loads,
+-preload on z and -load_torque on phi, are written into d once per run;
+a chunk evaluates the drive at all its steps at once, and reduces the
 energy ledger's powers from its history of states and of the law's
 arguments and outputs.  The ledger sums each sample interval's
 powers (each chunk's, where an interval spans several), then adds the
@@ -151,13 +152,12 @@ class RotorConfig:
     axial_damping: float = 700.0  # N s/m
     preload: float = 50.0         # N, pressing the rotor onto the stator
     load_torque: float = 0.0      # N m, opposing rotation
-    preload_ramp: float = 0.0     # s; 0 = full preload from t=0
 
     def __post_init__(self):
         for key in ("inertia", "mass"):
             if getattr(self, key) <= 0:
                 raise ValueError(f"{key} must be > 0")
-        for key in ("axial_damping", "preload", "preload_ramp"):
+        for key in ("axial_damping", "preload"):
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be >= 0")
 
@@ -222,15 +222,22 @@ def step_grid(stator: StatorModel, drive: DriveConfig, duration: float = 5e-3,
 
     ``runner.admit`` asks it before any step, and ``runner.summarize``
     reads the grid of the run it judges.  It refuses a step too coarse for
-    the step loop (``_grid``), and a run whose series holds fewer than the
-    two windows of ``SETTLE_WINDOW`` that ``detect_steady_state`` compares.
+    the step loop (``_grid``), a run whose series holds fewer than the
+    two windows of ``SETTLE_WINDOW`` that ``detect_steady_state`` compares,
+    and a sample interval that puts fewer than 2 samples in the drive
+    period, the window of ``envelope_average``.
     """
     grid = _grid(stator, drive, duration, output_interval, dt)
-    if grid[2] // _window_length(output_interval) < 2:
+    if grid[2] // _window_length(SETTLE_WINDOW, output_interval) < 2:
         raise ValueError(
             f"simulation.duration (--duration) {duration:g} s is shorter than two "
             f"settling windows of {SETTLE_WINDOW:g} s; run at least "
             f"{2 * SETTLE_WINDOW:g} s")
+    period = 1.0 / drive.resolve_frequency(stator.pair)
+    if _window_length(period, output_interval) < 2:
+        raise ValueError(
+            f"simulation.output_interval {output_interval:g} s leaves fewer than 2 "
+            f"samples in the drive period of {period:g} s, the torque envelope's window")
     return grid
 
 
@@ -256,9 +263,9 @@ def _grid(stator: StatorModel, drive: DriveConfig, duration: float,
             int(round(duration / output_interval)) + 1)
 
 
-def _window_length(interval: float) -> int:
-    """Samples per settling window at a sample interval."""
-    return max(1, int(round(SETTLE_WINDOW / interval)))
+def _window_length(span: float, interval: float) -> int:
+    """Samples per window of ``span`` seconds at a sample interval, at least 1."""
+    return max(1, int(round(span / interval)))
 
 
 def simulate(stator: StatorModel, drive: DriveConfig,
@@ -420,11 +427,14 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
       over a contiguous last axis.  NumPy sums a contiguous axis pairwise
       but a strided one in sequence, which differs already at 8 terms.
 
-    The step loop only steps, records each sample's raw entries and sums
-    the ledger's powers; a row whose sample is not finite ends there and
-    the other rows carry on.  Each row's series, its ``EnergyReport`` or
-    its ``divergence`` are formed once, after the loop.  A row that went
-    non-finite is truncated at its last finite sample and has no ledger.
+    A row's preload and load torque are held from t = 0: run constants of
+    its d entries and of its ledger's input powers, so a chunk evaluates
+    only the drive's oscillator.  The step loop only steps, records each
+    sample's raw entries and sums the ledger's powers; a row whose sample
+    is not finite ends there and the other rows carry on.  Each row's
+    series, its ``EnergyReport`` or its ``divergence`` are formed once,
+    after the loop.  A row that went non-finite is truncated at its last
+    finite sample and has no ledger.
     """
     drives, contacts, rotors = zip(*rows)
     if len({c.point_count for c in contacts}) != 1:
@@ -461,11 +471,8 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
     omega_d = 2.0 * math.pi * per_row([d.resolve_frequency(stator.pair) for d in drives])
     force = stator.forcing_per_volt * per_row([d.voltage for d in drives])
     phase = per_row([d.phase_offset for d in drives])
-    preload = per_row([r.preload for r in rotors])[:, None, None]
-    ramp = per_row([r.preload_ramp for r in rotors])[:, None, None]
-    ramp_divisor = np.where(ramp > 0, ramp, 1.0)
-    load_torque = per_row([r.load_torque for r in rotors])[:, None]
-    offsets = np.array([[0.0], [0.5 * h]])      # step start and midpoint
+    preload = per_row([r.preload for r in rotors])
+    load_torque = per_row([r.load_torque for r in rotors])
     # [F cos wt, F cos(wt + psi)] on the modes, from [cos wt, sin wt]
     oscillator = np.zeros((B, m, 2))
     oscillator[:, 0, 0] = force
@@ -519,8 +526,12 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
     span = max(1, _CHUNK_ROW_STEPS // (B * steps_per_sample)) * steps_per_sample
     chunk = min(span, _CHUNK_STEPS)
     X = np.zeros((chunk + 1, width, B))
-    X[:, d0 + 3] = -load_torque.T   # held; each chunk fills the rest of d
+    X[:, d0 + 2] = -preload         # the held loads; each chunk fills the drive's
+    X[:, d0 + 3] = -load_torque     # [cos wt, sin wt]
     G = np.empty((chunk, 2 * M, B))
+    drive = np.empty((B, m, chunk))   # the forces at each step start
+    drive[:, 2] = -preload[:, None]
+    drive[:, 3] = -load_torque[:, None]
     if B == 1:
         product, kin, step_map = _dot, kin[0], step_map[0]
         XP, GP = X[..., 0], G[..., 0]
@@ -544,18 +555,11 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
             # T steps advance; the last (T = 0) maps the final state for its reactions
             T = min(chunk, n_steps - k, span - k % steps_per_sample)
             count = max(T, 1)
-            t = (k + np.arange(count)) * h
-            wt = omega_d[:, None] * t
-            tt = t + offsets                    # [start, midpoint] of each step
-            loads = -np.where(tt < ramp, preload * tt / ramp_divisor, preload)
+            wt = omega_d[:, None] * ((k + np.arange(count)) * h)
             X[:count, d0] = np.cos(wt).T
             X[:count, d0 + 1] = np.sin(wt).T
-            X[:count, d0 + 2] = loads[:, 1].T
-            drive = np.empty((B, m, count))     # the forces at each step start
-            drive[:, 0] = X[:count, d0].T * force[:, None]
-            drive[:, 1] = np.cos(wt + phase[:, None]) * force[:, None]
-            drive[:, 2] = loads[:, 0]
-            drive[:, 3] = -load_torque
+            drive[:, 0, :count] = X[:count, d0].T * force[:, None]
+            drive[:, 1, :count] = np.cos(wt + phase[:, None]) * force[:, None]
 
             for x, y, g, load, slip_ratio, normal, traction, y_next in step_views[:count]:
                 product(y, kin, g)
@@ -579,7 +583,7 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
             # coordinate | damper on each | friction], time along the last axis
             vel = X[:count, m:n].T
             power = np.empty((B, n + 1, count))
-            np.multiply(drive, vel, out=power[:, :m])
+            np.multiply(drive[..., :count], vel, out=power[:, :m])
             np.multiply(damper, vel, out=power[:, m:n])
             power[:, m:n] *= vel
             # f s = (-mu u)(v s / v): the constants multiply the point sum
@@ -655,7 +659,7 @@ def detect_steady_state(series: MotorTimeSeries) -> tuple[float, bool]:
     if len(series) < 2:
         raise ValueError("series too short")
     interval = series.time[1] - series.time[0]
-    wlen = _window_length(interval)
+    wlen = _window_length(SETTLE_WINDOW, interval)
     probe = series.wave_amplitude
     n_windows = len(probe) // wlen
     if n_windows < 2:
@@ -673,9 +677,10 @@ def envelope_average(series: MotorTimeSeries, t_ss: float, period: float) -> flo
     """Mean upper envelope of the oscillating torque after steady state.
 
     The upper envelope is the per-window maximum over consecutive windows
-    of one drive period, round(period / interval) samples; envelope points
-    farther than ``SPIKE_FACTOR`` median-absolute-deviations from the
-    envelope median are discarded before averaging.  At the default 10 us
+    of one drive period, round(period / interval) samples, at least 2 in a
+    run ``step_grid`` admits; envelope points farther than ``SPIKE_FACTOR``
+    median-absolute-deviations from the envelope median are discarded
+    before averaging.  At the default 10 us
     interval a window is 2 samples of a 24.27 us period, so this is the
     mean of maxima of point samples, not a mean torque.  It is
     the summary's ``reported_torque``, which acceptance gates 6 and 7 read.
@@ -685,7 +690,7 @@ def envelope_average(series: MotorTimeSeries, t_ss: float, period: float) -> flo
     mask = series.time >= t_ss
     torque = series.torque[mask]
     interval = series.time[1] - series.time[0]
-    wlen = max(1, int(round(period / interval)))
+    wlen = _window_length(period, interval)
     n_windows = len(torque) // wlen
     envelope = torque[:n_windows * wlen].reshape(n_windows, wlen).max(axis=1)
     if len(envelope) < 5:

@@ -18,8 +18,7 @@ def build_stator(config: RunConfig) -> stator.StatorModel:
                                         config.mesh.n_elements, config.mesh.modes)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    forcing = stator.piezo_modal_force(pair, geom, config.piezo_material, voltage=1.0,
-                                       piezo_offset=config.piezo_offset)
+    forcing = stator.piezo_modal_force(pair, geom, config.piezo_material, voltage=1.0)
     return stator.StatorModel(
         geometry=geom, modes=modes, pair=pair, forcing_per_volt=forcing,
         damping_ratio=config.damping_ratio,

@@ -174,25 +174,24 @@ def ring_modes(geom: StatorGeometry, mat: IsotropicMaterial, n_elements: int,
 
 
 def piezo_modal_force(pair: ModePair, geom: StatorGeometry, piezo: PiezoMaterial,
-                      voltage: float, piezo_offset: float | None = None) -> float:
+                      voltage: float) -> float:
     """Project the electrode-induced bending moments onto the mode pair.
 
     Channel A is the standard 2n-sector alternating-polarity pattern
     aligned with cos(n theta); channel B is the same pattern rotated a
     quarter wavelength, pi/(2n).  An energized sector applies a bending
     moment per unit length m_p = -e31 * V * z_p (z_p: piezo mid-plane
-    offset from the neutral axis); its virtual work against a shape's
-    curvature gives the modal force.  Each of the 2n sectors adds 2/n to
-    the integral over its own channel's shape, 4 in all, and the pattern
-    is orthogonal to the other shape, so each channel drives only its own.
+    offset from the neutral axis, half the section thickness); its
+    virtual work against a shape's curvature gives the modal force.  Each
+    of the 2n sectors adds 2/n to the integral over its own channel's
+    shape, 4 in all, and the pattern is orthogonal to the other shape, so
+    each channel drives only its own.
     So both channels carry one generalized force, which is returned (N):
     channel A's on the cosine shape, equal to channel B's on the sine shape.
     """
-    if piezo_offset is None:
-        piezo_offset = geom.section_thickness / 2.0
     n = pair.nodal_diameters
     R = geom.mean_radius
-    m_p = -piezo.e31 * voltage * piezo_offset
+    m_p = -piezo.e31 * voltage * (geom.section_thickness / 2.0)
     # F_j = int s(theta) * m_p * b * phi_j''(x) * R dtheta, phi'' in x = R*theta
     return 4.0 * (-m_p * geom.section_width * pair.amp * (n / R) ** 2 * R)
 

@@ -461,14 +461,30 @@ class TestValidate:
     def test_mode_count_does_not_decide(self, tmp_path, capsys):
         """The drive pair comes from its own pencil, whatever the table's
         size: five modes, below the n = 4 pair, and the default 13 modes,
-        below an n = 9 pair, are both valid."""
+        below an n = 9 pair, are both valid.  The n = 9 drive's 4.79 us
+        period needs a sample interval finer than the default 10 us."""
         for config in ({"mesh": {"modes": 5}},
                        {"geometry": {"drive_nodal_diameters": 9},
-                        "mesh": {"n_elements": 72}}):
+                        "mesh": {"n_elements": 72},
+                        "simulation": {"output_interval": 2e-6}}):
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps(config))
             assert run_cli("validate", "--config", str(cfg)) == cli.EXIT_OK
             assert capsys.readouterr().out == "configuration valid\n"
+
+    def test_fast_drive_needs_a_finer_sample_interval(self, tmp_path, capsys):
+        """At the default 10 us interval an n = 9 drive's 4.79 us period
+        holds no envelope window of 2 samples: a config error naming the
+        interval.  At 2 us the same motor is valid (above)."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"geometry": {"drive_nodal_diameters": 9},
+                                   "mesh": {"n_elements": 72}}))
+        assert run_cli("validate", "--config", str(cfg)) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: simulation.output_interval 1e-05 s leaves fewer "
+                               "than 2 samples in the drive period of 4.79")
 
     def test_high_order_drive_pair(self):
         """An n = 9 drive at the default 13 modes: its pair is the flexural
@@ -606,6 +622,8 @@ class TestOverride:
         ({"stator_material": {"density": 1000.0}},
          "missing key(s) in stator_material: name, youngs_modulus"),
         ({"contact": {"cf": 1}}, "unknown key(s) in contact: cf"),
+        ({"rotor": {"preload_ramp": 1e-4}}, "unknown key(s) in rotor: preload_ramp"),
+        ({"piezo_offset": 0.001}, "unknown key(s) in top level: piezo_offset"),
         ({"rotor": {"preload": "50"}}, "rotor.preload must be a number, not '50'"),
         ({"drive": None}, "section 'drive' must be an object"),
         ({"contact": {"cof": -0.1}}, "contact.cof must be >= 0"),
@@ -619,7 +637,8 @@ class TestOverride:
         ({"geometry": {"section_width": -0.005}}, "geometry.section_width must be > 0"),
         ({"geometry": {"section_thickness": 0.0}},
          "geometry.section_thickness must be > 0"),
-    ], ids=["partial-material", "unknown-key", "mistyped-value", "null-section",
+    ], ids=["partial-material", "unknown-key", "removed-preload-ramp",
+            "removed-piezo-offset", "mistyped-value", "null-section",
             "section-range", "top-level-range", "rotor-inertia", "rotor-mass",
             "simulation-duration", "simulation-output-interval", "geometry-mean-radius",
             "geometry-section-width", "geometry-section-thickness"])

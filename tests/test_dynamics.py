@@ -204,15 +204,6 @@ class TestSimulate:
         assert series.divergence is None
         assert abs(series.energy.residual_fraction) < 0.01
 
-    def test_preload_ramp_reaches_full_load(self, stator_model):
-        cfg = short_cfg(rotor={"preload": 80.0, "preload_ramp": 2e-4},
-                        drive={"voltage": 0.0})
-        series = run_short(stator_model, cfg)
-        assert series.axial_force[-1] == pytest.approx(80.0, rel=0.01)
-        # early in the ramp the contact force is still far below the target
-        early = series.time < 5e-5
-        assert np.max(series.axial_force[early]) < 60.0
-
 
 SERIES_FIELDS = ("time", "surface_speed", "surface_displacement", "friction_probe",
                  "torque", "axial_force", "wave_amplitude")
@@ -246,10 +237,9 @@ class TestSimulateBatch:
                                  drive={"voltage": 200.0, "frequency": 41100.0},
                                  rotor={"preload": 200.0, "load_torque": 0.01}),
             RunConfig().override(drive={"phase_offset": -math.pi / 2},
-                                 rotor={"preload_ramp": 1e-4, "mass": 0.02,
-                                        "inertia": 1e-4, "axial_damping": 0.0}),
-            # the ramp ends inside a chunk, not on a sample step
-            RunConfig().override(rotor={"preload_ramp": 1.234e-4, "preload": 120.0}),
+                                 rotor={"mass": 0.02, "inertia": 1e-4,
+                                        "axial_damping": 0.0}),
+            RunConfig().override(rotor={"preload": 120.0}),
         ]
         batch = simulate_batch(stator_model, self.rows(configs),
                                duration=self.DURATION)
@@ -614,7 +604,10 @@ class TestChunkEdges:
     def test_matches_reference_values(self, stator_model, case):
         duration, interval, reference = self.CASES[case]
         cfg = RunConfig()
-        steps_per_sample = step_grid(stator_model, cfg.drive, output_interval=interval)[1]
+        # the step loop's grid: a 0.3 ms interval holds no envelope window,
+        # which step_grid refuses, but the step loop steps it
+        steps_per_sample = dynamics._grid(stator_model, cfg.drive, duration, interval,
+                                          None)[1]
         assert steps_per_sample == 1 or steps_per_sample > _CHUNK_STEPS
         series = simulate(stator_model, cfg.drive, cfg.contact, cfg.rotor,
                           duration=duration, output_interval=interval)
@@ -623,8 +616,7 @@ class TestChunkEdges:
             assert getattr(series, name)[-1] == pytest.approx(value, rel=1e-10), name
         assert series.energy.residual_fraction < 0.01
 
-        other = RunConfig().override(contact={"cof": 0.35},
-                                     rotor={"preload_ramp": 0.7 * duration})
+        other = RunConfig().override(contact={"cof": 0.35})
         rows = [(c.drive, c.contact, c.rotor) for c in (other, cfg)]
         batch = simulate_batch(stator_model, rows, duration=duration,
                                output_interval=interval)
@@ -646,8 +638,7 @@ class TestChunkEdges:
         the sums in time order, so every series and ledger is bitwise one."""
         duration, interval = self.GRIDS[grid]
         configs = [RunConfig(),
-                   RunConfig().override(contact={"cof": 0.35},
-                                        rotor={"preload_ramp": 0.7 * duration}),
+                   RunConfig().override(contact={"cof": 0.35}),
                    RunConfig().override(rotor={"load_torque": 0.01})]
         rows = [(c.drive, c.contact, c.rotor) for c in configs]
         steps_per_sample = step_grid(stator_model, configs[0].drive,
@@ -768,10 +759,12 @@ class TestDetectSteadyState:
                                                   enough):
         """``step_grid`` refuses a run, before it is stepped, exactly when the
         verdict on its series cannot be reached: 50 samples at 10 us fill two
-        windows of 25, so 0.49 ms is enough and 0.48 ms is not."""
+        windows of 25, so 0.49 ms is enough and 0.48 ms is not.  A 1 kHz
+        drive's 1 ms period holds at least 2 samples at every interval here,
+        so the envelope rule refuses none of them."""
         t = np.arange(round(duration / interval) + 1) * interval
         series = synthetic_series(t, np.full_like(t, 2.0))
-        drive = RunConfig().drive
+        drive = RunConfig().override(drive={"frequency": 1e3}).drive
         if enough:
             assert step_grid(stator_model, drive, duration, interval)[2] == len(t)
             assert detect_steady_state(series)[1]
@@ -780,6 +773,24 @@ class TestDetectSteadyState:
                 step_grid(stator_model, drive, duration, interval)
             with pytest.raises(ValueError, match="shorter than two windows"):
                 detect_steady_state(series)
+
+    @pytest.mark.parametrize("interval, enough", [
+        (1e-5, True), (1.6e-5, True), (1.7e-5, False), (3e-4, False)])
+    def test_envelope_window_predicts_admission(self, stator_model, interval, enough):
+        """``step_grid`` refuses a sample interval that leaves fewer than 2
+        samples in the drive period, the window ``envelope_average`` takes:
+        round(24.27 / 16) = 2 and round(24.27 / 17) = 1."""
+        drive = RunConfig().drive
+        period = 1.0 / drive.resolve_frequency(stator_model.pair)
+        assert (dynamics._window_length(period, interval) >= 2) == enough
+        if enough:
+            step_grid(stator_model, drive, 5e-3, interval)
+        else:
+            with pytest.raises(ValueError) as info:
+                step_grid(stator_model, drive, 5e-3, interval)
+            assert str(info.value) == (
+                f"simulation.output_interval {interval:g} s leaves fewer than 2 samples "
+                f"in the drive period of {period:g} s, the torque envelope's window")
 
 
 # mixed signs and magnitudes from 1e-12 to 1e3, and zeros of either sign
@@ -893,7 +904,6 @@ class TestRotorConfig:
         {"mass": -1.0},
         {"axial_damping": -1.0},
         {"preload": -5.0},
-        {"preload_ramp": -1e-4},
     ])
     def test_invalid_parameters(self, bad):
         with pytest.raises(ValueError):

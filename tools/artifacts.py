@@ -55,9 +55,17 @@ CASES = {
     # a table of 5 modes ends below the n = 4 drive pair
     "eigen_few_modes": (["eigen", "--modes", "5"], {}),
     "validate_default": (["validate"], {}),
+    # an n = 9 drive's 4.79 us period needs samples finer than the default 10 us
     "validate_n9": (["validate", "--config", "config.json"],
                     {"config.json": json.dumps({"geometry": {"drive_nodal_diameters": 9},
-                                                "mesh": {"n_elements": 72}})}),
+                                                "mesh": {"n_elements": 72},
+                                                "simulation": {"output_interval": 2e-6}})}),
+    "validate_n9_coarse_samples": (["validate", "--config", "config.json"],
+                                   {"config.json": json.dumps(
+                                       {"geometry": {"drive_nodal_diameters": 9},
+                                        "mesh": {"n_elements": 72}})}),
+    "validate_preload_ramp": (["validate", "--config", "config.json"],
+                              {"config.json": json.dumps({"rotor": {"preload_ramp": 1e-4}})}),
     "validate_missing_file": (["validate", "--config", "absent.json"], {}),
     "validate_invalid_json": (["validate", "--config", "config.json"],
                               {"config.json": '{"contact": {"cof": 0.3,}}'}),

@@ -221,7 +221,7 @@ def step_grid(stator: StatorModel, drive: DriveConfig, duration: float = 5e-3,
     """The grid of a run that can be judged: (step, steps per sample, sample count).
 
     ``runner.admit`` asks it before any step, and ``runner.summarize``
-    reads the grid of the run it judges.  It refuses a step too coarse for
+    reads the grid that ``admit`` returned.  It refuses a step too coarse for
     the step loop (``_grid``), a run whose series holds fewer than the
     two windows of ``SETTLE_WINDOW`` that ``detect_steady_state`` compares,
     and a sample interval that puts fewer than 2 samples in the drive

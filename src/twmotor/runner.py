@@ -59,17 +59,17 @@ def run_motor(config: RunConfig, model: stator.StatorModel | None = None
     """
     if model is None:
         model = build_stator(config)
-    admit(config, model)
+    grid = admit(config, model)
     sim = config.simulation
     series = dynamics.simulate(
         model, config.drive, config.contact, config.rotor,
         duration=sim.duration, output_interval=sim.output_interval, dt=sim.dt,
     )
-    return series, summarize(config, model, series)
+    return series, summarize(config, model, series, grid)
 
 
-def summarize(config: RunConfig, model: stator.StatorModel,
-              series: MotorTimeSeries) -> dict:
+def summarize(config: RunConfig, model: stator.StatorModel, series: MotorTimeSeries,
+              grid: tuple[float, int, int]) -> dict:
     """Settling, envelope torque and mean speed of one transient.
 
     ``reported_torque`` is ``dynamics.envelope_average`` after ``t_ss``:
@@ -77,7 +77,9 @@ def summarize(config: RunConfig, model: stator.StatorModel,
     output interval) samples, which is 2 samples at the default 10 us
     interval against a 24.27 us drive period.  It is an upper envelope of
     point samples, not a mean torque; acceptance gates 6 and 7 read it.
-    Also the step ``dt`` and the number of ``steps`` taken, and the energy
+    Also the step ``dt`` and the number of ``steps`` taken, read from
+    ``grid``, the (step, steps per sample, sample count) that ``admit``
+    returned for the run, and the energy
     ledger as flat keys: ``energy_`` and each ``EnergyReport`` field, the
     field ``energy_change`` keeping its name.  Raises the series'
     ``divergence`` (SimulationDiverged) if it diverged.
@@ -92,9 +94,7 @@ def summarize(config: RunConfig, model: stator.StatorModel,
         torque = math.nan
     speed = dynamics.mean_speed(series, t_ss)
     omega_ideal = ideal_speed(config, model)
-    sim = config.simulation
-    dt, steps_per_sample, _ = dynamics.step_grid(model, config.drive, sim.duration,
-                                                 sim.output_interval, sim.dt)
+    dt, steps_per_sample, _ = grid
     return {
         "t_ss": t_ss,
         "settled": settled,

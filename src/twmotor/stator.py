@@ -12,9 +12,9 @@ The uniform mesh makes the ring rotationally periodic, so its FE
 eigenproblem splits exactly into one 2x2 Hermitian pencil per
 nodal-diameter count n = 0..N/2 (Thomas, "Dynamics of rotationally
 periodic structures", Int. J. Numer. Methods Eng. 14 (1979) 81-102).
-``ring_modes`` solves them as one batch, each reduced to a standard
-Hermitian problem by the Cholesky factor of its mass block (Golub & Van
-Loan, *Matrix Computations*, 4th ed., section 8.7).  That makes each
+``ring_modes`` writes each pencil's entries in closed form and takes its
+two eigenvalues as the roots of its quadratic determinant, in real
+arithmetic and without a linear-algebra library call.  That makes each
 mode's label exact, each pair exactly degenerate and its amplitude a
 closed form; the drive pair is read from its own pencil, so the size of
 the mode table does not decide it.  Teeth are not meshed; they only
@@ -72,26 +72,6 @@ class StatorGeometry:
         return 2.0 * math.pi * self.mean_radius
 
 
-def _element_matrices(EI, rhoA, l):
-    k = EI / l**3 * np.array(
-        [
-            [12.0, 6 * l, -12.0, 6 * l],
-            [6 * l, 4 * l * l, -6 * l, 2 * l * l],
-            [-12.0, -6 * l, 12.0, -6 * l],
-            [6 * l, 2 * l * l, -6 * l, 4 * l * l],
-        ]
-    )
-    m = rhoA * l / 420.0 * np.array(
-        [
-            [156.0, 22 * l, 54.0, -13 * l],
-            [22 * l, 4 * l * l, 13 * l, -3 * l * l],
-            [54.0, 13 * l, 156.0, -22 * l],
-            [-13 * l, -3 * l * l, -22 * l, 4 * l * l],
-        ]
-    )
-    return k, m
-
-
 @dataclass(frozen=True)
 class ModeSet:
     """The k lowest ring modes, ascending in frequency, as ``eigen`` lists them.
@@ -128,12 +108,21 @@ def ring_modes(geom: StatorGeometry, mat: IsotropicMaterial, n_elements: int,
     its drive pair: the lower mode of pencil ``geom.drive_nodal_diameters``.
 
     Needs >= 8 elements per drive wavelength; k only sizes the table.  Wave
-    n is the nodal field u_j = v t^j with t = exp(2 pi i n / N); with each
-    element matrix split into 2x2 node blocks [[A, B], [B^T, D]], its pencil
-    is K(n) = A + D + B t + B^T conj(t), and M(n) likewise.  Each eigenvalue
-    of pencil n stands for c modes: c = 1 for n = 0 and N/2, and c = 2, a
-    degenerate pair, otherwise.  With v^H M(n) v = 1, the mass-normalized
-    deflection amplitude is |v_w| sqrt(c / N).
+    n is the nodal field u_j = v t^j with t = exp(i theta), theta = 2 pi n / N;
+    with each Hermite element matrix split into 2x2 node blocks
+    [[A, B], [B^T, D]], its pencil is K(n) = A + D + B t + B^T conj(t), and
+    M(n) likewise.  With l = 2 pi R / N, c = cos theta, s = sin theta and
+    1 - c taken as 2 sin^2(theta / 2), that is
+
+        K(n) = EI / l^3 [[24 (1 - c), 12 i l s], [-12 i l s, 4 l^2 (2 + c)]]
+        M(n) = rho A l / 420 [[312 + 108 c, -26 i l s], [26 i l s, l^2 (8 - 6 c)]]
+
+    and det(K - lam M) = a lam^2 + b lam + c0 with c0 = 48 EI^2 (1 - c)^2 / l^4.
+    With q = (-b + sqrt(b^2 - 4 a c0)) / 2 the roots are c0 / q and q / a,
+    both >= 0.  Each eigenvalue of pencil n stands for m modes: m = 1 for
+    n = 0 and N/2, and m = 2, a degenerate pair, otherwise.  With
+    v^H M(n) v = 1, the mass-normalized deflection amplitude is
+    |v_w| sqrt(m / N).
     """
     d = geom.drive_nodal_diameters
     if n_elements < 8 * d:
@@ -143,33 +132,48 @@ def ring_modes(geom: StatorGeometry, mat: IsotropicMaterial, n_elements: int,
         raise ValueError(f"requested {k} modes from a {2 * n_elements}-DOF system")
     EI = mat.youngs_modulus * geom.section_width * geom.section_thickness**3 / 12.0
     rhoA = mat.density * geom.section_width * geom.section_thickness
+    l = geom.circumference / n_elements
     n = np.arange(n_elements // 2 + 1)
-    t = np.exp(2j * math.pi * n / n_elements)[:, None, None]
-
-    def pencil(e):
-        return e[:2, :2] + e[2:, 2:] + e[:2, 2:] * t + e[2:, :2] * t.conj()
-
-    K, M = map(pencil, _element_matrices(EI, rhoA, geom.circumference / n_elements))
-    inv_l = np.linalg.inv(np.linalg.cholesky(M))
-    inv_lh = inv_l.conj().swapaxes(1, 2)
-    vals, vecs = np.linalg.eigh(inv_l @ K @ inv_lh)
-    vecs = inv_lh @ vecs
-    # scaled by ||K(n)|| ||v|| so the null rigid mode is judged fairly
-    resid = (np.linalg.norm(K @ vecs - M @ vecs * vals[:, None, :], axis=1)
-             / np.linalg.norm(K, 1, axis=(1, 2))[:, None]
-             / np.linalg.norm(vecs, axis=1))
-    if np.any(resid > 1e-6):
-        bad = ", ".join(f"{r:.2e}" for r in resid[resid > 1e-6])
+    theta = 2.0 * math.pi * n / n_elements
+    c, s = np.cos(theta), np.sin(theta)
+    one_minus_c = 2.0 * np.sin(theta / 2.0) ** 2
+    ek, em = EI / l**3, rhoA * l / 420.0
+    # K(n) = [[k11, i kappa], [-i kappa, k22]] and M(n) = [[m11, i mu], [-i mu, m22]]
+    k11, k22, kappa = ek * 24.0 * one_minus_c, ek * 4.0 * l * l * (2.0 + c), ek * 12.0 * l * s
+    m11, m22, mu = em * (312.0 + 108.0 * c), em * l * l * (8.0 - 6.0 * c), -em * 26.0 * l * s
+    # det(K - lam M) = a lam^2 + b lam + c0; c0 is k11 k22 - kappa^2 without its
+    # cancellation at small theta, and q adds two terms >= 0
+    a = m11 * m22 - mu**2
+    b = -(k11 * m22 + k22 * m11 - 2.0 * kappa * mu)
+    c0 = 48.0 * EI**2 * one_minus_c**2 / l**4
+    q = (-b + np.sqrt(b * b - 4.0 * a * c0)) / 2.0
+    vals = np.stack([c0 / q, q / a], axis=1)
+    p1 = k11[:, None] - vals * m11[:, None]
+    p2 = k22[:, None] - vals * m22[:, None]
+    r = kappa[:, None] - vals * mu[:, None]
+    # each root's null vector [x, i y]: row 2's [p2, i r], or row 1's [r, i p1] for
+    # the upper root of the real pencils n = 0 and N/2, where row 2's vanishes
+    real = (n == 0) | (2 * n == n_elements)
+    row1 = real[:, None] & np.array([False, True])
+    x, y = np.where(row1, r, p2), np.where(row1, p1, r)
+    # scaled by ||K(n)||_1 ||v|| so the null rigid mode is judged fairly
+    resid = (np.hypot(p1 * x - r * y, p2 * y - r * x)
+             / (np.abs(kappa) + np.maximum(k11, k22))[:, None] / np.hypot(x, y))
+    failed = ~(resid <= 1e-6)       # a root lost to overflow fails as NaN
+    if np.any(failed):
+        bad = ", ".join(f"{e:.2e}" for e in resid[failed])
         raise RuntimeError(f"eigensolver did not converge; residual norms: {bad}")
-    hz = np.sqrt(np.maximum(vals, 0.0)) / (2.0 * math.pi)
-    count = np.where((n == 0) | (2 * n == n_elements), 1, 2)
+    hz = np.sqrt(vals) / (2.0 * math.pi)
+    count = np.where(real, 1, 2)
     repeat = np.repeat(count, 2)
     keep = np.argsort(np.repeat(vals.ravel(), repeat), kind="stable")[:k]
     table = ModeSet(frequencies_hz=np.repeat(hz.ravel(), repeat)[keep],
                     labels=np.repeat(n, 2 * count)[keep])
-    # d < N/2, so the drive pencil stands for c = 2 modes
+    # d < N/2, so the drive pencil stands for m = 2 modes
+    p, r = p2[d, 0], r[d, 0]        # the drive root's null vector [p, i r]
+    norm = m11[d] * p * p + m22[d] * r * r - 2.0 * mu[d] * p * r
     pair = ModePair(nodal_diameters=d, omega=float(2.0 * math.pi * hz[d, 0]),
-                    amp=float(np.abs(vecs[d, 0, 0]) * np.sqrt(2 / n_elements)))
+                    amp=float(abs(p) * math.sqrt(2 / n_elements) / math.sqrt(norm)))
     return table, pair
 
 

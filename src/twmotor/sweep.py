@@ -121,7 +121,7 @@ def _failed_row(value: float, exc: Exception) -> SweepRow:
 
 def _run_batch(task) -> list[SweepRow]:
     """Run one batch of rows in lockstep, then post-process each row."""
-    model, values, configs = task
+    model, grid, values, configs = task
     sim = configs[0].simulation
     try:
         series = dynamics.simulate_batch(
@@ -132,7 +132,7 @@ def _run_batch(task) -> list[SweepRow]:
     rows = []
     for value, config, run in zip(values, configs, series):
         try:
-            summary = runner.summarize(config, model, run)
+            summary = runner.summarize(config, model, run, grid)
         except Exception as exc:
             rows.append(_failed_row(value, exc))
             continue
@@ -163,12 +163,12 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepCurve:
         batches.setdefault(grid, []).append(i)
 
     parts = []   # each batch split into up to ``jobs`` contiguous parts
-    for members in batches.values():
+    for grid, members in batches.items():
         k = min(max(jobs, 1), len(members))
-        parts.extend(members[j * len(members) // k:(j + 1) * len(members) // k]
+        parts.extend((grid, members[j * len(members) // k:(j + 1) * len(members) // k])
                      for j in range(k))
-    tasks = [(model, [spec.values[i] for i in part], [configs[i] for i in part])
-             for part in parts]
+    tasks = [(model, grid, [spec.values[i] for i in part], [configs[i] for i in part])
+             for grid, part in parts]
     if jobs <= 1 or len(tasks) <= 1:
         results = [_run_batch(t) for t in tasks]
     else:
@@ -176,7 +176,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepCurve:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(_run_batch, tasks))
-    for part, part_rows in zip(parts, results):
+    for (_, part), part_rows in zip(parts, results):
         for i, row in zip(part, part_rows):
             rows[i] = row
     return SweepCurve(parameter=spec.parameter, rows=tuple(rows))

@@ -824,6 +824,31 @@ class TestImports:
         assert proc.stdout.splitlines()[-1] == "[]"
 
 
+class TestNoLapack:
+    """The motor path makes no LAPACK call: the stator's pencils are solved
+    in closed form, and a first LAPACK call faults about 1.9 MB of library
+    pages into the process."""
+
+    @pytest.fixture
+    def lapack_refused(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK called on the motor path")
+        for name in ("cholesky", "inv", "eigh", "eigvalsh", "solve", "svd", "det"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+
+    def test_stator_transient_and_summary(self, lapack_refused):
+        config = RunConfig().override(simulation={"duration": 5e-4})
+        model = runner.build_stator(config)
+        grid = runner.admit(config, model)
+        series = dynamics.simulate(model, config.drive, config.contact, config.rotor,
+                                   duration=5e-4)
+        summary = runner.summarize(config, model, series, grid)
+        assert summary["steps"] == (len(series) - 1) * grid[1]
+
+    def test_eigen_command(self, lapack_refused, tmp_path, capsys):
+        assert run_cli("eigen", "--out-dir", str(tmp_path)) == cli.EXIT_OK
+
+
 class TestBlasThreads:
     """The drive pair and a transient carry the same bits whatever the
     OpenBLAS thread count, each in a fresh interpreter."""

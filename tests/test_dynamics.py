@@ -272,7 +272,9 @@ class TestSimulateBatch:
         assert report.last_valid_time == (bad.time[-1] if len(bad) else 0.0)
         assert report.time == pytest.approx(report.last_valid_time + 1e-5, rel=1e-12)
         with pytest.raises(SimulationDiverged) as raised:
-            runner.summarize(configs[1], stator_model, bad)
+            runner.summarize(configs[1], stator_model, bad,
+                             dynamics._grid(stator_model, configs[1].drive, self.DURATION,
+                                            1e-5, None))
         assert str(raised.value) == (
             f"simulation diverged: {report.entry} non-finite at "
             f"t = {report.time:g} s; last valid time {report.last_valid_time:g} s")

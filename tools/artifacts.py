@@ -54,6 +54,8 @@ CASES = {
     "eigen": (["eigen"], {}),
     # a table of 5 modes ends below the n = 4 drive pair
     "eigen_few_modes": (["eigen", "--modes", "5"], {}),
+    # small 2 pi n / N, where the pencils' last digits are hardest to get
+    "eigen_fine_mesh": (["eigen", "--n-elements", "400", "--modes", "8"], {}),
     "validate_default": (["validate"], {}),
     # an n = 9 drive's 4.79 us period needs samples finer than the default 10 us
     "validate_n9": (["validate", "--config", "config.json"],

@@ -6,18 +6,15 @@ import dataclasses
 import math
 
 from . import dynamics, stator, wave
-from .config import ConfigError, RunConfig
+from .config import RunConfig
 from .dynamics import MotorTimeSeries
 
 
 def build_stator(config: RunConfig) -> stator.StatorModel:
     """Solve the ring modes: the ``eigen`` table and the drive mode pair."""
     geom = config.geometry
-    try:
-        modes, pair = stator.ring_modes(geom, config.stator_material,
-                                        config.mesh.n_elements, config.mesh.modes)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    modes, pair = stator.ring_modes(geom, config.stator_material,
+                                    config.mesh.n_elements, config.mesh.modes)
     forcing = stator.piezo_modal_force(pair, geom, config.piezo_material, voltage=1.0)
     return stator.StatorModel(
         geometry=geom, modes=modes, pair=pair, forcing_per_volt=forcing,
@@ -26,7 +23,8 @@ def build_stator(config: RunConfig) -> stator.StatorModel:
 
 
 def ideal_speed(config: RunConfig, model: stator.StatorModel) -> float | None:
-    """No-slip speed bound of the steady drive wave; None if not a pure wave."""
+    """No-slip rotor speed of the contact-free steady drive wave; None if
+    not a pure wave.  Not a bound: contact changes the wave (README)."""
     force = model.forcing_per_volt * config.drive.voltage
     sol = wave.steady_wave_response(model.pair, force, config.drive, model.damping_ratio)
     try:

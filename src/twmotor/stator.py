@@ -107,7 +107,12 @@ def ring_modes(geom: StatorGeometry, mat: IsotropicMaterial, n_elements: int,
     """The k lowest modes of the uniform periodic ring of ``n_elements``, and
     its drive pair: the lower mode of pencil ``geom.drive_nodal_diameters``.
 
-    Needs >= 8 elements per drive wavelength; k only sizes the table.  Wave
+    Needs >= 8 elements per drive wavelength; k only sizes the table.  Its
+    domain is one rule, checked on the result: every root is finite and the
+    drive pair's omega and amp are finite and > 0; any other stator, one
+    whose pencils overflow or underflow float64, is a ValueError naming
+    ``stator_material`` and the section.  Where the rule holds, each root's
+    null-vector residual is far below 1e-8 (``tests/test_stator.py``).  Wave
     n is the nodal field u_j = v t^j with t = exp(i theta), theta = 2 pi n / N;
     with each Hermite element matrix split into 2x2 node blocks
     [[A, B], [B^T, D]], its pencil is K(n) = A + D + B t + B^T conj(t), and
@@ -130,50 +135,42 @@ def ring_modes(geom: StatorGeometry, mat: IsotropicMaterial, n_elements: int,
                          f"need at least {8 * d}")
     if not 1 <= k <= 2 * n_elements:
         raise ValueError(f"requested {k} modes from a {2 * n_elements}-DOF system")
-    EI = mat.youngs_modulus * geom.section_width * geom.section_thickness**3 / 12.0
+    # float64 scalars, so a power that overflows gives inf where a float's ** raises
+    EI = mat.youngs_modulus * geom.section_width * np.float64(geom.section_thickness)**3 / 12.0
     rhoA = mat.density * geom.section_width * geom.section_thickness
-    l = geom.circumference / n_elements
+    l = np.float64(geom.circumference) / n_elements
     n = np.arange(n_elements // 2 + 1)
     theta = 2.0 * math.pi * n / n_elements
     c, s = np.cos(theta), np.sin(theta)
     one_minus_c = 2.0 * np.sin(theta / 2.0) ** 2
-    ek, em = EI / l**3, rhoA * l / 420.0
-    # K(n) = [[k11, i kappa], [-i kappa, k22]] and M(n) = [[m11, i mu], [-i mu, m22]]
-    k11, k22, kappa = ek * 24.0 * one_minus_c, ek * 4.0 * l * l * (2.0 + c), ek * 12.0 * l * s
-    m11, m22, mu = em * (312.0 + 108.0 * c), em * l * l * (8.0 - 6.0 * c), -em * 26.0 * l * s
-    # det(K - lam M) = a lam^2 + b lam + c0; c0 is k11 k22 - kappa^2 without its
-    # cancellation at small theta, and q adds two terms >= 0
-    a = m11 * m22 - mu**2
-    b = -(k11 * m22 + k22 * m11 - 2.0 * kappa * mu)
-    c0 = 48.0 * EI**2 * one_minus_c**2 / l**4
-    q = (-b + np.sqrt(b * b - 4.0 * a * c0)) / 2.0
-    vals = np.stack([c0 / q, q / a], axis=1)
-    p1 = k11[:, None] - vals * m11[:, None]
-    p2 = k22[:, None] - vals * m22[:, None]
-    r = kappa[:, None] - vals * mu[:, None]
-    # each root's null vector [x, i y]: row 2's [p2, i r], or row 1's [r, i p1] for
-    # the upper root of the real pencils n = 0 and N/2, where row 2's vanishes
-    real = (n == 0) | (2 * n == n_elements)
-    row1 = real[:, None] & np.array([False, True])
-    x, y = np.where(row1, r, p2), np.where(row1, p1, r)
-    # scaled by ||K(n)||_1 ||v|| so the null rigid mode is judged fairly
-    resid = (np.hypot(p1 * x - r * y, p2 * y - r * x)
-             / (np.abs(kappa) + np.maximum(k11, k22))[:, None] / np.hypot(x, y))
-    failed = ~(resid <= 1e-6)       # a root lost to overflow fails as NaN
-    if np.any(failed):
-        bad = ", ".join(f"{e:.2e}" for e in resid[failed])
-        raise RuntimeError(f"eigensolver did not converge; residual norms: {bad}")
-    hz = np.sqrt(vals) / (2.0 * math.pi)
-    count = np.where(real, 1, 2)
+    with np.errstate(all="ignore"):
+        ek, em = EI / l**3, rhoA * l / 420.0
+        # K(n) = [[k11, i kappa], [-i kappa, k22]] and M(n) = [[m11, i mu], [-i mu, m22]]
+        k11, k22, kappa = ek * 24.0 * one_minus_c, ek * 4.0 * l * l * (2.0 + c), ek * 12.0 * l * s
+        m11, m22, mu = em * (312.0 + 108.0 * c), em * l * l * (8.0 - 6.0 * c), -em * 26.0 * l * s
+        # det(K - lam M) = a lam^2 + b lam + c0; c0 is k11 k22 - kappa^2 without its
+        # cancellation at small theta, and q adds two terms >= 0
+        a = m11 * m22 - mu**2
+        b = -(k11 * m22 + k22 * m11 - 2.0 * kappa * mu)
+        c0 = 48.0 * EI**2 * one_minus_c**2 / l**4
+        q = (-b + np.sqrt(b * b - 4.0 * a * c0)) / 2.0
+        vals = np.stack([c0 / q, q / a], axis=1)
+        hz = np.sqrt(vals) / (2.0 * math.pi)
+        # d < N/2, so the drive pencil stands for m = 2 modes; the null vector
+        # of its lower root is [p, i r]
+        p, r = k22[d] - vals[d, 0] * m22[d], kappa[d] - vals[d, 0] * mu[d]
+        norm = m11[d] * p * p + m22[d] * r * r - 2.0 * mu[d] * p * r
+        pair = ModePair(nodal_diameters=d, omega=float(2.0 * math.pi * hz[d, 0]),
+                        amp=float(abs(p) * math.sqrt(2 / n_elements) / np.sqrt(norm)))
+    if not (np.isfinite(hz).all() and 0 < pair.omega < math.inf and 0 < pair.amp < math.inf):
+        raise ValueError(f"stator_material {mat.name!r} (density {mat.density:g} kg/m^3, "
+                         f"youngs_modulus {mat.youngs_modulus:g} Pa) with {geom} has ring "
+                         "modes beyond float64: roots not finite or a drive pair not > 0")
+    count = np.where((n == 0) | (2 * n == n_elements), 1, 2)
     repeat = np.repeat(count, 2)
     keep = np.argsort(np.repeat(vals.ravel(), repeat), kind="stable")[:k]
     table = ModeSet(frequencies_hz=np.repeat(hz.ravel(), repeat)[keep],
                     labels=np.repeat(n, 2 * count)[keep])
-    # d < N/2, so the drive pencil stands for m = 2 modes
-    p, r = p2[d, 0], r[d, 0]        # the drive root's null vector [p, i r]
-    norm = m11[d] * p * p + m22[d] * r * r - 2.0 * mu[d] * p * r
-    pair = ModePair(nodal_diameters=d, omega=float(2.0 * math.pi * hz[d, 0]),
-                    amp=float(abs(p) * math.sqrt(2 / n_elements) / math.sqrt(norm)))
     return table, pair
 
 

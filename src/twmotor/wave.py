@@ -100,10 +100,12 @@ def steady_wave_response(pair: ModePair, force: float, drive: DriveConfig,
 
 
 def ideal_no_slip_speed(wave: WaveSolution, geom: StatorGeometry) -> float:
-    """Rotor speed bound when the rim follows the crest tangential velocity.
+    """Rotor speed at which the rim follows this wave's crest tangential velocity.
 
     Magnitude n*z_c*omega*W/R^2; sign is the drive direction (positive
     for a dominant forward wave).  Requires a nearly pure traveling wave.
+    It is the no-slip speed of the wave without contact, not a bound on
+    the motor's: a light rotor near resonance outruns it.
     """
     wf, wb = wave.w_forward, wave.w_backward
     dominant = max(wf, wb)

@@ -10,6 +10,7 @@ import pkgutil
 import subprocess
 import sys
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,10 @@ from twmotor.config import (ConfigError, RunConfig, _parse_record,
                             phase_degrees_to_radians)
 
 from test_stator import analytic_frequency
+
+
+# a copper-dense stator of 1e200 Pa: finite, but its pencils overflow float64
+ABSURD_MATERIAL = {"name": "x", "density": 8960.0, "youngs_modulus": 1e200}
 
 
 def run_cli(*argv):
@@ -565,6 +570,55 @@ class TestValidate:
             assert captured.err.splitlines() == [f"error: {message}"]
             assert captured.out == ""
 
+    @pytest.mark.parametrize("config, key", [
+        ({"stator_material": dict(ABSURD_MATERIAL, youngs_modulus=1e160)}, "youngs_modulus"),
+        ({"stator_material": ABSURD_MATERIAL}, "youngs_modulus"),
+        ({"stator_material": dict(ABSURD_MATERIAL, youngs_modulus=1e-300)},
+         "youngs_modulus"),
+        ({"stator_material": dict(ABSURD_MATERIAL, youngs_modulus=1.1e11, density=1e300)},
+         "density"),
+        ({"geometry": {"mean_radius": 1e300}}, "mean_radius"),
+        ({"geometry": {"section_thickness": 1e-300}}, "section_thickness"),
+        ({"drive": {"frequency": 1e-320}}, "drive.frequency"),
+        ({"simulation": {"output_interval": 1e-320}}, "simulation.output_interval"),
+        ({"simulation": {"dt": 1e-320}}, "simulation.dt"),
+    ], ids=["modulus-1e160", "modulus-1e200", "modulus-1e-300", "density-1e300",
+            "radius-1e300", "thickness-1e-300", "frequency", "output-interval", "dt"])
+    def test_finite_input_beyond_float64_refused(self, tmp_path, capsys, config, key):
+        """Finite inputs whose stator pencils or grid counts leave float64's
+        range are one config error naming the key, with no warning."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("validate", "--config", str(cfg)) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and key in line
+
+    def test_absurd_material_refused_by_every_motor_command(self, tmp_path, capsys,
+                                                            monkeypatch):
+        """A 1e200 Pa stator is the same config error from ``run``, ``eigen``
+        and ``sweep``, and the sweep refuses it before any row is stepped."""
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("a row was stepped")
+
+        monkeypatch.setattr(dynamics, "simulate_batch", no_stepping)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"stator_material": ABSURD_MATERIAL}))
+        errors = []
+        out = ["--out-dir", str(tmp_path / "out")]
+        for argv in (["validate"], ["run", *out], ["eigen", *out],
+                     ["sweep", *out, "--param", "cof", "--values", "0.3:0.5:0.1"]):
+            assert run_cli(*argv, "--config", str(cfg)) == cli.EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert len(set(errors)) == 1
+        assert errors[0].startswith("error: stator_material 'x' (density 8960 kg/m^3, "
+                                    "youngs_modulus 1e+200 Pa)")
+        assert not list((tmp_path / "out").rglob("*"))
 
     @pytest.mark.parametrize("config, message", [
         ({"contact": {"point_count": 128.0}},

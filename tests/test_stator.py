@@ -3,11 +3,14 @@ reference, the drive mode pair and piezo modal forcing."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twmotor.materials import lookup
+from twmotor.materials import IsotropicMaterial, lookup
 from twmotor.stator import StatorGeometry, piezo_modal_force, ring_modes
 
 GEOM = StatorGeometry(mean_radius=0.0125, section_width=0.005,
@@ -43,6 +46,30 @@ def element_matrices(EI, rhoA, l):
         ]
     )
     return k, m
+
+
+def null_vector_residuals(geom, mat, N, modes):
+    """Each listed root's backward error as an eigenvalue of its pencil:
+    ||(K - lam M) v|| / (||K||_1 ||v||), v being the null vector of the row
+    of K - lam M whose vector is longer.
+
+    The pencils are assembled from the element matrices of a ring with
+    EI = rho A = 1, whose roots are omega^2 rho A / EI, so a ring whose own
+    pencils sit near float64's limits is judged in range.
+    """
+    ke, me = element_matrices(1.0, 1.0, geom.circumference / N)
+    t = np.exp(2j * np.pi * modes.labels / N)[:, None, None]
+    K, M = (e[:2, :2] + e[2:, 2:] + e[:2, 2:] * t + e[2:, :2] * np.conj(t) for e in (ke, me))
+    EI = mat.youngs_modulus * geom.section_width * geom.section_thickness**3 / 12
+    rhoA = mat.density * geom.section_width * geom.section_thickness
+    lam = (2 * np.pi * modes.frequencies_hz * math.sqrt(rhoA / EI)) ** 2
+    P = K - lam[:, None, None] * M
+    row1 = np.stack([-P[:, 0, 1], P[:, 0, 0]], axis=1)
+    row2 = np.stack([P[:, 1, 1], -P[:, 1, 0]], axis=1)
+    longer = np.linalg.norm(row1, axis=1) > np.linalg.norm(row2, axis=1)
+    v = np.where(longer[:, None], row1, row2)
+    return (np.linalg.norm(np.einsum("rij,rj->ri", P, v), axis=1)
+            / np.abs(K).sum(axis=1).max(axis=1) / np.linalg.norm(v, axis=1))
 
 
 def dense_system(geom, mat, N):
@@ -130,11 +157,40 @@ class TestAssembly:
 
     def test_overflowed_roots_refused(self):
         """A modulus whose pencils overflow float64 leaves NaN roots, which
-        the residual check refuses rather than passing on."""
+        the domain rule refuses, naming the material, without a warning."""
         stiff = dataclasses.replace(COPPER, youngs_modulus=1e160)
-        with np.errstate(all="ignore"), pytest.raises(RuntimeError,
-                                                      match="residual norms: nan"):
+        with warnings.catch_warnings(), pytest.raises(
+                ValueError, match=r"^stator_material 'Copper' \(density 8960 kg/m\^3, "
+                                  r"youngs_modulus 1e\+160 Pa\)"):
+            warnings.simplefilter("error")
             ring_modes(GEOM, stiff, 64, 15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(modulus=st.floats(0, 160), density=st.floats(-3, 8), radius=st.floats(-5, 2),
+           width=st.floats(-3, 0), thickness=st.floats(-4, 0), n=st.integers(1, 11),
+           data=st.data())
+    def test_accepted_roots_are_eigenvalues(self, modulus, density, radius, width,
+                                            thickness, n, data):
+        """Over finite stators from 1 to 1e160 Pa (powers of ten drawn
+        uniformly), ``ring_modes`` either builds, with each root's null-vector
+        residual at most 1e-8, or refuses with its domain rule's ValueError,
+        and warns of nothing.  ``ring_modes`` ran this check at run time
+        while it took its roots from LAPACK; over 19,690 accepted stators
+        of 20,000 drawn alike, the worst residual was 7.9e-12."""
+        R = 10.0**radius
+        geom = StatorGeometry(mean_radius=R, section_width=R * 10.0**width,
+                              section_thickness=R * 10.0**thickness, drive_nodal_diameters=n)
+        mat = IsotropicMaterial(name="x", density=10.0**density, youngs_modulus=10.0**modulus)
+        N = 8 * n * data.draw(st.integers(1, 2000 // (8 * n)), label="wavelength elements / 8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                modes, pair = ring_modes(geom, mat, N, 2 * N)
+            except ValueError as exc:
+                assert str(exc).startswith("stator_material 'x' ")
+                return
+        assert 0 < pair.omega < math.inf and 0 < pair.amp < math.inf
+        assert np.max(null_vector_residuals(geom, mat, N, modes)) <= 1e-8
 
 
 class TestEigenfrequencies:

@@ -68,6 +68,15 @@ CASES = {
                                         "mesh": {"n_elements": 72}})}),
     "validate_preload_ramp": (["validate", "--config", "config.json"],
                               {"config.json": json.dumps({"rotor": {"preload_ramp": 1e-4}})}),
+    # finite moduli whose ring pencils overflow and underflow float64: exit 2
+    "validate_modulus_1e200": (["validate", "--config", "config.json"],
+                               {"config.json": json.dumps({"stator_material": {
+                                   "name": "x", "density": 8960.0,
+                                   "youngs_modulus": 1e200}})}),
+    "validate_modulus_1e-300": (["validate", "--config", "config.json"],
+                                {"config.json": json.dumps({"stator_material": {
+                                    "name": "x", "density": 8960.0,
+                                    "youngs_modulus": 1e-300}})}),
     "validate_missing_file": (["validate", "--config", "absent.json"], {}),
     "validate_invalid_json": (["validate", "--config", "config.json"],
                               {"config.json": '{"contact": {"cof": 0.3,}}'}),

@@ -58,9 +58,12 @@ its samples into one buffer, the states at the steps j0, j0 + s, ... of X
 force's u at the first contact point, and ends every row whose samples are
 not all finite; the loop stops when no row is left.  The held loads,
 -preload on z and -load_torque on phi, are written into d once per run;
-a chunk evaluates the drive at all its steps at once, and reduces the
-energy ledger's powers from its history of states and of the law's
-arguments and outputs.  The ledger sums each sample interval's
+a chunk evaluates the drive's [cos wt, sin wt] at all its steps at once,
+and reduces the energy ledger's powers from its history of states and of
+the law's arguments and outputs.  One ``forcing`` matrix per row maps d
+to the forces on [q_cos, q_sin, z, phi]: the step map reads its drive
+pair's columns, and the ledger prices ``forcing @ d``, d read from X, so
+it prices the forces the map applies.  The ledger sums each sample interval's
 powers (each chunk's, where an interval spans several), then adds the
 sums to its totals in time order, so no result depends on how many
 intervals a chunk holds.  Every operation acts on each row alone, so a
@@ -107,6 +110,9 @@ CSV_HEADER = "t,s_speed,surf_disp,fric_probe,torque,fz,wave_amp"
 _CHUNK_STEPS = 1024       # most steps one chunk of the step loop holds
 _CHUNK_ROW_STEPS = 512    # steps x rows a chunk fills with whole sample intervals
 _EXPM_TERMS = 20          # Taylor terms of a scaled matrix exponential
+# most samples a row holds, about 42 s at the default 10 us interval: its
+# buffer of 13 entries per sample stays below 440 MB
+_MAX_SAMPLES = 2 ** 22
 
 # A batch of one's products: the C method np.dot reaches, without its dispatcher
 _dot = np.ndarray.dot
@@ -249,11 +255,12 @@ def _grid(stator: StatorModel, drive: DriveConfig, duration: float,
     Steps above 1/(100 f_drive) are rejected as too coarse, and the step
     defaults to that bound, snapped to an integer divider of the output
     interval.  A step or sample count that is not finite is refused, naming
-    its key.  The bound guards accuracy, not stability: the default motor
-    steps without blowing up at 1/(20 f_drive), where its energy residual
-    is 7e-4 (9e-8 at the bound), and at the bound the step map's errors
-    stay below the midpoint scheme's at 1/(400 f_drive) (README, step
-    error).
+    its key, and so is a run of more than ``_MAX_SAMPLES`` samples, naming
+    ``simulation.duration``, before any buffer is allocated.  The bound on
+    the step guards accuracy, not stability: the default motor steps
+    without blowing up at 1/(20 f_drive), where its energy residual is 7e-4
+    (9e-8 at the bound), and at the bound the step map's errors stay below
+    the midpoint scheme's at 1/(400 f_drive) (README, step error).
     """
     bound = 1.0 / (100.0 * drive.resolve_frequency(stator.pair))
     dt_nominal = dt if dt is not None else bound
@@ -261,8 +268,11 @@ def _grid(stator: StatorModel, drive: DriveConfig, duration: float,
         raise ValueError(f"dt={dt_nominal:g} s too coarse; need <= {bound:g} s "
                          "(1/(100 f_drive))")
     steps_per_sample = max(1, math.ceil(_finite(output_interval / dt_nominal, "simulation.dt")))
-    return (output_interval / steps_per_sample, steps_per_sample,
-            int(round(_finite(duration / output_interval, "simulation.output_interval"))) + 1)
+    n_samples = int(round(_finite(duration / output_interval, "simulation.output_interval"))) + 1
+    if n_samples > _MAX_SAMPLES:
+        raise ValueError(f"simulation.duration (--duration) {duration:g} s is {n_samples:.3g} "
+                         f"samples of {output_interval:g} s; a run holds at most {_MAX_SAMPLES}")
+    return output_interval / steps_per_sample, steps_per_sample, n_samples
 
 
 def _finite(count: float, key: str) -> float:
@@ -307,11 +317,12 @@ def _step_map(mass, damping, stiffness, drive, omega, reaction, h: float) -> np.
 
     ``mass``, ``damping`` and ``stiffness`` are (..., 4) diagonals of
     M x'' + C x' + K x = F on x = [q_cos, q_sin, z, phi].  F is ``drive``
-    (..., 4, 2) times [cos wt, sin wt], w being ``omega`` (...), plus the
-    loads and the reactions r, which ``reaction``'s (2, ..., P, 4) blocks
-    form from the law's outputs [N, u] at P points.  The map reads
-    [state | r_(j-1) | r_(j-2) | r_(j-3) | d | N | u], d = [cos wt_j,
-    sin wt_j, the held loads on z and phi], and writes
+    (..., 4, 2), the first two columns of ``simulate_batch``'s forcing,
+    times [cos wt, sin wt], w being ``omega`` (...), plus the loads, held
+    as the reaction is, and the reactions r, which ``reaction``'s
+    (2, ..., P, 4) blocks form from the law's outputs [N, u] at P points.
+    The map reads [state | r_(j-1) | r_(j-2) | r_(j-3) | d | N | u],
+    d = [cos wt_j, sin wt_j, the held loads on z and phi], and writes
     [next state | r_j | r_(j-1) | r_(j-2)]: shape (..., 24 + 2P, 20), for
     row vectors.  It is the exponential (``_expm``) of the system augmented
     by three blocks (Van Loan, IEEE Trans. Autom. Control 23 (1978)
@@ -431,15 +442,19 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
       zero entries, which the map reads with zero rows, to a multiple of 4
       entries.  The BLAS matrix-vector kernels for the two strides group a
       tail of fewer than 4 terms differently, and padded there is no tail;
-      the kinematics product sums 8 terms.
+      the kinematics product sums 8 terms, and the ledger's ``forcing @ d``
+      4.
     - the ledger reduces over contiguous copies: the energy's sums over a
       row's state and its points, and the friction power's point sum, run
       over a contiguous last axis.  NumPy sums a contiguous axis pairwise
       but a strided one in sequence, which differs already at 8 terms.
 
     A row's preload and load torque are held from t = 0: run constants of
-    its d entries and of its ledger's input powers, so a chunk evaluates
-    only the drive's oscillator.  The step loop only steps, records each
+    its d entries, so a chunk evaluates only the drive's oscillator.  The
+    map and the ledger read one (B, 4, 4) ``forcing``, the drive pair's rows
+    from ``DriveConfig.forcing`` and identity rows for the held loads: the
+    map its first two columns, and the ledger prices ``forcing @ d`` times
+    the velocities, d read from X.  The step loop only steps, records each
     sample's raw entries and sums the ledger's powers; a row whose sample
     is not finite ends there and the other rows carry on.  Each row's
     series, its ``EnergyReport`` or its ``divergence`` are formed once,
@@ -479,15 +494,11 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
     reaction *= periods
 
     omega_d = 2.0 * math.pi * per_row([d.resolve_frequency(stator.pair) for d in drives])
-    force = stator.forcing_per_volt * per_row([d.voltage for d in drives])
-    phase = per_row([d.phase_offset for d in drives])
-    preload = per_row([r.preload for r in rotors])
-    load_torque = per_row([r.load_torque for r in rotors])
-    # [F cos wt, F cos(wt + psi)] on the modes, from [cos wt, sin wt]
-    oscillator = np.zeros((B, m, 2))
-    oscillator[:, 0, 0] = force
-    oscillator[:, 1, 0] = force * np.cos(phase)
-    oscillator[:, 1, 1] = -force * np.sin(phase)
+    # the forces on [q_cos, q_sin, z, phi] per d = [cos wt, sin wt, held loads]:
+    # the drive pair's rows, then identity rows for the loads
+    forcing = np.zeros((B, m, m))
+    forcing[:, :2, :2] = [d.forcing(stator.forcing_per_volt * d.voltage) for d in drives]
+    forcing[:, 2, 2] = forcing[:, 3, 3] = 1.0
 
     # each row's linear dynamics M x'' + C x' + K x = F, as three diagonals
     # over [q_cos, q_sin, z, phi]: mass-normalized modes, the rotor's axial
@@ -510,7 +521,7 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
     d0 = n + (len(_HISTORY) - 1) * m      # where d starts
     f0 = d0 + m                           # where [N | u] starts
     width = -(-(f0 + 2 * M) // 4) * 4
-    step_map = np.pad(_step_map(mass, damping, stiffness, oscillator, omega_d, reaction, h),
+    step_map = np.pad(_step_map(mass, damping, stiffness, forcing[..., :2], omega_d, reaction, h),
                       ((0, 0), (0, width - f0 - 2 * M), (0, 0)))
     weights = np.concatenate([stiffness, mass], axis=-1)
     damper = damping[:, :, None]
@@ -536,12 +547,9 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
     span = max(1, _CHUNK_ROW_STEPS // (B * steps_per_sample)) * steps_per_sample
     chunk = min(span, _CHUNK_STEPS)
     X = np.zeros((chunk + 1, width, B))
-    X[:, d0 + 2] = -preload         # the held loads; each chunk fills the drive's
-    X[:, d0 + 3] = -load_torque     # [cos wt, sin wt]
+    # the held loads; each chunk fills [cos wt, sin wt]
+    X[:, d0 + 2:d0 + 4] = [[-r.preload for r in rotors], [-r.load_torque for r in rotors]]
     G = np.empty((chunk, 2 * M, B))
-    drive = np.empty((B, m, chunk))   # the forces at each step start
-    drive[:, 2] = -preload[:, None]
-    drive[:, 3] = -load_torque[:, None]
     if B == 1:
         product, kin, step_map = _dot, kin[0], step_map[0]
         XP, GP = X[..., 0], G[..., 0]
@@ -568,8 +576,6 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
             wt = omega_d[:, None] * ((k + np.arange(count)) * h)
             X[:count, d0] = np.cos(wt).T
             X[:count, d0 + 1] = np.sin(wt).T
-            drive[:, 0, :count] = X[:count, d0].T * force[:, None]
-            drive[:, 1, :count] = np.cos(wt + phase[:, None]) * force[:, None]
 
             for x, y, g, load, slip_ratio, normal, traction, y_next in step_views[:count]:
                 product(y, kin, g)
@@ -590,10 +596,11 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
             sample += len(now)
 
             # the ledger's powers at each evaluation, per row [input on each
-            # coordinate | damper on each | friction], time along the last axis
+            # coordinate, forcing @ d times its rate | damper on each |
+            # friction], time along the last axis
             vel = X[:count, m:n].T
             power = np.empty((B, n + 1, count))
-            np.multiply(drive[..., :count], vel, out=power[:, :m])
+            np.multiply(forcing @ X[:count, d0:d0 + m].T, vel, out=power[:, :m])
             np.multiply(damper, vel, out=power[:, m:n])
             power[:, m:n] *= vel
             # f s = (-mu u)(v s / v): the constants multiply the point sum

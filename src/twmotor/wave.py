@@ -1,8 +1,13 @@
 """Two-phase forced response and its traveling-wave decomposition.
 
-Complex amplitudes use the exp(+i omega t) convention, so a channel
-driven as F*cos(omega t + psi) has complex force F*exp(i psi) and the
-modal response is q = F / (omega_n^2 - omega^2 + 2 i zeta omega_n omega).
+``DriveConfig.forcing`` is the one statement of the channel convention:
+channel A drives the cosine shape with F cos(omega t), channel B the sine
+shape with F cos(omega t + psi).  The transient's step map and energy
+ledger (``dynamics.simulate_batch``) and the steady response here read
+that matrix.  Complex amplitudes use the exp(+i omega t) convention, so
+[cos omega t, sin omega t] is the real part of (1, -i) exp(i omega t),
+the forces' complex amplitudes are forcing @ (1, -i), and the modal
+response is q = F / (omega_n^2 - omega^2 + 2 i zeta omega_n omega).
 
 The standing pair decomposes into traveling components via
 q_f = (q_A - i q_B)/2 and q_b = (q_A + i q_B)/2; the forward component
@@ -14,6 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .stator import ModePair, StatorGeometry
 
@@ -46,6 +53,14 @@ class DriveConfig:
 
     def resolve_frequency(self, pair: ModePair) -> float:
         return self.frequency if self.frequency is not None else pair.frequency_hz
+
+    def forcing(self, force: float) -> np.ndarray:
+        """The 2x2 matrix that maps [cos wt, sin wt] to the forces on
+        [q_cos, q_sin]: [[F, 0], [F cos psi, -F sin psi]], F being each
+        channel's ``force`` amplitude onto its shape and psi the phase offset,
+        so channel B's row is F cos(wt + psi)."""
+        psi = self.phase_offset
+        return np.array([[force, 0.0], [force * np.cos(psi), -force * np.sin(psi)]])
 
 
 @dataclass(frozen=True)
@@ -92,9 +107,7 @@ def steady_wave_response(pair: ModePair, force: float, drive: DriveConfig,
     omega = 2.0 * math.pi * drive.resolve_frequency(pair)
     wn = pair.omega
     H = 1.0 / (wn * wn - omega * omega + 2j * zeta * wn * omega)
-    q_cos = force * H
-    psi = drive.phase_offset
-    q_sin = force * complex(math.cos(psi), math.sin(psi)) * H
+    q_cos, q_sin = (complex(f) * H for f in drive.forcing(force) @ (1, -1j))
     return WaveSolution(q_cos=q_cos, q_sin=q_sin, omega=omega,
                         shape_amp=pair.amp, nodal_diameters=pair.nodal_diameters)
 

@@ -526,13 +526,43 @@ class TestValidate:
         message ``run`` and ``eigen`` reject the config with."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"mesh": {"n_elements": 16}}))
-        message = "n_elements=16 too coarse for n=4 nodal diameters; need at least 32"
+        message = "mesh.n_elements 16 too coarse for n=4 nodal diameters; need at least 32"
         for argv in (["validate"], ["run", "--out-dir", str(tmp_path)],
                      ["eigen", "--out-dir", str(tmp_path)]):
             assert run_cli(*argv, "--config", str(cfg)) == cli.EXIT_CONFIG
             captured = capsys.readouterr()
             assert captured.err.splitlines() == [f"error: {message}"]
             assert captured.out == ""
+
+    @pytest.mark.parametrize("config, key", [
+        ({"mesh": {"n_elements": 2 ** 20 + 1}}, "mesh.n_elements"),
+        ({"mesh": {"modes": 0}}, "mesh.modes"),
+        ({"mesh": {"modes": 129}}, "mesh.modes"),
+        ({"simulation": {"duration": 1e4}}, "simulation.duration"),
+        ({"simulation": {"duration": 1e8}}, "simulation.duration"),
+        ({"simulation": {"duration": 1e300}}, "simulation.duration"),
+    ], ids=["n_elements", "modes-0", "modes-129", "duration-1e4", "duration-1e8",
+            "duration-1e300"])
+    def test_count_too_large_refused(self, tmp_path, capsys, config, key):
+        """A count the stator build or a run's buffers cannot hold, or a table
+        size outside 1..2N, is one config error naming its key."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli("validate", "--config", str(cfg)) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: {key} ")
+
+    def test_run_refuses_the_sample_count_as_validate_does(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"simulation": {"duration": 1e300}}))
+        errors = []
+        for argv in (["validate"], ["run", "--out-dir", str(tmp_path / "out")]):
+            assert run_cli(*argv, "--config", str(cfg)) == cli.EXIT_CONFIG
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: simulation.duration (--duration) 1e+300 s")
 
     @pytest.mark.parametrize("section", [
         {"mean_radius": 0.015},

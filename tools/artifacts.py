@@ -38,6 +38,9 @@ def height_maps() -> dict[str, str]:
 # case -> (command line, input files {name: text})
 CASES = {
     "run": (["run"], {}),
+    # channel B's forcing row at a phase whose cosine and sine are both nonzero;
+    # 1 ms does not settle, so it exits 4
+    "run_phase_60deg": (["run", "--phase", "60deg", "--duration", "1e-3"], {}),
     "sweep_cof": (["sweep", "--param", "cof", "--values", "0.3:0.5:0.1", "--plot"], {}),
     "sweep_preload_jobs2": (["sweep", "--param", "preload_N", "--values", "25:100:25",
                              "--jobs", "2", "--duration", "2e-3"], {}),
@@ -77,6 +80,14 @@ CASES = {
                                 {"config.json": json.dumps({"stator_material": {
                                     "name": "x", "density": 8960.0,
                                     "youngs_modulus": 1e-300}})}),
+    # counts above the bounds a stator build and a run's sample buffer hold: exit 2
+    "validate_n_elements_1048577": (["validate", "--config", "config.json"],
+                                    {"config.json": json.dumps(
+                                        {"mesh": {"n_elements": 2 ** 20 + 1}})}),
+    "validate_duration_1e8": (["validate", "--config", "config.json"],
+                              {"config.json": json.dumps({"simulation": {"duration": 1e8}})}),
+    "validate_modes_0": (["validate", "--config", "config.json"],
+                         {"config.json": json.dumps({"mesh": {"modes": 0}})}),
     "validate_missing_file": (["validate", "--config", "absent.json"], {}),
     "validate_invalid_json": (["validate", "--config", "config.json"],
                               {"config.json": '{"contact": {"cof": 0.3,}}'}),

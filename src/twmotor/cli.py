@@ -160,14 +160,7 @@ def _parse_grid(text: str) -> tuple[float, ...]:
             from None
     if not all(math.isfinite(v) for v in (start, stop, step)):
         raise ConfigError(f"grid {text!r} needs a finite start, stop and step")
-    if step <= 0 or stop < start:
-        raise ConfigError("grid needs step > 0 and stop >= start")
-    values = []
-    v = start
-    while v <= stop + 1e-9 * step:
-        values.append(round(v, 12))
-        v = start + len(values) * step
-    return tuple(values)
+    return sweep.inclusive_grid(start, stop, step)
 
 
 def _cmd_sweep(args) -> int:

@@ -47,13 +47,13 @@ and a test that patches the law still sees every call.
 
 The loop runs in chunks of whole sample intervals, step first in every
 buffer: as many intervals as fit in ``_CHUNK_ROW_STEPS`` steps x rows, at
-least one, and at most ``_CHUNK_STEPS`` steps, so an interval longer than
-that spans several chunks.  X[j], the step map's input at step j, is
+least one; ``_grid`` refuses more than ``_CHUNK_STEPS`` steps per interval,
+so one always fits.  X[j], the step map's input at step j, is
 [state_j | r_(j-1) | r_(j-2) | r_(j-3) | d_j | N_j | u_j] with one column
 per row: the law writes its outputs into it, and the map writes
 [state_(j+1) | r_j | r_(j-1) | r_(j-2)] into X[j + 1], so nothing is
 copied within a chunk.  No step branches: after its steps a chunk copies
-its samples into one buffer, the states at the steps j0, j0 + s, ... of X
+its samples into one buffer, the states at the steps 0, s, ... of X
 (s steps per sample), their reactions one step later and the friction
 force's u at the first contact point, and ends every row whose samples are
 not all finite; the loop stops when no row is left.  The held loads,
@@ -64,16 +64,15 @@ the law's arguments and outputs.  One ``forcing`` matrix per row maps d
 to the forces on [q_cos, q_sin, z, phi]: the step map reads its drive
 pair's columns, and the ledger prices ``forcing @ d``, d read from X, so
 it prices the forces the map applies.  The ledger sums each sample interval's
-powers (each chunk's, where an interval spans several), then adds the
-sums to its totals in time order, so no result depends on how many
-intervals a chunk holds.  Every operation acts on each row alone, so a
-row's results are bitwise the same whatever batch it runs in
-(``simulate_batch`` states the two rules that keep them so).  ``simulate``
-is the batch of one.  After the loop, one pass per row forms its series
-from the buffer, and its energy ledger or, for a row that went non-finite,
-its ``divergence``: the row ends at its last finite sample, and the report
-names the first entry of ``ENTRY_NAMES`` not finite at the next one and
-that sample's time.
+powers, then adds the sums to its totals in time order, so no result
+depends on how many intervals a chunk holds.  Every operation acts on
+each row alone, so a row's results are bitwise the same whatever batch it
+runs in (``simulate_batch`` states the two rules that keep them so).
+``simulate`` is the batch of one.  After the loop, one pass per row forms
+its series from the buffer, and its energy ledger or, for a row that went
+non-finite, its ``divergence``: the row ends at its last finite sample,
+and the report names the first entry of ``ENTRY_NAMES`` not finite at the
+next one and that sample's time.
 
 The post-processing reads a series: ``detect_steady_state`` gives the
 settling verdict as the pair (t_ss, settled), and ``envelope_average`` and
@@ -107,7 +106,7 @@ __all__ = [
 
 CSV_HEADER = "t,s_speed,surf_disp,fric_probe,torque,fz,wave_amp"
 
-_CHUNK_STEPS = 1024       # most steps one chunk of the step loop holds
+_CHUNK_STEPS = 1024       # most steps per sample interval, so one interval fits a chunk
 _CHUNK_ROW_STEPS = 512    # steps x rows a chunk fills with whole sample intervals
 _EXPM_TERMS = 20          # Taylor terms of a scaled matrix exponential
 # most samples a row holds, about 42 s at the default 10 us interval: its
@@ -255,19 +254,25 @@ def _grid(stator: StatorModel, drive: DriveConfig, duration: float,
     Steps above 1/(100 f_drive) are rejected as too coarse, and the step
     defaults to that bound, snapped to an integer divider of the output
     interval.  A step or sample count that is not finite is refused, naming
-    its key, and so is a run of more than ``_MAX_SAMPLES`` samples, naming
-    ``simulation.duration``, before any buffer is allocated.  The bound on
-    the step guards accuracy, not stability: the default motor steps
-    without blowing up at 1/(20 f_drive), where its energy residual is 7e-4
-    (9e-8 at the bound), and at the bound the step map's errors stay below
-    the midpoint scheme's at 1/(400 f_drive) (README, step error).
+    its key; so is a step that puts more than ``_CHUNK_STEPS`` steps in a
+    sample interval, naming ``simulation.dt`` (a finer step needs a finer
+    ``simulation.output_interval``), and a run of more than ``_MAX_SAMPLES``
+    samples, naming ``simulation.duration``, before any buffer is allocated.
+    The bound on the step guards accuracy, not stability: the default
+    motor steps without blowing up at 1/(20 f_drive), where its energy
+    residual is 7e-4 (9e-8 at the bound), and at the bound the step map's
+    errors stay below the midpoint scheme's at 1/(400 f_drive) (README,
+    step error).
     """
     bound = 1.0 / (100.0 * drive.resolve_frequency(stator.pair))
     dt_nominal = dt if dt is not None else bound
     if dt_nominal > bound:
-        raise ValueError(f"dt={dt_nominal:g} s too coarse; need <= {bound:g} s "
+        raise ValueError(f"simulation.dt {dt_nominal:g} s too coarse; need <= {bound:g} s "
                          "(1/(100 f_drive))")
     steps_per_sample = max(1, math.ceil(_finite(output_interval / dt_nominal, "simulation.dt")))
+    if steps_per_sample > _CHUNK_STEPS:
+        raise ValueError(f"simulation.dt {dt_nominal:g} s is {steps_per_sample:.4g} steps per "
+                         f"sample of {output_interval:g} s; a sample holds at most {_CHUNK_STEPS}")
     n_samples = int(round(_finite(duration / output_interval, "simulation.output_interval"))) + 1
     if n_samples > _MAX_SAMPLES:
         raise ValueError(f"simulation.duration (--duration) {duration:g} s is {n_samples:.3g} "
@@ -294,8 +299,9 @@ def simulate(stator: StatorModel, drive: DriveConfig,
              dt: float | None = None) -> MotorTimeSeries:
     """Fixed-step transient of the coupled motor, sampled at the output interval.
 
-    The step follows ``step_grid``'s step rule; any length and any contact
-    point count are stepped, even those ``runner.admit`` refuses.
+    The step follows ``step_grid``'s step rule, at most ``_CHUNK_STEPS``
+    steps per sample interval; any length and any contact point count are
+    stepped, even those ``runner.admit`` refuses.
     Deterministic for fixed inputs.
     Divergence truncates the series and sets its ``divergence`` instead of
     raising.  This is ``simulate_batch`` with one row.
@@ -536,16 +542,15 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
                       + compliance * np.sum(normal * normal, axis=-1))
 
     # A chunk holds as many whole sample intervals as fit in _CHUNK_ROW_STEPS
-    # steps x rows, at least one; an interval longer than _CHUNK_STEPS spans
-    # several chunks.  The buffers are entry-major, the row last: X[j] holds
+    # steps x rows, at least one; _grid admits no interval longer than
+    # _CHUNK_STEPS.  The buffers are entry-major, the row last: X[j] holds
     # step j's step map input [state | r_(j-1) | ... | d | N | u], one
     # column per row: the law writes [N, u] into it, and the map writes the
     # next step's [state | r_j | ...].  G[j] holds the step's law arguments
     # [-k gap | slip / v], kept with X for the energy ledger.  The products
     # read and write (B, 1, K) views whose vectors have stride B; a batch of
     # one makes them on 1-D views.  The views each step uses are made once.
-    span = max(1, _CHUNK_ROW_STEPS // (B * steps_per_sample)) * steps_per_sample
-    chunk = min(span, _CHUNK_STEPS)
+    chunk = max(1, _CHUNK_ROW_STEPS // (B * steps_per_sample)) * steps_per_sample
     X = np.zeros((chunk + 1, width, B))
     # the held loads; each chunk fills [cos wt, sin wt]
     X[:, d0 + 2:d0 + 4] = [[-r.preload for r in rotors], [-r.load_torque for r in rotors]]
@@ -571,7 +576,7 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
     with np.errstate(over="ignore", invalid="ignore"):   # found at the chunk's samples
         while True:
             # T steps advance; the last (T = 0) maps the final state for its reactions
-            T = min(chunk, n_steps - k, span - k % steps_per_sample)
+            T = min(chunk, n_steps - k)
             count = max(T, 1)
             wt = omega_d[:, None] * ((k + np.arange(count)) * h)
             X[:count, d0] = np.cos(wt).T
@@ -584,11 +589,10 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
 
             # the chunk's samples, their reactions one step later; a row
             # ends at its first sample that is not finite
-            j0 = -k % steps_per_sample
-            now = X[j0:count:steps_per_sample]
+            now = X[:count:steps_per_sample]
             record = samples[sample:sample + len(now)]
             record[:, :n] = now[:, :n]
-            record[:, n:n + m] = X[j0 + 1:count + 1:steps_per_sample, n:n + m]
+            record[:, n:n + m] = X[1:count + 1:steps_per_sample, n:n + m]
             record[:, -1] = now[:, f0 + M]
             alive &= np.isfinite(record[:, :n + m]).all(axis=(0, 1))
             if not alive.any():
@@ -610,8 +614,8 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
                                       out=np.empty((B, count, M))),
                           axis=-1, out=power[:, n])
             power[:, n:] *= friction_scale
-            # summed over each sample interval (or the chunk, if shorter),
-            # then the sums added to the totals in time order
+            # summed over each sample interval (the last pass's one evaluation
+            # alone), then the sums added to the totals in time order
             sums = np.add.reduce(power.reshape(B, n + 1, -1, min(count, steps_per_sample)),
                                  axis=-1)
             acc = np.add.accumulate(np.concatenate([acc[..., None], sums], axis=-1),

@@ -10,11 +10,14 @@ results do not depend on its batch, and rows come back in input order, so
 a sweep is deterministic whatever the job count.  ``find_peak`` returns
 the torque optimum as the record ``peak.json`` holds.  Named presets
 reproduce the study grids used for the USR30/USR60 preload curves, the
-gram-denominated plastic-stator sweep, and the COF scan.
+gram-denominated plastic-stator sweep, and the COF scan.  A linear grid,
+a preset's or one that ``--values`` spells, has one rule,
+``inclusive_grid``, which bounds its count before building it.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass, field
@@ -31,6 +34,7 @@ __all__ = [
     "PARAMETERS",
     "PRESET_NAMES",
     "grams_to_newtons",
+    "inclusive_grid",
     "make_preset",
     "run_sweep",
     "find_peak",
@@ -38,6 +42,7 @@ __all__ = [
 
 STANDARD_GRAVITY = 9.80665  # m/s^2
 SWEEP_CSV_HEADER = "param,torque,speed,t_ss,settled,ok,error"
+MAX_GRID_VALUES = 4096      # most values a sweep grid holds, 200 times the largest preset's 20
 
 
 def grams_to_newtons(grams: float) -> float:
@@ -56,6 +61,26 @@ PARAMETERS = {
     "voltage": ("V", "drive", "voltage", float),
     "frequency": ("Hz", "drive", "frequency", float),
 }
+
+
+def inclusive_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
+    """start, start + step, ... through stop, each rounded to 12 decimals.
+
+    Value i is kept while start + i step <= stop + 1e-9 step, so a stop that
+    the steps reach only up to rounding is kept.  That rule is monotone in
+    i, so the count is found by bisection over it, exactly and before any
+    value is built; a grid of more than ``MAX_GRID_VALUES`` is refused,
+    naming ``--values``, the flag that spells grids.
+    """
+    if not step > 0 or stop < start:
+        raise ConfigError("grid needs step > 0 and stop >= start")
+    count = bisect.bisect_right(range(MAX_GRID_VALUES + 1), stop + 1e-9 * step,
+                                key=lambda i: start + i * step)
+    if count > MAX_GRID_VALUES:
+        raise ConfigError(f"--values {start:g}:{stop:g}:{step:g} holds more than "
+                          f"{MAX_GRID_VALUES} values")
+    # value 0 is start itself, so a start of -0.0 stays -0.0
+    return tuple(round(start + i * step if i else start, 12) for i in range(count))
 
 
 @dataclass(frozen=True)
@@ -183,7 +208,8 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepCurve:
 
 
 # Named study grids: name -> (parameter, grid, what the study fixes over the
-# base config).  ``usr30_preload``/``usr60_preload``: 25 N steps up to
+# base config); a linear grid is the one ``--values`` spells with the same
+# start, stop and step.  ``usr30_preload``/``usr60_preload``: 25 N steps up to
 # 250/500 N.  ``ultem_preload_g``: 20 log-spaced points from 20 to 5000 g on
 # an Ultem stator, run for 7 ms: the shortest whole millisecond in which all
 # its rows settle (at 5 ms none does).  ``cof_sweep``: 0.05..0.6 in 0.05
@@ -191,11 +217,11 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepCurve:
 # the drag side of the wave trade against the driving side and produce an
 # interior friction optimum.
 PRESETS = {
-    "usr30_preload": ("preload_N", np.arange(25.0, 250.0 + 1e-9, 25.0), {}),
-    "usr60_preload": ("preload_N", np.arange(25.0, 500.0 + 1e-9, 25.0), {}),
+    "usr30_preload": ("preload_N", inclusive_grid(25.0, 250.0, 25.0), {}),
+    "usr60_preload": ("preload_N", inclusive_grid(25.0, 500.0, 25.0), {}),
     "ultem_preload_g": ("preload_g", np.geomspace(20.0, 5000.0, 20),
                         {"stator_material": "Ultem 1000", "simulation": {"duration": 7e-3}}),
-    "cof_sweep": ("cof", np.arange(0.05, 0.6 + 1e-9, 0.05), {"rotor": {"preload": 200.0}}),
+    "cof_sweep": ("cof", inclusive_grid(0.05, 0.6, 0.05), {"rotor": {"preload": 200.0}}),
 }
 PRESET_NAMES = tuple(PRESETS)
 

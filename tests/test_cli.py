@@ -299,6 +299,17 @@ class TestSweep:
             assert code == cli.EXIT_CONFIG
             assert "finite" in capsys.readouterr().err
 
+    def test_grid_above_the_bound_refused(self, tmp_path, capsys, monkeypatch):
+        """A grid of 1e9 values is refused at once, naming the flag, before
+        the stator is built."""
+        monkeypatch.setattr(sweep, "run_sweep", None)
+        code = run_cli("sweep", "--out-dir", str(tmp_path), "--param", "cof",
+                       "--values", "0:1:1e-9")
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --values 0:1:1e-09 holds more than 4096 values"]
+        assert not (tmp_path / "sweep.csv").exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_refused(self, tmp_path, capsys, monkeypatch, jobs):
         """Refused before the stator is built, with the flag named."""
@@ -504,7 +515,7 @@ class TestValidate:
 
     @pytest.mark.parametrize("config, start", [
         ({"simulation": {"duration": 2e-4}}, "simulation.duration (--duration)"),
-        ({"simulation": {"dt": 1e-6}}, "dt=1e-06 s too coarse"),
+        ({"simulation": {"dt": 1e-6}}, "simulation.dt 1e-06 s too coarse"),
         ({"contact": {"point_count": 8}}, "point_count=8 cannot resolve"),
     ], ids=["duration", "dt", "point_count"])
     def test_too_short_run(self, tmp_path, capsys, config, start):
@@ -541,11 +552,13 @@ class TestValidate:
         ({"simulation": {"duration": 1e4}}, "simulation.duration"),
         ({"simulation": {"duration": 1e8}}, "simulation.duration"),
         ({"simulation": {"duration": 1e300}}, "simulation.duration"),
+        ({"simulation": {"dt": 1e-300}}, "simulation.dt"),
     ], ids=["n_elements", "modes-0", "modes-129", "duration-1e4", "duration-1e8",
-            "duration-1e300"])
+            "duration-1e300", "dt-1e-300"])
     def test_count_too_large_refused(self, tmp_path, capsys, config, key):
-        """A count the stator build or a run's buffers cannot hold, or a table
-        size outside 1..2N, is one config error naming its key."""
+        """A count the stator build or a run's buffers cannot hold, a table
+        size outside 1..2N, or a step that puts more steps in a sample than
+        the step loop's chunk holds, is one config error naming its key."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         assert run_cli("validate", "--config", str(cfg)) == cli.EXIT_CONFIG

@@ -194,6 +194,15 @@ class TestSimulate:
         with pytest.raises(ValueError, match=r"^simulation\.duration \(--duration\)"):
             step_grid(stator_model, drive, 2 ** 22 * 1e-5, 1e-5)
 
+    def test_tiny_step_refused(self, stator_model):
+        """1e-300 s puts 1e295 steps in a sample, more than the 1024 a sample
+        interval holds: one error naming ``simulation.dt``, not a run that
+        never ends."""
+        with pytest.raises(ValueError) as info:
+            step_grid(stator_model, RunConfig().drive, 5e-3, 1e-5, 1e-300)
+        assert str(info.value) == ("simulation.dt 1e-300 s is 1e+295 steps per sample of "
+                                   "1e-05 s; a sample holds at most 1024")
+
     def test_coarse_step_rejected(self, stator_model):
         cfg = short_cfg(simulation={"duration": 1e-3, "dt": 1e-6})
         with pytest.raises(ValueError, match="too coarse"):
@@ -598,11 +607,11 @@ class TestPropagator:
 
 class TestChunkEdges:
     """The step loop runs in chunks of whole sample intervals, as many as
-    fit in ``_CHUNK_ROW_STEPS`` steps x rows, and of at most
-    ``_CHUNK_STEPS`` steps; the edge cases keep the values of the
-    unchunked loop (the last sample of each run below, rel 1e-10) and
-    bitwise batch independence, and no result depends on the chunk
-    length."""
+    fit in ``_CHUNK_ROW_STEPS`` steps x rows, at least one; a sample
+    interval holds at most ``_CHUNK_STEPS`` steps, so one always fits.  The
+    edge cases keep the values of the unchunked loop (the last sample of
+    each run below, rel 1e-10) and bitwise batch independence, and no
+    result depends on the chunk length."""
 
     CASES = {
         "one step per sample": (2e-5, 5e-8, {
@@ -612,24 +621,22 @@ class TestChunkEdges:
             "axial_force": 15.524133660622493,
             "wave_amplitude": 5.796851974884806e-07,
         }),
-        "sample interval longer than a chunk": (6e-4, 3e-4, {
-            "surface_speed": 0.004224649690901583,
-            "surface_displacement": 1.1129328933250162e-06,
-            "torque": 0.12918134194910463,
-            "axial_force": 51.672536779641845,
-            "wave_amplitude": 6.522627482914074e-06,
-        }),
+        # 1,237 steps per sample at the default step: more than _CHUNK_STEPS,
+        # so the grid is refused
+        "sample interval longer than a chunk": (6e-4, 3e-4, None),
     }
 
     @pytest.mark.parametrize("case", CASES)
     def test_matches_reference_values(self, stator_model, case):
         duration, interval, reference = self.CASES[case]
         cfg = RunConfig()
-        # the step loop's grid: a 0.3 ms interval holds no envelope window,
-        # which step_grid refuses, but the step loop steps it
-        steps_per_sample = dynamics._grid(stator_model, cfg.drive, duration, interval,
-                                          None)[1]
-        assert steps_per_sample == 1 or steps_per_sample > _CHUNK_STEPS
+        if reference is None:
+            with pytest.raises(ValueError, match=r"^simulation\.dt 2\.4265e-07 s is 1237 steps "
+                                                 r"per sample of 0\.0003 s"):
+                simulate(stator_model, cfg.drive, cfg.contact, cfg.rotor,
+                         duration=duration, output_interval=interval)
+            return
+        assert step_grid(stator_model, cfg.drive, output_interval=interval)[1] == 1
         series = simulate(stator_model, cfg.drive, cfg.contact, cfg.rotor,
                           duration=duration, output_interval=interval)
         assert len(series) == round(duration / interval) + 1
@@ -642,6 +649,27 @@ class TestChunkEdges:
         batch = simulate_batch(stator_model, rows, duration=duration,
                                output_interval=interval)
         assert_same_run(batch[1], series)
+
+    def test_longest_sample_interval(self, stator_model):
+        """9.765625e-9 s puts exactly ``_CHUNK_STEPS`` = 1024 steps in the
+        default 10 us interval, so each chunk is one interval: it steps, and a
+        run alone is bitwise its row in a batch of three.  1e-5 / 1025 s puts
+        1025 steps there and is refused."""
+        configs = [RunConfig(),
+                   RunConfig().override(contact={"cof": 0.35}),
+                   RunConfig().override(rotor={"load_torque": 0.01})]
+        rows = [(c.drive, c.contact, c.rotor) for c in configs]
+        assert step_grid(stator_model, configs[0].drive, dt=9.765625e-9)[1] == _CHUNK_STEPS
+        solo = simulate(stator_model, *rows[0], duration=1e-4, dt=9.765625e-9)
+        batch = simulate_batch(stator_model, rows, duration=1e-4, dt=9.765625e-9)
+        assert len(solo) == 11 and solo.energy is not None and solo.divergence is None
+        assert abs(solo.energy.residual_fraction) < 0.01
+        assert_same_run(solo, batch[0])
+        refused = r"^simulation\.dt .* s is 1025 steps per sample"
+        with pytest.raises(ValueError, match=refused):
+            step_grid(stator_model, configs[0].drive, dt=1e-5 / 1025)
+        with pytest.raises(ValueError, match=refused):
+            simulate(stator_model, *rows[0], duration=1e-4, dt=1e-5 / 1025)
 
     @staticmethod
     def chunked(monkeypatch, intervals, steps_per_sample, rows):
@@ -796,11 +824,13 @@ class TestDetectSteadyState:
                 detect_steady_state(series)
 
     @pytest.mark.parametrize("interval, enough", [
-        (1e-5, True), (1.6e-5, True), (1.7e-5, False), (3e-4, False)])
+        (1e-5, True), (1.6e-5, True), (1.7e-5, False), (1e-4, False), (3e-4, False)])
     def test_envelope_window_predicts_admission(self, stator_model, interval, enough):
         """``step_grid`` refuses a sample interval that leaves fewer than 2
         samples in the drive period, the window ``envelope_average`` takes:
-        round(24.27 / 16) = 2 and round(24.27 / 17) = 1."""
+        round(24.27 / 16) = 2 and round(24.27 / 17) = 1.  At 0.3 ms the
+        default step puts 1,237 steps in a sample, more than the step loop
+        admits, and that refusal comes first; 0.1 ms puts 413."""
         drive = RunConfig().drive
         period = 1.0 / drive.resolve_frequency(stator_model.pair)
         assert (dynamics._window_length(period, interval) >= 2) == enough
@@ -810,6 +840,8 @@ class TestDetectSteadyState:
             with pytest.raises(ValueError) as info:
                 step_grid(stator_model, drive, 5e-3, interval)
             assert str(info.value) == (
+                "simulation.dt 2.4265e-07 s is 1237 steps per sample of 0.0003 s; "
+                "a sample holds at most 1024" if interval == 3e-4 else
                 f"simulation.output_interval {interval:g} s leaves fewer than 2 samples "
                 f"in the drive period of {period:g} s, the torque envelope's window")
 

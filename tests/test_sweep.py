@@ -9,11 +9,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from twmotor import contact
 from twmotor.config import ConfigError, RunConfig
 from twmotor.materials import lookup
 from twmotor.sweep import (
+    MAX_GRID_VALUES,
     PARAMETERS,
     PRESET_NAMES,
     SweepCurve,
@@ -21,6 +24,7 @@ from twmotor.sweep import (
     SweepSpec,
     find_peak,
     grams_to_newtons,
+    inclusive_grid,
     make_preset,
     run_sweep,
 )
@@ -107,6 +111,53 @@ class TestSweepSpec:
         assert cfg.rotor.preload == pytest.approx(grams_to_newtons(200.0))
 
 
+def loop_grid(start, stop, step):
+    """The grid rule as ``--values`` once built it, one value at a time,
+    stopped one value past ``MAX_GRID_VALUES``."""
+    values = []
+    v = start
+    while v <= stop + 1e-9 * step and len(values) <= MAX_GRID_VALUES:
+        values.append(round(v, 12))
+        v = start + len(values) * step
+    return tuple(values)
+
+
+class TestInclusiveGrid:
+    @given(start=st.floats(-1e6, 1e6), step=st.floats(1e-9, 1e6),
+           count=st.integers(0, MAX_GRID_VALUES + 100),
+           stretch=st.sampled_from([1.0, 1.0 + 1e-12, 1.0 - 1e-12, 1.0 + 1e-9, 1.0 - 1e-9]))
+    @example(start=0.05, step=0.05, count=11, stretch=1.0)
+    @example(start=-0.0, step=0.5, count=2, stretch=1.0)
+    @example(start=0.0, step=1.0, count=MAX_GRID_VALUES - 1, stretch=1.0)
+    @example(start=0.0, step=1.0, count=MAX_GRID_VALUES, stretch=1.0)
+    def test_matches_the_value_by_value_loop(self, start, step, count, stretch):
+        """Bit for bit the loop's values, -0.0 too, up to the bound; one value
+        past it is refused, naming ``--values``."""
+        stop = max(start, start + count * step * stretch)
+        reference = loop_grid(start, stop, step)
+        if len(reference) > MAX_GRID_VALUES:
+            with pytest.raises(ConfigError, match=rf"^--values .* holds more than "
+                                                  rf"{MAX_GRID_VALUES} values$"):
+                inclusive_grid(start, stop, step)
+        else:
+            assert [v.hex() for v in inclusive_grid(start, stop, step)] \
+                == [v.hex() for v in reference]
+
+    def test_bound(self):
+        """4,096 values are built; 4,097 are refused before any is built, and
+        so is a grid of 1e9, at once."""
+        assert MAX_GRID_VALUES == 4096
+        assert inclusive_grid(1.0, 4096.0, 1.0) == tuple(float(v) for v in range(1, 4097))
+        for start, stop, step in ((1.0, 4097.0, 1.0), (0.0, 1.0, 1e-9)):
+            with pytest.raises(ConfigError, match="holds more than 4096 values"):
+                inclusive_grid(start, stop, step)
+
+    def test_refuses_empty_grids(self):
+        for start, stop, step in ((10.0, 5.0, 1.0), (0.0, 1.0, 0.0), (0.0, 1.0, -1.0)):
+            with pytest.raises(ConfigError, match="step > 0 and stop >= start"):
+                inclusive_grid(start, stop, step)
+
+
 class TestPresets:
     def test_names(self):
         assert set(PRESET_NAMES) == {"usr30_preload", "usr60_preload",
@@ -145,6 +196,15 @@ class TestPresets:
         assert spec.values[0] == pytest.approx(0.05)
         assert spec.values[-1] == pytest.approx(0.60)
         assert len(spec.values) == 12
+        assert {0.15, 0.35, 0.6} <= set(spec.values)
+
+    @pytest.mark.parametrize("name, start, stop, step", [
+        ("usr30_preload", 25.0, 250.0, 25.0), ("usr60_preload", 25.0, 500.0, 25.0),
+        ("cof_sweep", 0.05, 0.6, 0.05)])
+    def test_linear_grids_are_the_values_grids(self, name, start, stop, step):
+        """A linear preset steps the values ``--values start:stop:step`` does:
+        cof 0.15, 0.35 and 0.6, not their np.arange neighbours."""
+        assert make_preset(name).values == inclusive_grid(start, stop, step)
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="unknown preset"):

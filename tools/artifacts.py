@@ -41,6 +41,11 @@ CASES = {
     # channel B's forcing row at a phase whose cosine and sine are both nonzero;
     # 1 ms does not settle, so it exits 4
     "run_phase_60deg": (["run", "--phase", "60deg", "--duration", "1e-3"], {}),
+    # 9.765625e-9 s puts exactly 1024 steps in a 10 us sample: the most a
+    # sample interval may hold, one chunk each; 0.5 ms does not settle: exit 4
+    "run_1024_steps_per_sample": (["run", "--config", "config.json", "--duration", "5e-4"],
+                                  {"config.json": json.dumps(
+                                      {"simulation": {"dt": 9.765625e-09}})}),
     "sweep_cof": (["sweep", "--param", "cof", "--values", "0.3:0.5:0.1", "--plot"], {}),
     "sweep_preload_jobs2": (["sweep", "--param", "preload_N", "--values", "25:100:25",
                              "--jobs", "2", "--duration", "2e-3"], {}),
@@ -88,6 +93,9 @@ CASES = {
                               {"config.json": json.dumps({"simulation": {"duration": 1e8}})}),
     "validate_modes_0": (["validate", "--config", "config.json"],
                          {"config.json": json.dumps({"mesh": {"modes": 0}})}),
+    # about 1e295 steps per sample, above the 1024 a sample interval holds: exit 2
+    "validate_dt_1e-300": (["validate", "--config", "config.json"],
+                           {"config.json": json.dumps({"simulation": {"dt": 1e-300}})}),
     "validate_missing_file": (["validate", "--config", "absent.json"], {}),
     "validate_invalid_json": (["validate", "--config", "config.json"],
                               {"config.json": '{"contact": {"cof": 0.3,}}'}),

@@ -60,8 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", choices=sweep.PARAMETERS)
     p.add_argument("--values", help="grid as start:stop:step (inclusive)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes, at least 1; each lockstep batch of rows "
-                        "is split into up to this many parts")
+                   help="worker processes, at least 1 and at most one per usable CPU; "
+                        "each lockstep batch of rows is split into up to that many parts")
     p.add_argument("--plot", action="store_true", help="emit an SVG line plot")
     p.add_argument("--duration", type=float, help="simulated time per run in s")
 
@@ -166,6 +166,8 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 def _cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, not {args.jobs}")
+    if args.preset and (args.param is not None or args.values is not None):
+        raise ConfigError("--preset sets its own grid; drop --param and --values")
     config = load_config(args.config) if args.config else RunConfig()
     if args.preset:     # the flags outrank the preset's own settings, its duration too
         preset = sweep.make_preset(args.preset, config)

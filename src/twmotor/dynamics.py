@@ -707,6 +707,8 @@ def envelope_average(series: MotorTimeSeries, t_ss: float, period: float) -> flo
     interval a window is 2 samples of a 24.27 us period, so this is the
     mean of maxima of point samples, not a mean torque.  It is
     the summary's ``reported_torque``, which acceptance gates 6 and 7 read.
+    Fewer than 5 envelope points after ``t_ss`` give NaN, the summary's
+    null; a ``t_ss`` outside the series raises ValueError.
     """
     if not series.time[0] <= t_ss <= series.time[-1]:
         raise ValueError(f"t_ss={t_ss:g} outside the series span")
@@ -717,9 +719,7 @@ def envelope_average(series: MotorTimeSeries, t_ss: float, period: float) -> flo
     n_windows = len(torque) // wlen
     envelope = torque[:n_windows * wlen].reshape(n_windows, wlen).max(axis=1)
     if len(envelope) < 5:
-        raise ValueError(
-            f"only {len(envelope)} envelope points after t_ss; need at least 5"
-        )
+        return math.nan
     med = _median(envelope)
     mad = _median(np.abs(envelope - med))
     mad = max(mad, 1e-12 * abs(med))

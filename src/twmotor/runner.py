@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import math
 
 from . import dynamics, stator, wave
 from .config import RunConfig
@@ -20,17 +19,6 @@ def build_stator(config: RunConfig) -> stator.StatorModel:
         geometry=geom, modes=modes, pair=pair, forcing_per_volt=forcing,
         damping_ratio=config.damping_ratio,
     )
-
-
-def ideal_speed(config: RunConfig, model: stator.StatorModel) -> float | None:
-    """No-slip rotor speed of the contact-free steady drive wave; None if
-    not a pure wave.  Not a bound: contact changes the wave (README)."""
-    force = model.forcing_per_volt * config.drive.voltage
-    sol = wave.steady_wave_response(model.pair, force, config.drive, model.damping_ratio)
-    try:
-        return wave.ideal_no_slip_speed(sol, model.geometry)
-    except ValueError:
-        return None
 
 
 def admit(config: RunConfig, model: stator.StatorModel) -> tuple[float, int, int]:
@@ -75,6 +63,9 @@ def summarize(config: RunConfig, model: stator.StatorModel, series: MotorTimeSer
     output interval) samples, which is 2 samples at the default 10 us
     interval against a 24.27 us drive period.  It is an upper envelope of
     point samples, not a mean torque; acceptance gates 6 and 7 read it.
+    ``ideal_speed`` is ``wave.ideal_no_slip_speed`` of the contact-free
+    steady wave at the drive voltage, None for a standing-wave share of 1%
+    or more; it is not a bound, since contact changes the wave (README).
     Also the step ``dt`` and the number of ``steps`` taken, read from
     ``grid``, the (step, steps per sample, sample count) that ``admit``
     returned for the run, and the energy
@@ -86,12 +77,10 @@ def summarize(config: RunConfig, model: stator.StatorModel, series: MotorTimeSer
         raise series.divergence
     t_ss, settled = dynamics.detect_steady_state(series)
     f_drive = config.drive.resolve_frequency(model.pair)
-    try:
-        torque = dynamics.envelope_average(series, t_ss, period=1.0 / f_drive)
-    except ValueError:
-        torque = math.nan
+    torque = dynamics.envelope_average(series, t_ss, period=1.0 / f_drive)
     speed = dynamics.mean_speed(series, t_ss)
-    omega_ideal = ideal_speed(config, model)
+    force = model.forcing_per_volt * config.drive.voltage
+    free_wave = wave.steady_wave_response(model.pair, force, config.drive, model.damping_ratio)
     dt, steps_per_sample, _ = grid
     return {
         "t_ss": t_ss,
@@ -99,7 +88,7 @@ def summarize(config: RunConfig, model: stator.StatorModel, series: MotorTimeSer
         "reported_torque": torque,
         "mean_speed": speed,
         "mean_surface_speed": speed * model.geometry.mean_radius,
-        "ideal_speed": omega_ideal,
+        "ideal_speed": wave.ideal_no_slip_speed(free_wave, model.geometry),
         "drive_frequency": f_drive,
         "wave_amplitude_final": float(series.wave_amplitude[-1]),
         "dt": dt,

@@ -5,14 +5,14 @@ sweep parameter changes the stator, so it is built once.  Rows that share
 a step grid advance together as one lockstep batch
 (``dynamics.simulate_batch``); a frequency sweep may split into several
 batches, because the step follows the drive frequency.  With ``jobs > 1``
-the batches are split into parts that run on a worker pool.  A row's
-results do not depend on its batch, and rows come back in input order, so
-a sweep is deterministic whatever the job count.  ``find_peak`` returns
-the torque optimum as the record ``peak.json`` holds.  Named presets
-reproduce the study grids used for the USR30/USR60 preload curves, the
-gram-denominated plastic-stator sweep, and the COF scan.  A linear grid,
-a preset's or one that ``--values`` spells, has one rule,
-``inclusive_grid``, which bounds its count before building it.
+the batches are split into parts that run on a pool of at most one worker
+per usable CPU.  A row's results do not depend on its batch, and rows come
+back in input order, so a sweep is deterministic whatever the job count.
+``find_peak`` returns the torque optimum as the record ``peak.json``
+holds.  Named presets reproduce the study grids used for the USR30/USR60
+preload curves, the gram-denominated plastic-stator sweep, and the COF
+scan.  A linear grid, a preset's or one that ``--values`` spells, has one
+rule, ``inclusive_grid``, which bounds its count before building it.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import bisect
 import csv
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,8 +168,18 @@ def _run_batch(task) -> list[SweepRow]:
     return rows
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepCurve:
     """Run the pipeline over every grid value; rows keep the input order.
+
+    ``jobs`` worker processes run the rows, but never more than the CPUs
+    this process may use.
 
     Any error in a row's configuration, run or post-processing makes that
     row failed (ok=False, with the message) and the sweep continues.  A
@@ -187,19 +198,20 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepCurve:
             continue
         batches.setdefault(grid, []).append(i)
 
-    parts = []   # each batch split into up to ``jobs`` contiguous parts
+    workers = max(1, min(jobs, _usable_cpus()))
+    parts = []   # each batch split into up to ``workers`` contiguous parts
     for grid, members in batches.items():
-        k = min(max(jobs, 1), len(members))
+        k = min(workers, len(members))
         parts.extend((grid, members[j * len(members) // k:(j + 1) * len(members) // k])
                      for j in range(k))
     tasks = [(model, grid, [spec.values[i] for i in part], [configs[i] for i in part])
              for grid, part in parts]
-    if jobs <= 1 or len(tasks) <= 1:
+    if workers == 1 or len(tasks) <= 1:
         results = [_run_batch(t) for t in tasks]
     else:
         # imported here: loading the pool machinery costs every command start-up
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             results = list(pool.map(_run_batch, tasks))
     for (_, part), part_rows in zip(parts, results):
         for i, row in zip(part, part_rows):

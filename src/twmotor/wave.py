@@ -112,11 +112,13 @@ def steady_wave_response(pair: ModePair, force: float, drive: DriveConfig,
                         shape_amp=pair.amp, nodal_diameters=pair.nodal_diameters)
 
 
-def ideal_no_slip_speed(wave: WaveSolution, geom: StatorGeometry) -> float:
+def ideal_no_slip_speed(wave: WaveSolution, geom: StatorGeometry) -> float | None:
     """Rotor speed at which the rim follows this wave's crest tangential velocity.
 
     Magnitude n*z_c*omega*W/R^2; sign is the drive direction (positive
-    for a dominant forward wave).  Requires a nearly pure traveling wave.
+    for a dominant forward wave).  It is None, the summary's
+    ``ideal_speed`` of null, unless the wave is nearly pure: a minor
+    component of 1% of the dominant one or more has no no-slip speed.
     It is the no-slip speed of the wave without contact, not a bound on
     the motor's: a light rotor near resonance outruns it.
     """
@@ -126,10 +128,7 @@ def ideal_no_slip_speed(wave: WaveSolution, geom: StatorGeometry) -> float:
     if dominant == 0.0:
         return 0.0
     if minor / dominant >= 0.01:
-        raise ValueError(
-            f"standing-wave component too large (ratio {minor / dominant:.3g}) "
-            "for a no-slip speed"
-        )
+        return None
     n = wave.nodal_diameters
     zc = geom.contact_offset
     R = geom.mean_radius

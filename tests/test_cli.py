@@ -108,6 +108,13 @@ class TestRun:
         summary = strict_json(tmp_path / "summary.json")
         assert summary["reported_torque"] is None
 
+    def test_standing_wave_has_no_ideal_speed(self, tmp_path, capsys):
+        """Channels in phase drive a standing wave, whose no-slip speed is null."""
+        run_cli("run", "--out-dir", str(tmp_path), "--phase", "0deg", "--duration", "1e-3")
+        summary = strict_json(tmp_path / "summary.json")
+        assert summary["ideal_speed"] is None
+        assert math.isfinite(summary["mean_speed"])
+
     def test_summary_carries_the_energy_ledger(self, tmp_path):
         """dt, the step count and the ledger, each ``EnergyReport`` field a
         flat key, as the run computed them; the ledger closes on its own."""
@@ -319,6 +326,19 @@ class TestSweep:
         assert code == cli.EXIT_CONFIG
         assert capsys.readouterr().err.splitlines() == [
             f"error: --jobs must be >= 1, not {jobs}"]
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("flags", [("--param", "voltage"), ("--values", "1:3:1"),
+                                       ("--param", "voltage", "--values", "1:3:1")],
+                             ids=["param", "values", "both"])
+    def test_preset_refuses_a_grid_of_flags(self, tmp_path, capsys, monkeypatch, flags):
+        """A preset's grid is its own; a --param or --values beside it is
+        refused before the stator is built, not dropped."""
+        monkeypatch.setattr(sweep, "run_sweep", None)
+        code = run_cli("sweep", "--out-dir", str(tmp_path), "--preset", "cof_sweep", *flags)
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --preset sets its own grid; drop --param and --values"]
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_grid_parser(self):
@@ -566,6 +586,25 @@ class TestValidate:
         assert captured.out == ""
         [line] = captured.err.splitlines()
         assert line.startswith(f"error: {key} ")
+
+    def test_point_count_bound_in_every_motor_command(self, tmp_path, capsys,
+                                                       monkeypatch):
+        """A contact ring of 1e8 points, whose step buffers would need about
+        190 GiB, is one config error naming its key, before a stator is built;
+        the bound itself is accepted."""
+        monkeypatch.setattr(runner, "build_stator", None)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"contact": {"point_count": 10 ** 8}}))
+        for argv in (["validate"], ["run", "--out-dir", str(tmp_path / "run")],
+                     ["sweep", "--out-dir", str(tmp_path / "sweep"), "--preset", "cof_sweep"]):
+            assert run_cli(*argv, "--config", str(cfg)) == cli.EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [
+                "error: contact.point_count 100000000 exceeds its bound of 16384"]
+            assert captured.out == ""
+        monkeypatch.undo()
+        cfg.write_text(json.dumps({"contact": {"point_count": 2 ** 14}}))
+        assert run_cli("validate", "--config", str(cfg)) == cli.EXIT_OK
 
     def test_run_refuses_the_sample_count_as_validate_does(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -164,6 +164,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             ContactConfig(**bad)
 
+    def test_point_count_bounded(self):
+        """2^14 points is the most an interface holds; one more is refused,
+        and the lower bound keeps its message."""
+        assert ContactConfig(point_count=2 ** 14).point_count == 2 ** 14
+        with pytest.raises(ValueError, match="^point_count 16385 exceeds its bound of 16384$"):
+            ContactConfig(point_count=2 ** 14 + 1)
+        with pytest.raises(ValueError, match="^point_count must be >= 4$"):
+            ContactConfig(point_count=3)
+
     def test_angles_uniform(self):
         cfg = ContactConfig(point_count=32)
         th = contact_angles(cfg)

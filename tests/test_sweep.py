@@ -4,15 +4,17 @@ Real simulations only appear in the short end-to-end sweep; everything
 else is exercised with synthetic curves.
 """
 
+import concurrent.futures
 import csv
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from twmotor import contact
+from twmotor import contact, sweep
 from twmotor.config import ConfigError, RunConfig
 from twmotor.materials import lookup
 from twmotor.sweep import (
@@ -265,6 +267,31 @@ def small_curve(short_base):
     return spec, run_sweep(spec, jobs=3)
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """``ProcessPoolExecutor`` replaced by an in-process stand-in; each pool
+    opened is recorded as (max_workers, tasks mapped)."""
+    opened = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            opened.append((self.max_workers, len(tasks)))
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return opened
+
+
 class TestRunSweep:
     """Short real sweeps; 2 ms transients keep these quick."""
 
@@ -303,6 +330,24 @@ class TestRunSweep:
         for a, b in zip(curve.rows, again.rows):
             assert a.torque == b.torque
             assert a.speed == b.speed
+
+    @pytest.mark.parametrize("cpus, opened", [(2, [(2, 2)]), (1, [])])
+    def test_jobs_capped_at_the_usable_cpus(self, small_curve, pools, monkeypatch, cpus,
+                                            opened):
+        """64 jobs on 2 usable CPUs split the batch into 2 parts on a pool of
+        2 workers; on 1 CPU the rows run in this process.  The rows are the
+        same bitwise."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        spec, curve = small_curve
+        again = run_sweep(spec, jobs=64)
+        assert pools == opened
+        for a, b in zip(curve.rows, again.rows):
+            assert (a.torque, a.speed) == (b.torque, b.speed)
+
+    def test_cpu_count_where_there_is_no_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert sweep._usable_cpus() == 3
 
     def test_zero_cof_row_zero_torque(self, short_base):
         spec = SweepSpec("cof", (0.0, 0.2, 0.4), base=short_base)

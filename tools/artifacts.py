@@ -59,6 +59,9 @@ CASES = {
                        "--duration", "5e-4"], {}),
     "sweep_cof_high": (["sweep", "--param", "cof", "--values", "1.5:2.5:0.5",
                         "--duration", "5e-4"], {}),
+    # a preset's grid is its own; a --param or --values beside it is refused: exit 2
+    "sweep_preset_with_param": (["sweep", "--preset", "cof_sweep", "--param", "voltage",
+                                 "--values", "1:3:1", "--duration", "5e-4"], {}),
     "eigen": (["eigen"], {}),
     # a table of 5 modes ends below the n = 4 drive pair
     "eigen_few_modes": (["eigen", "--modes", "5"], {}),
@@ -93,6 +96,10 @@ CASES = {
                               {"config.json": json.dumps({"simulation": {"duration": 1e8}})}),
     "validate_modes_0": (["validate", "--config", "config.json"],
                          {"config.json": json.dumps({"mesh": {"modes": 0}})}),
+    # a contact ring of 1e8 points, above the 2^14 an interface holds: exit 2
+    "validate_point_count_1e8": (["validate", "--config", "config.json"],
+                                 {"config.json": json.dumps(
+                                     {"contact": {"point_count": 10 ** 8}})}),
     # about 1e295 steps per sample, above the 1024 a sample interval holds: exit 2
     "validate_dt_1e-300": (["validate", "--config", "config.json"],
                            {"config.json": json.dumps({"simulation": {"dt": 1e-300}})}),

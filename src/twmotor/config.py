@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import field, fields, is_dataclass, replace
 
 from .contact import ContactConfig
 from .dynamics import RotorConfig
 from .materials import IsotropicMaterial, PiezoMaterial, lookup
+from .record import Record
 from .stator import StatorGeometry
 from .wave import DriveConfig
 
@@ -26,14 +27,16 @@ class ConfigError(ValueError):
     """Invalid or unresolvable run configuration."""
 
 
-@dataclass(frozen=True)
-class MeshSettings:
+class MeshSettings(Record):
+    """Ring mesh size and how many modes ``eigen`` lists."""
+
     n_elements: int = 64
     modes: int = 13
 
 
-@dataclass(frozen=True)
-class SimulationSettings:
+class SimulationSettings(Record):
+    """Transient length, sampling interval and time step (s)."""
+
     duration: float = 5e-3
     output_interval: float = 1e-5
     dt: float | None = None          # None = 1/(100 f_drive), the coarsest accepted
@@ -46,8 +49,7 @@ class SimulationSettings:
             raise ConfigError("dt must be > 0")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Complete description of one motor study."""
 
     geometry: StatorGeometry = field(default_factory=lambda: StatorGeometry(

@@ -48,10 +48,10 @@ are two such blocks too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .record import Record
 from .stator import ModePair, StatorGeometry
 
 __all__ = [
@@ -69,8 +69,7 @@ __all__ = [
 _MAX_POINTS = 2 ** 14
 
 
-@dataclass(frozen=True)
-class ContactConfig:
+class ContactConfig(Record):
     """Interface discretization and constitutive parameters."""
 
     point_count: int = 128

@@ -83,11 +83,12 @@ reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
 from . import contact
+from .record import Record
 from .stator import StatorModel
 from .wave import DriveConfig
 
@@ -148,8 +149,7 @@ class SimulationDiverged(RuntimeError):
         return type(self), (self.last_valid_time, self.entry, self.time)
 
 
-@dataclass(frozen=True)
-class RotorConfig:
+class RotorConfig(Record):
     """Rigid rotor parameters and external loading."""
 
     inertia: float = 2e-4         # kg m^2
@@ -167,8 +167,7 @@ class RotorConfig:
                 raise ValueError(f"{key} must be >= 0")
 
 
-@dataclass(frozen=True)
-class EnergyReport:
+class EnergyReport(Record):
     """Work/energy ledger of one transient run.
 
     ``residual`` is input work minus (energy change + dissipation); the
@@ -187,8 +186,7 @@ class EnergyReport:
     residual_fraction: float | None
 
 
-@dataclass
-class MotorTimeSeries:
+class MotorTimeSeries(Record):
     """Uniformly sampled transient probes.
 
     ``surface_speed`` and ``surface_displacement`` are rim quantities

@@ -12,7 +12,7 @@ All values are SI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import Record
 
 __all__ = [
     "IsotropicMaterial",
@@ -22,8 +22,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IsotropicMaterial:
+class IsotropicMaterial(Record):
     """Linear isotropic solid: the stator ring."""
 
     name: str
@@ -36,8 +35,7 @@ class IsotropicMaterial:
                 raise ValueError(f"{key} must be > 0, not {getattr(self, key):g}")
 
 
-@dataclass(frozen=True)
-class PiezoMaterial:
+class PiezoMaterial(Record):
     """Thickness-poled piezoceramic layer, by its stress constant e31."""
 
     name: str

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import field
 
 import numpy as np
+
+from .record import Record
 
 __all__ = ["HeightMap", "ArealParams", "load_height_map", "level_mean_plane",
            "areal_params", "roughness_report"]
@@ -23,24 +25,33 @@ __all__ = ["HeightMap", "ArealParams", "load_height_map", "level_mean_plane",
 _CSV = dict(delimiter=",", comments=None, quotechar='"', ndmin=2)
 
 
-@dataclass(frozen=True)
-class HeightMap:
+class _Fresh:
+    """Heights this module has just made and never touches again: a map
+    holds them as they are, not a copy."""
+
+    __slots__ = ("heights",)
+
+    def __init__(self, heights: np.ndarray):
+        self.heights = heights
+
+
+class HeightMap(Record):
     """Gridded surface heights (um) on a uniform pixel pitch (um).
 
     The map holds a read-only copy of the heights it is given, so the
     caller's array stays its own.  This module's loader and leveler hand
-    over arrays they have just made and never touch again (``_fresh``), and
-    the map takes those as they are.
+    over arrays they have just made wrapped in ``_Fresh``, and the map
+    takes those as they are.
     """
 
     heights: np.ndarray = field(repr=False)
     dx: float
     dy: float
     leveled: bool = False
-    _fresh: InitVar[bool] = False
 
-    def __post_init__(self, _fresh):
-        z = self.heights if _fresh else np.array(self.heights, dtype=float)
+    def __post_init__(self):
+        z = self.heights
+        z = z.heights if isinstance(z, _Fresh) else np.array(z, dtype=float)
         if z.ndim != 2 or z.shape[0] < 2 or z.shape[1] < 2:
             raise ValueError("height map must be a grid of at least 2x2 points")
         if not (0 < self.dx < math.inf and 0 < self.dy < math.inf):
@@ -70,7 +81,7 @@ def load_height_map(path, dx: float, dy: float) -> HeightMap:
         raise ValueError(f"{path}: {_first_bad_line(path) or exc}") from None
     if z.size == 0:
         raise ValueError(f"{path}: empty height map")
-    return HeightMap(heights=z, dx=dx, dy=dy, _fresh=True)
+    return HeightMap(heights=_Fresh(z), dx=dx, dy=dy)
 
 
 def _first_bad_line(path) -> str | None:
@@ -118,12 +129,11 @@ def level_mean_plane(hmap: HeightMap) -> HeightMap:
                 * max(z.max(), -z.min()))
     if max(residual.max(), -residual.min()) <= rounding:
         residual.fill(0.0)
-    return HeightMap(heights=residual, dx=hmap.dx, dy=hmap.dy, leveled=True,
-                     _fresh=True)
+    return HeightMap(heights=_Fresh(residual), dx=hmap.dx, dy=hmap.dy,
+                     leveled=True)
 
 
-@dataclass(frozen=True)
-class ArealParams:
+class ArealParams(Record):
     """The seven areal texture parameters of one evaluation area.
 
     Ssk and Sku are None when Sq is zero (flat surface).

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 from . import dynamics, stator, wave
 from .config import RunConfig
 from .dynamics import MotorTimeSeries
@@ -94,5 +92,5 @@ def summarize(config: RunConfig, model: stator.StatorModel, series: MotorTimeSer
         "dt": dt,
         "steps": (len(series) - 1) * steps_per_sample,
         **{k if k.startswith("energy_") else f"energy_{k}": v
-           for k, v in dataclasses.asdict(series.energy).items()},
+           for k, v in vars(series.energy).items()},
     }

@@ -24,11 +24,12 @@ offset the contact surface from the neutral plane by ``contact_offset``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
 from .materials import IsotropicMaterial, PiezoMaterial
+from .record import Record
 
 __all__ = [
     "StatorGeometry",
@@ -44,8 +45,7 @@ __all__ = [
 _MAX_ELEMENTS = 2 ** 20
 
 
-@dataclass(frozen=True)
-class StatorGeometry:
+class StatorGeometry(Record):
     """Mean-line geometry of the stator ring.
 
     ``contact_offset`` (tooth-tip distance from the neutral plane) is
@@ -76,8 +76,7 @@ class StatorGeometry:
         return 2.0 * math.pi * self.mean_radius
 
 
-@dataclass(frozen=True)
-class ModeSet:
+class ModeSet(Record):
     """The k lowest ring modes, ascending in frequency, as ``eigen`` lists them.
 
     ``labels[i]`` is the nodal-diameter count of mode i.  A pair with n in
@@ -89,8 +88,7 @@ class ModeSet:
     labels: np.ndarray = field(repr=False)
 
 
-@dataclass(frozen=True)
-class ModePair:
+class ModePair(Record):
     """Degenerate flexural pair at one nodal-diameter count.
 
     Its mass-normalized shapes deflect as amp*cos(n theta) and
@@ -204,8 +202,7 @@ def piezo_modal_force(pair: ModePair, geom: StatorGeometry, piezo: PiezoMaterial
     return 4.0 * (-m_p * geom.section_width * pair.amp * (n / R) ** 2 * R)
 
 
-@dataclass(frozen=True)
-class StatorModel:
+class StatorModel(Record):
     """Everything the drive and transient stages need from the stator.
 
     The transient keeps the drive pair alone: only it is forced by the

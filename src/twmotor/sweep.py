@@ -4,10 +4,12 @@ A sweep runs the full transient pipeline once per parameter value.  No
 sweep parameter changes the stator, so it is built once.  Rows that share
 a step grid advance together as one lockstep batch
 (``dynamics.simulate_batch``); a frequency sweep may split into several
-batches, because the step follows the drive frequency.  With ``jobs > 1``
-the batches are split into parts that run on a pool of at most one worker
-per usable CPU.  A row's results do not depend on its batch, and rows come
-back in input order, so a sweep is deterministic whatever the job count.
+batches, because the step follows the drive frequency.  A batch is split
+into contiguous parts of at most ``MAX_BATCH_POINTS`` rows x contact points,
+and with ``jobs > 1`` into at least one part a worker, on a pool of at most
+one worker per usable CPU.  A row's results do not depend on its batch or
+part, and rows come back in input order, so a sweep is deterministic
+whatever the job count.
 ``find_peak`` returns the torque optimum as the record ``peak.json``
 holds.  Named presets reproduce the study grids used for the USR30/USR60
 preload curves, the gram-denominated plastic-stator sweep, and the COF
@@ -21,12 +23,13 @@ import bisect
 import csv
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
 from . import dynamics, runner
 from .config import ConfigError, RunConfig
+from .record import Record
 
 __all__ = [
     "SweepSpec",
@@ -44,6 +47,10 @@ __all__ = [
 STANDARD_GRAVITY = 9.80665  # m/s^2
 SWEEP_CSV_HEADER = "param,torque,speed,t_ss,settled,ok,error"
 MAX_GRID_VALUES = 4096      # most values a sweep grid holds, 200 times the largest preset's 20
+# most rows x contact points one lockstep part steps: the step buffers grow
+# with both, and 256 rows at the default 128 points peak at 55 MiB for a
+# 0.5 ms run, in 5.8 ms a row against 6.1 at 512 rows (2-core x86-64 VM)
+MAX_BATCH_POINTS = 2 ** 15
 
 
 def grams_to_newtons(grams: float) -> float:
@@ -84,8 +91,7 @@ def inclusive_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
     return tuple(round(start + i * step if i else start, 12) for i in range(count))
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Record):
     """One swept parameter, its grid, and the base configuration."""
 
     parameter: str
@@ -109,8 +115,9 @@ class SweepSpec:
         return self.base.override(**{section: {name: to_si(value)}})
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(Record):
+    """One value's results, a line of ``sweep.csv``."""
+
     param: float
     torque: float
     speed: float
@@ -120,8 +127,9 @@ class SweepRow:
     error: str = ""
 
 
-@dataclass(frozen=True)
-class SweepCurve:
+class SweepCurve(Record):
+    """A sweep's rows, in the order of its values."""
+
     parameter: str
     rows: tuple[SweepRow, ...]
 
@@ -179,7 +187,9 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepCurve:
     """Run the pipeline over every grid value; rows keep the input order.
 
     ``jobs`` worker processes run the rows, but never more than the CPUs
-    this process may use.
+    this process may use.  A lockstep batch is split into parts of at most
+    ``MAX_BATCH_POINTS`` rows x contact points, so a sweep's memory does
+    not grow with its rows.
 
     Any error in a row's configuration, run or post-processing makes that
     row failed (ok=False, with the message) and the sweep continues.  A
@@ -199,9 +209,10 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepCurve:
         batches.setdefault(grid, []).append(i)
 
     workers = max(1, min(jobs, _usable_cpus()))
-    parts = []   # each batch split into up to ``workers`` contiguous parts
+    size = max(1, MAX_BATCH_POINTS // spec.base.contact.point_count)
+    parts = []   # each batch split into contiguous parts: one a worker, of <= size rows
     for grid, members in batches.items():
-        k = min(workers, len(members))
+        k = max(min(workers, len(members)), -(-len(members) // size))
         parts.extend((grid, members[j * len(members) // k:(j + 1) * len(members) // k])
                      for j in range(k))
     tasks = [(model, grid, [spec.values[i] for i in part], [configs[i] for i in part])

@@ -18,10 +18,10 @@ The surface kinematics of a modal state is ``contact.interface_operator``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .record import Record
 from .stator import ModePair, StatorGeometry
 
 __all__ = [
@@ -32,8 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DriveConfig:
+class DriveConfig(Record):
     """Two-phase electrical drive.
 
     ``frequency`` of None means "drive at the selected pair's natural
@@ -63,8 +62,7 @@ class DriveConfig:
         return np.array([[force, 0.0], [force * np.cos(psi), -force * np.sin(psi)]])
 
 
-@dataclass(frozen=True)
-class WaveSolution:
+class WaveSolution(Record):
     """Steady response of the mode pair and its traveling decomposition.
 
     ``w_forward``/``w_backward`` are the deflection amplitudes of the

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from twmotor import contact, sweep
+from twmotor import contact, dynamics, sweep
 from twmotor.config import ConfigError, RunConfig
 from twmotor.materials import lookup
 from twmotor.sweep import (
@@ -330,6 +330,22 @@ class TestRunSweep:
         for a, b in zip(curve.rows, again.rows):
             assert a.torque == b.torque
             assert a.speed == b.speed
+
+    def test_parts_bound_rows_times_points(self, short_base, monkeypatch):
+        """A batch is split into contiguous parts of at most
+        ``MAX_BATCH_POINTS`` rows x contact points.  A 4-row sweep run one
+        row a part equals the unsplit sweep row for row, bitwise (a float's
+        repr is exact, NaN included)."""
+        spec = SweepSpec("preload_N", (40.0, 80.0, 120.0, 160.0), base=short_base)
+        batches = []
+        simulate_batch = dynamics.simulate_batch
+        monkeypatch.setattr(dynamics, "simulate_batch", lambda stator, rows, **kw:
+                            batches.append(len(rows)) or simulate_batch(stator, rows, **kw))
+        whole = run_sweep(spec, jobs=1)
+        monkeypatch.setattr(sweep, "MAX_BATCH_POINTS", short_base.contact.point_count)
+        split = run_sweep(spec, jobs=1)
+        assert batches == [4, 1, 1, 1, 1]
+        assert repr(split.rows) == repr(whole.rows)
 
     @pytest.mark.parametrize("cpus, opened", [(2, [(2, 2)]), (1, [])])
     def test_jobs_capped_at_the_usable_cpus(self, small_curve, pools, monkeypatch, cpus,

@@ -33,16 +33,16 @@ M / g points of one period, g = gcd(n, M), which stand for the whole ring
 once the reactions are scaled by g.
 
 This module is the one implementation of the law, with one call form:
-the transient step loop calls ``evaluate_contact`` once per step, writing
-into the loop's buffers, and its step map applies the folded reaction.
+the transient step loop calls ``evaluate_contact`` once per step, in
+place in its buffers, and its step map applies the folded reaction.
 The law is elementwise, and the loop passes B interfaces as (M, B)
 blocks, one column per interface; ``fold`` takes one (B,) array per
 constant, and a single interface is a batch of one.  The folded
 kinematics is one (2P, 2M) matrix per row, and the loop stores the
 arguments entry-major: one matrix-vector product per row writes that
 row's column of the (2M, B) block [-k gap | slip / v], whose two halves
-the law reads as two C-contiguous (M, B) blocks, and the law's outputs
-are two such blocks too.
+the law reads as two C-contiguous (M, B) blocks and turns into [N | u]
+where they lie.
 """
 
 from __future__ import annotations
@@ -117,11 +117,12 @@ def fold(operator: np.ndarray, stiffness: np.ndarray,
         reaction[0, b] = G_N,   reaction[1, b] = -mu_b G_f
 
     so each row's state (2P,) times its kinematics gives that row's
-    arguments of ``evaluate_contact`` [load | slip_ratio], which the step
-    loop writes as column b of a (2M, B) block, and its outputs [N, u], two
-    (M, B) blocks, times the reaction give the generalized forces of N and
-    of f = -mu u.  Each row's operators are its own, so the kinematics is
-    one small matrix-vector product per row.
+    arguments of ``evaluate_contact`` [-k gap | slip / v], which the step
+    loop writes as column b of a (2M, B) block, and the law's outputs
+    [N | u] in that block's place, two (M, B) blocks, times the reaction
+    give the generalized forces of N and of f = -mu u.  Each row's
+    operators are its own, so the kinematics is one small matrix-vector
+    product per row.
     """
     normal, friction = operator
     m, p = normal.shape
@@ -164,28 +165,26 @@ _maximum, _tanh, _multiply = np.maximum, np.tanh, np.multiply
 _ZERO = np.zeros(())
 
 
-def evaluate_contact(load, slip_ratio, normal, traction) -> None:
-    """The law at every contact point, in the arguments ``fold`` gives.
+def evaluate_contact(normal, traction) -> None:
+    """The law at every contact point, in place, in the arguments ``fold`` gives.
 
-    ``load`` is -k gap, the penalty force before the one-sided clamp, and
-    ``slip_ratio`` is slip / v, each an (M, B) block with one column per
+    ``normal`` holds -k gap, the penalty force before the one-sided clamp,
+    and ``traction`` slip / v, each an (M, B) block with one column per
     interface sampled at ``contact_angles``, as the step loop passes them;
     for a rotor at height z spinning at omega over a surface with
     deflection w and tangential velocity v_t, gap = z - w and
-    slip = R omega - v_t.  Writes the normal forces N = max(-k gap, 0),
-    which is k max(0, -gap) for k > 0, into ``normal``, and
-    u = N tanh(slip / v) into ``traction``: the friction force is -mu u,
+    slip = R omega - v_t.  Overwrites ``normal`` with the normal forces
+    N = max(-k gap, 0), which is k max(0, -gap) for k > 0, and
+    ``traction`` with u = N tanh(slip / v): the friction force is -mu u,
     applied by the folded reaction operator.  Three elementwise passes
     with no temporary, through ufuncs bound at import; ``tanh`` and
     ``multiply`` take their outputs positionally, which parses cheaper
     than ``out=``, and ``np.maximum`` by keyword, since NumPy 2.4
-    deprecates a third positional argument to it.  The inputs are not
-    validated here, because the step loop calls this every step: arrays
-    without one entry per contact point fail to broadcast into the
-    outputs.
+    deprecates a third positional argument to it.  The blocks are not
+    validated here, because the step loop calls this every step.
     """
-    _maximum(load, _ZERO, out=normal)
-    _tanh(slip_ratio, traction)
+    _maximum(normal, _ZERO, out=normal)
+    _tanh(traction, traction)
     _multiply(normal, traction, traction)
 
 

@@ -19,22 +19,22 @@ and C, accumulated alongside the states.
 grid in one step loop, one row b each.  The contact law runs over one
 period of the interface only: gap and slip repeat every M / g contact
 points, g = gcd(n, M) (``contact.interface_period``), so the loop
-evaluates the law at M / g points and scales the reactions, the penalty
-energy and the friction power by g.  A step is five calls: the kinematics
-product, which maps the state straight to the law's arguments
-[-k gap | slip / v]; the law's three elementwise passes
-(``evaluate_contact``), giving [N, u] with the friction force f = -mu u;
-and the step map.  The kinematics is the transpose of the reaction
-operator ``contact.interface_operator``, the drive pair sampled at the
-contact points, since gap and slip are the work conjugates of the normal
-and friction forces; ``contact.fold`` puts each row's k, v and mu into
-both.  The reactions are linear in [N, u], so the step map reads [N, u]
+evaluates the law at M / g points and scales the reactions and the
+penalty energy by g.  A step is five calls: the kinematics product, which
+maps the state straight to the law's arguments [-k gap | slip / v] and
+writes them where the step map reads [N | u]; the law's three elementwise
+passes (``evaluate_contact``), which turn them into [N | u] in place, the
+friction force being f = -mu u; and the step map.  The kinematics is the transpose of the reaction operator
+``contact.interface_operator``, the drive pair sampled at the contact
+points, since gap and slip are the work conjugates of the normal and
+friction forces; ``contact.fold`` puts each row's k, v and mu into both.
+The reactions are linear in [N | u], so the step map reads [N | u]
 itself and writes this step's reactions for the next steps to read: the
 one place they are formed, where the samples read them too.  So a step
 makes one matrix-vector product per row and matrix.
 
-The step buffers are entry-major, the row index last, so each of the
-law's four operands is one C-contiguous (M / g, B) block, and every
+The step buffer is entry-major, the row index last, so each of the
+law's two operands is one C-contiguous (M / g, B) block, and every
 elementwise pass takes NumPy's contiguous fast path at any B.  Both
 products run as ``np.matmul`` on (B, 1, K) views whose vectors have
 stride B, which NumPy hands to the BLAS matrix-vector product, making no
@@ -45,25 +45,29 @@ so the products take their outputs positionally, and the loop binds
 ``contact.evaluate_contact`` once per call, so a step looks nothing up
 and a test that patches the law still sees every call.
 
-The loop runs in chunks of whole sample intervals, step first in every
-buffer: as many intervals as fit in ``_CHUNK_ROW_STEPS`` steps x rows, at
+The loop runs in chunks of whole sample intervals, step first in its
+buffer X: as many intervals as fit in ``_CHUNK_ROW_STEPS`` steps x rows, at
 least one; ``_grid`` refuses more than ``_CHUNK_STEPS`` steps per interval,
 so one always fits.  X[j], the step map's input at step j, is
 [state_j | r_(j-1) | r_(j-2) | r_(j-3) | d_j | N_j | u_j] with one column
-per row: the law writes its outputs into it, and the map writes
-[state_(j+1) | r_j | r_(j-1) | r_(j-2)] into X[j + 1], so nothing is
-copied within a chunk.  No step branches: after its steps a chunk copies
+per row: the kinematics product writes the law's arguments into its
+[N | u] block, the law overwrites them with its outputs, and the map
+writes [state_(j+1) | r_j | r_(j-1) | r_(j-2)] into X[j + 1], so nothing
+is copied within a chunk.  No step branches: after its steps a chunk copies
 its samples into one buffer, the states at the steps 0, s, ... of X
 (s steps per sample), their reactions one step later and the friction
 force's u at the first contact point, and ends every row whose samples are
 not all finite; the loop stops when no row is left.  The held loads,
 -preload on z and -load_torque on phi, are written into d once per run;
 a chunk evaluates the drive's [cos wt, sin wt] at all its steps at once,
-and reduces the energy ledger's powers from its history of states and of
-the law's arguments and outputs.  One ``forcing`` matrix per row maps d
-to the forces on [q_cos, q_sin, z, phi]: the step map reads its drive
-pair's columns, and the ledger prices ``forcing @ d``, d read from X, so
-it prices the forces the map applies.  The ledger sums each sample interval's
+and reduces the energy ledger's powers from its history of X.  Each
+power is a force times a velocity, and each force is one the map
+applies.  One ``forcing`` matrix per row maps d to the forces on
+[q_cos, q_sin, z, phi]: the step map reads its drive pair's columns, and
+the ledger prices ``forcing @ d``, d read from X.  Friction is priced as
+the rates times u @ reaction[1], the folded, period-scaled friction
+reaction the map applies: by virtual work, g Sum f slip over the points.
+The damper's power is C x'^2.  The ledger sums each sample interval's
 powers, then adds the sums to its totals in time order, so no result
 depends on how many intervals a chunk holds.  Every operation acts on
 each row alone, so a row's results are bitwise the same whatever batch it
@@ -256,11 +260,18 @@ def _grid(stator: StatorModel, drive: DriveConfig, duration: float,
     sample interval, naming ``simulation.dt`` (a finer step needs a finer
     ``simulation.output_interval``), and a run of more than ``_MAX_SAMPLES``
     samples, naming ``simulation.duration``, before any buffer is allocated.
-    The bound on the step guards accuracy, not stability: the default
-    motor steps without blowing up at 1/(20 f_drive), where its energy
-    residual is 7e-4 (9e-8 at the bound), and at the bound the step map's
-    errors stay below the midpoint scheme's at 1/(400 f_drive) (README,
-    step error).
+    On the default motor the bound guards accuracy, not stability: it
+    steps without blowing up at 1/(20 f_drive), where its energy residual
+    is 7e-4 (9e-8 at the bound), and at the bound the step map's errors
+    stay below the midpoint scheme's at 1/(400 f_drive) (README, step
+    error).  That does not hold where friction locks the wave.  In full
+    stick, friction damps the drive pair at the rate
+    lambda = mu P (z_c amp n / R)^2 / (2 v), P being the preload; the
+    reactions are extrapolated, not implicit, and past some lambda h the
+    stick zone chatters.  The default motor has lambda h = 0.14; at 50 V
+    and 200 N it is 0.56, and that run exits 0, settled, with a wave of
+    7.47 nm where h / 2 gives 4.63 nm.  Only the energy ledger shows it:
+    its residual fraction reads 1.23.
     """
     bound = 1.0 / (100.0 * drive.resolve_frequency(stator.pair))
     dt_nominal = dt if dt is not None else bound
@@ -449,18 +460,22 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
       the kinematics product sums 8 terms, and the ledger's ``forcing @ d``
       4.
     - the ledger reduces over contiguous copies: the energy's sums over a
-      row's state and its points, and the friction power's point sum, run
-      over a contiguous last axis.  NumPy sums a contiguous axis pairwise
-      but a strided one in sequence, which differs already at 8 terms.
+      row's state and its points, and the friction reaction's sum over
+      them, u @ reaction[1] on a contiguous copy of the row's u, run over
+      a contiguous last axis, and so does that reaction's product with the
+      rates.  NumPy sums a contiguous axis pairwise but a strided one in
+      sequence, which differs already at 8 terms.
 
     A row's preload and load torque are held from t = 0: run constants of
     its d entries, so a chunk evaluates only the drive's oscillator.  The
     map and the ledger read one (B, 4, 4) ``forcing``, the drive pair's rows
     from ``DriveConfig.forcing`` and identity rows for the held loads: the
     map its first two columns, and the ledger prices ``forcing @ d`` times
-    the velocities, d read from X.  The step loop only steps, records each
-    sample's raw entries and sums the ledger's powers; a row whose sample
-    is not finite ends there and the other rows carry on.  Each row's
+    the velocities, d read from X, and friction as the velocities times
+    u @ reaction[1], the friction reaction the map applies.  The step loop
+    only steps, records each sample's raw entries and sums the ledger's
+    powers; a row whose sample is not finite ends there and the other rows
+    carry on.  Each row's
     series, its ``EnergyReport`` or its ``divergence`` are formed once,
     after the loop.  A row that went non-finite is truncated at its last
     finite sample and has no ledger.
@@ -530,7 +545,6 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
     weights = np.concatenate([stiffness, mass], axis=-1)
     damper = damping[:, :, None]
     compliance = periods / penalty
-    friction_scale = (-periods * cof * regularization)[:, None, None]
 
     def mech_energy(x):
         # a penalty spring at depth d stores k d^2 / 2 = N^2 / (2 k); each
@@ -541,25 +555,25 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
 
     # A chunk holds as many whole sample intervals as fit in _CHUNK_ROW_STEPS
     # steps x rows, at least one; _grid admits no interval longer than
-    # _CHUNK_STEPS.  The buffers are entry-major, the row last: X[j] holds
+    # _CHUNK_STEPS.  The buffer is entry-major, the row last: X[j] holds
     # step j's step map input [state | r_(j-1) | ... | d | N | u], one
-    # column per row: the law writes [N, u] into it, and the map writes the
-    # next step's [state | r_j | ...].  G[j] holds the step's law arguments
-    # [-k gap | slip / v], kept with X for the energy ledger.  The products
-    # read and write (B, 1, K) views whose vectors have stride B; a batch of
-    # one makes them on 1-D views.  The views each step uses are made once.
+    # column per row.  The kinematics product writes the law's arguments
+    # [-k gap | slip / v] into its [N | u] block, the law turns them into
+    # [N | u] in place, and the map writes the next step's [state | r_j | ...].
+    # The products read and write (B, 1, K) views whose vectors have stride
+    # B; a batch of one makes them on 1-D views.  The views each step uses
+    # are made once.
     chunk = max(1, _CHUNK_ROW_STEPS // (B * steps_per_sample)) * steps_per_sample
     X = np.zeros((chunk + 1, width, B))
     # the held loads; each chunk fills [cos wt, sin wt]
     X[:, d0 + 2:d0 + 4] = [[-r.preload for r in rotors], [-r.load_torque for r in rotors]]
-    G = np.empty((chunk, 2 * M, B))
     if B == 1:
         product, kin, step_map = _dot, kin[0], step_map[0]
-        XP, GP = X[..., 0], G[..., 0]
+        XP = X[..., 0]
     else:
         product = np.matmul
-        XP, GP = (np.swapaxes(A, 1, 2)[:, :, None] for A in (X, G))
-    step_views = [(XP[j], XP[j, ..., :n], GP[j], G[j, :M], G[j, M:],
+        XP = np.swapaxes(X, 1, 2)[:, :, None]
+    step_views = [(XP[j], XP[j, ..., :n], XP[j, ..., f0:f0 + 2 * M],
                    X[j, f0:f0 + M], X[j, f0 + M:f0 + 2 * M], XP[j + 1, ..., :d0])
                   for j in range(chunk)]
     law = contact.evaluate_contact
@@ -580,9 +594,9 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
             X[:count, d0] = np.cos(wt).T
             X[:count, d0 + 1] = np.sin(wt).T
 
-            for x, y, g, load, slip_ratio, normal, traction, y_next in step_views[:count]:
-                product(y, kin, g)
-                law(load, slip_ratio, normal, traction)
+            for x, y, contact_block, normal, traction, y_next in step_views[:count]:
+                product(y, kin, contact_block)
+                law(normal, traction)
                 product(x, step_map, y_next)
 
             # the chunk's samples, their reactions one step later; a row
@@ -599,19 +613,18 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
 
             # the ledger's powers at each evaluation, per row [input on each
             # coordinate, forcing @ d times its rate | damper on each |
-            # friction], time along the last axis
+            # friction, the reaction of f = -mu u dotted with the rates],
+            # time along the last axis
             vel = X[:count, m:n].T
             power = np.empty((B, n + 1, count))
             np.multiply(forcing @ X[:count, d0:d0 + m].T, vel, out=power[:, :m])
             np.multiply(damper, vel, out=power[:, m:n])
             power[:, m:n] *= vel
-            # f s = (-mu u)(v s / v): the constants multiply the point sum
-            # over each row's contiguous copy of its points, as in a batch of one
-            np.add.reduce(np.multiply(X[:count, f0 + M:f0 + 2 * M].transpose(2, 0, 1),
-                                      G[:count, M:].transpose(2, 0, 1),
-                                      out=np.empty((B, count, M))),
-                          axis=-1, out=power[:, n])
-            power[:, n:] *= friction_scale
+            # u @ reaction[1] on each row's contiguous copy of its points, and
+            # the dot product's sum over a contiguous axis, as in a batch of one
+            friction = X[:count, f0 + M:f0 + 2 * M].transpose(2, 0, 1).copy() @ reaction[1]
+            friction *= vel.transpose(0, 2, 1)
+            np.add.reduce(friction, axis=-1, out=power[:, n])
             # summed over each sample interval (the last pass's one evaluation
             # alone), then the sums added to the totals in time order
             sums = np.add.reduce(power.reshape(B, n + 1, -1, min(count, steps_per_sample)),

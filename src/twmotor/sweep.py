@@ -5,8 +5,10 @@ sweep parameter changes the stator, so it is built once.  Rows that share
 a step grid advance together as one lockstep batch
 (``dynamics.simulate_batch``); a frequency sweep may split into several
 batches, because the step follows the drive frequency.  A batch is split
-into contiguous parts of at most ``MAX_BATCH_POINTS`` rows x contact points,
-and with ``jobs > 1`` into at least one part a worker, on a pool of at most
+into contiguous parts of at most ``MAX_BATCH_POINTS`` rows x contact points
+and at most ``dynamics._MAX_SAMPLES`` rows x samples, the bounds of one
+run's step and sample buffers, and with ``jobs > 1`` into at least one part
+a worker, on a pool of at most
 one worker per usable CPU.  A row's results do not depend on its batch or
 part, and rows come back in input order, so a sweep is deterministic
 whatever the job count.
@@ -188,8 +190,8 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepCurve:
 
     ``jobs`` worker processes run the rows, but never more than the CPUs
     this process may use.  A lockstep batch is split into parts of at most
-    ``MAX_BATCH_POINTS`` rows x contact points, so a sweep's memory does
-    not grow with its rows.
+    ``MAX_BATCH_POINTS`` rows x contact points and ``dynamics._MAX_SAMPLES``
+    rows x samples, so a sweep's memory does not grow with its rows.
 
     Any error in a row's configuration, run or post-processing makes that
     row failed (ok=False, with the message) and the sweep continues.  A
@@ -209,9 +211,12 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepCurve:
         batches.setdefault(grid, []).append(i)
 
     workers = max(1, min(jobs, _usable_cpus()))
-    size = max(1, MAX_BATCH_POINTS // spec.base.contact.point_count)
     parts = []   # each batch split into contiguous parts: one a worker, of <= size rows
     for grid, members in batches.items():
+        # at least 1 each: a point count and an admitted grid's sample count
+        # stay within these bounds
+        size = min(MAX_BATCH_POINTS // spec.base.contact.point_count,
+                   dynamics._MAX_SAMPLES // grid[2])
         k = max(min(workers, len(members)), -(-len(members) // size))
         parts.extend((grid, members[j * len(members) // k:(j + 1) * len(members) // k])
                      for j in range(k))

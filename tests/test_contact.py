@@ -69,10 +69,10 @@ def kinematics_product(states, kinematics):
 
 def law_outputs(arguments):
     """The law's outputs [N, u], shape (2, M, B), at the (2M, B) block
-    [-k gap | slip / v] of the folded kinematics, split into its halves."""
-    load, slip_ratio = np.split(arguments, 2)
-    outputs = np.empty((2,) + load.shape)
-    evaluate_contact(load, slip_ratio, *outputs)
+    [-k gap | slip / v] of the folded kinematics: the law runs in place on
+    a copy of the block's two halves."""
+    outputs = np.array(np.split(arguments, 2))
+    evaluate_contact(*outputs)
     return outputs
 
 
@@ -338,8 +338,47 @@ class TestInterfacePeriod:
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
+class TestLedgerFriction:
+    """The step loop's ledger prices friction as the rates dotted with the
+    reaction of f = -mu u that the step map applies, rates . (u @
+    reaction[1]), the reaction scaled by the period count g.  The
+    kinematics is the reaction operator's transpose, so by virtual work
+    that is g Sum f slip over one period's points, slip being v times the
+    kinematics' slip / v: checked for random states of one interface and
+    of three."""
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rates_times_reaction_is_the_point_power(self, seed, rows):
+        rng = np.random.default_rng(seed)
+        configs = [ContactConfig(cof=c, penalty_stiffness=k, regularization_velocity=v)
+                   for c, k, v in ((0.2, 2e5, 1e-3), (0.45, 3e5, 2e-3),
+                                   (0.1, 1e5, 5e-4))[:rows]]
+        theta, periods = interface_period(configs[0], 4)
+        assert periods == 4
+        kinematics, reaction = fold_rows(
+            interface_operator(ModePair(4, 2 * math.pi * 4e4, 1.0), GEOM, theta), configs)
+        reaction *= periods
+        # [q_cos, q_sin, z, phi | their rates]: a wave of a few um, the rotor
+        # below the crests, rates of the drive frequency and a spin
+        q = rng.uniform(-5e-6, 5e-6, (rows, 2))
+        states = np.concatenate([q, rng.uniform(-4e-6, 0.0, (rows, 1)), np.zeros((rows, 1)),
+                                 2.5e5 * q[:, ::-1] * [1.0, -1.0],
+                                 rng.normal(0.0, 0.05, (rows, 1)),
+                                 rng.normal(0.0, 20.0, (rows, 1))], axis=-1).T
+        arguments = kinematics_product(states, kinematics)
+        traction = law_outputs(arguments)[1]
+        assert np.any(traction != 0.0)
+        for b, cfg in enumerate(configs):
+            ledger = states[4:, b] @ (traction[:, b] @ reaction[1, b])
+            slip = cfg.regularization_velocity * arguments[len(theta):, b]
+            point_power = periods * np.sum(-cfg.cof * traction[:, b] * slip)
+            assert point_power < 0.0
+            np.testing.assert_allclose(ledger, point_power, rtol=1e-13, atol=0.0)
+
+
 class TestStepLoopForm:
-    """The step loop calls the law on (M, B) blocks and into its own buffers."""
+    """The step loop calls the law on (M, B) blocks, in place in its own buffers."""
 
     def test_out_buffers_receive_the_same_forces(self):
         rng = np.random.default_rng(7)
@@ -349,8 +388,8 @@ class TestStepLoopForm:
         kinematics, reaction = identity_fold([cfg])
         load, slip_ratio = np.split(kinematics_product(np.concatenate([gap, slip]),
                                                        kinematics), 2)
-        outputs = np.full((2, cfg.point_count, 1), np.nan)
-        assert evaluate_contact(load, slip_ratio, outputs[0], outputs[1]) is None
+        outputs = np.array([load, slip_ratio])     # copies, which the law overwrites
+        assert evaluate_contact(outputs[0], outputs[1]) is None
         forces = np.full((2, 1, 1, cfg.point_count), np.nan)
         np.matmul(np.swapaxes(outputs, -1, -2)[..., None, :], reaction, out=forces)
         assert np.array_equal(np.swapaxes(forces[:, :, 0], -1, -2),

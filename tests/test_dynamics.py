@@ -349,35 +349,35 @@ class TestSimulateBatch:
                              other: 0}, rows
 
     def test_law_operands_are_contiguous_blocks(self, stator_model, monkeypatch):
-        """At B > 1 each of the law's four operands is one C-contiguous
-        (M / g, B) block over one period of the interface: its arguments
-        ``load`` and ``slip_ratio`` are the two halves of the block
-        [load | slip_ratio] that step's kinematics product wrote, and its
-        outputs lie in the buffer the step map reads."""
+        """At B > 1 each of the law's two operands is one C-contiguous
+        (M / g, B) block over one period of the interface, and the law runs
+        in place in the step map's input: the kinematics product writes
+        [-k gap | slip / v] into the input's [N | u] block, the law's
+        operands are that block's two halves, and the step map then reads
+        the same memory.  A separate buffer for the law's arguments fails
+        this."""
         law, matmul = contact.evaluate_contact, np.matmul
         count = contact.ContactConfig().point_count
         points = count // math.gcd(stator_model.pair.nodal_diameters, count)
-        written, outputs, one_block, in_map_input = [], [], [], []
+        written, one_block, in_map_input = [], [], []
 
         def layout(a):
             return a.__array_interface__["data"][0], a.shape, a.strides
 
-        def checking(load, slip_ratio, normal, traction):
-            operands = (load, slip_ratio, normal, traction)
+        def checking(normal, traction):
             block = written[-1][:, 0].T    # the kinematics product's output, entry-major
             one_block.append(
-                all(a.shape == (points, 3) and a.flags.c_contiguous for a in operands)
+                all(a.shape == (points, 3) and a.flags.c_contiguous for a in (normal, traction))
                 and block.flags.c_contiguous
-                and layout(load) == layout(block[:points])
-                and layout(slip_ratio) == layout(block[points:]))
-            outputs[:] = [normal, traction]
-            return law(*operands)
+                and layout(normal) == layout(block[:points])
+                and layout(traction) == layout(block[points:]))
+            return law(normal, traction)
 
         def recording(a, b, out):             # the loop passes its output positionally
-            if b.shape[-1] == 2 * points:     # state -> [load | slip_ratio]
+            if b.shape[-1] == 2 * points:     # state -> [-k gap | slip / v]
                 written.append(out)
             elif b.shape[-1] == D0:           # [state | r_(j-1) | ... | d | N | u] -> ...
-                in_map_input.append(all(np.shares_memory(a, o) for o in outputs))
+                in_map_input.append(layout(a[..., F0:F0 + 2 * points]) == layout(written[-1]))
             return matmul(a, b, out)
 
         monkeypatch.setattr(contact, "evaluate_contact", checking)

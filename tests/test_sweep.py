@@ -331,21 +331,41 @@ class TestRunSweep:
             assert a.torque == b.torque
             assert a.speed == b.speed
 
-    def test_parts_bound_rows_times_points(self, short_base, monkeypatch):
-        """A batch is split into contiguous parts of at most
-        ``MAX_BATCH_POINTS`` rows x contact points.  A 4-row sweep run one
-        row a part equals the unsplit sweep row for row, bitwise (a float's
-        repr is exact, NaN included)."""
-        spec = SweepSpec("preload_N", (40.0, 80.0, 120.0, 160.0), base=short_base)
+    @staticmethod
+    def split_one_row_a_part(base, monkeypatch, module, bound, value):
+        """A 4-row sweep's batches, run whole and then with ``module.bound``
+        set to ``value``, and the two sweeps' rows."""
+        spec = SweepSpec("preload_N", (40.0, 80.0, 120.0, 160.0), base=base)
         batches = []
         simulate_batch = dynamics.simulate_batch
         monkeypatch.setattr(dynamics, "simulate_batch", lambda stator, rows, **kw:
                             batches.append(len(rows)) or simulate_batch(stator, rows, **kw))
         whole = run_sweep(spec, jobs=1)
-        monkeypatch.setattr(sweep, "MAX_BATCH_POINTS", short_base.contact.point_count)
+        monkeypatch.setattr(module, bound, value)
         split = run_sweep(spec, jobs=1)
+        return batches, split.rows, whole.rows
+
+    def test_parts_bound_rows_times_points(self, short_base, monkeypatch):
+        """A batch is split into contiguous parts of at most
+        ``MAX_BATCH_POINTS`` rows x contact points.  A 4-row sweep run one
+        row a part equals the unsplit sweep row for row, bitwise (a float's
+        repr is exact, NaN included)."""
+        batches, split, whole = self.split_one_row_a_part(
+            short_base, monkeypatch, sweep, "MAX_BATCH_POINTS", short_base.contact.point_count)
         assert batches == [4, 1, 1, 1, 1]
-        assert repr(split.rows) == repr(whole.rows)
+        assert repr(split) == repr(whole)
+
+    def test_parts_bound_rows_times_samples(self, short_base, monkeypatch):
+        """A part also holds at most ``dynamics._MAX_SAMPLES`` rows x
+        samples, the bound of one run's sample buffer.  With that bound at
+        one row's sample count, a 4-row sweep runs one row a part and
+        equals the unsplit sweep row for row, bitwise."""
+        simulation = short_base.simulation
+        samples = round(simulation.duration / simulation.output_interval) + 1
+        batches, split, whole = self.split_one_row_a_part(
+            short_base, monkeypatch, dynamics, "_MAX_SAMPLES", samples)
+        assert batches == [4, 1, 1, 1, 1]
+        assert repr(split) == repr(whole)
 
     @pytest.mark.parametrize("cpus, opened", [(2, [(2, 2)]), (1, [])])
     def test_jobs_capped_at_the_usable_cpus(self, small_curve, pools, monkeypatch, cpus,

@@ -46,6 +46,9 @@ CASES = {
     "run_1024_steps_per_sample": (["run", "--config", "config.json", "--duration", "5e-4"],
                                   {"config.json": json.dumps(
                                       {"simulation": {"dt": 9.765625e-09}})}),
+    # friction locks the wave and the default step chatters: it exits 0, settled,
+    # and only the energy ledger's residual fraction (about 1.2) shows it
+    "run_locked_50V_200N": (["run", "--voltage", "50", "--preload", "200"], {}),
     "sweep_cof": (["sweep", "--param", "cof", "--values", "0.3:0.5:0.1", "--plot"], {}),
     "sweep_preload_jobs2": (["sweep", "--param", "preload_N", "--values", "25:100:25",
                              "--jobs", "2", "--duration", "2e-3"], {}),

@@ -52,17 +52,18 @@ so one always fits.  X[j], the step map's input at step j, is
 [state_j | r_(j-1) | r_(j-2) | r_(j-3) | d_j | N_j | u_j] with one column
 per row: the kinematics product writes the law's arguments into its
 [N | u] block, the law overwrites them with its outputs, and the map
-writes [state_(j+1) | r_j | r_(j-1) | r_(j-2)] into X[j + 1], so nothing
-is copied within a chunk.  No step branches: after its steps a chunk copies
+writes all the rest of X[j + 1], [state_(j+1) | r_j | r_(j-1) | r_(j-2) |
+d_(j+1)], so nothing is copied within a chunk.  d = [cos wt, sin wt,
+-preload, -load_torque] is written once per run, into X[0] at t = 0: the
+map turns the drive's phase by wh and holds the loads, so a run's linear
+state is the one block X[j, :f0], and a chunk carries X[0, :f0] =
+X[T, :f0] to the next.  No step branches: after its steps a chunk copies
 its samples into one buffer, the states at the steps 0, s, ... of X
 (s steps per sample), their reactions one step later and the friction
 force's u at the first contact point, and ends every row whose samples are
-not all finite; the loop stops when no row is left.  The held loads,
--preload on z and -load_torque on phi, are written into d once per run;
-a chunk evaluates the drive's [cos wt, sin wt] at all its steps at once,
-and reduces the energy ledger's powers from its history of X.  Each
-power is a force times a velocity, and each force is one the map
-applies.  One ``forcing`` matrix per row maps d to the forces on
+not all finite; the loop stops when no row is left.  A chunk reduces the
+energy ledger's powers from its history of X.  Each power is a force
+times a velocity, and each force is one the map applies.  One ``forcing`` matrix per row maps d to the forces on
 [q_cos, q_sin, z, phi]: the step map reads its drive pair's columns, and
 the ledger prices ``forcing @ d``, d read from X.  Friction is priced as
 the rates times u @ reaction[1], the folded, period-scaled friction
@@ -117,6 +118,11 @@ _EXPM_TERMS = 20          # Taylor terms of a scaled matrix exponential
 # most samples a row holds, about 42 s at the default 10 us interval: its
 # buffer of 13 entries per sample stays below 440 MB
 _MAX_SAMPLES = 2 ** 22
+
+# most rows x contact points one part of a batch steps: its step buffers grow
+# with both, and 256 rows at the default 128 points peak at 55 MiB for a
+# 0.5 ms run, in 5.8 ms a row against 6.1 at 512 rows (2-core x86-64 VM)
+MAX_BATCH_POINTS = 2 ** 15
 
 # A batch of one's products: the C method np.dot reaches, without its dispatcher
 _dot = np.ndarray.dot
@@ -338,8 +344,10 @@ def _step_map(mass, damping, stiffness, drive, omega, reaction, h: float) -> np.
     (2, ..., P, 4) blocks form from the law's outputs [N, u] at P points.
     The map reads [state | r_(j-1) | r_(j-2) | r_(j-3) | d | N | u],
     d = [cos wt_j, sin wt_j, the held loads on z and phi], and writes
-    [next state | r_j | r_(j-1) | r_(j-2)]: shape (..., 24 + 2P, 20), for
-    row vectors.  It is the exponential (``_expm``) of the system augmented
+    [next state | r_j | r_(j-1) | r_(j-2) | next d]: shape
+    (..., 24 + 2P, 24), for row vectors.  The next d turns [cos wt, sin wt]
+    by wh and holds the loads, so the map advances everything it reads but
+    [N | u].  It is the exponential (``_expm``) of the system augmented
     by three blocks (Van Loan, IEEE Trans. Autom. Control 23 (1978)
     395-404): the drive's oscillator, which integrates the drive exactly;
     the held reaction and loads; and the reaction's first three
@@ -359,7 +367,10 @@ def _step_map(mass, damping, stiffness, drive, omega, reaction, h: float) -> np.
     is exponentiated alone, at its own scaling: the stiff damper of a
     light rotor's axial motion, c h / m in the hundreds, adds no squaring
     to the modal block.  The reaction's derivatives add none: their rates,
-    entries of 1, raise ||A^2||_1 to no more than the threshold of 1.
+    entries of 1, raise ||A^2||_1 to no more than the threshold of 1.  The
+    turn by wh is the oscillator's rows of the spin's exponential, whose
+    system has neither stiffness nor damping: on the default motor it takes
+    no squaring, and its entries lie within an ulp of cos wh and sin wh.
     """
     m = mass.shape[-1]
     n, k = 2 * m, len(_HISTORY)
@@ -384,9 +395,10 @@ def _step_map(mass, damping, stiffness, drive, omega, reaction, h: float) -> np.
     i = np.arange(m)[:, None]
     inputs = np.concatenate([i, m + i, np.full((m, 2), [n, n + 1]), n + 2 + i + m * np.arange(k)],
                             axis=-1)
+    exp = _expm(system, own)
     e = np.zeros(mass.shape[:-1] + (n + 2 + k * m, n))
     e[..., inputs[:, :, None], np.concatenate([i, m + i], axis=-1)[:, None, :]] = \
-        np.swapaxes(_expm(system, own)[..., :2, :], -1, -2)
+        np.swapaxes(exp[..., :2, :], -1, -2)
     poly = _HISTORY @ e[..., n + 2:, :].reshape(e.shape[:-2] + (k, m * n))
     history = poly.reshape(poly.shape[:-1] + (m, n))      # r_(j-i) -> next state
     forces = np.concatenate(list(reaction), axis=-2)      # [N | u] -> r
@@ -394,10 +406,15 @@ def _step_map(mass, damping, stiffness, drive, omega, reaction, h: float) -> np.
                                    history.shape[:-3] + (kept, n)),
                                e[..., n:n + 2, :], e[..., n + 4:n + 6, :],
                                forces @ history[..., 0, :, :]], axis=-2)
-    to_r = np.zeros(to_state.shape[:-1] + (kept,))
-    to_r[..., -forces.shape[-2]:, :m] = forces
-    to_r[..., n:n + kept - m, m:] = np.eye(kept - m)
-    return np.concatenate([to_state, to_r], axis=-1)
+    # -> [r_j | r_(j-1) | ... | d]: d's held loads map to themselves, and its
+    # [cos wt, sin wt] turn by wh, the spin's copy of the oscillator's rows
+    d = n + kept
+    to_next = np.zeros(to_state.shape[:-1] + (kept + m,))
+    to_next[..., -forces.shape[-2]:, :m] = forces
+    to_next[..., n:n + kept - m, m:kept] = np.eye(kept - m)
+    to_next[..., d:d + m, kept:] = np.eye(m)
+    to_next[..., d:d + 2, kept:kept + 2] = np.swapaxes(exp[..., -1, 2:4, 2:4], -1, -2)
+    return np.concatenate([to_state, to_next], axis=-1)
 
 
 def _expm(a: np.ndarray, own: np.ndarray) -> np.ndarray:
@@ -446,12 +463,16 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
                    dt: float | None = None) -> list[MotorTimeSeries]:
     """Advance several transients on one stator together, one row each.
 
-    ``rows`` holds (DriveConfig, ContactConfig, RotorConfig) triples.  The
-    rows must share the step grid (``step_grid``'s step rule; any length is
-    stepped) and the contact point count.  Every array operation acts on
-    each row alone, so a row's series and ``EnergyReport`` are bitwise the
-    same whatever else runs in its batch.  Two rules keep them so, since a
-    row's entries have stride B in a batch and stride 1 alone:
+    ``rows`` is a sequence of (DriveConfig, ContactConfig, RotorConfig)
+    triples.  The rows must share the step grid (``step_grid``'s step rule;
+    any length is stepped) and the contact point count.  A batch of more
+    than ``MAX_BATCH_POINTS`` rows x contact points or ``_MAX_SAMPLES``
+    rows x samples is stepped in contiguous parts of at most that many
+    rows, one after another, so its step and sample buffers stay bounded.
+    Every array operation acts on each row alone, so a row's series and
+    ``EnergyReport`` are bitwise the same whatever else runs in its batch
+    or part.  Three rules keep them so, since a row's entries have stride B
+    in a batch and stride 1 alone, and a chunk's length depends on B:
 
     - the products' width is padded: the step map's input is padded with
       zero entries, which the map reads with zero rows, to a multiple of 4
@@ -465,9 +486,14 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
       a contiguous last axis, and so does that reaction's product with the
       rates.  NumPy sums a contiguous axis pairwise but a strided one in
       sequence, which differs already at 8 terms.
+    - the ledger's two products over a chunk's evaluations span one more,
+      whose results are dropped: NumPy makes a product of one evaluation
+      with the matrix-vector kernel, which groups its sums otherwise than
+      the matrix-matrix kernel, and a chunk of one step evaluates once.
 
-    A row's preload and load torque are held from t = 0: run constants of
-    its d entries, so a chunk evaluates only the drive's oscillator.  The
+    A row's d is [1, 0, -preload, -load_torque] at t = 0, and the step map
+    advances it, turning the drive's phase by wh and holding the loads, so
+    the loop evaluates no cos or sin; each row's turn is its own map's.  The
     map and the ledger read one (B, 4, 4) ``forcing``, the drive pair's rows
     from ``DriveConfig.forcing`` and identity rows for the held loads: the
     map its first two columns, and the ledger prices ``forcing @ d`` times
@@ -487,6 +513,11 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
     if len(grids) != 1:
         raise ValueError("batched rows must share one step grid")
     h, steps_per_sample, n_samples = grids.pop()
+    # ContactConfig and _grid bound both counts, so a part holds a row at least
+    size = min(MAX_BATCH_POINTS // contacts[0].point_count, _MAX_SAMPLES // n_samples)
+    if len(rows) > size:
+        return [series for i in range(0, len(rows), size) for series in simulate_batch(
+            stator, rows[i:i + size], duration, output_interval, dt)]
     n_steps = (n_samples - 1) * steps_per_sample
 
     geom = stator.geometry
@@ -559,14 +590,15 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
     # step j's step map input [state | r_(j-1) | ... | d | N | u], one
     # column per row.  The kinematics product writes the law's arguments
     # [-k gap | slip / v] into its [N | u] block, the law turns them into
-    # [N | u] in place, and the map writes the next step's [state | r_j | ...].
+    # [N | u] in place, and the map writes the next step's [state | r_j | ... | d].
     # The products read and write (B, 1, K) views whose vectors have stride
     # B; a batch of one makes them on 1-D views.  The views each step uses
     # are made once.
     chunk = max(1, _CHUNK_ROW_STEPS // (B * steps_per_sample)) * steps_per_sample
     X = np.zeros((chunk + 1, width, B))
-    # the held loads; each chunk fills [cos wt, sin wt]
-    X[:, d0 + 2:d0 + 4] = [[-r.preload for r in rotors], [-r.load_torque for r in rotors]]
+    # d at t = 0, which the map advances: the drive's phase and the held loads
+    X[0, d0:f0] = [np.ones(B), np.zeros(B), [-r.preload for r in rotors],
+                   [-r.load_torque for r in rotors]]
     if B == 1:
         product, kin, step_map = _dot, kin[0], step_map[0]
         XP = X[..., 0]
@@ -574,7 +606,7 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
         product = np.matmul
         XP = np.swapaxes(X, 1, 2)[:, :, None]
     step_views = [(XP[j], XP[j, ..., :n], XP[j, ..., f0:f0 + 2 * M],
-                   X[j, f0:f0 + M], X[j, f0 + M:f0 + 2 * M], XP[j + 1, ..., :d0])
+                   X[j, f0:f0 + M], X[j, f0 + M:f0 + 2 * M], XP[j + 1, ..., :f0])
                   for j in range(chunk)]
     law = contact.evaluate_contact
     # each sample's [state | the reactions the map formed from it | u at the
@@ -590,10 +622,6 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
             # T steps advance; the last (T = 0) maps the final state for its reactions
             T = min(chunk, n_steps - k)
             count = max(T, 1)
-            wt = omega_d[:, None] * ((k + np.arange(count)) * h)
-            X[:count, d0] = np.cos(wt).T
-            X[:count, d0 + 1] = np.sin(wt).T
-
             for x, y, contact_block, normal, traction, y_next in step_views[:count]:
                 product(y, kin, contact_block)
                 law(normal, traction)
@@ -614,16 +642,19 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
             # the ledger's powers at each evaluation, per row [input on each
             # coordinate, forcing @ d times its rate | damper on each |
             # friction, the reaction of f = -mu u dotted with the rates],
-            # time along the last axis
+            # time along the last axis.  Its two products span one row of X
+            # more, dropped after: NumPy makes a product of one evaluation
+            # with the matrix-vector kernel, which sums in another order
+            span = X[:count + 1]
             vel = X[:count, m:n].T
             power = np.empty((B, n + 1, count))
-            np.multiply(forcing @ X[:count, d0:d0 + m].T, vel, out=power[:, :m])
+            np.multiply((forcing @ span[:, d0:d0 + m].T)[..., :count], vel, out=power[:, :m])
             np.multiply(damper, vel, out=power[:, m:n])
             power[:, m:n] *= vel
             # u @ reaction[1] on each row's contiguous copy of its points, and
             # the dot product's sum over a contiguous axis, as in a batch of one
-            friction = X[:count, f0 + M:f0 + 2 * M].transpose(2, 0, 1).copy() @ reaction[1]
-            friction *= vel.transpose(0, 2, 1)
+            friction = span[:, f0 + M:f0 + 2 * M].transpose(2, 0, 1).copy() @ reaction[1]
+            friction = friction[:, :count] * vel.transpose(0, 2, 1)
             np.add.reduce(friction, axis=-1, out=power[:, n])
             # summed over each sample interval (the last pass's one evaluation
             # alone), then the sums added to the totals in time order
@@ -637,7 +668,7 @@ def simulate_batch(stator: StatorModel, rows, duration: float = 5e-3,
             if T == 0:
                 energy_final = mech_energy(X[0])
                 break
-            X[0, :d0] = X[T, :d0]   # [state | r_(j-1) | ...]; d is refilled
+            X[0, :f0] = X[T, :f0]   # [state | r_(j-1) | ... | d]
             k += T
 
     if alive.any():   # the loop ran to the end: trapezoidal work integrals

@@ -9,12 +9,6 @@ __all__ = ["svg_line_chart"]
 _COLOR = "#1f77b4"
 
 
-def _ticks(lo, hi, count=5):
-    if hi == lo:
-        hi = lo + 1.0
-    return np.linspace(lo, hi, count)
-
-
 def svg_line_chart(x, y, label: str, xlabel: str, ylabel: str, title: str) -> str:
     """Render one labeled series y against x as an SVG string.
 
@@ -45,13 +39,13 @@ def svg_line_chart(x, y, label: str, xlabel: str, ylabel: str, title: str) -> st
         f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
         f'font-size="14">{title}</text>',
     ]
-    for tx in _ticks(xmin, xmax):
+    for tx in np.linspace(xmin, xmax, 5):
         X = px(tx)
         parts.append(f'<line x1="{X:.2f}" y1="{mt}" x2="{X:.2f}" y2="{mt + ph}" '
                      'stroke="#dddddd"/>')
         parts.append(f'<text x="{X:.2f}" y="{mt + ph + 18}" text-anchor="middle" '
                      f'font-size="11">{tx:.4g}</text>')
-    for ty in _ticks(ymin, ymax):
+    for ty in np.linspace(ymin, ymax, 5):
         Y = py(ty)
         parts.append(f'<line x1="{ml}" y1="{Y:.2f}" x2="{ml + pw}" y2="{Y:.2f}" '
                      'stroke="#dddddd"/>')

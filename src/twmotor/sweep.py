@@ -3,15 +3,12 @@
 A sweep runs the full transient pipeline once per parameter value.  No
 sweep parameter changes the stator, so it is built once.  Rows that share
 a step grid advance together as one lockstep batch
-(``dynamics.simulate_batch``); a frequency sweep may split into several
-batches, because the step follows the drive frequency.  A batch is split
-into contiguous parts of at most ``MAX_BATCH_POINTS`` rows x contact points
-and at most ``dynamics._MAX_SAMPLES`` rows x samples, the bounds of one
-run's step and sample buffers, and with ``jobs > 1`` into at least one part
-a worker, on a pool of at most
-one worker per usable CPU.  A row's results do not depend on its batch or
-part, and rows come back in input order, so a sweep is deterministic
-whatever the job count.
+(``dynamics.simulate_batch``, which bounds its own buffers); a frequency
+sweep may split into several batches, because the step follows the drive
+frequency.  With ``jobs > 1`` a batch is split into contiguous parts, one a
+worker, on a pool of at most one worker per usable CPU.  A row's results do
+not depend on its batch or part, and rows come back in input order, so a
+sweep is deterministic whatever the job count.
 ``find_peak`` returns the torque optimum as the record ``peak.json``
 holds.  Named presets reproduce the study grids used for the USR30/USR60
 preload curves, the gram-denominated plastic-stator sweep, and the COF
@@ -49,10 +46,6 @@ __all__ = [
 STANDARD_GRAVITY = 9.80665  # m/s^2
 SWEEP_CSV_HEADER = "param,torque,speed,t_ss,settled,ok,error"
 MAX_GRID_VALUES = 4096      # most values a sweep grid holds, 200 times the largest preset's 20
-# most rows x contact points one lockstep part steps: the step buffers grow
-# with both, and 256 rows at the default 128 points peak at 55 MiB for a
-# 0.5 ms run, in 5.8 ms a row against 6.1 at 512 rows (2-core x86-64 VM)
-MAX_BATCH_POINTS = 2 ** 15
 
 
 def grams_to_newtons(grams: float) -> float:
@@ -135,9 +128,6 @@ class SweepCurve(Record):
     parameter: str
     rows: tuple[SweepRow, ...]
 
-    def __len__(self):
-        return len(self.rows)
-
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.rows])
 
@@ -189,9 +179,9 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepCurve:
     """Run the pipeline over every grid value; rows keep the input order.
 
     ``jobs`` worker processes run the rows, but never more than the CPUs
-    this process may use.  A lockstep batch is split into parts of at most
-    ``MAX_BATCH_POINTS`` rows x contact points and ``dynamics._MAX_SAMPLES``
-    rows x samples, so a sweep's memory does not grow with its rows.
+    this process may use.  ``dynamics.simulate_batch`` steps a lockstep
+    batch in parts of bounded size, so a sweep's memory does not grow with
+    its rows.
 
     Any error in a row's configuration, run or post-processing makes that
     row failed (ok=False, with the message) and the sweep continues.  A
@@ -211,13 +201,9 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepCurve:
         batches.setdefault(grid, []).append(i)
 
     workers = max(1, min(jobs, _usable_cpus()))
-    parts = []   # each batch split into contiguous parts: one a worker, of <= size rows
+    parts = []   # each batch split into contiguous parts, one a worker
     for grid, members in batches.items():
-        # at least 1 each: a point count and an admitted grid's sample count
-        # stay within these bounds
-        size = min(MAX_BATCH_POINTS // spec.base.contact.point_count,
-                   dynamics._MAX_SAMPLES // grid[2])
-        k = max(min(workers, len(members)), -(-len(members) // size))
+        k = min(workers, len(members))
         parts.extend((grid, members[j * len(members) // k:(j + 1) * len(members) // k])
                      for j in range(k))
     tasks = [(model, grid, [spec.values[i] for i in part], [configs[i] for i in part])

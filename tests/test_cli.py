@@ -749,6 +749,12 @@ class TestNonFiniteNumbers:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {key} must be a finite number, not {value}"]
 
+    def test_rejected_in_a_config_built_in_python(self):
+        """A config built from its records in Python meets the same check."""
+        with pytest.raises(ConfigError) as info:
+            RunConfig(rotor=dynamics.RotorConfig(preload=math.nan))
+        assert str(info.value) == "rotor.preload must be a finite number, not nan"
+
 
 class TestOverride:
     """``RunConfig.override``, which every flag and sweep row goes through,
@@ -773,11 +779,16 @@ class TestOverride:
         ({"geometry": {"section_width": -0.005}}, "geometry.section_width must be > 0"),
         ({"geometry": {"section_thickness": 0.0}},
          "geometry.section_thickness must be > 0"),
+        ({"simulation": {"dt": 0}}, "simulation.dt must be > 0"),
+        ({"geometry": {"tooth_height": -0.001}}, "geometry.tooth_height must be >= 0"),
+        ({"geometry": {"drive_nodal_diameters": 0}},
+         "geometry.drive_nodal_diameters must be >= 1"),
     ], ids=["partial-material", "unknown-key", "removed-preload-ramp",
             "removed-piezo-offset", "mistyped-value", "null-section",
             "section-range", "top-level-range", "rotor-inertia", "rotor-mass",
             "simulation-duration", "simulation-output-interval", "geometry-mean-radius",
-            "geometry-section-width", "geometry-section-thickness"])
+            "geometry-section-width", "geometry-section-thickness", "simulation-dt",
+            "geometry-tooth-height", "geometry-drive-nodal-diameters"])
     def test_refused_as_from_dict_refuses(self, sections, message):
         for build in (RunConfig.from_dict, lambda data: RunConfig().override(**data)):
             with pytest.raises(ConfigError) as info:

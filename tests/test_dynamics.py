@@ -32,10 +32,10 @@ from twmotor.dynamics import (
 
 # The step map's layout for the 8-entry state [q_cos, q_sin, z, phi | rates]:
 # its input [state | r_(j-1) | ... | r_(j-k+1) | d | N | u], k the reaction
-# history's length, and its output, the input's first D0 entries
+# history's length, and its output, the input's first F0 entries
 HISTORY = len(dynamics._HISTORY)
-D0 = 8 + (HISTORY - 1) * 4     # where d starts: the map's output width
-F0 = D0 + 4                    # where [N | u] starts
+D0 = 8 + (HISTORY - 1) * 4     # where d starts
+F0 = D0 + 4                    # where [N | u] starts: the map's output width
 
 
 def short_cfg(**sections):
@@ -376,7 +376,7 @@ class TestSimulateBatch:
         def recording(a, b, out):             # the loop passes its output positionally
             if b.shape[-1] == 2 * points:     # state -> [-k gap | slip / v]
                 written.append(out)
-            elif b.shape[-1] == D0:           # [state | r_(j-1) | ... | d | N | u] -> ...
+            elif b.shape[-1] == F0:           # [state | r_(j-1) | ... | d | N | u] -> ...
                 in_map_input.append(layout(a[..., F0:F0 + 2 * points]) == layout(written[-1]))
             return matmul(a, b, out)
 
@@ -464,7 +464,7 @@ class TestPropagator:
         step = self.build(self.diagonals(stator_model, c_z, mass), h,
                           np.array([[-900.0, 0.0], [0.0, 900.0], [0, 0], [0, 0]]),
                           2.0 * math.pi * 41e3, reaction)
-        assert step.shape == (F0 + 12, D0)
+        assert step.shape == (F0 + 12, F0)
 
         expected = np.zeros((12, 8))      # [positions | rates | forces] -> state
         sigma, omega_d = zeta * omega, omega * math.sqrt(1.0 - zeta * zeta)
@@ -499,14 +499,23 @@ class TestPropagator:
         # abs=0: every entry the closed forms leave at zero is exactly zero
         assert step[:8, :8] == pytest.approx(expected[:8], rel=1e-14, abs=0.0)
         assert step[D0 + 2:F0, :8] == pytest.approx(expected[10:], rel=1e-14, abs=0.0)
-        assert not step[D0 + 2:F0, 8:].any()
+        assert not step[D0 + 2:F0, 8:D0].any()
 
         # [N | u] -> r_j and each r_(j-i) the map keeps -> itself, all exactly;
         # nothing else reaches the reactions
         r = np.zeros((F0 + 12, D0 - 8))
         r[F0:, :4] = np.concatenate(list(reaction))
         r[8:D0 - 4, 4:] = np.eye(D0 - 12)
-        assert np.array_equal(step[:, 8:], r)
+        assert np.array_equal(step[:, 8:D0], r)
+
+        # d -> d: [cos wt, sin wt] turns by wh, the held loads stay, exactly;
+        # nothing else reaches d
+        wh = 2.0 * math.pi * 41e3 * h
+        turn = np.array([[math.cos(wh), math.sin(wh)], [-math.sin(wh), math.cos(wh)]])
+        assert step[D0:D0 + 2, D0:D0 + 2] == pytest.approx(turn, rel=1e-14, abs=0.0)
+        d = np.eye(F0 + 12, 4, -D0)
+        d[D0:D0 + 2, :2] = step[D0:D0 + 2, D0:D0 + 2]
+        assert np.array_equal(step[:, D0:], d)
 
     def test_rows_are_independent_of_their_batch(self, stator_model):
         """Each row's map scales by its own norm: rows whose axial motion
@@ -532,9 +541,9 @@ class TestPropagator:
         drive[0] = force * math.cos(psi), -force * math.sin(psi)
         step = self.build(self.diagonals(stator_model), h, drive, w, np.zeros((2, 6, 4)))
         x = np.zeros(step.shape[0])       # at rest, with d = [cos w t_j, sin w t_j, 0, 0]
+        x[D0] = 1.0
         for j in range(400):
-            x[D0:D0 + 2] = math.cos(w * j * h), math.sin(w * j * h)
-            x[:D0] = x @ step
+            x[:F0] = x @ step
 
         # the steady response a e^(i w t) plus the free decay that starts at rest
         a = force * np.exp(1j * psi) / (omega_n ** 2 - w * w + 2j * zeta * omega_n * w)
@@ -551,6 +560,33 @@ class TestPropagator:
         exact = steady + free
         assert np.abs(x[[0, 4]] - exact).max() <= 1e-12 * abs(a) * w
         assert not x[[1, 2, 3, 5, 6, 7]].any()
+        # the map's own phase, and the loads it holds at zero
+        assert x[D0:D0 + 2] == pytest.approx([math.cos(w * end), math.sin(w * end)],
+                                             rel=0.0, abs=1e-13)
+        assert not x[D0 + 2:F0].any()
+
+    def test_drive_phase_at_the_end_of_a_default_run(self, stator_model, monkeypatch):
+        """The step loop writes d once, at t = 0, and the map advances it:
+        the last step map input of a default run, the final state's, holds
+        [cos w t, sin w t] of its n steps within 1e-11, and the held loads
+        unchanged."""
+        cfg = RunConfig()
+        h, steps_per_sample, n_samples = step_grid(stator_model, cfg.drive)
+        d = []
+        dot = dynamics._dot
+
+        def recording(a, b, out):
+            if b.shape[-1] == F0:         # the step map
+                d.append(a[D0:F0].copy())
+            return dot(a, b, out)
+
+        monkeypatch.setattr(dynamics, "_dot", recording)
+        simulate(stator_model, cfg.drive, cfg.contact, cfg.rotor)
+        steps = (n_samples - 1) * steps_per_sample
+        assert len(d) == steps + 1 == 21001
+        wt = 2.0 * math.pi * cfg.drive.resolve_frequency(stator_model.pair) * steps * h
+        assert d[-1][:2] == pytest.approx([math.cos(wt), math.sin(wt)], rel=0.0, abs=1e-11)
+        assert list(d[-1][2:]) == [-cfg.rotor.preload, -cfg.rotor.load_torque]
 
     @staticmethod
     def polynomial_response(mass, damping, stiffness, forcing):
@@ -600,7 +636,7 @@ class TestPropagator:
             x[4 + 4 * i:8 + 4 * i] = force(-i * h)
         for j in range(300):
             x[F0:F0 + 4] = force(j * h)
-            x[:D0] = x @ step
+            x[:F0] = x @ step
         scale = np.abs([response(t) for t in np.linspace(0.0, span, 7)]).max(axis=0)
         assert np.all(np.abs(x[:8] - response(span)) <= 1e-12 * scale)
 
@@ -783,6 +819,10 @@ class TestDetectSteadyState:
         assert not settled
         assert t_ss == pytest.approx(t[-1])
 
+    def test_one_sample_refused(self):
+        with pytest.raises(ValueError, match="^series too short$"):
+            detect_steady_state(synthetic_series(np.zeros(1), np.ones(1)))
+
     def test_boundary_is_the_sample_time(self, stator_model):
         """t_ss is the boundary sample's own time, so a mask time >= t_ss keeps
         that sample.  The step loop writes sample i at i x output_interval,
@@ -949,6 +989,12 @@ class TestMeanSpeed:
                            np.where(t < 5e-4, 0.0, 0.25))
         # radius 0.0125 -> 0.25 m/s surface speed = 20 rad/s
         assert mean_speed(series, 5e-4) == pytest.approx(20.0)
+
+    @pytest.mark.parametrize("t_ss", [-1e-5, 1e-3])
+    def test_t_ss_outside_span_rejected(self, t_ss):
+        t = np.arange(0, 1e-3, 1e-5)
+        with pytest.raises(ValueError, match="outside the series span"):
+            mean_speed(synthetic_series(t, np.zeros_like(t)), t_ss)
 
 
 class TestRotorConfig:

@@ -78,9 +78,11 @@ class TestSweepSpec:
         ("cof", (-0.1, 0.2, 0.3), "cof must be >= 0"),
         ("voltage", (-5.0, 20.0, 30.0), "voltage must be >= 0"),
         ("frequency", (0.0, 40e3, 41e3), "frequency must be > 0"),
-    ], ids=["preload_N", "preload_g", "cof", "voltage", "frequency"])
+        ("bogus", (1.0, 2.0, 3.0), "^unknown sweep parameter 'bogus'; choose from preload_N, "),
+    ], ids=["preload_N", "preload_g", "cof", "voltage", "frequency", "unknown-parameter"])
     def test_value_domain(self, parameter, values, message):
-        """The config types state each value's domain; the sweep asks them."""
+        """The config types state each value's domain; the sweep asks them.
+        A parameter it does not know is refused, naming the ones it does."""
         with pytest.raises(ValueError, match=message):
             SweepSpec(parameter, values)
 
@@ -332,26 +334,28 @@ class TestRunSweep:
             assert a.speed == b.speed
 
     @staticmethod
-    def split_one_row_a_part(base, monkeypatch, module, bound, value):
-        """A 4-row sweep's batches, run whole and then with ``module.bound``
-        set to ``value``, and the two sweeps' rows."""
+    def split_one_row_a_part(base, monkeypatch, bound, value):
+        """A 4-row sweep run whole and then with ``dynamics.bound`` set to
+        ``value``: the row counts ``dynamics.simulate_batch`` is called with
+        in the second run, the sweep's batch and then each part it steps,
+        and the two sweeps' rows."""
         spec = SweepSpec("preload_N", (40.0, 80.0, 120.0, 160.0), base=base)
+        whole = run_sweep(spec, jobs=1)
         batches = []
         simulate_batch = dynamics.simulate_batch
-        monkeypatch.setattr(dynamics, "simulate_batch", lambda stator, rows, **kw:
-                            batches.append(len(rows)) or simulate_batch(stator, rows, **kw))
-        whole = run_sweep(spec, jobs=1)
-        monkeypatch.setattr(module, bound, value)
+        monkeypatch.setattr(dynamics, "simulate_batch", lambda stator, rows, *args, **kw:
+                            batches.append(len(rows)) or simulate_batch(stator, rows, *args, **kw))
+        monkeypatch.setattr(dynamics, bound, value)
         split = run_sweep(spec, jobs=1)
         return batches, split.rows, whole.rows
 
     def test_parts_bound_rows_times_points(self, short_base, monkeypatch):
-        """A batch is split into contiguous parts of at most
-        ``MAX_BATCH_POINTS`` rows x contact points.  A 4-row sweep run one
-        row a part equals the unsplit sweep row for row, bitwise (a float's
-        repr is exact, NaN included)."""
+        """``dynamics.simulate_batch`` steps a batch in contiguous parts of
+        at most ``dynamics.MAX_BATCH_POINTS`` rows x contact points.  A 4-row
+        sweep is one batch, and run one row a part it equals the unsplit
+        sweep row for row, bitwise (a float's repr is exact, NaN included)."""
         batches, split, whole = self.split_one_row_a_part(
-            short_base, monkeypatch, sweep, "MAX_BATCH_POINTS", short_base.contact.point_count)
+            short_base, monkeypatch, "MAX_BATCH_POINTS", short_base.contact.point_count)
         assert batches == [4, 1, 1, 1, 1]
         assert repr(split) == repr(whole)
 
@@ -363,7 +367,7 @@ class TestRunSweep:
         simulation = short_base.simulation
         samples = round(simulation.duration / simulation.output_interval) + 1
         batches, split, whole = self.split_one_row_a_part(
-            short_base, monkeypatch, dynamics, "_MAX_SAMPLES", samples)
+            short_base, monkeypatch, "_MAX_SAMPLES", samples)
         assert batches == [4, 1, 1, 1, 1]
         assert repr(split) == repr(whole)
 
